@@ -26,6 +26,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return USAGE
     try:
+        check_args(args)
         status, payload = args.handler(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError, code_mod.CapExceeded) as exc:
         print(f"colexa: {exc}", file=sys.stderr)
@@ -41,8 +42,18 @@ def emit(payload, pretty: bool) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
-def default_cap() -> int:
-    return int(os.environ.get("COLEXA_CAP", code_mod.DEFAULT_CAP))
+def check_args(args) -> None:
+    """Resolve the cap and range-check the numeric flags; errors exit 2."""
+    if args.cap is None:
+        raw = os.environ.get("COLEXA_CAP", code_mod.DEFAULT_CAP)
+        try:
+            args.cap = int(raw)
+        except ValueError:
+            raise ValueError(f"COLEXA_CAP must be an integer, got {raw!r}") from None
+    if args.cap < 0:
+        raise ValueError(f"the cap must be >= 0, got {args.cap}")
+    if getattr(args, "d", 2) < 2:
+        raise ValueError(f"--d must be >= 2, got {args.d}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--pretty", action="store_true")
-        p.add_argument("--cap", type=int, default=default_cap())
+        p.add_argument("--cap", type=int, help="enumeration cap (default $COLEXA_CAP or 10^7)")
 
     def lattice_flags(p):
         p.add_argument("--lattice", default="tetra",
@@ -143,8 +154,7 @@ def load_lattice(args) -> colex.Lattice:
     if name == "triangle":
         L, _ = colex.build_triangle_2d(getattr(args, "d", 2), args.distance)
         return L
-    with open(name) as fh:
-        return colex.lattice_from_json(json.load(fh))
+    return colex.lattice_from_json(read_json_object(name))
 
 
 def load_code(args):
@@ -157,8 +167,15 @@ def load_code(args):
     if args.code == "triangle":
         L, C = colex.build_triangle_2d(args.d, args.distance)
         return L, C
-    with open(args.code) as fh:
-        return None, code_mod.code_from_json(json.load(fh))
+    return None, code_mod.code_from_json(read_json_object(args.code))
+
+
+def read_json_object(path: str) -> dict:
+    with open(path) as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def parse_error(spec: str, C, L) -> code_mod.PauliWord:

@@ -123,6 +123,20 @@ class Codeword:
     terms: frozenset
 
 
+def cell_rows(L, dim: int, d: int, signs=None) -> ring.ResidueMatrix:
+    """One row per dim-cell of L over Z_d, in vertex order: 1 on the cell's
+    vertices, or the vertex's sign there when signs are given."""
+    index = {v: j for j, v in enumerate(L.vertex_ids)}
+    signs = signs or (1,) * len(index)
+    rows = []
+    for cell in L.cells_of_dim(dim):
+        row = [0] * len(index)
+        for v in cell.vertices:
+            row[index[v]] = signs[index[v]]
+        rows.append(row)
+    return ring.ResidueMatrix(d, tuple(rows))
+
+
 def from_colex(L, mu_prime: int, d: int) -> ColorCode:
     """Build the color code of a validated, star-flagged lattice.
 
@@ -134,52 +148,46 @@ def from_colex(L, mu_prime: int, d: int) -> ColorCode:
         raise ValueError("mu_prime must satisfy 2 <= mu_prime <= mu")
     sigma = L.star_signs()
     n = len(L.vertex_ids)
-    index = {v: j for j, v in enumerate(L.vertex_ids)}
-
-    def indicator(cell):
-        row = [0] * n
-        for v in cell.vertices:
-            row[index[v]] = 1
-        return tuple(row)
-
-    g0_rows = tuple(indicator(c) for c in L.cells_of_dim(mu_prime))
-    z_dim = L.mu - mu_prime + 2
-    zs_rows = tuple(
-        tuple(e * s for e, s in zip(indicator(c), sigma))
-        for c in L.cells_of_dim(z_dim)
-    )
     code = ColorCode(
         d=d,
         n=n,
         star_signs=sigma,
-        G0=ring.ResidueMatrix(d, g0_rows),
+        G0=cell_rows(L, mu_prime, d),
         G1=ring.ResidueMatrix(d, ((1,) * n,)),
-        z_stab=ring.ResidueMatrix(d, zs_rows),
+        z_stab=cell_rows(L, L.mu - mu_prime + 2, d, sigma),
         z_logical=ring.ResidueVector(d, tuple(s for s in sigma)),
     )
     if not ring.is_injective_encoding(code.G0, code.G1):
-        raise AssertionError("built code fails injective-encoding invariant")
+        raise ValueError(f"mu_prime={mu_prime}: [G1; G0] has a nontrivial left kernel "
+                         "(dependent generators or no encoded qudit)")
     return code
 
 
 def verify_code(C: ColorCode) -> ValidationReport:
-    """Exhaustive commutation audit of stabilizers and logicals."""
+    """Exhaustive commutation audit of stabilizers and logicals.
+
+    Only an X word and a Z word can fail to commute, so the phases of all
+    pairs are the entries of three Z_d products; witnesses keep word order.
+    """
     rep = ValidationReport()
-    stabs = C.stabilizer_words()
-    bad = []
-    for i, j in itertools.combinations(range(len(stabs)), 2):
-        c = symplectic_phase(stabs[i], stabs[j])
-        if c != 0:
-            bad.append({"pair": [i, j], "phase": c})
+    r0 = C.G0.nrows
+    # pair (i, r0 + j) of X row i and Z row j: phase G0_i . Zstab_j
+    bad = [
+        {"pair": [i, r0 + j], "phase": c}
+        for i, j, c in _nonzero(ring.mul_transpose(C.G0, C.z_stab))
+    ]
     rep.add("stabilizers-commute", not bad, witness=bad[:3] or None)
 
-    logicals = C.logical_x_words() + C.logical_z_words()
-    bad = []
-    for li, lw in enumerate(logicals):
-        for si, sw in enumerate(stabs):
-            c = symplectic_phase(lw, sw)
-            if c != 0:
-                bad.append({"logical": li, "stabilizer": si, "phase": c})
+    # logical X row l against Z row j: G1_l . Zstab_j; then the logical Z
+    # against X row i: -(G0_i . z_logical)
+    zbar_row = ring.ResidueMatrix(C.d, (C.z_logical.entries,))
+    bad = [
+        {"logical": l, "stabilizer": r0 + j, "phase": c}
+        for l, j, c in _nonzero(ring.mul_transpose(C.G1, C.z_stab))
+    ] + [
+        {"logical": C.k, "stabilizer": i, "phase": (-c) % C.d}
+        for i, _, c in _nonzero(ring.mul_transpose(C.G0, zbar_row))
+    ]
     rep.add("logicals-commute-with-stabilizers", not bad, witness=bad[:3] or None)
 
     xbar = C.logical_x_words()[0]
@@ -193,6 +201,11 @@ def verify_code(C: ColorCode) -> ValidationReport:
         "[G1; G0] has trivial left kernel",
     )
     return rep
+
+
+def _nonzero(P: np.ndarray) -> list:
+    """(i, j, P[i, j]) for every nonzero entry, in row-major order."""
+    return [(int(i), int(j), int(P[i, j])) for i, j in np.argwhere(P)]
 
 
 def codeword(C: ColorCode, x, cap: int = DEFAULT_CAP) -> Codeword:

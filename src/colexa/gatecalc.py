@@ -228,8 +228,3 @@ def verify_transversal_CX(C: ColorCode, cap: int = DEFAULT_CAP) -> VerificationR
                         {"x1": x1, "x2": x2, "t1": list(t1), "t2": list(t2)},
                     )
     return VerificationReport("transversal-CX", True, checked)
-
-
-def verify_transversal_S_and_CX(C: ColorCode, cap: int = DEFAULT_CAP) -> list:
-    """Table-driven pair: S on one block, SUM across two blocks."""
-    return [verify_transversal_S(C, cap), verify_transversal_CX(C, cap)]

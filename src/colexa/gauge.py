@@ -14,8 +14,12 @@ import itertools
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import ring
-from .code import ColorCode, PauliWord, symplectic_phase
+# symplectic_phase is unused here but stays importable as gauge.symplectic_phase,
+# which perfbench's tracer test patches as a name shared across modules
+from .code import ColorCode, PauliWord, cell_rows, symplectic_phase  # noqa: F401
 from .colex import Lattice
 from .reports import ValidationReport
 
@@ -55,38 +59,31 @@ def build_gauge_code(L: Lattice, d: int) -> GaugeCode:
     if L.mu < 3:
         raise ValueError("gauge color codes need mu >= 3")
     sigma = L.star_signs()
-    n = len(L.vertex_ids)
-    index = {v: j for j, v in enumerate(L.vertex_ids)}
-
-    def indicator(cell):
-        row = [0] * n
-        for v in cell.vertices:
-            row[index[v]] = 1
-        return tuple(row)
-
-    def signed(cell):
-        return tuple(e * s for e, s in zip(indicator(cell), sigma))
-
-    faces = L.cells_of_dim(2)
-    cells = L.cells_of_dim(L.mu)
     G = GaugeCode(
         d=d,
-        n=n,
+        n=len(L.vertex_ids),
         star_signs=sigma,
-        face_x=ring.ResidueMatrix(d, tuple(indicator(f) for f in faces)),
-        face_z=ring.ResidueMatrix(d, tuple(signed(f) for f in faces)),
-        cell_x=ring.ResidueMatrix(d, tuple(indicator(c) for c in cells)),
-        cell_z=ring.ResidueMatrix(d, tuple(signed(c) for c in cells)),
+        face_x=cell_rows(L, 2, d),
+        face_z=cell_rows(L, 2, d, sigma),
+        cell_x=cell_rows(L, L.mu, d),
+        cell_z=cell_rows(L, L.mu, d, sigma),
     )
-    for s in G.stab_gens():
-        for g in G.gauge_gens():
-            if symplectic_phase(s, g) != 0:
-                raise AssertionError("stabilizer fails to commute with gauge group")
+    if _phase_matrix(G.stab_gens(), G.gauge_gens(), d).any():
+        raise AssertionError("stabilizer fails to commute with gauge group")
     return G
 
 
 def _symplectic_rows(words, d: int) -> ring.ResidueMatrix:
     return ring.ResidueMatrix(d, tuple(w.x_exp + w.z_exp for w in words))
+
+
+def _phase_matrix(A: list, B: list, d: int) -> np.ndarray:
+    """Entry [i, j] is symplectic_phase(A[i], B[j]), as one Z_d product:
+    (x_a | z_a) . (z_b | -x_b) = x_a . z_b - x_b . z_a."""
+    twisted = ring.ResidueMatrix(
+        d, tuple(w.z_exp + tuple(-e for e in w.x_exp) for w in B)
+    )
+    return ring.mul_transpose(_symplectic_rows(A, d), twisted)
 
 
 def center_equals_stabilizer(G: GaugeCode):
@@ -98,19 +95,15 @@ def center_equals_stabilizer(G: GaugeCode):
     """
     rep = ValidationReport()
     gens = G.gauge_gens()
-    gram = ring.ResidueMatrix(
-        G.d,
-        tuple(
-            tuple(symplectic_phase(a, b) for b in gens) for a in gens
-        ),
-    )
+    gram = ring.ResidueMatrix(G.d, _phase_matrix(gens, gens, G.d).tolist())
     combos = ring.kernel_mod(gram)
     gen_mat = _symplectic_rows(gens, G.d)
     center = ring.ResidueMatrix(
         G.d,
         tuple(ring.mat_vec_mul(gen_mat, v).entries for v in combos.rows) or ((0,) * (2 * G.n),),
     )
-    stab_mat = _symplectic_rows(G.stab_gens(), G.d)
+    stabs = G.stab_gens()
+    stab_mat = _symplectic_rows(stabs, G.d)
 
     missing = [i for i, c in enumerate(center.rows) if not ring.in_rowspan(stab_mat, c)]
     rep.add("center-in-stabilizer-span", not missing, witness=missing[:3] or None)
@@ -118,12 +111,7 @@ def center_equals_stabilizer(G: GaugeCode):
     missing = [i for i, s in enumerate(stab_mat.rows) if not ring.in_rowspan(gen_mat, s)]
     rep.add("stabilizer-in-gauge-group", not missing, witness=missing[:3] or None)
 
-    bad = [
-        (i, j)
-        for i, s in enumerate(G.stab_gens())
-        for j, g in enumerate(gens)
-        if symplectic_phase(s, g) != 0
-    ]
+    bad = [(int(i), int(j)) for i, j in np.argwhere(_phase_matrix(stabs, gens, G.d))]
     rep.add("stabilizer-central", not bad, witness=bad[:3] or None)
     return rep.ok, rep
 
@@ -300,6 +288,7 @@ class Tableau:
         self.scale = self.D // d
         self.rows = [Row(r.phase % self.D, r.x, r.z) for r in rows]
         self.n = len(self.rows[0].x) if self.rows else 0
+        self._exp = None  # exponent matrix of rows, kept until an x/z part changes
         for a, b in itertools.combinations(self.rows, 2):
             if self._sp(a, b) != 0:
                 raise ValueError("tableau rows must pairwise commute")
@@ -319,6 +308,13 @@ class Tableau:
             tuple((az + bz) % self.d for az, bz in zip(a.z, b.z)),
         )
 
+    def _exponents(self) -> ring.ResidueMatrix:
+        """The rows' (x | z) exponents; one factorization serves every
+        determined measurement until a row's x/z part changes."""
+        if self._exp is None:
+            self._exp = ring.ResidueMatrix(self.d, tuple(r.x + r.z for r in self.rows))
+        return self._exp
+
     def _pow(self, a: Row, k: int) -> Row:
         out = Row(0, (0,) * self.n, (0,) * self.n)
         for _ in range(k % self.d):
@@ -334,8 +330,7 @@ class Tableau:
         T = cls(C.d, rows)
         if len(T.rows) != C.n:
             raise ValueError(f"tableau rank {len(T.rows)} != n {C.n}")
-        exp = ring.ResidueMatrix(C.d, tuple(r.x + r.z for r in T.rows))
-        if ring.span_size(exp) != C.d ** C.n:
+        if ring.span_size(T._exponents()) != C.d ** C.n:
             raise ValueError("tableau rows are not independent")
         return T
 
@@ -349,19 +344,15 @@ class Tableau:
         ]
 
     def apply_transversal_H(self, star_signs) -> None:
+        """Conjugate by transversal_H_action; the phase gains sum(x*z) in
+        the tableau's own phase unit."""
         new = []
         for r in self.rows:
+            h = transversal_H_action(PauliWord(self.d, r.x, r.z), star_signs)
             dphi = sum(x * z for x, z in zip(r.x, r.z))
-            xs, zs = [], []
-            for x, z, s in zip(r.x, r.z, star_signs):
-                if s == 1:
-                    xs.append((-z) % self.d)
-                    zs.append(x)
-                else:
-                    xs.append(z)
-                    zs.append((-x) % self.d)
-            new.append(Row((r.phase + self.scale * dphi) % self.D, tuple(xs), tuple(zs)))
+            new.append(Row((r.phase + self.scale * dphi) % self.D, h.x_exp, h.z_exp))
         self.rows = new
+        self._exp = None
 
     def measure(self, P: PauliWord, rng: random.Random) -> int:
         """Measure the generalized Pauli observable P; returns k with
@@ -379,11 +370,11 @@ class Tableau:
                 self.rows[i] = self._mul(self.rows[i], self._pow(prow, (-c) % self.d))
         outcome = rng.randrange(self.d)
         self.rows[pivot] = Row((-outcome * self.scale) % self.D, obs.x, obs.z)
+        self._exp = None
         return outcome
 
     def _determined_outcome(self, obs: Row) -> int:
-        mat = ring.ResidueMatrix(self.d, tuple(r.x + r.z for r in self.rows))
-        sol = ring.solve_left(mat, obs.x + obs.z)
+        sol = ring.solve_left(self._exponents(), obs.x + obs.z)
         if sol is None:
             raise ValueError("observable commutes but is not in the group")
         g = Row(0, (0,) * self.n, (0,) * self.n)
@@ -428,23 +419,31 @@ def _is_prime(d: int) -> bool:
 
 
 def _lex_least_solution(A: ring.ResidueMatrix, target) -> ring.ResidueVector | None:
-    """Lexicographically least x with x @ A == target, by greedy prefix fixing."""
-    N = A.modulus
-    rest = list(A.rows)
-    t = [e % N for e in target]
-    chosen = []
-    for i in range(A.nrows):
-        head, rest = rest[0], rest[1:]
-        sub = ring.ResidueMatrix(N, tuple(rest) or ((0,) * A.ncols,))
-        for val in range(N):
-            t2 = [(e - val * h) % N for e, h in zip(t, head)]
-            if ring.solve_left(sub, t2) is not None:
-                chosen.append(val)
-                t = t2
-                break
-        else:
-            return None
-    return ring.ResidueVector(N, tuple(chosen))
+    """Lexicographically least x with x @ A == target, for a prime modulus.
+
+    The solutions are x0 + ker(A).  Eliminating column by column through the
+    left kernel's rows zeroes x0 at every kernel pivot column; any other
+    solution first differs from the result at a pivot column, where it is
+    nonzero, so the result is the least.
+    """
+    p = A.modulus
+    if not _is_prime(p):
+        raise ValueError(f"lex-least solution needs a prime modulus, got {p}")
+    sol = ring.solve_left(A, target)
+    if sol is None:
+        return None
+    x = list(sol.entries)
+    rows = [list(r) for r in ring.kernel_mod(A).rows]
+    for col in range(len(x)):
+        piv = next((r for r in rows if r[col]), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        inv = pow(piv[col], -1, p)
+        for v in rows + [x]:
+            c = v[col] * inv % p
+            v[:] = [(a - c * b) % p for a, b in zip(v, piv)]
+    return ring.ResidueVector(p, tuple(x))
 
 
 def gauge_fix(T: Tableau, G: GaugeCode, rng: random.Random) -> dict:
@@ -460,13 +459,7 @@ def gauge_fix(T: Tableau, G: GaugeCode, rng: random.Random) -> dict:
         outcomes.append(T.measure(PauliWord.z_word(d, zrow), rng))
 
     # want an X-type C with symplectic phase m_f against every Z face
-    A = ring.ResidueMatrix(
-        d,
-        tuple(
-            tuple(sum(x * z for x, z in zip(xrow, zrow)) % d for zrow in G.face_z.rows)
-            for xrow in G.face_x.rows
-        ),
-    )
+    A = ring.ResidueMatrix(d, ring.mul_transpose(G.face_x, G.face_z).tolist())
     lam = _lex_least_solution(A, outcomes)
     if lam is None:
         raise ValueError("measured face outcomes admit no gauge correction")

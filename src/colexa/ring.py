@@ -2,9 +2,11 @@
 
 Everything in this module works with plain Python integers, so there is no
 modulus that can overflow and no floating point anywhere.  The workhorse is an
-integer Smith normal form with unimodular transform tracking; kernels, row-span
-membership tests and linear solves over Z_N for arbitrary (not necessarily
-prime) N are all derived from it.
+integer Smith normal form with unimodular transform tracking.  Each
+`ResidueMatrix` is factored at most once: the factorization is computed on
+first use and kept on the matrix, and its kernel, row span, span enumeration
+and every linear solve over Z_N, for arbitrary (not necessarily prime) N, are
+answered from that one factorization.
 """
 
 from __future__ import annotations
@@ -37,29 +39,8 @@ class ResidueVector:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __add__(self, other: "ResidueVector") -> "ResidueVector":
-        self._check(other)
-        return ResidueVector(
-            self.modulus,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
-
-    def __sub__(self, other: "ResidueVector") -> "ResidueVector":
-        self._check(other)
-        return ResidueVector(
-            self.modulus,
-            tuple(a - b for a, b in zip(self.entries, other.entries)),
-        )
-
-    def scale(self, c: int) -> "ResidueVector":
-        return ResidueVector(self.modulus, tuple(c * a for a in self.entries))
-
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
-
-    def _check(self, other: "ResidueVector") -> None:
-        if other.modulus != self.modulus or len(other) != len(self):
-            raise ValueError("mismatched moduli or lengths")
 
 
 @dataclass(frozen=True)
@@ -87,23 +68,30 @@ class ResidueMatrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def row(self, i: int) -> ResidueVector:
-        return ResidueVector(self.modulus, self.rows[i])
-
     def transpose(self) -> "ResidueMatrix":
         return ResidueMatrix(self.modulus, tuple(zip(*self.rows)) if self.rows else ())
 
-    def to_numpy(self) -> np.ndarray:
-        return np.array([list(r) for r in self.rows], dtype=np.int64)
+    def _factor(self):
+        """(U, V, diag) of smith_normal_form(self.rows), computed on first use."""
+        f = self.__dict__.get("_snf")
+        if f is None:
+            U, _S, V, diag = smith_normal_form(self.rows)
+            f = (U, V, diag)
+            object.__setattr__(self, "_snf", f)
+        return f
 
 
 def mat_vec_mul(M: ResidueMatrix, v: Sequence[int]) -> ResidueVector:
     """Left action row-vector times matrix: returns v @ M over Z_N."""
     if len(v) != M.nrows:
         raise ValueError("length of v must equal number of rows of M")
-    N = M.modulus
-    out = [0] * M.ncols
-    for coeff, row in zip(v, M.rows):
+    return _combine(M.rows, v, M.modulus, M.ncols)
+
+
+def _combine(rows, v: Sequence[int], N: int, ncols: int) -> ResidueVector:
+    """v @ rows over Z_N for integer rows; zero coefficients cost nothing."""
+    out = [0] * ncols
+    for coeff, row in zip(v, rows):
         c = int(coeff) % N
         if c == 0:
             continue
@@ -215,15 +203,14 @@ def kernel_mod(M: ResidueMatrix) -> ResidueMatrix:
     kernel exactly.  Zero generators are dropped.
     """
     N = M.modulus
-    m = M.nrows
-    U, _S, _V, diag = smith_normal_form(M.rows)
+    U, _V, diag = M._factor()
     gens: list[tuple[int, ...]] = []
-    for i in range(m):
+    for i, u in enumerate(U):
         d = diag[i] if i < len(diag) else 0
         mult = N // gcd(d, N) if d != 0 else 1
         if mult == N and d != 0:
             continue
-        row = tuple((mult * e) % N for e in U[i])
+        row = tuple((mult * e) % N for e in u)
         if any(row):
             gens.append(row)
     return ResidueMatrix(N, tuple(gens))
@@ -234,10 +221,9 @@ def solve_left(M: ResidueMatrix, w: Sequence[int]) -> ResidueVector | None:
     N = M.modulus
     if len(w) != M.ncols:
         raise ValueError("length of w must equal number of columns of M")
-    U, _S, V, diag = smith_normal_form(M.rows)
+    U, V, diag = M._factor()
     m, n = M.nrows, M.ncols
-    # t = w @ V over the integers, reduced mod N
-    t = [sum(int(w[i]) * V[i][j] for i in range(n)) % N for j in range(n)]
+    t = _combine(V, w, N, n).entries
     u = [0] * m
     for j in range(n):
         d = diag[j] if j < len(diag) else 0
@@ -249,8 +235,7 @@ def solve_left(M: ResidueMatrix, w: Sequence[int]) -> ResidueVector | None:
         if t[j] % g != 0:
             return None
         u[j] = (t[j] // g) * _inv_mod(d // g, N // g) % (N // g)
-    x = [sum(u[i] * U[i][j] for i in range(m)) % N for j in range(m)]
-    return ResidueVector(N, tuple(x))
+    return _combine(U, u, N, m)
 
 
 def in_rowspan(M: ResidueMatrix, w: Sequence[int]) -> bool:
@@ -265,24 +250,17 @@ def row_basis(M: ResidueMatrix) -> ResidueMatrix:
     y_r g_r for exactly one tuple with 0 <= y_i < span_orders(M)[i].
     """
     N = M.modulus
-    _U, _S, V, diag = smith_normal_form(M.rows)
-    # rows of S @ V^{-1} generate the span; V^{-1} = adj trick via solving is
-    # overkill -- invert the unimodular V exactly with SNF of V itself.
-    Vinv = _unimodular_inverse(V)
-    gens = []
-    for i, d in enumerate(diag):
-        if d == 0 or d % N == 0:
-            continue
-        # rows of a unimodular matrix are primitive, so d*row can only vanish
-        # mod N when N | d, which is excluded above
-        gens.append(tuple((d * e) % N for e in Vinv[i]))
+    U, _V, diag = M._factor()
+    # U @ M == S @ V^{-1}, so row i of U @ M is diag[i] times the primitive
+    # row i of the unimodular V^{-1}; it vanishes mod N only when N | diag[i]
+    gens = (mat_vec_mul(M, u).entries for u, d in zip(U, diag) if d != 0 and d % N != 0)
     return ResidueMatrix(N, tuple(gens))
 
 
 def span_orders(M: ResidueMatrix) -> list[int]:
     """Orders of the free-enumeration generators returned by row_basis."""
     N = M.modulus
-    _U, _S, _V, diag = smith_normal_form(M.rows)
+    _U, _V, diag = M._factor()
     orders = []
     for d in diag:
         if d == 0:
@@ -319,6 +297,22 @@ def _iter_span_rec(gens, orders, N, acc, idx):
         vec = tuple((a + b) % N for a, b in zip(vec, g))
 
 
+def mul_transpose(A: ResidueMatrix, B: ResidueMatrix) -> np.ndarray:
+    """A @ B^T mod N as an exact integer array: entry [i, j] is A_i . B_j.
+
+    Entries are canonical, so a dot product is at most ncols * (N-1)^2; int64
+    is used when that fits, Python integers (dtype=object) otherwise.
+    """
+    if A.rows and B.rows and A.ncols != B.ncols:
+        raise ValueError("column counts differ")
+    N = A.modulus
+    n = A.ncols or B.ncols
+    dtype = np.int64 if n * (N - 1) ** 2 < 2**63 else object
+    a = np.array(A.rows, dtype=dtype).reshape(A.nrows, n)
+    b = np.array(B.rows, dtype=dtype).reshape(B.nrows, n)
+    return (a @ b.T) % N
+
+
 def is_injective_encoding(G0: ResidueMatrix, G1: ResidueMatrix) -> bool:
     """Whether (x, y) -> x @ G1 + y @ G0 is injective over Z_N.
 
@@ -331,26 +325,6 @@ def is_injective_encoding(G0: ResidueMatrix, G1: ResidueMatrix) -> bool:
         raise ValueError("column counts differ")
     stacked = ResidueMatrix(G0.modulus, G1.rows + G0.rows)
     return kernel_mod(stacked).nrows == 0
-
-
-def _unimodular_inverse(V: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(V)
-    # Gauss-Jordan over the rationals would lose exactness guarantees in
-    # spirit; instead run integer row reduction using the SNF machinery on
-    # the augmented system.  For unimodular V, U @ V @ W == I with U, W from
-    # SNF, so V^{-1} == W @ U.
-    U, S, W, diag = smith_normal_form(V)
-    if any(abs(d) != 1 for d in diag):
-        raise ValueError("matrix is not unimodular")
-    # S is diag(+-1); fold signs into U
-    for i in range(n):
-        if S[i][i] == -1:
-            U[i] = [-e for e in U[i]]
-    return [
-        [sum(W[i][k] * U[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
 
 
 def parse_matrix_text(text: str, modulus: int) -> ResidueMatrix:

@@ -124,3 +124,36 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
+
+
+def assert_one_line_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("colexa: "), captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gate", "level", "--d", "3", "--gate", "T", "--cap", "-1"],
+    ["gate", "level", "--d", "0", "--gate", "T"],
+    ["gate", "level", "--d", "1", "--gate", "T"],
+    ["code", "check", "--code", "tetra", "--mu-prime", "2"],
+])
+def test_out_of_range_flags_exit_2(capsys, argv):
+    assert_one_line_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bad_cap_env_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("COLEXA_CAP", value)
+    assert_one_line_usage_error(capsys, ["gate", "level", "--d", "3", "--gate", "T"])
+
+
+@pytest.mark.parametrize("group", ["lattice", "code"])
+def test_json_top_level_list_exits_2(tmp_path, capsys, group):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    flag = "--lattice" if group == "lattice" else "--code"
+    assert_one_line_usage_error(capsys, [group, "check", flag, str(path)])

@@ -1,11 +1,15 @@
 """code: stabilizers, codewords, syndromes, brute-force distances."""
 
+import dataclasses
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from colexa import code as code_mod
 from colexa import colex, ring
 from colexa.code import PauliWord, symplectic_phase
+from colexa.reports import ValidationReport
 from oracles import min_logical_weight_x, min_logical_weight_z
 
 
@@ -176,3 +180,84 @@ def test_from_colex_rejects_bad_mu_prime(tetra3):
         code_mod.from_colex(L, mu_prime=1, d=3)
     with pytest.raises(ValueError):
         code_mod.from_colex(L, mu_prime=4, d=3)
+
+
+def pairwise_verify_code(C):
+    """Reference commutation audit: symplectic_phase over every word pair,
+    the loop verify_code ran before it became matrix products."""
+    rep = ValidationReport()
+    stabs = C.stabilizer_words()
+    bad = []
+    for i, j in itertools.combinations(range(len(stabs)), 2):
+        c = symplectic_phase(stabs[i], stabs[j])
+        if c != 0:
+            bad.append({"pair": [i, j], "phase": c})
+    rep.add("stabilizers-commute", not bad, witness=bad[:3] or None)
+    logicals = C.logical_x_words() + C.logical_z_words()
+    bad = []
+    for li, lw in enumerate(logicals):
+        for si, sw in enumerate(stabs):
+            c = symplectic_phase(lw, sw)
+            if c != 0:
+                bad.append({"logical": li, "stabilizer": si, "phase": c})
+    rep.add("logicals-commute-with-stabilizers", not bad, witness=bad[:3] or None)
+    c = symplectic_phase(C.logical_x_words()[0], C.logical_z_words()[0])
+    rep.add("logical-pair-omega-commutes", c == 1, f"phase {c}, expected 1")
+    rep.add(
+        "injective-encoding",
+        ring.is_injective_encoding(C.G0, C.G1),
+        "[G1; G0] has trivial left kernel",
+    )
+    return rep.to_dict()
+
+
+def flip(M, i, j, by=1):
+    rows = [list(r) for r in M.rows]
+    rows[i][j] += by
+    return ring.ResidueMatrix(M.modulus, tuple(map(tuple, rows)))
+
+
+def test_verify_code_matches_pairwise_on_corrupted_z_stab(tetra3):
+    _, C = tetra3
+    bad = dataclasses.replace(C, z_stab=flip(C.z_stab, 5, 0))
+    rep = code_mod.verify_code(bad).to_dict()
+    assert not rep["ok"]
+    assert rep == pairwise_verify_code(bad)
+    witness = rep["checks"][0]["witness"]
+    assert witness and all(w["pair"][1] == C.G0.nrows + 5 for w in witness)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # 2^31 - 1 takes the Python-int product path: 15 * (d-1)^2 >= 2^63
+    d=st.sampled_from([2, 3, 4, 5, 6, 7, 2**31 - 1]),
+    family=st.sampled_from(["tetra", "triangle"]),
+    data=st.data(),
+)
+def test_verify_code_matches_pairwise_on_random_corruption(d, family, data):
+    _, C = (colex.build_tetrahedral(d) if family == "tetra"
+            else colex.build_triangle_2d(d, 3))
+    assert code_mod.verify_code(C).to_dict() == pairwise_verify_code(C)
+    field = data.draw(st.sampled_from(["G0", "G1", "z_stab"]))
+    M = getattr(C, field)
+    for _ in range(data.draw(st.integers(1, 3))):
+        M = flip(M, data.draw(st.integers(0, M.nrows - 1)),
+                 data.draw(st.integers(0, C.n - 1)), data.draw(st.integers(1, d - 1)))
+    bad = dataclasses.replace(C, **{field: M})
+    assert code_mod.verify_code(bad).to_dict() == pairwise_verify_code(bad)
+
+
+def test_mul_transpose_int64_and_object_agree():
+    A = ring.ResidueMatrix(7, ((1, 2, 3), (6, 6, 6)))
+    B = ring.ResidueMatrix(7, ((4, 5, 6), (0, 1, 0), (6, 6, 6)))
+    small = ring.mul_transpose(A, B)
+    assert small.dtype.name == "int64"
+    big_N = 2**40 + 15  # n * (N-1)^2 no longer fits int64
+    A2 = ring.ResidueMatrix(big_N, A.rows)
+    B2 = ring.ResidueMatrix(big_N, ((big_N - 1,) * 3, (1, 1, 1)))
+    exact = [[sum(a * b for a, b in zip(r, c)) % big_N for c in B2.rows] for r in A2.rows]
+    out = ring.mul_transpose(A2, B2)
+    assert out.dtype == object and out.tolist() == exact
+    assert small.tolist() == [
+        [sum(a * b for a, b in zip(r, c)) % 7 for c in B.rows] for r in A.rows
+    ]

@@ -84,6 +84,15 @@ def test_corrupted_stabilizer_breaks_center(tetra3):
     failed = {c.name for c in rep.failures()}
     assert "stabilizer-in-gauge-group" in failed
     assert "stabilizer-central" in failed
+    # the product-based witness is the first three pairs of the pairwise loop
+    pairwise = [
+        (i, j)
+        for i, s in enumerate(corrupted.stab_gens())
+        for j, g in enumerate(corrupted.gauge_gens())
+        if symplectic_phase(s, g) != 0
+    ]
+    central = next(c for c in rep.checks if c.name == "stabilizer-central")
+    assert central.witness == pairwise[:3]
 
 
 def test_H_action_on_cells(tetra3):
@@ -264,3 +273,63 @@ def test_gauge_fix_final_state_is_color_code_plus(tetra3):
 def test_fix_demo_rejects_nonprime():
     with pytest.raises(ValueError):
         gauge.fix_demo(4, 0)
+
+
+def greedy_lex_least(A, target):
+    """Reference lex-least solver: fix x_0, x_1, ... to the least value that
+    keeps the rest of the system solvable (one solve per candidate value)."""
+    N = A.modulus
+    rest = list(A.rows)
+    t = [e % N for e in target]
+    chosen = []
+    for _ in range(A.nrows):
+        head, rest = rest[0], rest[1:]
+        sub = ring.ResidueMatrix(N, tuple(rest) or ((0,) * A.ncols,))
+        for val in range(N):
+            t2 = [(e - val * h) % N for e, h in zip(t, head)]
+            if ring.solve_left(sub, t2) is not None:
+                chosen.append(val)
+                t = t2
+                break
+        else:
+            return None
+    return tuple(chosen)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    r=st.integers(1, 5),
+    c=st.integers(1, 5),
+    solvable=st.booleans(),
+    data=st.data(),
+)
+def test_lex_least_matches_greedy(p, r, c, solvable, data):
+    rows = tuple(
+        tuple(data.draw(st.integers(0, p - 1)) for _ in range(c)) for _ in range(r)
+    )
+    A = ring.ResidueMatrix(p, rows)
+    if solvable:
+        x = [data.draw(st.integers(0, p - 1)) for _ in range(r)]
+        target = ring.mat_vec_mul(A, x).entries
+    else:
+        target = tuple(data.draw(st.integers(0, p - 1)) for _ in range(c))
+    got = gauge._lex_least_solution(A, target)
+    expected = greedy_lex_least(A, target)
+    assert (got.entries if got is not None else None) == expected
+    if solvable:
+        assert got is not None
+
+
+def test_lex_least_on_gauge_system(tetra3):
+    _, _, G = tetra3
+    A = ring.ResidueMatrix(3, ring.mul_transpose(G.face_x, G.face_z).tolist())
+    rng = random.Random(7)
+    for _ in range(5):
+        target = ring.mat_vec_mul(A, [rng.randrange(3) for _ in range(A.nrows)]).entries
+        assert gauge._lex_least_solution(A, target).entries == greedy_lex_least(A, target)
+
+
+def test_lex_least_rejects_composite_modulus():
+    with pytest.raises(ValueError):
+        gauge._lex_least_solution(ring.ResidueMatrix(4, ((1, 2),)), (1, 2))

@@ -119,8 +119,82 @@ def test_mat_vec_mul_distributes(N, data):
     v = [data.draw(st.integers(0, N - 1)) for _ in range(m)]
     M = rmat(N, rows)
     lhs = ring.mat_vec_mul(M, [(a + b) % N for a, b in zip(u, v)])
-    rhs = ring.mat_vec_mul(M, u) + ring.mat_vec_mul(M, v)
-    assert lhs.entries == rhs.entries
+    rhs = tuple(
+        (a + b) % N
+        for a, b in zip(ring.mat_vec_mul(M, u).entries, ring.mat_vec_mul(M, v).entries)
+    )
+    assert lhs.entries == rhs
+
+
+COMPOSITE = st.sampled_from([4, 6, 8, 12])
+
+
+def draw_matrix(data, N, m, n):
+    return rmat(N, [[data.draw(st.integers(0, N - 1)) for _ in range(n)] for _ in range(m)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=COMPOSITE, m=st.integers(1, 3), n=st.integers(1, 3), data=st.data())
+def test_composite_kernel_times_span_is_whole_space(N, m, n, data):
+    M = draw_matrix(data, N, m, n)
+    rows = [list(r) for r in M.rows]
+    kernel, span = brute_kernel(rows, N), brute_span(rows, N)
+    assert len(kernel) * len(span) == N**m
+    assert ring.span_size(ring.kernel_mod(M)) == len(kernel)
+    assert ring.span_size(M) == len(span)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=COMPOSITE, m=st.integers(1, 3), n=st.integers(1, 3), data=st.data())
+def test_composite_span_enumerated_exactly_once(N, m, n, data):
+    M = draw_matrix(data, N, m, n)
+    elements = list(ring.iter_span(M))
+    assert len(elements) == len(set(elements)) == ring.span_size(M)
+    assert set(elements) == brute_span([list(r) for r in M.rows], N)
+    B, orders = ring.row_basis(M), ring.span_orders(M)
+    assert B.nrows == len(orders)
+    for g, o in zip(B.rows, orders):
+        assert all((o * e) % N == 0 for e in g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=COMPOSITE, m=st.integers(1, 3), n=st.integers(1, 3), data=st.data())
+def test_composite_solve_left_iff_span_member(N, m, n, data):
+    M = draw_matrix(data, N, m, n)
+    span = set(ring.iter_span(M))
+    for _ in range(4):
+        w = tuple(data.draw(st.integers(0, N - 1)) for _ in range(n))
+        sol = ring.solve_left(M, w)
+        assert (sol is not None) == (w in span) == ring.in_rowspan(M, w)
+        if sol is not None:
+            assert ring.mat_vec_mul(M, sol.entries).entries == w
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=COMPOSITE, data=st.data())
+def test_composite_second_call_equals_first(N, data):
+    M = draw_matrix(data, N, data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+    w = tuple(data.draw(st.integers(0, N - 1)) for _ in range(M.ncols))
+    first = (ring.kernel_mod(M), ring.solve_left(M, w), ring.row_basis(M),
+             ring.span_orders(M), list(ring.iter_span(M)))
+    second = (ring.kernel_mod(M), ring.solve_left(M, w), ring.row_basis(M),
+              ring.span_orders(M), list(ring.iter_span(M)))
+    fresh = rmat(N, M.rows)
+    third = (ring.kernel_mod(fresh), ring.solve_left(fresh, w), ring.row_basis(fresh),
+             ring.span_orders(fresh), list(ring.iter_span(fresh)))
+    assert first == second == third
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=COMPOSITE, data=st.data())
+def test_composite_span_size_multiplies_over_blocks(N, data):
+    A = draw_matrix(data, N, data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+    B = draw_matrix(data, N, data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+    block = rmat(
+        N,
+        [list(r) + [0] * B.ncols for r in A.rows] + [[0] * A.ncols + list(r) for r in B.rows],
+    )
+    assert ring.span_size(block) == ring.span_size(A) * ring.span_size(B)
 
 
 def test_parse_matrix_text():
