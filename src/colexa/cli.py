@@ -289,7 +289,7 @@ def cmd_code_codeword(args):
 def cmd_morth_check(args):
     _, C = load_code(args)
     M, g1 = morth.code_matrix(C)
-    rep = morth.is_m_star_orthogonal(M, g1, args.m, args.mode)
+    rep = morth.is_m_star_orthogonal(M, g1, args.m, args.mode, cap=args.cap)
     return (PASS if rep.holds else FAIL), rep.to_dict()
 
 

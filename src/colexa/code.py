@@ -10,12 +10,13 @@ of a separate conjugation channel).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ring
-from .reports import ValidationReport
+from .reports import ValidationReport, check_shape
 
 DEFAULT_CAP = 10**7
 
@@ -98,6 +99,19 @@ class ColorCode:
     def k(self) -> int:
         return self.G1.nrows
 
+    def encoding(self) -> ring.ResidueMatrix:
+        """[G1; G0], the map (x, y) -> x.G1 + y.G0; one instance per code, so
+        every question about it reads one factorization."""
+        M = self.__dict__.get("_encoding")
+        if M is None:
+            M = ring.ResidueMatrix(self.d, self.G1.rows + self.G0.rows)
+            object.__setattr__(self, "_encoding", M)
+        return M
+
+    def injective(self) -> bool:
+        """Whether [G1; G0] has trivial left kernel over Z_d."""
+        return ring.kernel_mod(self.encoding()).nrows == 0
+
     def x_stab_words(self) -> list:
         return [PauliWord.x_word(self.d, row) for row in self.G0.rows]
 
@@ -157,7 +171,7 @@ def from_colex(L, mu_prime: int, d: int) -> ColorCode:
         z_stab=cell_rows(L, L.mu - mu_prime + 2, d, sigma),
         z_logical=ring.ResidueVector(d, tuple(s for s in sigma)),
     )
-    if not ring.is_injective_encoding(code.G0, code.G1):
+    if not code.injective():
         raise ValueError(f"mu_prime={mu_prime}: [G1; G0] has a nontrivial left kernel "
                          "(dependent generators or no encoded qudit)")
     return code
@@ -195,11 +209,7 @@ def verify_code(C: ColorCode) -> ValidationReport:
     c = symplectic_phase(xbar, zbar)
     rep.add("logical-pair-omega-commutes", c == 1, f"phase {c}, expected 1")
 
-    rep.add(
-        "injective-encoding",
-        ring.is_injective_encoding(C.G0, C.G1),
-        "[G1; G0] has trivial left kernel",
-    )
+    rep.add("injective-encoding", C.injective(), "[G1; G0] has trivial left kernel")
     return rep
 
 
@@ -237,45 +247,144 @@ def syndrome(C: ColorCode, E: PauliWord):
 
 
 def distance(C: ColorCode, sector: str, cap: int = DEFAULT_CAP) -> int:
-    """Brute-force minimum logical-operator weight in one Pauli sector."""
+    """Exact minimum logical-operator weight in one Pauli sector.
+
+    Two exact methods: enumerating the sector's coset space in blocks, or a
+    weight-ordered support search.  The first enumeration block gives an
+    upper bound u on the distance; enumeration goes on when the coset space
+    fits the cap and is no larger than the search's bound, the number of
+    vectors of weight below u.  Otherwise the support search runs, charged
+    against the cap as it goes, so CapExceeded means both methods exceed it.
+    """
+    A, B, space, blocks = _sector(C, sector)
+    best = C.n + 1
+    if space <= cap:
+        blocks, screen = iter(blocks), ring.span_check(B, C.n)
+        best = _lightest(next(blocks), screen, best)
+        if space <= _search_bound(C.n, C.d, best):
+            return _found(_lightest_of(blocks, screen, best), C.n)
+    try:
+        return _weight_search(C, A, B, cap, best)
+    except CapExceeded:
+        raise CapExceeded(f"{sector.upper()}-sector coset space {space} and "
+                          f"support search both exceed cap {cap}") from None
+
+
+def _enumerate_distance(C: ColorCode, sector: str, cap: int = DEFAULT_CAP) -> int:
+    """The distance by enumerating the whole coset space."""
+    _A, B, space, blocks = _sector(C, sector)
+    if space > cap:
+        raise CapExceeded(f"{sector.upper()}-sector coset space {space} > cap {cap}")
+    return _found(_lightest_of(blocks, ring.span_check(B, C.n), C.n + 1), C.n)
+
+
+def _search_distance(C: ColorCode, sector: str, cap: int = DEFAULT_CAP) -> int:
+    """The distance by the weight-ordered support search alone."""
+    A, B, _space, _blocks = _sector(C, sector)
+    return _weight_search(C, A, B, cap, C.n + 1)
+
+
+def _sector(C: ColorCode, sector: str):
+    """(A, B, space, blocks): the sector's logical operators are the vectors
+    of rowspan(A) outside rowspan(B); the enumeration streams `blocks`,
+    `space` vectors of rowspan(A) in all.
+
+    X: A = [G1; G0], B = G0, and the blocks are the cosets x.G1 + span(G0)
+    with x != 0.  Z: A is the commutant of the X stabilizers, streamed
+    whole, and B = z_stab.
+    """
     if sector.lower() == "x":
-        return _distance_x(C, cap)
+        A = C.encoding()
+        if ring.span_size(A) != C.d ** C.k * ring.span_size(C.G0):
+            raise ValueError("a logical label x != 0 has x.G1 in span(G0)")
+        labels = itertools.islice(itertools.product(range(C.d), repeat=C.k), 1, None)
+        blocks = (block for x in labels
+                  for block in ring.span_blocks(C.G0, ring.mat_vec_mul(C.G1, x).entries))
+        return A, C.G0, ring.span_size(C.G0) * (C.d ** C.k - 1), blocks
     if sector.lower() == "z":
-        return _distance_z(C, cap)
+        A = ring.kernel_mod(C.G0.transpose())
+        if not A.rows:
+            raise ValueError("commutant contains no logical; k = 0?")
+        return A, C.z_stab, ring.span_size(A), ring.span_blocks(A)
     raise ValueError("sector must be 'x' or 'z'")
 
 
-def _distance_x(C: ColorCode, cap: int) -> int:
-    span = ring.span_size(C.G0)
-    labels = C.d ** C.k - 1
-    if span * labels > cap:
-        raise CapExceeded(f"X-sector search space {span * labels} > cap {cap}")
-    stab = np.array(list(ring.iter_span(C.G0)), dtype=np.int64)
-    best = C.n + 1
-    for x in itertools.product(range(C.d), repeat=C.k):
-        if not any(x):
-            continue
-        rep0 = np.array(ring.mat_vec_mul(C.G1, x).entries, dtype=np.int64)
-        weights = np.count_nonzero((stab + rep0) % C.d, axis=1)
-        best = min(best, int(weights.min()))
+def _lightest(block: np.ndarray, screen, best: int) -> int:
+    """min(best, weight of the lightest row of block that fails the span
+    check screen = (H, g)); only rows lighter than best are checked."""
+    weights = np.count_nonzero(block, axis=1)
+    light = weights < best
+    if light.any():
+        H, g = screen
+        light[light] = ((block[light].astype(H.dtype) @ H) % g).any(axis=1)
+    return int(weights[light].min()) if light.any() else best
+
+
+def _lightest_of(blocks, screen, best: int) -> int:
+    for block in blocks:
+        best = _lightest(block, screen, best)
     return best
 
 
-def _distance_z(C: ColorCode, cap: int) -> int:
-    commutant = ring.kernel_mod(C.G0.transpose())
-    if ring.span_size(commutant) > cap or ring.span_size(C.z_stab) > cap:
-        raise CapExceeded("Z-sector search space exceeds cap")
-    stab_set = set(ring.iter_span(C.z_stab))
-    best = C.n + 1
-    for w in ring.iter_span(commutant):
-        if w in stab_set:
-            continue
-        weight = sum(1 for e in w if e)
-        if weight < best:
-            best = weight
-    if best == C.n + 1:
+def _found(best: int, n: int) -> int:
+    if best > n:
         raise ValueError("commutant contains no logical; k = 0?")
     return best
+
+
+def _search_bound(n: int, d: int, u: int) -> int:
+    """Vectors of weight 1..u-1 over Z_d: what the support search examines
+    before it may conclude that the distance is u."""
+    return sum(math.comb(n, w) * (d - 1) ** w for w in range(1, min(u, n + 1)))
+
+
+def _weight_search(C: ColorCode, A, B, cap: int, below: int) -> int:
+    """Smallest weight w < below of a vector in rowspan(A) outside
+    rowspan(B), else below.
+
+    Supports by increasing weight (White & Grassl, ISIT 2006), all exponent
+    patterns of a weight batched.  Membership comes from the span checks of
+    A and B, computed on the support's rows of the check matrix only; B is
+    checked only on the vectors that pass A.  Every vector is charged to the
+    cap.
+    """
+    HA, gA = ring.span_check(A, C.n)
+    HB, gB = ring.span_check(B, C.n)
+    spent = 0
+    for w in range(1, min(below, C.n + 1)):
+        for S, P in _weight_batches(C.n, C.d, w):
+            # candidate (i, j) puts pattern P[j] on support S[i]
+            in_a = ~((P.astype(HA.dtype) @ HA[S]) % gA).any(axis=2).reshape(-1)
+            room, spent = cap - spent, spent + in_a.size
+            i, j = np.divmod(np.flatnonzero(in_a[:room]), len(P))
+            if i.size:
+                TB = P[j].astype(HB.dtype)[:, None, :] @ HB[S[i]]
+                if (TB % gB).any(axis=2).any():
+                    return w
+            if spent > cap:
+                raise CapExceeded(f"support search needs more than cap {cap} vectors")
+    return _found(below, C.n)
+
+
+def _weight_batches(n: int, d: int, w: int):
+    """(S, P) batches covering every vector of weight w over Z_d once: the
+    vector with pattern P[j] on support S[i], for at most ring.BLOCK_ROWS
+    pairs (i, j) per batch; supports in lexicographic order."""
+    per = (d - 1) ** w
+    supports = itertools.combinations(range(n), w)
+    if per <= ring.BLOCK_ROWS:
+        P = np.array(list(itertools.product(range(1, d), repeat=w)), dtype=np.int64)
+        while True:
+            chunk = itertools.islice(supports, ring.BLOCK_ROWS // per)
+            S = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.intp)
+            if not S.size:
+                return
+            yield S.reshape(-1, w), P.reshape(per, w)
+    dtype = ring.exact_dtype(d - 1)
+    for support in supports:
+        patterns = itertools.product(range(1, d), repeat=w)
+        while chunk := list(itertools.islice(patterns, ring.BLOCK_ROWS)):
+            yield np.array([support], dtype=np.intp), np.array(chunk, dtype=dtype)
 
 
 def code_to_json(C: ColorCode) -> dict:
@@ -289,12 +398,23 @@ def code_to_json(C: ColorCode) -> dict:
     }
 
 
+_CODE_SHAPE = {"d": int, "n": int, "stars": [int], "G0": [[int]], "G1": [[int]], "Zstab": [[int]]}
+
+
 def code_from_json(obj: dict) -> ColorCode:
-    d = int(obj["d"])
-    n = int(obj["n"])
-    stars = tuple(int(s) for s in obj["stars"])
+    check_shape(obj, _CODE_SHAPE, "code")
+    d, n = obj["d"], obj["n"]
+    if n < 1:
+        raise ValueError(f"code.n must be >= 1, got {n}")
+    stars = tuple(obj["stars"])
     if len(stars) != n or any(s not in (-1, 1) for s in stars):
         raise ValueError("stars must be n entries of +-1")
+    for key in ("G0", "G1", "Zstab"):
+        bad = [i for i, row in enumerate(obj[key]) if len(row) != n]
+        if bad:
+            raise ValueError(f"code.{key}[{bad[0]}] has {len(obj[key][bad[0]])} entries, not n = {n}")
+    if len(obj["G1"]) != 1:
+        raise ValueError(f"code.G1 must have exactly one row, got {len(obj['G1'])}")
     return ColorCode(
         d=d,
         n=n,

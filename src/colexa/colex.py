@@ -15,7 +15,7 @@ import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from .reports import ValidationReport
+from .reports import ValidationReport, check_shape
 
 
 @dataclass(frozen=True)
@@ -427,14 +427,23 @@ def lattice_to_json(L: Lattice) -> dict:
     }
 
 
+_LATTICE_SHAPE = {
+    "mu": int,
+    "punctured": bool,
+    "vertices": [{"id": int, "star": (bool, None)}],
+    "cells": [{"dim": int, "vertices": [int], "color": (int, None)}],
+}
+
+
 def lattice_from_json(obj: dict) -> Lattice:
+    check_shape(obj, _LATTICE_SHAPE, "lattice")
     verts = tuple(v["id"] for v in obj["vertices"])
     star = {v["id"]: v.get("star") for v in obj["vertices"]}
     cells = tuple(
         Cell(c["dim"], frozenset(c["vertices"]), c.get("color"))
         for c in obj["cells"]
     )
-    return Lattice(obj["mu"], bool(obj["punctured"]), verts, star, cells)
+    return Lattice(obj["mu"], obj["punctured"], verts, star, cells)
 
 
 def _vid(v) -> int:

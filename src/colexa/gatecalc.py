@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import ring
 from .code import CapExceeded, ColorCode, DEFAULT_CAP, codeword
 
@@ -165,33 +167,39 @@ def verify_transversal_phase(C: ColorCode, g: PhaseGate, cap: int = DEFAULT_CAP)
     span = ring.span_size(C.G0)
     if span * C.d > cap:
         raise CapExceeded(f"transversal check needs {span * C.d} > cap {cap} evaluations")
-    basis = ring.row_basis(C.G0)
     orders = ring.span_orders(C.G0)
+    dtype = ring.exact_dtype(C.n * g.N)
+    table = np.array(g.p, dtype=dtype)
+    signs = np.array(C.star_signs, dtype=dtype)
     checked = 0
     for x in range(C.d):
         offset = tuple((x * e) % C.d for e in C.G1.rows[0])
         expect = g.p[x]
-        for y in itertools.product(*(range(o) for o in orders)):
-            term = list(offset)
-            for coeff, row in zip(y, basis.rows):
-                if coeff:
-                    for j, e in enumerate(row):
-                        term[j] = (term[j] + coeff * e) % C.d
-            checked += 1
-            if transversal_phase(C, g, term) != expect:
+        for block in ring.span_blocks(C.G0, offset):
+            phases = (table[block] @ signs) % g.N
+            bad = np.flatnonzero(phases != expect)
+            if bad.size:
+                i = int(bad[0])
+                # the term's rank among this x's terms, in mixed radix
+                # over the span orders, is its y
+                rank, y = checked % span + i, []
+                for o in reversed(orders):
+                    rank, digit = divmod(rank, o)
+                    y.append(digit)
                 return VerificationReport(
                     name="transversal-phase",
                     passed=False,
-                    checked=checked,
+                    checked=checked + i + 1,
                     witness={
                         "x": x,
-                        "y": list(y),
-                        "term": term,
-                        "phase": transversal_phase(C, g, term),
+                        "y": y[::-1],
+                        "term": block[i].tolist(),
+                        "phase": int(phases[i]),
                         "expected": expect,
                     },
                     notes=notes,
                 )
+            checked += len(block)
     return VerificationReport("transversal-phase", True, checked, None, notes)
 
 

@@ -9,9 +9,13 @@ enumerated with repetition, and the report carries every offending multiset.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import ring
+from .code import DEFAULT_CAP, CapExceeded
 
 
 @dataclass(frozen=True)
@@ -70,29 +74,41 @@ def signed_weight(v, signs) -> int:
     return sum(s * int(e) for s, e in zip(signs, v))
 
 
-def is_m_star_orthogonal(M: StarSignedMatrix, g1_rows, m: int, mode: str = "strong") -> OrthogonalityReport:
+def is_m_star_orthogonal(M: StarSignedMatrix, g1_rows, m: int, mode: str = "strong",
+                         cap: int = DEFAULT_CAP) -> OrthogonalityReport:
     """Check the order-m orthogonality condition with full witness output.
 
     Multisets of m rows must have signed circle-product weight 0, except m
     copies of a single G1 row, which must have weight 1.  Strong mode
-    compares integers; weak mode compares residues mod d.
+    compares integers; weak mode compares residues mod d.  The C(r+m-1, m)
+    multisets are charged to the cap and weighed in blocks, in lexicographic
+    order; a weight is at most ncols * (d-1)^m, so it is computed in int64
+    when that fits and in Python ints otherwise.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if mode not in ("strong", "weak"):
         raise ValueError("mode must be 'strong' or 'weak'")
-    d = M.G.modulus
+    r, n, d = M.G.nrows, M.G.ncols, M.G.modulus
+    count = math.comb(r + m - 1, m)
+    if count > cap:
+        raise CapExceeded(f"m={m} needs {count} > cap {cap} row multisets")
+    dtype = ring.exact_dtype(n * (d - 1) ** m)
+    G = np.array(M.G.rows, dtype=dtype).reshape(r, n)
+    signs = np.array(M.signs, dtype=dtype)
     g1 = frozenset(g1_rows)
+    in_g1 = np.array([i in g1 for i in range(r)], dtype=bool)
     witnesses = []
-    for multiset in itertools.combinations_with_replacement(range(M.G.nrows), m):
-        w = signed_weight(circle_product([M.G.rows[i] for i in multiset]), M.signs)
-        expect = 1 if len(set(multiset)) == 1 and multiset[0] in g1 else 0
-        if mode == "weak":
-            bad = (w - expect) % d != 0
-        else:
-            bad = w != expect
-        if bad:
-            witnesses.append((multiset, w))
+    multisets = itertools.combinations_with_replacement(range(r), m)
+    while chunk := list(itertools.islice(multisets, ring.BLOCK_ROWS)):
+        idx = np.array(chunk, dtype=np.intp)
+        prod = G[idx[:, 0]]
+        for k in range(1, m):
+            prod = prod * G[idx[:, k]]
+        w = prod @ signs
+        expect = ((idx == idx[:, :1]).all(axis=1) & in_g1[idx[:, 0]]).astype(dtype)
+        bad = (w - expect) % d != 0 if mode == "weak" else w != expect
+        witnesses += [(chunk[i], int(w[i])) for i in np.flatnonzero(bad)]
     return OrthogonalityReport(m=m, mode=mode, holds=not witnesses, witnesses=witnesses)
 
 

@@ -1,12 +1,15 @@
 """Exact linear algebra over the residue rings Z_N.
 
-Everything in this module works with plain Python integers, so there is no
+Factorizations and solves work with plain Python integers, so there is no
 modulus that can overflow and no floating point anywhere.  The workhorse is an
 integer Smith normal form with unimodular transform tracking.  Each
 `ResidueMatrix` is factored at most once: the factorization is computed on
 first use and kept on the matrix, and its kernel, row span, span enumeration
 and every linear solve over Z_N, for arbitrary (not necessarily prime) N, are
-answered from that one factorization.
+answered from that one factorization.  Bulk work (span enumeration, batched
+span membership, matrix products) runs on numpy integer arrays: int64 when
+every intermediate value provably fits, Python integers (dtype=object)
+otherwise.
 """
 
 from __future__ import annotations
@@ -130,15 +133,7 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
 
     t = 0
     while t < min(m, n):
-        # locate a pivot: smallest nonzero |entry| in the remaining block
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                e = S[i][j]
-                if e != 0 and (best is None or abs(e) < best):
-                    best = abs(e)
-                    piv = (i, j)
+        piv = _find_pivot(S, t)
         if piv is None:
             break
         i, j = piv
@@ -186,6 +181,23 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
 
     diag = [S[i][i] for i in range(min(m, n))]
     return U, S, V, diag
+
+
+def _find_pivot(S, t: int):
+    """(i, j) of the first smallest nonzero |entry| of S[t:, t:] in row-major
+    order, or None.  The scan stops at the first unit: nothing is smaller."""
+    piv = None
+    best = None
+    for i in range(t, len(S)):
+        row = S[i]
+        for j in range(t, len(row)):
+            e = row[j]
+            if e != 0 and (best is None or abs(e) < best):
+                best = abs(e)
+                piv = (i, j)
+                if best == 1:
+                    return piv
+    return piv
 
 
 def _inv_mod(a: int, N: int) -> int:
@@ -279,22 +291,89 @@ def span_size(M: ResidueMatrix) -> int:
     return out
 
 
+# rows per enumeration block: bounds the memory of every blocked loop
+BLOCK_ROWS = 1 << 12
+
+
+def exact_dtype(bound: int):
+    """The numpy dtype for exact integers that never exceed bound: int64
+    when bound < 2^63, Python integers (dtype=object) otherwise."""
+    return np.int64 if bound < 2**63 else object
+
+
+def span_blocks(M: ResidueMatrix, offset=None) -> Iterator[np.ndarray]:
+    """offset + rowspan(M), as 2-D arrays of at most BLOCK_ROWS rows each.
+
+    Rows come in iter_span order: y_1 g_1 + ... + y_r g_r over the
+    row_basis generators, 0 <= y_i < span_orders(M)[i], first generator
+    outermost.  The trailing generators span one inner block, built once;
+    each yielded block is that inner block shifted by one combination of the
+    leading generators, taken by an odometer.  Only residues are added, so
+    entries are int64 when 2(N-1) fits and Python ints otherwise.
+    """
+    N = M.modulus
+    n = M.ncols if offset is None else len(offset)
+    dtype = exact_dtype(2 * (N - 1))
+    basis = row_basis(M).rows
+    gens = np.array(basis, dtype=dtype).reshape(len(basis), n)
+    orders = span_orders(M)
+    split, size = len(orders), 1
+    while split and size * orders[split - 1] <= BLOCK_ROWS:
+        split -= 1
+        size *= orders[split]
+    inner = np.zeros((1, n), dtype=dtype)
+    for g, o in zip(gens[split:], orders[split:]):
+        multiples = np.zeros((o, n), dtype=dtype)
+        for c in range(1, o):
+            multiples[c] = (multiples[c - 1] + g) % N
+        inner = ((inner[:, None, :] + multiples[None, :, :]) % N).reshape(-1, n)
+    shift = np.zeros(n, dtype=dtype)
+    if offset is not None:
+        shift += np.array([int(e) % N for e in offset], dtype=dtype)
+    counts = [0] * split
+    while True:
+        yield (inner + shift) % N
+        # next combination of the leading generators, the last one fastest;
+        # orders[i] * g_i == 0 mod N, so a digit rolling over restores shift
+        i = split - 1
+        while i >= 0:
+            shift = (shift + gens[i]) % N
+            counts[i] += 1
+            if counts[i] < orders[i]:
+                break
+            counts[i] = 0
+            i -= 1
+        if i < 0:
+            return
+
+
 def iter_span(M: ResidueMatrix) -> Iterator[tuple[int, ...]]:
     """Iterate every element of the row span of M exactly once."""
-    B = row_basis(M)
-    orders = span_orders(M)
-    yield from _iter_span_rec(B.rows, orders, M.modulus, (0,) * M.ncols, 0)
+    for block in span_blocks(M):
+        yield from map(tuple, block.tolist())
 
 
-def _iter_span_rec(gens, orders, N, acc, idx):
-    if idx == len(gens):
-        yield acc
-        return
-    g = gens[idx]
-    vec = acc
-    for c in range(orders[idx]):
-        yield from _iter_span_rec(gens, orders, N, vec, idx + 1)
-        vec = tuple((a + b) % N for a, b in zip(vec, g))
+def span_check(M: ResidueMatrix, ncols: int | None = None):
+    """A check matrix of rowspan(M): (H, g) such that a row vector w lies in
+    the span iff w @ H == 0 mod g, column by column.
+
+    Read off the stored factorization: with T = w V, w is in the span iff
+    T_j == 0 mod gcd(diag_j, N) in every column j, where diag_j = 0 past the
+    diagonal (solve_left's test).  Columns with gcd 1 constrain nothing and
+    are dropped.  H is V mod N on the others, int64 when a product
+    ncols * (N-1)^2 fits and Python ints otherwise.  ncols gives the width
+    when M has no rows; the span is then {0}.
+    """
+    N = M.modulus
+    n = M.ncols if M.rows else ncols
+    dtype = exact_dtype(n * (N - 1) ** 2)
+    if not M.rows:
+        return np.eye(n, dtype=dtype), np.full(n, N, dtype=dtype)
+    _U, V, diag = M._factor()
+    g = [gcd(diag[j] if j < len(diag) else 0, N) for j in range(n)]
+    keep = [j for j in range(n) if g[j] != 1]
+    H = np.array([[V[i][j] % N for j in keep] for i in range(n)], dtype=dtype)
+    return H.reshape(n, len(keep)), np.array([g[j] for j in keep], dtype=dtype)
 
 
 def mul_transpose(A: ResidueMatrix, B: ResidueMatrix) -> np.ndarray:
@@ -307,7 +386,7 @@ def mul_transpose(A: ResidueMatrix, B: ResidueMatrix) -> np.ndarray:
         raise ValueError("column counts differ")
     N = A.modulus
     n = A.ncols or B.ncols
-    dtype = np.int64 if n * (N - 1) ** 2 < 2**63 else object
+    dtype = exact_dtype(n * (N - 1) ** 2)
     a = np.array(A.rows, dtype=dtype).reshape(A.nrows, n)
     b = np.array(B.rows, dtype=dtype).reshape(B.nrows, n)
     return (a @ b.T) % N

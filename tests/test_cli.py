@@ -157,3 +157,43 @@ def test_json_top_level_list_exits_2(tmp_path, capsys, group):
     path.write_text("[1, 2]")
     flag = "--lattice" if group == "lattice" else "--code"
     assert_one_line_usage_error(capsys, [group, "check", flag, str(path)])
+
+
+@pytest.mark.parametrize("lattice", [
+    {"vertices": [1, 2], "cells": [], "mu": 3, "punctured": True},
+    {"vertices": [{"id": 1}], "cells": [{"dim": 1, "vertices": 5}], "mu": 3, "punctured": True},
+    {"vertices": [{"id": "a"}], "cells": [], "mu": 3, "punctured": True},
+    {"vertices": [], "cells": [], "mu": 3, "punctured": 1},
+    {"vertices": [], "cells": [], "punctured": True},
+])
+def test_malformed_lattice_inside_exits_2(tmp_path, capsys, lattice):
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps(lattice))
+    assert_one_line_usage_error(capsys, ["lattice", "check", "--lattice", str(path)])
+
+
+@pytest.mark.parametrize("edit", ["short G0 row", "two G1 rows", "string entry", "n = 0"])
+def test_malformed_code_inside_exits_2(tmp_path, capsys, edit):
+    code, obj = run(capsys, "code", "build", "--code", "tetra", "--d", "3")
+    assert code == 0
+    if edit == "short G0 row":
+        obj["G0"][1] = [1]
+    elif edit == "two G1 rows":
+        obj["G1"] = obj["G1"] * 2
+    elif edit == "string entry":
+        obj["Zstab"][0][0] = "1"
+    else:
+        obj.update(n=0, stars=[], G0=[], G1=[[]], Zstab=[])
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(obj))
+    for argv in (["code", "check"], ["code", "distance"], ["morth", "check", "--m", "2"]):
+        assert_one_line_usage_error(capsys, argv + ["--code", str(path)])
+
+
+def test_morth_check_respects_cap(capsys):
+    # 5 rows, m = 6: C(10, 6) = 210 multisets
+    assert_one_line_usage_error(
+        capsys, ["morth", "check", "--code", "tetra", "--d", "2", "--m", "6", "--cap", "10"])
+    code, obj = run(capsys, "morth", "check", "--code", "tetra", "--d", "2", "--m", "6",
+                    "--cap", "210")
+    assert code == 1 and not obj["holds"]

@@ -261,3 +261,54 @@ def test_mul_transpose_int64_and_object_agree():
     assert small.tolist() == [
         [sum(a * b for a, b in zip(r, c)) % 7 for c in B.rows] for r in A.rows
     ]
+
+
+DISTANCE_CASES = [("tetra", d, None) for d in (2, 3, 4, 6)] + [
+    ("triangle", d, L) for L in (3, 5) for d in (2, 3)
+]
+
+
+@pytest.mark.parametrize("family,d,L", DISTANCE_CASES)
+def test_both_distance_methods_match_oracle(family, d, L):
+    _, C = colex.build_tetrahedral(d) if family == "tetra" else colex.build_triangle_2d(d, L)
+    dz = min_logical_weight_z(C.n, d, C.G0.rows, C.star_signs)
+    # the X oracle gives 7 for tetra at d = 6 too, but takes about 90 s
+    dx = 7 if (family, d) == ("tetra", 6) else min_logical_weight_x(
+        C.n, d, C.z_stab.rows, C.star_signs)
+    assert code_mod.distance(C, "x") == dx
+    assert code_mod.distance(C, "z") == dz
+    if (family, d) == ("tetra", 6):
+        # each method decides one sector within the default cap: the X search
+        # needs about 9 * 10^7 vectors, the commutant has 6^11 elements
+        assert code_mod._enumerate_distance(C, "x") == dx
+        assert code_mod._search_distance(C, "z") == dz
+        with pytest.raises(code_mod.CapExceeded):
+            code_mod._search_distance(C, "x")
+        with pytest.raises(code_mod.CapExceeded):
+            code_mod._enumerate_distance(C, "z")
+        return
+    for method in (code_mod._enumerate_distance, code_mod._search_distance):
+        assert (method(C, "x"), method(C, "z")) == (dx, dz)
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_tetra_z_distance_within_default_cap(d):
+    # the commutant has d^11 elements, beyond the cap; the support search
+    # needs at most 15 (d-1) + 105 (d-1)^2 + 455 (d-1)^3 vectors
+    _, C = colex.build_tetrahedral(d)
+    assert code_mod.distance(C, "z") == 3
+
+
+def test_distance_cap_exceeded_only_when_both_methods_exceed(tetra3):
+    _, C = tetra3
+    # the Z commutant has 3^11 = 177147 elements; the support search tests
+    # 15*2 + 105*4 vectors of weight 1 and 2, and its 452nd, (1, 1, 2) on
+    # qudits 0, 1, 2, is the first Z logical
+    with pytest.raises(code_mod.CapExceeded, match="both exceed"):
+        code_mod.distance(C, "z", cap=451)
+    assert code_mod.distance(C, "z", cap=452) == 3
+    with pytest.raises(code_mod.CapExceeded):
+        code_mod._search_distance(C, "z", cap=451)
+    with pytest.raises(code_mod.CapExceeded):
+        code_mod._enumerate_distance(C, "z", cap=177146)
+    assert code_mod._enumerate_distance(C, "z", cap=177147) == 3

@@ -3,7 +3,7 @@ paths make a handful of Smith normal forms, not one per question."""
 
 import pytest
 
-from colexa import colex, gauge, ring
+from colexa import code, colex, gauge, ring
 
 
 @pytest.fixture
@@ -49,3 +49,12 @@ def test_repeated_questions_factor_once(snf_calls):
     # an equal matrix is another instance and is factored on its own
     ring.kernel_mod(ring.ResidueMatrix(6, M.rows))
     assert len(snf_calls) == 2
+
+
+def test_code_check_factors_encoding_once(snf_calls):
+    # from_colex checks injectivity and verify_code reports it: both read the
+    # one factorization of the code's [G1; G0]
+    _, C = colex.build_triangle_2d(2, 13)
+    assert code.verify_code(C).ok
+    stacked = [A for A in snf_calls if len(A) == C.G0.nrows + 1]
+    assert stacked == [C.G1.rows + C.G0.rows]

@@ -1,11 +1,14 @@
 """gatecalc: hierarchy levels and transversal gate identities."""
 
+import dataclasses
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from colexa import colex, gatecalc
+from colexa import colex, gatecalc, ring
 from oracles import unitary_hierarchy_level
 
 
@@ -174,3 +177,53 @@ def test_gate_spec_parsing():
     assert gatecalc.build_gate("R:1,2", 5).p == tuple((1 + 2 * j) % 5 for j in range(5))
     with pytest.raises(ValueError):
         gatecalc.build_gate("Q", 3)
+
+
+def loop_transversal_phase(C, g):
+    """The term loop verify_transversal_phase ran before it went blocked:
+    y in lexicographic order, one term and one phase at a time."""
+    basis, orders = ring.row_basis(C.G0), ring.span_orders(C.G0)
+    checked = 0
+    for x in range(C.d):
+        offset = tuple((x * e) % C.d for e in C.G1.rows[0])
+        for y in itertools.product(*(range(o) for o in orders)):
+            term = list(offset)
+            for coeff, row in zip(y, basis.rows):
+                for j, e in enumerate(row):
+                    term[j] = (term[j] + coeff * e) % C.d
+            checked += 1
+            phase = gatecalc.transversal_phase(C, g, term)
+            if phase != g.p[x]:
+                return checked, {"x": x, "y": list(y), "term": term, "phase": phase,
+                                 "expected": g.p[x]}
+    return checked, None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 4, 5, 6]),
+    family=st.sampled_from(["tetra", "triangle"]),
+    # N = d * 2^61 takes the Python-int phase sums: 15 (N-1) >= 2^63
+    gate=st.sampled_from(["T", "S", "R:1,2", "huge"]),
+    data=st.data(),
+)
+def test_blocked_transversal_matches_term_loop(d, family, gate, data):
+    _, C = (colex.build_tetrahedral(d) if family == "tetra"
+            else colex.build_triangle_2d(d, 3))
+    if gate == "huge":
+        N = d * 2**61
+        g = gatecalc.PhaseGate(d, N, tuple(j * j * 2**61 % N for j in range(d)))
+    else:
+        g = gatecalc.build_gate(gate, d)
+    codes = [C]
+    rows = [list(r) for r in C.G0.rows]
+    rows[data.draw(st.integers(0, len(rows) - 1))][data.draw(st.integers(0, C.n - 1))] = (
+        data.draw(st.integers(0, d - 1)))
+    codes.append(dataclasses.replace(C, G0=ring.ResidueMatrix(d, tuple(map(tuple, rows)))))
+    signs = list(C.star_signs)
+    signs[data.draw(st.integers(0, C.n - 1))] *= -1
+    codes.append(dataclasses.replace(C, star_signs=tuple(signs)))
+    for code in codes:
+        rep = gatecalc.verify_transversal_phase(code, g)
+        assert (rep.checked, rep.witness) == loop_transversal_phase(code, g)
+        assert rep.passed == (rep.witness is None)

@@ -3,8 +3,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colexa import colex, morth, ring
+from colexa.code import CapExceeded
 
 
 @pytest.fixture(scope="module", params=[2, 3, 4, 5, 6, 7])
@@ -125,3 +127,48 @@ def test_report_json_shape():
     assert all(set(w) == {"rows", "weight"} for w in obj["witnesses"])
     # canonical (lexicographic) witness order
     assert obj["witnesses"] == sorted(obj["witnesses"], key=lambda w: w["rows"])
+
+
+def loop_m_star(M, g1_rows, m, mode):
+    """The multiset loop is_m_star_orthogonal ran before it went blocked:
+    one circle product per multiset, in lexicographic order."""
+    g1 = frozenset(g1_rows)
+    witnesses = []
+    for multiset in itertools.combinations_with_replacement(range(M.G.nrows), m):
+        w = morth.signed_weight(morth.circle_product([M.G.rows[i] for i in multiset]), M.signs)
+        expect = 1 if len(set(multiset)) == 1 and multiset[0] in g1 else 0
+        bad = (w - expect) % M.G.modulus != 0 if mode == "weak" else w != expect
+        if bad:
+            witnesses.append((multiset, w))
+    return morth.OrthogonalityReport(m, mode, not witnesses, witnesses).to_dict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # at 2^31 - 1 the weights of m >= 3 leave int64: 15 (d-1)^3 >= 2^63
+    d=st.sampled_from([2, 3, 4, 6, 7, 2**31 - 1]),
+    family=st.sampled_from(["tetra", "triangle"]),
+    m=st.integers(1, 4),
+    mode=st.sampled_from(["strong", "weak"]),
+    data=st.data(),
+)
+def test_blocked_check_matches_multiset_loop(d, family, m, mode, data):
+    _, C = (colex.build_tetrahedral(d) if family == "tetra"
+            else colex.build_triangle_2d(d, 3))
+    M, g1 = morth.code_matrix(C)
+    assert morth.is_m_star_orthogonal(M, g1, m, mode).to_dict() == loop_m_star(M, g1, m, mode)
+    rows = [list(r) for r in M.G.rows]
+    for _ in range(data.draw(st.integers(1, 4))):
+        i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, C.n - 1))
+        rows[i][j] = data.draw(st.integers(0, d - 1))
+    bad = morth.StarSignedMatrix(ring.ResidueMatrix(d, tuple(map(tuple, rows))), M.signs)
+    assert morth.is_m_star_orthogonal(bad, g1, m, mode).to_dict() == loop_m_star(bad, g1, m, mode)
+
+
+def test_multisets_charged_to_cap():
+    _, C = colex.build_tetrahedral(2)
+    M, g1 = morth.code_matrix(C)
+    # 5 rows, m = 6: C(10, 6) = 210 multisets
+    with pytest.raises(CapExceeded):
+        morth.is_m_star_orthogonal(M, g1, 6, cap=209)
+    assert not morth.is_m_star_orthogonal(M, g1, 6, cap=210).holds

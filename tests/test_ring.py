@@ -1,6 +1,8 @@
 """ring: exact Z_N linear algebra, checked against exhaustive oracles."""
 
+import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -200,3 +202,92 @@ def test_composite_span_size_multiplies_over_blocks(N, data):
 def test_parse_matrix_text():
     M = ring.parse_matrix_text("1 2 3\n4 5 6  # comment\n", 4)
     assert M.rows == ((1, 2, 3), (0, 1, 2))
+
+
+def recursive_span(M):
+    """The span in the order of the recursive enumerator span_blocks replaced:
+    first row_basis generator outermost, one tuple at a time."""
+    gens, orders, N = ring.row_basis(M).rows, ring.span_orders(M), M.modulus
+
+    def rec(acc, idx):
+        if idx == len(gens):
+            yield acc
+            return
+        for _ in range(orders[idx]):
+            yield from rec(acc, idx + 1)
+            acc = tuple((a + b) % N for a, b in zip(acc, gens[idx]))
+
+    return list(rec((0,) * M.ncols, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=COMPOSITE, m=st.integers(1, 4), n=st.integers(1, 4),
+       block=st.sampled_from([1, 3, 8, ring.BLOCK_ROWS]), data=st.data())
+def test_span_blocks_in_iter_span_order(N, m, n, block, data):
+    M = draw_matrix(data, N, m, n)
+    offset = tuple(data.draw(st.integers(0, N - 1)) for _ in range(n))
+    reference = recursive_span(M)
+    default, ring.BLOCK_ROWS = ring.BLOCK_ROWS, block
+    try:
+        blocks = list(ring.span_blocks(M))
+        shifted = [r for b in ring.span_blocks(M, offset) for r in map(tuple, b.tolist())]
+        elements = list(ring.iter_span(M))
+    finally:
+        ring.BLOCK_ROWS = default
+    assert all(b.dtype == np.int64 and 1 <= len(b) <= block for b in blocks)
+    assert [r for b in blocks for r in map(tuple, b.tolist())] == elements == reference
+    assert shifted == [tuple((a + b) % N for a, b in zip(offset, r)) for r in reference]
+    assert set(elements) == brute_span([list(r) for r in M.rows], N)
+
+
+def test_span_blocks_python_ints_past_int64():
+    N = 2**64 + 13  # 2 (N-1) no longer fits int64
+    M = rmat(N, [[N - 1, 5]])
+    # the generator's order N exceeds any cap, so take a prefix: one row per
+    # block, since a single order above BLOCK_ROWS cannot join the inner block
+    blocks = list(itertools.islice(ring.span_blocks(M, offset=(N - 1, 0)), 3))
+    assert all(b.dtype == object for b in blocks)
+    assert [r for b in blocks for r in b.tolist()] == [[N - 1, 0], [N - 2, 5], [N - 3, 10]]
+    assert list(itertools.islice(ring.iter_span(M), 2)) == [(0, 0), (N - 1, 5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from([2, 3, 4, 6, 8, 12]), m=st.integers(0, 3), n=st.integers(1, 4),
+       data=st.data())
+def test_span_check_agrees_with_in_rowspan(N, m, n, data):
+    M = draw_matrix(data, N, m, n)
+    W = np.array([[data.draw(st.integers(0, N - 1)) for _ in range(n)] for _ in range(6)]
+                 + [list(r) for r in M.rows], dtype=np.int64).reshape(-1, n)
+    H, g = ring.span_check(M, n)
+    members = ~((W @ H) % g).any(axis=1)
+    expected = [ring.in_rowspan(M, w) if M.rows else not any(w) for w in W.tolist()]
+    assert members.tolist() == expected
+
+
+def full_scan_pivot(S, t):
+    """The pivot search smith_normal_form ran before it stopped at units:
+    the first smallest nonzero |entry| over the whole remaining block."""
+    piv = None
+    best = None
+    for i in range(t, len(S)):
+        for j in range(t, len(S[0])):
+            e = S[i][j]
+            if e != 0 and (best is None or abs(e) < best):
+                best = abs(e)
+                piv = (i, j)
+    return piv
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 6), n=st.integers(1, 6), data=st.data())
+def test_snf_unit_pivot_exit_matches_full_scan(m, n, data):
+    bound = data.draw(st.sampled_from([1, 3, 30, 10**6]))
+    A = [[data.draw(st.integers(-bound, bound)) for _ in range(n)] for _ in range(m)]
+    fast = ring.smith_normal_form(A)
+    original = ring._find_pivot
+    ring._find_pivot = full_scan_pivot
+    try:
+        slow = ring.smith_normal_form(A)
+    finally:
+        ring._find_pivot = original
+    assert fast == slow
