@@ -104,10 +104,14 @@ def validate_colex(L: Lattice) -> ValidationReport:
 
     top = L.cells_of_dim(L.mu)
     uncolored = [c for c in top if c.color is None or not (0 <= c.color <= L.mu)]
-    clashes = []
-    for a, b in itertools.combinations(top, 2):
-        if a.color is not None and a.color == b.color and a.vertices & b.vertices:
-            clashes.append((sorted(a.vertices)[0], sorted(b.vertices)[0]))
+    # same-colored top cells that share a vertex meet in a (vertex, color) bucket
+    buckets = defaultdict(list)
+    for i, c in enumerate(top):
+        if c.color is not None:
+            for v in c.vertices:
+                buckets[v, c.color].append(i)
+    pairs = sorted({p for b in buckets.values() for p in itertools.combinations(b, 2)})
+    clashes = [(min(top[i].vertices), min(top[j].vertices)) for i, j in pairs]
     rep.add(
         "mu-cell-coloring",
         not uncolored and not clashes,

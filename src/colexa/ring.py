@@ -2,7 +2,10 @@
 
 Factorizations and solves work with plain Python integers, so there is no
 modulus that can overflow and no floating point anywhere.  The workhorse is an
-integer Smith normal form with unimodular transform tracking.  Each
+integer Smith normal form with unimodular transform tracking; it skips only
+work that cannot change its result (no divisibility scan at unit pivots,
+column operations only on the rows they change), so its U, S and V are those
+of the plain elimination.  Each
 `ResidueMatrix` is factored at most once: the factorization is computed on
 first use and kept on the matrix, and its kernel, row span, span enumeration
 and every linear solve over Z_N, for arbitrary (not necessarily prime) N, are
@@ -110,6 +113,13 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
     diagonal with divisibility d1 | d2 | ... .  All arithmetic is exact over
     Python ints.  diag is the list of diagonal entries of S (length
     min(nrows, ncols)).
+
+    Two steps skip work that cannot change the result.  The scan that makes
+    d_t divide every remaining entry runs only when |d_t| > 1: every integer
+    is a multiple of a unit.  A column operation col_j -= q * col_t adds zero
+    to every row whose column-t entry is zero, so it visits only the rows of
+    S and V that are nonzero in column t; column t itself does not change
+    while row t is cleared, so that row list is built once per step.
     """
     S = _as_int_rows(A)
     m = len(S)
@@ -127,10 +137,6 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
     def add_row(M, dst, src, c):
         M[dst] = [a + c * b for a, b in zip(M[dst], M[src])]
 
-    def add_col(M, dst, src, c):
-        for row in M:
-            row[dst] += c * row[src]
-
     t = 0
     while t < min(m, n):
         piv = _find_pivot(S, t)
@@ -144,37 +150,41 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
             swap_cols(S, t, j)
             swap_cols(V, t, j)
         # clear the pivot row and column
+        p = S[t][t]
         dirty = False
         for i in range(t + 1, m):
             if S[i][t] != 0:
-                q = S[i][t] // S[t][t]
+                q = S[i][t] // p
                 add_row(S, i, t, -q)
                 add_row(U, i, t, -q)
                 if S[i][t] != 0:
                     dirty = True
+        touched = [row for row in S if row[t]] + [row for row in V if row[t]]
+        pivot_row = S[t]
         for j in range(t + 1, n):
-            if S[t][j] != 0:
-                q = S[t][j] // S[t][t]
-                add_col(S, j, t, -q)
-                add_col(V, j, t, -q)
-                if S[t][j] != 0:
+            if pivot_row[j] != 0:
+                q = pivot_row[j] // p
+                for row in touched:
+                    row[j] -= q * row[t]
+                if pivot_row[j] != 0:
                     dirty = True
         if dirty:
             continue
         # enforce divisibility d_t | every remaining entry
         bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if S[i][j] % S[t][t] != 0:
-                    bad = (i, j)
+        if abs(p) != 1:
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if S[i][j] % p != 0:
+                        bad = (i, j)
+                        break
+                if bad:
                     break
-            if bad:
-                break
         if bad is not None:
             add_row(S, t, bad[0], 1)
             add_row(U, t, bad[0], 1)
             continue
-        if S[t][t] < 0:
+        if p < 0:
             S[t] = [-e for e in S[t]]
             U[t] = [-e for e in U[t]]
         t += 1
@@ -390,20 +400,6 @@ def mul_transpose(A: ResidueMatrix, B: ResidueMatrix) -> np.ndarray:
     a = np.array(A.rows, dtype=dtype).reshape(A.nrows, n)
     b = np.array(B.rows, dtype=dtype).reshape(B.nrows, n)
     return (a @ b.T) % N
-
-
-def is_injective_encoding(G0: ResidueMatrix, G1: ResidueMatrix) -> bool:
-    """Whether (x, y) -> x @ G1 + y @ G0 is injective over Z_N.
-
-    Equivalent to the stacked matrix [G1; G0] having trivial left kernel,
-    i.e. only the zero combination of its rows vanishes mod N.
-    """
-    if G0.modulus != G1.modulus:
-        raise ValueError("moduli differ")
-    if G0.rows and G1.rows and G0.ncols != G1.ncols:
-        raise ValueError("column counts differ")
-    stacked = ResidueMatrix(G0.modulus, G1.rows + G0.rows)
-    return kernel_mod(stacked).nrows == 0
 
 
 def parse_matrix_text(text: str, modulus: int) -> ResidueMatrix:

@@ -1,8 +1,10 @@
 """colex: lattice validation, star-bipartitions, builders."""
 
+import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colexa import colex
 
@@ -148,3 +150,49 @@ def test_lattice_json_round_trip(tetra):
     assert back.vertex_ids == L.vertex_ids
     assert back.star == L.star
     assert set(back.cells) == set(L.cells)
+
+
+def pair_scan_clashes(L):
+    """The mu-cell-coloring clashes as the O(r^2) pair scan over top cells
+    that validate_colex ran before it bucketed them by (vertex, color)."""
+    clashes = []
+    for a, b in itertools.combinations(L.cells_of_dim(L.mu), 2):
+        if a.color is not None and a.color == b.color and a.vertices & b.vertices:
+            clashes.append((sorted(a.vertices)[0], sorted(b.vertices)[0]))
+    return clashes
+
+
+def recolor(L, colors):
+    """L with top cell number i (in cell order) recolored to colors[i]."""
+    cells, i = [], 0
+    for c in L.cells:
+        if c.dim == L.mu:
+            c = dataclasses.replace(c, color=colors.get(i, c.color))
+            i += 1
+        cells.append(c)
+    return dataclasses.replace(L, cells=tuple(cells))
+
+
+def coloring_check(L):
+    return next(c for c in colex.validate_colex(L).checks if c.name == "mu-cell-coloring")
+
+
+def test_coloring_clash_witness_matches_pair_scan(tetra):
+    L, _ = tetra
+    bad = recolor(L, {1: 0})  # C_0 and C_1 share the vertices with bits 0 and 1 set
+    check = coloring_check(bad)
+    assert not check.ok
+    assert check.witness == pair_scan_clashes(bad) == [(1, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(distance=st.sampled_from([3, 5, 7]), data=st.data())
+def test_coloring_audit_matches_pair_scan(distance, data):
+    L, _ = colex.build_triangle_2d(2, distance)
+    r = len(L.cells_of_dim(L.mu))
+    colors = data.draw(st.dictionaries(st.integers(0, r - 1), st.sampled_from([0, 1, 2, None])))
+    bad = recolor(L, colors)
+    check, expected = coloring_check(bad), pair_scan_clashes(bad)
+    assert check.witness == (expected[:3] or None)
+    assert check.ok == (not expected and all(c.color is not None
+                                             for c in bad.cells_of_dim(bad.mu)))

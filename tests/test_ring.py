@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colexa import ring
+from colexa import colex, gauge, ring
 from oracles import brute_kernel, brute_span
 
 
@@ -51,20 +51,73 @@ def test_kernel_matches_scan_examples():
 
 
 def test_is_injective_encoding_examples():
-    assert ring.is_injective_encoding(rmat(3, [[0, 1, 2]]), rmat(3, [[1, 1, 1]]))
-    assert not ring.is_injective_encoding(rmat(4, [[2, 2]]), rmat(4, [[1, 1]]))
+    # (x, y) -> x.G1 + y.G0 is injective iff [G1; G0] has trivial left kernel
+    assert ring.kernel_mod(rmat(3, [[1, 1, 1], [0, 1, 2]])).nrows == 0
+    assert ring.kernel_mod(rmat(4, [[1, 1], [2, 2]])).nrows != 0
 
 
-def test_smith_normal_form_transforms():
-    A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+SNF_BOUNDS = st.sampled_from([1, 3, 30, 10**6, 2**70])
+
+
+def draw_int_matrix(data, m, n, bound):
+    """An m x n integer matrix, entries in [-bound, bound], with a few rows
+    and columns forced to zero."""
+    zero_rows = data.draw(st.sets(st.integers(0, 7), max_size=3))
+    zero_cols = data.draw(st.sets(st.integers(0, 7), max_size=3))
+    return [
+        [0 if i in zero_rows or j in zero_cols else data.draw(st.integers(-bound, bound))
+         for j in range(n)]
+        for i in range(m)
+    ]
+
+
+def matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def bareiss_det(M):
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    A = [list(r) for r in M]
+    n = len(A)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
+            if swap is None:
+                return 0
+            A[k], A[swap] = A[swap], A[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
+
+
+def test_bareiss_det_examples():
+    assert bareiss_det([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == 624
+    assert bareiss_det([[0, 1], [1, 0]]) == -1
+    assert bareiss_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert bareiss_det([[1, 2], [2, 4]]) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(0, 6), n=st.integers(0, 6), bound=SNF_BOUNDS,
+       scale=st.sampled_from([1, 2, 6, 2**63]), data=st.data())
+def test_smith_normal_form_transforms(m, n, bound, scale, data):
+    # scale > 1 leaves no unit entry, so every pivot is a non-unit
+    A = [[scale * e for e in row] for row in draw_int_matrix(data, m, n, bound)]
     U, S, V, diag = ring.smith_normal_form(A)
-    # U A V must reproduce S exactly over the integers
-    import numpy as np
-
-    assert (np.array(U) @ np.array(A) @ np.array(V) == np.array(S)).all()
+    assert matmul(matmul(U, A), V) == S
+    assert all(e == (diag[i] if i == j else 0) for i, row in enumerate(S)
+               for j, e in enumerate(row))
+    assert all(d >= 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
         if b != 0:
-            assert b % a == 0
+            assert a != 0 and b % a == 0
+    assert abs(bareiss_det(U)) == 1 and abs(bareiss_det(V)) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -291,3 +344,96 @@ def test_snf_unit_pivot_exit_matches_full_scan(m, n, data):
     finally:
         ring._find_pivot = original
     assert fast == slow
+
+
+def seed_snf(A):
+    """smith_normal_form as it was before it skipped the divisibility scan at
+    unit pivots and restricted column operations to the rows they change,
+    copied verbatim except that it calls full_scan_pivot (which picks the same
+    pivot) and converts its input inline, so it shares no code with ring."""
+    S = [[int(e) for e in row] for row in A]
+    m = len(S)
+    n = len(S[0]) if S else 0
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(M, i, j):
+        M[i], M[j] = M[j], M[i]
+
+    def swap_cols(M, i, j):
+        for row in M:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(M, dst, src, c):
+        M[dst] = [a + c * b for a, b in zip(M[dst], M[src])]
+
+    def add_col(M, dst, src, c):
+        for row in M:
+            row[dst] += c * row[src]
+
+    t = 0
+    while t < min(m, n):
+        piv = full_scan_pivot(S, t)
+        if piv is None:
+            break
+        i, j = piv
+        if i != t:
+            swap_rows(S, t, i)
+            swap_rows(U, t, i)
+        if j != t:
+            swap_cols(S, t, j)
+            swap_cols(V, t, j)
+        # clear the pivot row and column
+        dirty = False
+        for i in range(t + 1, m):
+            if S[i][t] != 0:
+                q = S[i][t] // S[t][t]
+                add_row(S, i, t, -q)
+                add_row(U, i, t, -q)
+                if S[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, n):
+            if S[t][j] != 0:
+                q = S[t][j] // S[t][t]
+                add_col(S, j, t, -q)
+                add_col(V, j, t, -q)
+                if S[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        # enforce divisibility d_t | every remaining entry
+        bad = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if S[i][j] % S[t][t] != 0:
+                    bad = (i, j)
+                    break
+            if bad:
+                break
+        if bad is not None:
+            add_row(S, t, bad[0], 1)
+            add_row(U, t, bad[0], 1)
+            continue
+        if S[t][t] < 0:
+            S[t] = [-e for e in S[t]]
+            U[t] = [-e for e in U[t]]
+        t += 1
+
+    diag = [S[i][i] for i in range(min(m, n))]
+    return U, S, V, diag
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(0, 7), n=st.integers(0, 7), bound=SNF_BOUNDS, data=st.data())
+def test_snf_matches_seed_oracle(m, n, bound, data):
+    A = draw_int_matrix(data, m, n, bound)
+    assert ring.smith_normal_form(A) == seed_snf(A)
+
+
+@pytest.mark.parametrize("family, d", [("triangle", 2), ("triangle", 6), ("tetra", 3), ("tetra", 5)])
+def test_snf_matches_seed_oracle_on_code_matrices(family, d):
+    if family == "triangle":
+        A = colex.build_triangle_2d(d, 13)[1].encoding().rows
+    else:
+        A = gauge.Tableau.zero_logical(colex.build_tetrahedral(d)[1])._exponents().rows
+    assert ring.smith_normal_form(A) == seed_snf(A)
