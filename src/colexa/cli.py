@@ -8,6 +8,7 @@ enumeration cap comes from --cap or the COLEXA_CAP environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -20,6 +21,7 @@ PASS, FAIL, USAGE = 0, 1, 2
 
 
 def main(argv=None) -> int:
+    """Run one command; main may be called any number of times in a process."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "handler"):
@@ -27,7 +29,7 @@ def main(argv=None) -> int:
         return USAGE
     try:
         check_args(args)
-        status, payload = args.handler(args)
+        status, payload = globals()[args.handler](args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError, code_mod.CapExceeded) as exc:
         print(f"colexa: {exc}", file=sys.stderr)
         return USAGE
@@ -56,7 +58,14 @@ def check_args(args) -> None:
         raise ValueError(f"--d must be >= 2, got {args.d}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared afterwards.
+
+    Parsing leaves it unchanged: every call gets a fresh Namespace, and each
+    subcommand names its handler, which main looks up when it runs, so a
+    handler replaced after the parser was built is the one called.
+    """
     parser = argparse.ArgumentParser(prog="colexa")
     sub = parser.add_subparsers(dest="group")
 
@@ -80,32 +89,32 @@ def build_parser() -> argparse.ArgumentParser:
     latsub = lat.add_subparsers(dest="action")
     p = latsub.add_parser("build")
     lattice_flags(p); common(p)
-    p.set_defaults(handler=cmd_lattice_build)
+    p.set_defaults(handler="cmd_lattice_build")
     p = latsub.add_parser("check")
     lattice_flags(p); common(p)
-    p.set_defaults(handler=cmd_lattice_check)
+    p.set_defaults(handler="cmd_lattice_check")
 
     cod = sub.add_parser("code")
     codsub = cod.add_subparsers(dest="action")
     p = codsub.add_parser("build")
     code_flags(p); common(p)
-    p.set_defaults(handler=cmd_code_build)
+    p.set_defaults(handler="cmd_code_build")
     p = codsub.add_parser("check")
     code_flags(p); common(p)
-    p.set_defaults(handler=cmd_code_check)
+    p.set_defaults(handler="cmd_code_check")
     p = codsub.add_parser("distance")
     code_flags(p); common(p)
     p.add_argument("--sector", choices=["x", "z", "both"], default="both")
-    p.set_defaults(handler=cmd_code_distance)
+    p.set_defaults(handler="cmd_code_distance")
     p = codsub.add_parser("syndrome")
     code_flags(p); common(p)
     p.add_argument("--error", required=True,
                    help="comma-separated Pauli terms, e.g. Z@1111 or X^2@7")
-    p.set_defaults(handler=cmd_code_syndrome)
+    p.set_defaults(handler="cmd_code_syndrome")
     p = codsub.add_parser("codeword")
     code_flags(p); common(p)
     p.add_argument("--x", type=int, default=0)
-    p.set_defaults(handler=cmd_code_codeword)
+    p.set_defaults(handler="cmd_code_codeword")
 
     mor = sub.add_parser("morth")
     morsub = mor.add_subparsers(dest="action")
@@ -113,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     code_flags(p); common(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mode", choices=["strong", "weak"], default="strong")
-    p.set_defaults(handler=cmd_morth_check)
+    p.set_defaults(handler="cmd_morth_check")
 
     gat = sub.add_parser("gate")
     gatsub = gat.add_subparsers(dest="action")
@@ -122,23 +131,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gate", required=True)
     p.add_argument("--l-cap", type=int, default=10, dest="l_cap")
     common(p)
-    p.set_defaults(handler=cmd_gate_level)
+    p.set_defaults(handler="cmd_gate_level")
     p = gatsub.add_parser("verify")
     code_flags(p); common(p)
     p.add_argument("--gate", required=True,
                    help="T | T36 | S | R:a0,a1,... | CX")
-    p.set_defaults(handler=cmd_gate_verify)
+    p.set_defaults(handler="cmd_gate_verify")
 
     gau = sub.add_parser("gauge")
     gausub = gau.add_subparsers(dest="action")
     p = gausub.add_parser("check")
     code_flags(p); common(p)
-    p.set_defaults(handler=cmd_gauge_check)
+    p.set_defaults(handler="cmd_gauge_check")
     p = gausub.add_parser("fix-demo")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     common(p)
-    p.set_defaults(handler=cmd_gauge_fix_demo)
+    p.set_defaults(handler="cmd_gauge_fix_demo")
 
     return parser
 

@@ -229,10 +229,7 @@ def codeword(C: ColorCode, x, cap: int = DEFAULT_CAP) -> Codeword:
     if size > cap:
         raise CapExceeded(f"codeword would enumerate {size} > cap {cap} terms")
     offset = ring.mat_vec_mul(C.G1, x).entries
-    terms = frozenset(
-        tuple((a + b) % C.d for a, b in zip(offset, t))
-        for t in ring.iter_span(C.G0)
-    )
+    terms = frozenset(ring.iter_span(C.G0, offset))
     if len(terms) != size:
         raise AssertionError("term enumeration lost injectivity")
     return Codeword(x=x, terms=terms)

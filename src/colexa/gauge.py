@@ -10,7 +10,6 @@ arithmetic.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -289,9 +288,10 @@ class Tableau:
         self.rows = [Row(r.phase % self.D, r.x, r.z) for r in rows]
         self.n = len(self.rows[0].x) if self.rows else 0
         self._exp = None  # exponent matrix of rows, kept until an x/z part changes
-        for a, b in itertools.combinations(self.rows, 2):
-            if self._sp(a, b) != 0:
-                raise ValueError("tableau rows must pairwise commute")
+        # entry [i, j] is _sp(row_i, row_j): (x_i | z_i) . (z_j | -x_j)
+        twisted = ring.ResidueMatrix(d, tuple(r.z + tuple(-e for e in r.x) for r in self.rows))
+        if ring.mul_transpose(self._exponents(), twisted).any():
+            raise ValueError("tableau rows must pairwise commute")
 
     # -- group arithmetic on rows ------------------------------------------
     def _sp(self, a, b) -> int:

@@ -357,9 +357,10 @@ def span_blocks(M: ResidueMatrix, offset=None) -> Iterator[np.ndarray]:
             return
 
 
-def iter_span(M: ResidueMatrix) -> Iterator[tuple[int, ...]]:
-    """Iterate every element of the row span of M exactly once."""
-    for block in span_blocks(M):
+def iter_span(M: ResidueMatrix, offset=None) -> Iterator[tuple[int, ...]]:
+    """Iterate every element of offset + rowspan(M) exactly once, as tuples
+    of canonical residues in span_blocks order."""
+    for block in span_blocks(M, offset):
         yield from map(tuple, block.tolist())
 
 

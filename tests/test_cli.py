@@ -1,9 +1,15 @@
 """cli: subcommand behavior, exit codes, round trips, determinism."""
 
 import json
+import os
+import pathlib
+import shlex
+import subprocess
+import sys
 
 import pytest
 
+from colexa import cli
 from colexa.cli import main
 
 
@@ -197,3 +203,65 @@ def test_morth_check_respects_cap(capsys):
     code, obj = run(capsys, "morth", "check", "--code", "tetra", "--d", "2", "--m", "6",
                     "--cap", "210")
     assert code == 1 and not obj["holds"]
+
+
+def readme_commands():
+    """The argv of every `colexa ...` line of the README's shell examples."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    return [shlex.split(line, comments=True)[1:]
+            for line in readme.read_text().splitlines() if line.startswith("colexa ")]
+
+
+def run_raw(capsys, argv):
+    """(exit code, stdout) of one call; argparse usage errors exit 2 by SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch):
+    """main shares one parser across calls; in any call order each result
+    equals the one a freshly built parser gives."""
+    commands = readme_commands()
+    assert len(commands) >= 15
+    codeword = ["code", "codeword", "--code", "tetra", "--d", "3"]
+    calls = [(None, argv) for argv in commands] + [
+        (None, ["code", "distance", "--sector", "q"]),  # argparse error: SystemExit(2)
+        (None, ["code"]),                                # no action: usage, exit 2
+        ("5", codeword),                                 # COLEXA_CAP too small: exit 2
+        ("1000", codeword),
+        ("5", codeword + ["--cap", "81"]),               # --cap wins over COLEXA_CAP
+        (None, codeword + ["--cap", "80"]),
+    ]
+
+    def results(order):
+        out = {}
+        for i in order:
+            env, argv = calls[i]
+            if env is None:
+                monkeypatch.delenv("COLEXA_CAP", raising=False)
+            else:
+                monkeypatch.setenv("COLEXA_CAP", env)
+            out[i] = run_raw(capsys, argv)
+        return out
+
+    forward = list(range(len(calls)))
+    shared = [results(forward), results(forward[::-1])]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = results(forward)
+    assert shared[0] == shared[1] == fresh
+    assert {code for code, _out in fresh.values()} == {0, 1, 2}
+    # the four cap calls, in order: the codeword has 3^4 = 81 terms
+    assert [fresh[i][0] for i in range(len(calls) - 4, len(calls))] == [2, 0, 0, 2]
+
+
+def test_import_does_not_build_the_parser():
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    probe = ("import colexa.cli as c; assert c.build_parser.cache_info().currsize == 0; "
+             "c.main(['gate', 'level', '--d', '3', '--gate', 'T']); "
+             "assert c.build_parser.cache_info().currsize == 1")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

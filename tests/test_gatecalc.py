@@ -8,7 +8,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colexa import colex, gatecalc, ring
+from colexa import code as code_mod, colex, gatecalc, ring
+from colexa.code import CapExceeded, DEFAULT_CAP
+from colexa.gatecalc import VerificationReport
 from oracles import unitary_hierarchy_level
 
 
@@ -149,6 +151,85 @@ def test_transversal_CX_tetra_d3():
     _, C = colex.build_tetrahedral(3)
     rep = gatecalc.verify_transversal_CX(C)
     assert rep.passed
+
+
+def loop_transversal_CX(C: code_mod.ColorCode, cap: int = DEFAULT_CAP) -> VerificationReport:
+    """The pair loop verify_transversal_CX ran before it went blocked, kept
+    verbatim as an oracle: one Python tuple sum and one set lookup per pair."""
+    if C.k != 1:
+        raise ValueError("CX check supports k=1 codes only")
+    span = ring.span_size(C.G0)
+    total = (C.d * span) ** 2
+    if total > cap:
+        raise CapExceeded(f"CX check needs {total} > cap {cap} pair checks")
+    words = {x: gatecalc.codeword(C, x, cap) for x in range(C.d)}
+    checked = 0
+    for x1, x2 in itertools.product(range(C.d), repeat=2):
+        target = words[(x1 + x2) % C.d].terms
+        for t1 in words[x1].terms:
+            for t2 in words[x2].terms:
+                checked += 1
+                summed = tuple((a + b) % C.d for a, b in zip(t1, t2))
+                if summed not in target:
+                    return VerificationReport(
+                        "transversal-CX", False, checked,
+                        {"x1": x1, "x2": x2, "t1": list(t1), "t2": list(t2)},
+                    )
+    return VerificationReport("transversal-CX", True, checked)
+
+
+@pytest.mark.parametrize("family,d", [("tetra", 2), ("tetra", 3), ("tetra", 4),
+                                      ("triangle", 2), ("triangle", 3)])
+def test_blocked_CX_matches_pair_loop(family, d):
+    _, C = colex.build_tetrahedral(d) if family == "tetra" else colex.build_triangle_2d(d, 3)
+    rep = gatecalc.verify_transversal_CX(C)
+    assert rep.passed and rep.checked == (d * ring.span_size(C.G0)) ** 2
+    assert rep.to_dict() == loop_transversal_CX(C).to_dict()
+    with pytest.raises(CapExceeded):
+        gatecalc.verify_transversal_CX(C, cap=rep.checked - 1)
+
+
+@pytest.mark.parametrize("family,d", [("tetra", 2), ("triangle", 3)])
+def test_blocked_CX_matches_pair_loop_on_a_perturbed_term(family, d, monkeypatch):
+    """Replace one term r of one word by p = r + e_0, outside its coset.
+
+    The loop tests membership in the perturbed term set, the blocked check
+    in the coset, so the blocked check must fail at the first pair in loop
+    order whose sum is outside its coset, found here pair by pair with
+    in_rowspan.  The loop differs only on sums equal to p (it passes them)
+    or to r (it fails them); when its witness is that same first pair, the
+    two reports must be equal.
+    """
+    _, C = colex.build_tetrahedral(d) if family == "tetra" else colex.build_triangle_2d(d, 3)
+    original = code_mod.codeword
+    agreed = 0
+    for word in range(d):
+        for index in range(ring.span_size(C.G0)):
+            terms = list(original(C, word).terms)
+            p = ((terms[index][0] + 1) % d,) + terms[index][1:]
+            terms[index] = p
+
+            def perturbed(C_, x, cap=DEFAULT_CAP, word=word, terms=frozenset(terms)):
+                w = original(C_, x, cap)
+                return code_mod.Codeword(w.x, terms) if x == word else w
+
+            words = [perturbed(C, x).terms for x in range(d)]
+            pairs = ((x1, x2, t1, t2) for x1, x2 in itertools.product(range(d), repeat=2)
+                     for t1 in words[x1] for t2 in words[x2])
+            first = next(
+                i for i, (x1, x2, t1, t2) in enumerate(pairs, 1)
+                if not ring.in_rowspan(C.G0, [a + b - (x1 + x2) * g for a, b, g
+                                              in zip(t1, t2, C.G1.rows[0])]))
+            monkeypatch.setattr(gatecalc, "codeword", perturbed)
+            loop = loop_transversal_CX(C)
+            rep = gatecalc.verify_transversal_CX(C)
+            monkeypatch.undo()
+            assert not rep.passed and rep.checked == first
+            assert p in (tuple(rep.witness["t1"]), tuple(rep.witness["t2"]))
+            if loop.checked == first:
+                agreed += 1
+                assert rep.to_dict() == loop.to_dict()
+    assert agreed >= 3
 
 
 def test_polynomial_gates_up_to_max_m_transversal():

@@ -218,6 +218,19 @@ def test_tableau_requires_prime_d():
         gauge.Tableau(4, [])
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_tableau_rejects_noncommuting_rows(d):
+    # X0 X1 and Z0 Z1^(d-1) commute (phase 1 + (d-1) = 0 mod d); X0 does not
+    # commute with the second, and that one pair is enough
+    xx = gauge.Row(0, (1, 1), (0, 0))
+    zz = gauge.Row(0, (0, 0), (1, d - 1))
+    x0 = gauge.Row(0, (1, 0), (0, 0))
+    with pytest.raises(ValueError, match="pairwise commute"):
+        gauge.Tableau(d, [xx, zz, x0])
+    assert len(gauge.Tableau(d, [xx, zz]).rows) == 2
+    assert gauge.Tableau(d, []).rows == []
+
+
 def test_tableau_measure_stabilizer_deterministic(tetra3):
     _, C, _ = tetra3
     T = gauge.Tableau.zero_logical(C)

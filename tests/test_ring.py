@@ -305,6 +305,31 @@ def test_span_blocks_python_ints_past_int64():
 
 
 @settings(max_examples=60, deadline=None)
+@given(N=COMPOSITE, m=st.integers(1, 4), n=st.integers(1, 4), data=st.data())
+def test_iter_span_offset_shifts_each_element(N, m, n, data):
+    M = draw_matrix(data, N, m, n)
+    offset = tuple(data.draw(st.integers(-N, 2 * N)) for _ in range(n))
+    expected = [tuple((o + t) % N for o, t in zip(offset, r)) for r in ring.iter_span(M)]
+    assert list(ring.iter_span(M, offset)) == expected
+
+
+def test_iter_span_offset_of_no_rows_is_the_offset():
+    # with no rows the span is {0} at the offset's width
+    assert list(ring.iter_span(rmat(6, []), (7, -1, 2))) == [(1, 5, 2)]
+
+
+def test_iter_span_offset_python_ints_past_int64():
+    N = 2**64  # 2 (N-1) no longer fits int64; these rows have orders 4 and 2
+    M = rmat(N, [[2**62, 3 * 2**62], [0, 2**63]])
+    offset = (N - 1, 2**63 + 5)
+    elements = list(ring.iter_span(M))
+    shifted = list(ring.iter_span(M, offset))
+    assert len(elements) == 8
+    assert shifted == [tuple((o + t) % N for o, t in zip(offset, r)) for r in elements]
+    assert all(type(e) is int for r in shifted for e in r)
+
+
+@settings(max_examples=60, deadline=None)
 @given(N=st.sampled_from([2, 3, 4, 6, 8, 12]), m=st.integers(0, 3), n=st.integers(1, 4),
        data=st.data())
 def test_span_check_agrees_with_in_rowspan(N, m, n, data):
