@@ -158,11 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
 def load_lattice(args) -> colex.Lattice:
     name = args.lattice
     if name == "tetra":
-        L, _ = colex.build_tetrahedral(getattr(args, "d", 2))
-        return L
+        return colex.tetrahedral_lattice()
     if name == "triangle":
-        L, _ = colex.build_triangle_2d(getattr(args, "d", 2), args.distance)
-        return L
+        return colex.triangle_lattice(args.distance)
     return colex.lattice_from_json(read_json_object(name))
 
 

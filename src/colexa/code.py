@@ -104,19 +104,13 @@ class ColorCode:
         every question about it reads one factorization."""
         M = self.__dict__.get("_encoding")
         if M is None:
-            M = ring.ResidueMatrix(self.d, self.G1.rows + self.G0.rows)
+            M = ring._canonical(self.d, self.G1.rows + self.G0.rows)
             object.__setattr__(self, "_encoding", M)
         return M
 
     def injective(self) -> bool:
         """Whether [G1; G0] has trivial left kernel over Z_d."""
         return ring.kernel_mod(self.encoding()).nrows == 0
-
-    def x_stab_words(self) -> list:
-        return [PauliWord.x_word(self.d, row) for row in self.G0.rows]
-
-    def z_stab_words(self) -> list:
-        return [PauliWord.z_word(self.d, row) for row in self.z_stab.rows]
 
     def logical_x_words(self) -> list:
         return [PauliWord.x_word(self.d, row) for row in self.G1.rows]
@@ -126,7 +120,8 @@ class ColorCode:
 
     def stabilizer_words(self) -> list:
         """All generators, X type first then Z type; the syndrome order."""
-        return self.x_stab_words() + self.z_stab_words()
+        return ([PauliWord.x_word(self.d, row) for row in self.G0.rows]
+                + [PauliWord.z_word(self.d, row) for row in self.z_stab.rows])
 
 
 @dataclass(frozen=True)
@@ -140,15 +135,17 @@ class Codeword:
 def cell_rows(L, dim: int, d: int, signs=None) -> ring.ResidueMatrix:
     """One row per dim-cell of L over Z_d, in vertex order: 1 on the cell's
     vertices, or the vertex's sign there when signs are given."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
     index = {v: j for j, v in enumerate(L.vertex_ids)}
-    signs = signs or (1,) * len(index)
+    signs = [s % d for s in signs or (1,) * len(index)]
     rows = []
     for cell in L.cells_of_dim(dim):
         row = [0] * len(index)
         for v in cell.vertices:
             row[index[v]] = signs[index[v]]
-        rows.append(row)
-    return ring.ResidueMatrix(d, tuple(rows))
+        rows.append(tuple(row))
+    return ring._canonical(d, tuple(rows))
 
 
 def from_colex(L, mu_prime: int, d: int) -> ColorCode:
@@ -238,9 +235,14 @@ def codeword(C: ColorCode, x, cap: int = DEFAULT_CAP) -> Codeword:
 def syndrome(C: ColorCode, E: PauliWord):
     """Symplectic phase of every stabilizer generator against E.
 
-    Order: X generators in G0 row order, then Z generators.
+    Order: X generators in G0 row order, then Z generators.  Two exact Z_d
+    products: X row i gives G0_i . z_E and Z row j gives -(Zstab_j . x_E).
     """
-    return tuple(symplectic_phase(g, E) for g in C.stabilizer_words())
+    if E.d != C.d or E.n != C.n:
+        raise ValueError("mismatched qudit count or dimension")
+    x_part = ring.mul_transpose(C.G0, ring.ResidueMatrix(C.d, (E.z_exp,)))
+    z_part = -ring.mul_transpose(C.z_stab, ring.ResidueMatrix(C.d, (E.x_exp,))) % C.d
+    return tuple(x_part[:, 0].tolist() + z_part[:, 0].tolist())
 
 
 def distance(C: ColorCode, sector: str, cap: int = DEFAULT_CAP) -> int:
@@ -294,7 +296,7 @@ def _sector(C: ColorCode, sector: str):
         A = C.encoding()
         if ring.span_size(A) != C.d ** C.k * ring.span_size(C.G0):
             raise ValueError("a logical label x != 0 has x.G1 in span(G0)")
-        labels = itertools.islice(itertools.product(range(C.d), repeat=C.k), 1, None)
+        labels = itertools.islice(_product(0, C.d, C.k), 1, None)
         blocks = (block for x in labels
                   for block in ring.span_blocks(C.G0, ring.mat_vec_mul(C.G1, x).entries))
         return A, C.G0, ring.span_size(C.G0) * (C.d ** C.k - 1), blocks
@@ -379,9 +381,16 @@ def _weight_batches(n: int, d: int, w: int):
             yield S.reshape(-1, w), P.reshape(per, w)
     dtype = ring.exact_dtype(d - 1)
     for support in supports:
-        patterns = itertools.product(range(1, d), repeat=w)
+        patterns = _product(1, d, w)
         while chunk := list(itertools.islice(patterns, ring.BLOCK_ROWS)):
             yield np.array([support], dtype=np.intp), np.array(chunk, dtype=dtype)
+
+
+def _product(lo: int, hi: int, w: int):
+    """itertools.product(range(lo, hi), repeat=w) in its order, counted
+    instead of holding range(lo, hi) in memory (d may be huge)."""
+    b = hi - lo
+    return (tuple(lo + i // b**j % b for j in reversed(range(w))) for i in range(b**w))
 
 
 def code_to_json(C: ColorCode) -> dict:

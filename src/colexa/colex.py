@@ -15,6 +15,7 @@ import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
+from .code import from_colex
 from .reports import ValidationReport, check_shape
 
 
@@ -45,11 +46,11 @@ class Lattice:
         return [c for c in self.cells if c.dim == k]
 
     def adjacency(self) -> dict:
-        """Vertex adjacency from the 1-cells."""
+        """Vertex adjacency from the 1-cells of two vertices."""
         adj = defaultdict(set)
         for c in self.cells:
-            if c.dim == 1:
-                u, v = sorted(c.vertices)
+            if c.dim == 1 and len(c.vertices) == 2:
+                u, v = c.vertices
                 adj[u].add(v)
                 adj[v].add(u)
         return adj
@@ -82,13 +83,14 @@ def validate_colex(L: Lattice) -> ValidationReport:
     rep = ValidationReport()
     vset = set(L.vertex_ids)
 
-    bad_dims = [c for c in L.cells if not (1 <= c.dim <= L.mu)]
-    bad_verts = [c for c in L.cells if not c.vertices or not c.vertices <= vset]
-    bad_edges = [c for c in L.cells if c.dim == 1 and len(c.vertices) != 2]
+    bad = [c for c in L.cells
+           if not (1 <= c.dim <= L.mu) or not c.vertices or not c.vertices <= vset
+           or (c.dim == 1 and len(c.vertices) != 2)]
     rep.add(
         "cell-sanity",
-        not bad_dims and not bad_verts and not bad_edges,
+        not bad,
         "cell dims in [1,mu], nonempty vertex sets, 1-cells of size 2",
+        witness=[{"dim": c.dim, "vertices": sorted(c.vertices)} for c in bad[:3]] or None,
     )
 
     adj = L.adjacency()
@@ -271,16 +273,14 @@ def _self_verify(L: Lattice) -> Lattice:
     return L
 
 
-def build_tetrahedral(d: int):
-    """The 15-vertex punctured 3-colex and its color code.
+def tetrahedral_lattice() -> Lattice:
+    """The 15-vertex punctured 3-colex.
 
     Vertices are the nonzero 4-bit strings; the complex is the boundary of
     the 4-cube with the 0000 vertex punctured out.  k-cells fix 4-k bits to a
     pattern that is not all-zero: 4 cubic 3-cells C_i = {bit i set}, 18
     square 2-cells, 28 edges.  Star flag = even popcount.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
     verts = tuple(range(1, 16))
     cells = []
     for i in range(4):
@@ -310,23 +310,24 @@ def build_tetrahedral(d: int):
     L = _self_verify(Lattice(3, True, verts, {v: None for v in verts}, tuple(cells)))
     for v in verts:
         assert L.star[v] == (bin(v).count("1") % 2 == 0), "popcount star rule"
+    return L
 
-    from .code import from_colex
 
+def build_tetrahedral(d: int):
+    """The tetrahedral lattice and its color code over Z_d."""
+    L = tetrahedral_lattice()
     return L, from_colex(L, mu_prime=3, d=d)
 
 
-def build_triangle_2d(d: int, distance: int):
-    """Triangular patch of the hexagonal 6.6.6 2-colex and its color code.
+def triangle_lattice(distance: int) -> Lattice:
+    """Triangular patch of the hexagonal 6.6.6 2-colex.
 
     Built from the dual picture: plaquette centers live on a triangular wedge
     of the integer lattice and qubits are the unit triangles of that wedge
     plus boundary faces; corners sit in a single plaquette each, so every
     side of the patch holds an odd number of qudits and the nominal distance
-    is `distance`.
+    is `distance`.  No step is quadratic in the number of qudits.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
     if distance < 3 or distance % 2 == 0:
         raise ValueError("distance must be an odd integer >= 3")
     k = (distance - 1) // 2
@@ -340,16 +341,16 @@ def build_triangle_2d(d: int, distance: int):
     cset = set(centers)
     assert len(centers) == 3 * k * (k + 1) // 2
 
-    # qudits interior to the patch: unit up/down triangles of the wedge
+    # qudits interior to the patch: unit up/down triangles of the wedge, by
+    # lower-left anchor: a center (up) or the point left of one (down)
     tris = []
-    for a in range(lo - 1, hi):
-        for b in range(lo - 1, hi):
-            up = [(a, b), (a + 1, b), (a, b + 1)]
-            down = [(a + 1, b), (a, b + 1), (a + 1, b + 1)]
-            if all(p in cset for p in up):
-                tris.append(tuple(up))
-            if all(p in cset for p in down):
-                tris.append(tuple(down))
+    for a, b in sorted(cset | {(a - 1, b) for a, b in cset}):
+        up = [(a, b), (a + 1, b), (a, b + 1)]
+        down = [(a + 1, b), (a, b + 1), (a + 1, b + 1)]
+        if all(p in cset for p in up):
+            tris.append(tuple(up))
+        if all(p in cset for p in down):
+            tris.append(tuple(down))
 
     tri_count = defaultdict(int)
     edge_count = defaultdict(int)
@@ -393,23 +394,27 @@ def build_triangle_2d(d: int, distance: int):
             frozenset([walk[tip_idx[(side + 1) % 3]], ("S", side), ("S", (side + 1) % 3)])
         )
 
-    # re-key qudits by contiguous integer id, sorted for determinism
+    # re-key qudits by contiguous integer id, sorted for determinism; a
+    # plaquette holds the faces on its center, and two faces (all of three
+    # elements) share a 1-cell iff they share a pair of elements
     faces = sorted(faces, key=lambda f: sorted(map(str, f)))
-    fid = {f: i for i, f in enumerate(faces)}
+    members = defaultdict(list)
+    shared = defaultdict(list)
+    for i, f in enumerate(faces):
+        for p in f:
+            members[p].append(i)
+        for pair in itertools.combinations(f, 2):
+            shared[frozenset(pair)].append(i)
+    edges = sorted(e for ids in shared.values() for e in itertools.combinations(ids, 2))
     verts = tuple(range(len(faces)))
+    cells = [Cell(2, frozenset(members[p]), color=(p[0] - p[1]) % 3) for p in sorted(cset)]
+    cells += [Cell(1, frozenset(e)) for e in edges]
+    return _self_verify(Lattice(2, True, verts, {v: None for v in verts}, tuple(cells)))
 
-    cells = []
-    for p in sorted(cset):
-        members = frozenset(fid[f] for f in faces if p in f)
-        cells.append(Cell(2, members, color=(p[0] - p[1]) % 3))
-    for fa, fb in itertools.combinations(faces, 2):
-        if len(fa & fb) == 2:
-            cells.append(Cell(1, frozenset((fid[fa], fid[fb]))))
 
-    L = _self_verify(Lattice(2, True, verts, {v: None for v in verts}, tuple(cells)))
-
-    from .code import from_colex
-
+def build_triangle_2d(d: int, distance: int):
+    """The triangle lattice of an odd distance and its color code over Z_d."""
+    L = triangle_lattice(distance)
     return L, from_colex(L, mu_prime=2, d=d)
 
 

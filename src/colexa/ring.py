@@ -24,10 +24,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 
-def _as_int_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [[int(e) for e in row] for row in rows]
-
-
 @dataclass(frozen=True)
 class ResidueVector:
     """A vector with entries in Z_N, stored as canonical representatives."""
@@ -75,16 +71,27 @@ class ResidueMatrix:
         return len(self.rows[0]) if self.rows else 0
 
     def transpose(self) -> "ResidueMatrix":
-        return ResidueMatrix(self.modulus, tuple(zip(*self.rows)) if self.rows else ())
+        return _canonical(self.modulus, tuple(zip(*self.rows)))
 
     def _factor(self):
         """(U, V, diag) of smith_normal_form(self.rows), computed on first use."""
         f = self.__dict__.get("_snf")
         if f is None:
-            U, _S, V, diag = smith_normal_form(self.rows)
+            U, _S, V, diag = smith_normal_form(_IntRows(self.rows))
             f = (U, V, diag)
             object.__setattr__(self, "_snf", f)
         return f
+
+
+def _canonical(N: int, rows: tuple) -> ResidueMatrix:
+    """ResidueMatrix(N, rows) for rows already canonical, taken as they are."""
+    M = object.__new__(ResidueMatrix)
+    M.__dict__.update(modulus=N, rows=rows)
+    return M
+
+
+class _IntRows(tuple):
+    """Rows of Python ints (ResidueMatrix rows): copied without int() each."""
 
 
 def mat_vec_mul(M: ResidueMatrix, v: Sequence[int]) -> ResidueVector:
@@ -110,9 +117,9 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
     """Integer Smith normal form with transforms: returns (U, S, V, diag).
 
     U and V are unimodular integer matrices with U @ A @ V == S, where S is
-    diagonal with divisibility d1 | d2 | ... .  All arithmetic is exact over
-    Python ints.  diag is the list of diagonal entries of S (length
-    min(nrows, ncols)).
+    diagonal with divisibility d1 | d2 | ... .  A is copied as Python ints,
+    never changed, and all arithmetic is exact.  diag is the list of
+    diagonal entries of S (length min(nrows, ncols)).
 
     Two steps skip work that cannot change the result.  The scan that makes
     d_t divide every remaining entry runs only when |d_t| > 1: every integer
@@ -121,7 +128,7 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
     S and V that are nonzero in column t; column t itself does not change
     while row t is cleared, so that row list is built once per step.
     """
-    S = _as_int_rows(A)
+    S = [list(row) if type(A) is _IntRows else [int(e) for e in row] for row in A]
     m = len(S)
     n = len(S[0]) if S else 0
     U = [[int(i == j) for j in range(m)] for i in range(m)]

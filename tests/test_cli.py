@@ -1,15 +1,20 @@
 """cli: subcommand behavior, exit codes, round trips, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
 import shlex
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from colexa import cli
+from colexa import cli, colex
+from colexa import code as code_mod
 from colexa.cli import main
 
 
@@ -178,6 +183,24 @@ def test_malformed_lattice_inside_exits_2(tmp_path, capsys, lattice):
     assert_one_line_usage_error(capsys, ["lattice", "check", "--lattice", str(path)])
 
 
+@pytest.mark.parametrize("bad", [
+    [(1, [1])], [(1, [1, 2, 4])],
+    # three vertices, one of them not in the lattice: one witness entry
+    [(1, [1, 2, 99])],
+    # witnesses keep cell order, whichever rule each cell breaks
+    [(1, [1, 2, 99]), (9, [1, 2]), (1, [3])],
+])
+def test_one_cell_of_wrong_size_exits_1(tmp_path, capsys, bad):
+    _, obj = run(capsys, "lattice", "build", "--lattice", "tetra")
+    obj["cells"] += [{"dim": dim, "color": None, "vertices": vs} for dim, vs in bad]
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps(obj))
+    code, obj = run(capsys, "lattice", "check", "--lattice", str(path))
+    sanity = next(c for c in obj["validate"]["checks"] if c["name"] == "cell-sanity")
+    assert code == 1 and not obj["ok"] and not sanity["ok"]
+    assert sanity["witness"] == [{"dim": dim, "vertices": vs} for dim, vs in bad]
+
+
 @pytest.mark.parametrize("edit", ["short G0 row", "two G1 rows", "string entry", "n = 0"])
 def test_malformed_code_inside_exits_2(tmp_path, capsys, edit):
     code, obj = run(capsys, "code", "build", "--code", "tetra", "--d", "3")
@@ -194,6 +217,13 @@ def test_malformed_code_inside_exits_2(tmp_path, capsys, edit):
     path.write_text(json.dumps(obj))
     for argv in (["code", "check"], ["code", "distance"], ["morth", "check", "--m", "2"]):
         assert_one_line_usage_error(capsys, argv + ["--code", str(path)])
+
+
+@pytest.mark.parametrize("d", [2**62, 2**64])
+def test_distance_at_huge_d_exits_2(capsys, d):
+    # the labels and weight patterns over Z_d are counted, never held in memory
+    assert_one_line_usage_error(
+        capsys, ["code", "distance", "--code", "tetra", "--d", str(d), "--cap", "10000"])
 
 
 def test_morth_check_respects_cap(capsys):
@@ -265,3 +295,86 @@ def test_import_does_not_build_the_parser():
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def json_paths(obj, path=()):
+    """The path of every node below the top of a JSON value."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from json_paths(value, path + (key,))
+
+
+def lookup(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+ODD_VALUES = st.one_of(st.integers(-3, 20), st.integers(2**62, 2**64), st.booleans(),
+                       st.none(), st.floats(allow_nan=False), st.text(max_size=3),
+                       st.lists(st.integers(-1, 3), max_size=3), st.just({}))
+
+
+@st.composite
+def mutated(draw, obj):
+    """obj after one to three mutations: a cell or row dropped, duplicated or
+    resized, an entry of another type or value, or another d or mu."""
+    obj = json.loads(json.dumps(obj))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "duplicate", "resize", "replace", "d or mu"]))
+        if kind == "d or mu":
+            key = "d" if "d" in obj else "mu"
+            obj[key] = draw(st.integers(-1, 9) | st.sampled_from([2**31 - 1, 2**64]))
+            continue
+        paths = list(json_paths(obj))
+        if kind == "resize":
+            paths = [p for p in paths if isinstance(lookup(obj, p), list)]
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        parent, key = lookup(obj, path[:-1]), path[-1]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "duplicate" and isinstance(parent, list):
+            parent.insert(key, json.loads(json.dumps(parent[key])))
+        elif kind == "resize":
+            items = parent[key]
+            size = draw(st.integers(0, len(items) + 2))
+            filler = items[-1] if items else 0
+            parent[key] = (items + [filler] * size)[:size]
+        elif kind == "replace":
+            parent[key] = draw(ODD_VALUES)
+    return obj
+
+
+FUZZ_LATTICE = colex.lattice_to_json(colex.tetrahedral_lattice())
+FUZZ_CODE = code_mod.code_to_json(colex.build_tetrahedral(3)[1])
+FUZZ_COMMANDS = [
+    ["lattice", "check", "--lattice"],
+    ["code", "check", "--code"],
+    ["code", "distance", "--code"],
+    ["code", "syndrome", "--error", "X^2@1,Z@3", "--code"],
+    ["code", "codeword", "--x", "1", "--code"],
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice=mutated(FUZZ_LATTICE), code=mutated(FUZZ_CODE))
+def test_mutated_json_ends_in_an_exit_code(lattice, code):
+    """Every mutated input ends in exit 0, 1 or 2 with no traceback, and
+    stdout is JSON unless the exit is 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, obj in (("lattice", lattice), ("code", code)):
+            paths[name] = pathlib.Path(tmp, name + ".json")
+            paths[name].write_text(json.dumps(obj))
+        for argv in FUZZ_COMMANDS:
+            path = paths["lattice" if argv[0] == "lattice" else "code"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main(argv + [str(path), "--cap", "10000"])
+            assert status in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if status != 2:
+                json.loads(out.getvalue())

@@ -312,3 +312,58 @@ def test_distance_cap_exceeded_only_when_both_methods_exceed(tetra3):
     with pytest.raises(code_mod.CapExceeded):
         code_mod._enumerate_distance(C, "z", cap=177146)
     assert code_mod._enumerate_distance(C, "z", cap=177147) == 3
+
+
+def word_loop_syndrome(C, E):
+    """The syndrome as it was before it became two products: the phase of
+    every stabilizer word against E, X words first."""
+    return tuple(symplectic_phase(g, E) for g in C.stabilizer_words())
+
+
+def json_code(d, G0, Zstab):
+    """A tetra-sized code from JSON with the given generator rows."""
+    n = 15
+    return code_mod.code_from_json({"d": d, "n": n, "stars": [1] * n, "G0": G0,
+                                    "G1": [[1] * n], "Zstab": Zstab})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # 2^31 - 1 takes the Python-int product path: n * (d-1)^2 >= 2^63
+    d=st.sampled_from([2, 3, 4, 6, 8, 12, 2**31 - 1]),
+    family=st.sampled_from(["tetra", "triangle", "no G0", "no Zstab"]),
+    data=st.data(),
+)
+def test_syndrome_products_match_word_loop(d, family, data):
+    if family == "tetra":
+        _, C = colex.build_tetrahedral(d)
+    elif family == "triangle":
+        _, C = colex.build_triangle_2d(d, 5)
+    else:
+        _, T = colex.build_tetrahedral(2)
+        G0 = [] if family == "no G0" else [list(r) for r in T.G0.rows]
+        Zstab = [] if family == "no Zstab" else [list(r) for r in T.z_stab.rows]
+        C = json_code(d, G0, Zstab)
+    exps = st.lists(st.integers(-d, 2 * d), min_size=C.n, max_size=C.n)
+    E = PauliWord(d, tuple(data.draw(exps)), tuple(data.draw(exps)))
+    syn = code_mod.syndrome(C, E)
+    assert syn == word_loop_syndrome(C, E)
+    assert len(syn) == C.G0.nrows + C.z_stab.nrows
+    assert all(type(s) is int for s in syn)
+
+
+def test_syndrome_rejects_mismatched_word(tetra3):
+    _, C = tetra3
+    for E in (PauliWord.single(3, 14, 0, "Z"), PauliWord.single(5, 15, 0, "Z")):
+        with pytest.raises(ValueError):
+            code_mod.syndrome(C, E)
+
+
+@pytest.mark.parametrize("lo,hi,w", [(0, 2, 0), (0, 3, 1), (1, 4, 3), (0, 6, 2), (1, 2, 4)])
+def test_product_matches_itertools(lo, hi, w):
+    assert list(code_mod._product(lo, hi, w)) == list(itertools.product(range(lo, hi), repeat=w))
+
+
+def test_product_at_huge_range_is_counted():
+    d = 2**64
+    assert list(itertools.islice(code_mod._product(1, d, 2), 3)) == [(1, 1), (1, 2), (1, 3)]

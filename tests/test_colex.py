@@ -2,11 +2,13 @@
 
 import dataclasses
 import itertools
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colexa import colex
+from colexa import code, colex, ring
+from colexa.colex import Cell, Lattice, _self_verify
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +198,127 @@ def test_coloring_audit_matches_pair_scan(distance, data):
     assert check.witness == (expected[:3] or None)
     assert check.ok == (not expected and all(c.color is not None
                                              for c in bad.cells_of_dim(bad.mu)))
+
+
+def test_one_cell_of_wrong_size_is_reported_not_raised(tetra):
+    L, _ = tetra
+    for vertices in ((1,), (1, 2, 4)):
+        cells = L.cells + (colex.Cell(1, frozenset(vertices)),)
+        rep = colex.validate_colex(dataclasses.replace(L, cells=cells))
+        sanity = next(c for c in rep.checks if c.name == "cell-sanity")
+        assert not sanity.ok
+        assert sanity.witness == [{"dim": 1, "vertices": list(vertices)}]
+
+
+def seed_triangle_lattice(distance):
+    """build_triangle_2d as it was when it scanned every face per plaquette
+    and every pair of faces for edges, verbatim up to its lattice; its code
+    came from from_colex(L, mu_prime=2, d=d)."""
+    k = (distance - 1) // 2
+    lo, hi = -(k + 6), 3 * k + 6
+    centers = [
+        (a, b)
+        for a in range(lo, hi)
+        for b in range(lo, hi)
+        if a + 2 * b >= 0 and a - b >= -4 and 2 * a + b <= 3 * k - 4
+    ]
+    cset = set(centers)
+    assert len(centers) == 3 * k * (k + 1) // 2
+
+    # qudits interior to the patch: unit up/down triangles of the wedge
+    tris = []
+    for a in range(lo - 1, hi):
+        for b in range(lo - 1, hi):
+            up = [(a, b), (a + 1, b), (a, b + 1)]
+            down = [(a + 1, b), (a, b + 1), (a + 1, b + 1)]
+            if all(p in cset for p in up):
+                tris.append(tuple(up))
+            if all(p in cset for p in down):
+                tris.append(tuple(down))
+
+    tri_count = defaultdict(int)
+    edge_count = defaultdict(int)
+    for t in tris:
+        for p in t:
+            tri_count[p] += 1
+        for e in itertools.combinations(sorted(t), 2):
+            edge_count[e] += 1
+
+    # walk the boundary cycle of the wedge to place side and corner qudits
+    boundary = defaultdict(list)
+    for (u, v), cnt in edge_count.items():
+        if cnt == 1:
+            boundary[u].append(v)
+            boundary[v].append(u)
+    assert all(len(nbrs) == 2 for nbrs in boundary.values())
+    start = min(boundary)
+    walk, prev = [start], None
+    while True:
+        nxt = [w for w in boundary[walk[-1]] if w != prev][0]
+        prev = walk[-1]
+        walk.append(nxt)
+        if nxt == start:
+            break
+    walk = walk[:-1]
+    assert len(walk) == len(boundary)
+
+    tips = [p for p in walk if tri_count[p] == 1]
+    assert len(tips) == 3
+    tip_idx = [i for i, p in enumerate(walk) if p in tips]
+
+    faces = [frozenset(t) for t in tris]
+    m = len(walk)
+    for side in range(3):
+        i = tip_idx[side]
+        while i != tip_idx[(side + 1) % 3]:
+            faces.append(frozenset([walk[i], walk[(i + 1) % m], ("S", side)]))
+            i = (i + 1) % m
+    for side in range(3):
+        faces.append(
+            frozenset([walk[tip_idx[(side + 1) % 3]], ("S", side), ("S", (side + 1) % 3)])
+        )
+
+    # re-key qudits by contiguous integer id, sorted for determinism
+    faces = sorted(faces, key=lambda f: sorted(map(str, f)))
+    fid = {f: i for i, f in enumerate(faces)}
+    verts = tuple(range(len(faces)))
+
+    cells = []
+    for p in sorted(cset):
+        members = frozenset(fid[f] for f in faces if p in f)
+        cells.append(Cell(2, members, color=(p[0] - p[1]) % 3))
+    for fa, fb in itertools.combinations(faces, 2):
+        if len(fa & fb) == 2:
+            cells.append(Cell(1, frozenset((fid[fa], fid[fb]))))
+
+    return _self_verify(Lattice(2, True, verts, {v: None for v in verts}, tuple(cells)))
+
+
+@pytest.mark.parametrize("distance", [*range(3, 27, 2), 35])
+def test_triangle_lattice_matches_pair_scan_builder(distance):
+    L = colex.triangle_lattice(distance)
+    assert colex.lattice_to_json(L) == colex.lattice_to_json(seed_triangle_lattice(distance))
+
+
+def assert_canonical(M):
+    assert all(type(e) is int for row in M.rows for e in row)
+    assert M.rows == ring.ResidueMatrix(M.modulus, M.rows).rows
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+@pytest.mark.parametrize("distance", [3, 5, 7, 9, 13, 25])
+def test_triangle_code_matches_pair_scan_builder(d, distance):
+    L, C = colex.build_triangle_2d(d, distance)
+    seed = code.from_colex(seed_triangle_lattice(distance), mu_prime=2, d=d)
+    assert code.code_to_json(C) == code.code_to_json(seed)
+    assert colex.lattice_to_json(L) == colex.lattice_to_json(colex.triangle_lattice(distance))
+    for M in (C.G0, C.G1, C.z_stab, C.encoding(), C.G0.transpose(), C.z_stab.transpose()):
+        assert_canonical(M)
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_tetrahedral_code_rows_are_canonical(d):
+    L, C = colex.build_tetrahedral(d)
+    assert colex.lattice_to_json(L) == colex.lattice_to_json(colex.tetrahedral_lattice())
+    for M in (C.G0, C.G1, C.z_stab, C.encoding(), C.G0.transpose(), C.z_stab.transpose()):
+        assert_canonical(M)

@@ -3,7 +3,7 @@ paths make a handful of Smith normal forms, not one per question."""
 
 import pytest
 
-from colexa import code, colex, gauge, ring
+from colexa import cli, code, colex, gauge, ring
 
 
 @pytest.fixture
@@ -58,3 +58,19 @@ def test_code_check_factors_encoding_once(snf_calls):
     assert code.verify_code(C).ok
     stacked = [A for A in snf_calls if len(A) == C.G0.nrows + 1]
     assert stacked == [C.G1.rows + C.G0.rows]
+
+
+@pytest.mark.parametrize("action", ["build", "check"])
+@pytest.mark.parametrize("lattice", [["tetra"], ["triangle", "--distance", "7"]])
+def test_lattice_commands_factor_nothing(snf_calls, capsys, action, lattice):
+    # a lattice command builds no code, so it runs no injectivity check
+    assert cli.main(["lattice", action, "--lattice", *lattice]) == 0
+    assert snf_calls == []
+
+
+def test_syndrome_factors_only_the_encoding(snf_calls, capsys):
+    # from_colex's injectivity check; the syndrome itself is two products
+    argv = ["code", "syndrome", "--code", "triangle", "--d", "6", "--distance", "11",
+            "--error", "X^2@3,Z@40"]
+    assert cli.main(argv) == 0
+    assert len(snf_calls) == 1

@@ -120,6 +120,21 @@ def test_smith_normal_form_transforms(m, n, bound, scale, data):
     assert abs(bareiss_det(U)) == 1 and abs(bareiss_det(V)) == 1
 
 
+def test_smith_normal_form_takes_numpy_entries_exactly():
+    # int64 products of these entries overflow; the SNF must not
+    A = np.array([[3 * 2**40, 2**41 + 1], [2**41 - 1, 5 * 2**39]], dtype=np.int64)
+    U, S, V, diag = ring.smith_normal_form(A)
+    assert (U, S, V, diag) == ring.smith_normal_form(A.tolist())
+    assert all(type(e) is int for M in (U, S, V) for row in M for e in row)
+    assert matmul(matmul(U, A.tolist()), V) == S
+
+
+def test_int_rows_copy_gives_the_same_factorization():
+    C = colex.build_triangle_2d(6, 7)[1]
+    rows = C.encoding().rows
+    assert ring.smith_normal_form(ring._IntRows(rows)) == ring.smith_normal_form(rows)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     N=st.sampled_from([2, 3, 4, 5, 6, 9]),
