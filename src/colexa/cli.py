@@ -56,6 +56,14 @@ def check_args(args) -> None:
         raise ValueError(f"the cap must be >= 0, got {args.cap}")
     if getattr(args, "d", 2) < 2:
         raise ValueError(f"--d must be >= 2, got {args.d}")
+    if getattr(args, "l_cap", 1) < 1:
+        raise ValueError(f"--l-cap must be >= 1, got {args.l_cap}")
+
+
+def charge(work: int, cap: int, what: str) -> None:
+    """Refuse, before anything is built, work beyond the cap."""
+    if work > cap:
+        raise code_mod.CapExceeded(f"{what}: {work} > cap {cap}")
 
 
 @functools.cache
@@ -301,6 +309,8 @@ def cmd_morth_check(args):
 
 
 def cmd_gate_level(args):
+    # the gate's table and up to l_cap difference tables, d entries each
+    charge((args.l_cap + 1) * args.d, args.cap, "gate level table entries")
     g = gatecalc.build_gate(args.gate, args.d)
     verdict = gatecalc.hierarchy_level(g, args.l_cap)
     return PASS, {"gate": args.gate, "d": args.d, "N": g.N} | verdict.to_dict()
@@ -311,6 +321,7 @@ def cmd_gate_verify(args):
     if args.gate == "CX":
         rep = gatecalc.verify_transversal_CX(C, cap=args.cap)
     else:
+        charge(args.d * ring.span_size(C.G0), args.cap, "transversal check evaluations")
         g = gatecalc.build_gate(args.gate, args.d)
         rep = gatecalc.verify_transversal_phase(C, g, cap=args.cap)
     return (PASS if rep.passed else FAIL), rep.to_dict()
@@ -325,8 +336,8 @@ def cmd_gauge_check(args):
     h_rep = gauge.verify_H_logical(G)
     neg = gauge.verify_H_stabilizer_code(C)
     payload = {
-        "gauge_generators": len(G.gauge_gens()),
-        "stabilizer_generators": len(G.stab_gens()),
+        "gauge_generators": G.gauge_group.nrows,
+        "stabilizer_generators": G.stabilizer_group.nrows,
         "center_equals_stabilizer": center_rep.to_dict(),
         "transversal_H": h_rep.to_dict(),
         "negative_control_global_H_fails": not neg.ok,

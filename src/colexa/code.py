@@ -301,7 +301,8 @@ def _sector(C: ColorCode, sector: str):
                   for block in ring.span_blocks(C.G0, ring.mat_vec_mul(C.G1, x).entries))
         return A, C.G0, ring.span_size(C.G0) * (C.d ** C.k - 1), blocks
     if sector.lower() == "z":
-        A = ring.kernel_mod(C.G0.transpose())
+        # a G0 with no rows keeps no column count; its transpose is n x 0
+        A = ring.kernel_mod(C.G0.transpose() if C.G0.rows else ring._canonical(C.d, ((),) * C.n))
         if not A.rows:
             raise ValueError("commutant contains no logical; k = 0?")
         return A, C.z_stab, ring.span_size(A), ring.span_blocks(A)

@@ -1,17 +1,19 @@
 """Gauge color codes, the star-conjugate Hadamard, and gauge fixing.
 
 The gauge group is generated by X- and Z-type face operators; its center must
-reproduce the cell stabilizers.  Group-level checks (span membership of
-symplectic exponent vectors) work for every d.  State-level gauge fixing is
-simulated with a stabilizer tableau over prime d: phase exponents live mod d
-for odd primes and mod 4 for d=2, and all updates are exact integer
-arithmetic.
+reproduce the cell stabilizers.  Every group is a matrix of (x | z) exponent
+rows mod d: commutation is one symplectic product of two such matrices and
+span membership one product with a span check, so the group-level checks
+work for every d.  State-level gauge fixing is simulated with a stabilizer
+tableau over prime d: phase exponents live mod d for odd primes and mod 4 for
+d=2, and every update is a closed-form exact integer product.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +23,48 @@ from . import ring
 from .code import ColorCode, PauliWord, cell_rows, symplectic_phase  # noqa: F401
 from .colex import Lattice
 from .reports import ValidationReport
+
+
+def _symplectic(A: np.ndarray, B: np.ndarray, d: int) -> np.ndarray:
+    """Entry [i, j] is the c with A_i B_j = omega^c B_j A_i, for rows of
+    (x | z) exponents: x_i . z_j - z_i . x_j mod d.  The dtype must hold
+    n (d-1)^2."""
+    n = A.shape[1] // 2
+    return (A[:, :n] @ B[:, n:].T - A[:, n:] @ B[:, :n].T) % d
+
+
+def _hadamard(xz: np.ndarray, star_signs):
+    """The star-conjugate transversal Hadamard on rows of (x | z) exponents:
+    x' = -sigma z and z' = sigma x, so unstarred qudits map (x, z) -> (-z, x)
+    and starred ones (x, z) -> (z, -x).  Returns the unreduced exponents and
+    each row's omega-power sum(x * z), which makes the map a homomorphism
+    modulo global phase."""
+    n = xz.shape[1] // 2
+    if len(star_signs) != n:
+        raise ValueError("star sign length mismatch")
+    x, z, s = xz[:, :n], xz[:, n:], np.array(star_signs)
+    return np.hstack([-s * z, s * x]), (x * z).sum(axis=1)
+
+
+def _array(M: ring.ResidueMatrix) -> np.ndarray:
+    """M's rows as an exact integer array, in a dtype that holds the product
+    of a row with any canonical vector."""
+    dtype = ring.exact_dtype(M.ncols * (M.modulus - 1) ** 2)
+    return np.array(M.rows, dtype=dtype).reshape(M.nrows, M.ncols)
+
+
+def _css(X: ring.ResidueMatrix, Z: ring.ResidueMatrix, n: int) -> ring.ResidueMatrix:
+    """(x | z) exponent rows: the rows of X as X type, then those of Z as Z type."""
+    zero = (0,) * n
+    return ring._canonical(X.modulus, tuple(r + zero for r in X.rows)
+                           + tuple(zero + r for r in Z.rows))
+
+
+def _outside(M: ring.ResidueMatrix, rows: np.ndarray) -> list:
+    """Indices of the canonical rows that are not in rowspan(M), from one
+    product with M's span check."""
+    H, g = ring.span_check(M, rows.shape[1])
+    return np.flatnonzero(((rows.astype(H.dtype) @ H) % g).any(axis=1)).tolist()
 
 
 @dataclass(frozen=True)
@@ -35,16 +79,15 @@ class GaugeCode:
     cell_x: ring.ResidueMatrix  # X stabilizer exponents, one row per mu-cell
     cell_z: ring.ResidueMatrix  # sigma-signed Z stabilizer exponents
 
-    def gauge_gens(self) -> list:
-        """All gauge generators: X faces first, then Z faces."""
-        return [PauliWord.x_word(self.d, r) for r in self.face_x.rows] + [
-            PauliWord.z_word(self.d, r) for r in self.face_z.rows
-        ]
+    @cached_property
+    def gauge_group(self) -> ring.ResidueMatrix:
+        """The gauge generators as (x | z) rows: X faces first, then Z faces."""
+        return _css(self.face_x, self.face_z, self.n)
 
-    def stab_gens(self) -> list:
-        return [PauliWord.x_word(self.d, r) for r in self.cell_x.rows] + [
-            PauliWord.z_word(self.d, r) for r in self.cell_z.rows
-        ]
+    @cached_property
+    def stabilizer_group(self) -> ring.ResidueMatrix:
+        """The stabilizer generators as (x | z) rows: X cells, then Z cells."""
+        return _css(self.cell_x, self.cell_z, self.n)
 
     def bare_logical_x(self) -> PauliWord:
         return PauliWord.x_word(self.d, (1,) * self.n)
@@ -67,50 +110,31 @@ def build_gauge_code(L: Lattice, d: int) -> GaugeCode:
         cell_x=cell_rows(L, L.mu, d),
         cell_z=cell_rows(L, L.mu, d, sigma),
     )
-    if _phase_matrix(G.stab_gens(), G.gauge_gens(), d).any():
+    if _symplectic(_array(G.stabilizer_group), _array(G.gauge_group), d).any():
         raise AssertionError("stabilizer fails to commute with gauge group")
     return G
-
-
-def _symplectic_rows(words, d: int) -> ring.ResidueMatrix:
-    return ring.ResidueMatrix(d, tuple(w.x_exp + w.z_exp for w in words))
-
-
-def _phase_matrix(A: list, B: list, d: int) -> np.ndarray:
-    """Entry [i, j] is symplectic_phase(A[i], B[j]), as one Z_d product:
-    (x_a | z_a) . (z_b | -x_b) = x_a . z_b - x_b . z_a."""
-    twisted = ring.ResidueMatrix(
-        d, tuple(w.z_exp + tuple(-e for e in w.x_exp) for w in B)
-    )
-    return ring.mul_transpose(_symplectic_rows(A, d), twisted)
 
 
 def center_equals_stabilizer(G: GaugeCode):
     """(verdict, report): is the gauge-group center the cell stabilizer?
 
     The center modulo phases is the kernel of the symplectic Gram matrix of
-    the gauge generators; equality is checked as mutual span membership of
-    exponent vectors plus stabilizer membership in the gauge group.
+    the gauge generators, applied to them; equality is checked as span
+    membership both ways, one span-check product per direction, plus the
+    stabilizer commuting with every gauge generator.
     """
     rep = ValidationReport()
-    gens = G.gauge_gens()
-    gram = ring.ResidueMatrix(G.d, _phase_matrix(gens, gens, G.d).tolist())
-    combos = ring.kernel_mod(gram)
-    gen_mat = _symplectic_rows(gens, G.d)
-    center = ring.ResidueMatrix(
-        G.d,
-        tuple(ring.mat_vec_mul(gen_mat, v).entries for v in combos.rows) or ((0,) * (2 * G.n),),
-    )
-    stabs = G.stab_gens()
-    stab_mat = _symplectic_rows(stabs, G.d)
+    gauge, stab = _array(G.gauge_group), _array(G.stabilizer_group)
+    gram = ring._canonical(G.d, tuple(map(tuple, _symplectic(gauge, gauge, G.d).tolist())))
+    center = ring.mul_transpose(ring.kernel_mod(gram), G.gauge_group.transpose())
 
-    missing = [i for i, c in enumerate(center.rows) if not ring.in_rowspan(stab_mat, c)]
+    missing = _outside(G.stabilizer_group, center)
     rep.add("center-in-stabilizer-span", not missing, witness=missing[:3] or None)
 
-    missing = [i for i, s in enumerate(stab_mat.rows) if not ring.in_rowspan(gen_mat, s)]
+    missing = _outside(G.gauge_group, stab)
     rep.add("stabilizer-in-gauge-group", not missing, witness=missing[:3] or None)
 
-    bad = [(int(i), int(j)) for i, j in np.argwhere(_phase_matrix(stabs, gens, G.d))]
+    bad = [(int(i), int(j)) for i, j in np.argwhere(_symplectic(stab, gauge, G.d))]
     rep.add("stabilizer-central", not bad, witness=bad[:3] or None)
     return rep.ok, rep
 
@@ -176,63 +200,32 @@ def class_sums_consistent(face_outcomes: dict, classes, d: int):
 
 
 def transversal_H_action(W: PauliWord, star_signs) -> PauliWord:
-    """Symplectic action of the star-conjugate transversal Hadamard.
+    """The star-conjugate transversal Hadamard acting on one word (see
+    _hadamard); the word's omega-power gains sum(x * z)."""
+    xz, dphi = _hadamard(np.array([W.x_exp + W.z_exp], dtype=object), star_signs)
+    return PauliWord(W.d, tuple(xz[0, :W.n]), tuple(xz[0, W.n:]), W.phase_exp + dphi[0])
 
-    Unstarred qudits: (x, z) -> (-z, x); starred: (x, z) -> (z, -x); the
-    omega-phase picks up x*z per qudit so the map is a homomorphism modulo
-    global phase.
-    """
-    if len(star_signs) != W.n:
-        raise ValueError("star sign length mismatch")
-    xs, zs = [], []
-    dphi = 0
-    for x, z, s in zip(W.x_exp, W.z_exp, star_signs):
-        dphi += x * z
-        if s == 1:
-            xs.append(-z)
-            zs.append(x)
-        else:
-            xs.append(z)
-            zs.append(-x)
-    return PauliWord(W.d, tuple(xs), tuple(zs), W.phase_exp + dphi)
+
+def _preserved(rep: ValidationReport, name: str, M: ring.ResidueMatrix, star_signs) -> None:
+    """Add the check that transversal H maps every row of M into rowspan(M);
+    the witness is the first three rows it maps outside."""
+    bad = _outside(M, _hadamard(_array(M), star_signs)[0] % M.modulus)
+    rep.add(name, not bad, witness=bad[:3] or None)
 
 
 def verify_H_logical(G: GaugeCode) -> ValidationReport:
     """Does the transversal Hadamard normalize gauge and stabilizer groups
     and act as the logical Hadamard modulo gauge?"""
     rep = ValidationReport()
-    gens = G.gauge_gens()
-    gen_mat = _symplectic_rows(gens, G.d)
-    stab_mat = _symplectic_rows(G.stab_gens(), G.d)
+    _preserved(rep, "gauge-group-normalized", G.gauge_group, G.star_signs)
+    _preserved(rep, "stabilizer-group-preserved", G.stabilizer_group, G.star_signs)
 
-    def vec(w: PauliWord):
-        return w.x_exp + w.z_exp
-
-    bad = [
-        i
-        for i, g in enumerate(gens)
-        if not ring.in_rowspan(gen_mat, vec(transversal_H_action(g, G.star_signs)))
-    ]
-    rep.add("gauge-group-normalized", not bad, witness=bad[:3] or None)
-
-    bad = [
-        i
-        for i, s in enumerate(G.stab_gens())
-        if not ring.in_rowspan(stab_mat, vec(transversal_H_action(s, G.star_signs)))
-    ]
-    rep.add("stabilizer-group-preserved", not bad, witness=bad[:3] or None)
-
-    xbar, zbar = G.bare_logical_x(), G.bare_logical_z()
-    hx = transversal_H_action(xbar, G.star_signs)
-    diff = tuple((a - b) % G.d for a, b in zip(vec(hx), vec(zbar)))
-    ok_x = all(e == 0 for e in diff) or ring.in_rowspan(gen_mat, diff)
-    rep.add("logical-X-to-Z", ok_x, "H(Xbar) = Zbar modulo gauge")
-
-    hz = transversal_H_action(zbar, G.star_signs)
-    xinv = tuple((-e) % G.d for e in vec(xbar))
-    diff = tuple((a - b) % G.d for a, b in zip(vec(hz), xinv))
-    ok_z = all(e == 0 for e in diff) or ring.in_rowspan(gen_mat, diff)
-    rep.add("logical-Z-to-X-inverse", ok_z, "H(Zbar) = Xbar^{-1} modulo gauge")
+    bars = _array(ring._canonical(G.d, tuple(
+        w.x_exp + w.z_exp for w in (G.bare_logical_x(), G.bare_logical_z()))))
+    hx, hz = _hadamard(bars, G.star_signs)[0]
+    bad = _outside(G.gauge_group, np.array([hx - bars[1], hz + bars[0]]) % G.d)
+    rep.add("logical-X-to-Z", 0 not in bad, "H(Xbar) = Zbar modulo gauge")
+    rep.add("logical-Z-to-X-inverse", 1 not in bad, "H(Zbar) = Xbar^{-1} modulo gauge")
     return rep
 
 
@@ -243,17 +236,7 @@ def verify_H_stabilizer_code(C: ColorCode) -> ValidationReport:
     stabilizer group, so preservation is expected to FAIL on 3D codes.
     """
     rep = ValidationReport()
-    stabs = C.stabilizer_words()
-    stab_mat = _symplectic_rows(stabs, C.d)
-    bad = [
-        i
-        for i, s in enumerate(stabs)
-        if not ring.in_rowspan(
-            stab_mat,
-            (lambda w: w.x_exp + w.z_exp)(transversal_H_action(s, C.star_signs)),
-        )
-    ]
-    rep.add("stabilizer-group-preserved", not bad, witness=bad[:3] or None)
+    _preserved(rep, "stabilizer-group-preserved", _css(C.G0, C.z_stab, C.n), C.star_signs)
     return rep
 
 
@@ -274,6 +257,7 @@ class Tableau:
     """Full-rank stabilizer tableau for n qudits of prime dimension d.
 
     Phase convention: X Z = omega Z X, so Z^a X^b = omega^{-ab} X^b Z^a.
+    The rows are a phase vector and an array of (x | z) exponents.
     Measurement follows the generalized Gottesman update: a generator that
     omega-noncommutes with the observable becomes the pivot; otherwise the
     outcome is determined by the phase of the matching group element.
@@ -282,44 +266,61 @@ class Tableau:
     def __init__(self, d: int, rows):
         if not _is_prime(d):
             raise ValueError("tableau simulation requires prime d")
+        rows = list(rows)
         self.d = d
         self.D = 4 if d == 2 else d
         self.scale = self.D // d
-        self.rows = [Row(r.phase % self.D, r.x, r.z) for r in rows]
-        self.n = len(self.rows[0].x) if self.rows else 0
+        self.n = len(rows[0].x) if rows else 0
+        # holds every intermediate of _product and _symplectic exactly
+        self._dtype = ring.exact_dtype(4 * (len(rows) + self.n + 1) * d * d)
+        self.phase = np.array([r.phase % self.D for r in rows], dtype=self._dtype)
+        xz = np.array([r.x + r.z for r in rows], dtype=self._dtype)
+        self.xz = xz.reshape(len(rows), 2 * self.n) % d
         self._exp = None  # exponent matrix of rows, kept until an x/z part changes
-        # entry [i, j] is _sp(row_i, row_j): (x_i | z_i) . (z_j | -x_j)
-        twisted = ring.ResidueMatrix(d, tuple(r.z + tuple(-e for e in r.x) for r in self.rows))
-        if ring.mul_transpose(self._exponents(), twisted).any():
+        if _symplectic(self.xz, self.xz, d).any():
             raise ValueError("tableau rows must pairwise commute")
 
-    # -- group arithmetic on rows ------------------------------------------
-    def _sp(self, a, b) -> int:
-        return (
-            sum(ax * bz - bx * az for ax, az, bx, bz in zip(a.x, a.z, b.x, b.z))
-            % self.d
-        )
-
-    def _mul(self, a: Row, b: Row) -> Row:
-        cross = sum(az * bx for az, bx in zip(a.z, b.x))
-        return Row(
-            (a.phase + b.phase - self.scale * cross) % self.D,
-            tuple((ax + bx) % self.d for ax, bx in zip(a.x, b.x)),
-            tuple((az + bz) % self.d for az, bz in zip(a.z, b.z)),
-        )
+    @property
+    def rows(self) -> list:
+        n = self.n
+        return [Row(p, tuple(v[:n]), tuple(v[n:]))
+                for p, v in zip(self.phase.tolist(), self.xz.tolist())]
 
     def _exponents(self) -> ring.ResidueMatrix:
         """The rows' (x | z) exponents; one factorization serves every
         determined measurement until a row's x/z part changes."""
         if self._exp is None:
-            self._exp = ring.ResidueMatrix(self.d, tuple(r.x + r.z for r in self.rows))
+            self._exp = ring._canonical(self.d, tuple(map(tuple, self.xz.tolist())))
         return self._exp
 
-    def _pow(self, a: Row, k: int) -> Row:
-        out = Row(0, (0,) * self.n, (0,) * self.n)
-        for _ in range(k % self.d):
-            out = self._mul(out, a)
-        return out
+    # -- group arithmetic on rows ------------------------------------------
+    def _product(self, C: np.ndarray, phase: np.ndarray, xz: np.ndarray):
+        """(phases, exponents) of prod_j F_j^C[i, j] for every row i of C, the
+        factors F_j = (phase[j], xz[j]) taken in order, C in [0, d).
+
+        Z^a X^b = omega^{-ab} X^b Z^a gives the closed form: the phase is
+        sum_j c_j phi_j - scale (sum_{j<l} c_j c_l z_j.x_l
+        + sum_j C(c_j, 2) z_j.x_j) mod D.  As scale * d = D, the z.x
+        products count only mod d.
+        """
+        d, n = self.d, self.n
+        M = (xz[:, n:] @ xz[:, :n].T) % d  # M[j, l] = z_j . x_l
+        cross = (((C @ np.triu(M, 1)) % d * C).sum(axis=1)
+                 + (C * (C - 1) // 2 % d * M.diagonal()).sum(axis=1))
+        return (C @ phase - self.scale * cross) % self.D, (C @ xz) % d
+
+    def _pivot(self, phase: np.ndarray, xz: np.ndarray, p: int, c: np.ndarray):
+        """Row p becomes row_p^(1/c_p) and every other row i becomes
+        row_i row_p^(-c_i/c_p), in one closed-form product: a linear function
+        of the rows that is c_i on row i becomes 1 on row p and 0 elsewhere.
+        For prime d, (r^a)^b = r^(ab mod d) phase included, so this equals
+        raising the rescaled pivot row to each power."""
+        inv = pow(int(c[p]), -1, self.d)
+        k = -c * inv % self.d
+        k[p] = inv
+        C = np.hstack([np.eye(len(xz), dtype=self._dtype), k[:, None]])
+        C[p, p] = 0
+        return self._product(C, np.append(phase, phase[p]), np.vstack([xz, xz[p]]))
 
     @classmethod
     def zero_logical(cls, C: ColorCode) -> "Tableau":
@@ -328,8 +329,8 @@ class Tableau:
         rows += [Row(0, (0,) * C.n, r) for r in ring.row_basis(C.z_stab).rows]
         rows.append(Row(0, (0,) * C.n, C.z_logical.entries))
         T = cls(C.d, rows)
-        if len(T.rows) != C.n:
-            raise ValueError(f"tableau rank {len(T.rows)} != n {C.n}")
+        if len(rows) != C.n:
+            raise ValueError(f"tableau rank {len(rows)} != n {C.n}")
         if ring.span_size(T._exponents()) != C.d ** C.n:
             raise ValueError("tableau rows are not independent")
         return T
@@ -337,77 +338,61 @@ class Tableau:
     # -- state updates -----------------------------------------------------
     def apply_pauli(self, E: PauliWord) -> None:
         """Conjugate the state by a Pauli error (rows pick up phases only)."""
-        e = Row(0, E.x_exp, E.z_exp)
-        self.rows = [
-            Row((r.phase + self.scale * self._sp(e, r)) % self.D, r.x, r.z)
-            for r in self.rows
-        ]
+        e = np.array([E.x_exp + E.z_exp], dtype=self._dtype)
+        self.phase = (self.phase + self.scale * _symplectic(e, self.xz, self.d)[0]) % self.D
 
     def apply_transversal_H(self, star_signs) -> None:
-        """Conjugate by transversal_H_action; the phase gains sum(x*z) in
-        the tableau's own phase unit."""
-        new = []
-        for r in self.rows:
-            h = transversal_H_action(PauliWord(self.d, r.x, r.z), star_signs)
-            dphi = sum(x * z for x, z in zip(r.x, r.z))
-            new.append(Row((r.phase + self.scale * dphi) % self.D, h.x_exp, h.z_exp))
-        self.rows = new
+        """Conjugate by the transversal Hadamard; each row's phase gains
+        sum(x * z) in the tableau's own phase unit."""
+        xz, dphi = _hadamard(self.xz, star_signs)
+        self.phase = (self.phase + self.scale * dphi) % self.D
+        self.xz = xz % self.d
         self._exp = None
 
     def measure(self, P: PauliWord, rng: random.Random) -> int:
         """Measure the generalized Pauli observable P; returns k with
         eigenvalue omega^k.  Deterministic when P commutes with all rows."""
-        obs = Row(0, P.x_exp, P.z_exp)
-        coeffs = [self._sp(obs, r) for r in self.rows]
-        pivot = next((i for i, c in enumerate(coeffs) if c), None)
-        if pivot is None:
+        obs = np.array(P.x_exp + P.z_exp, dtype=self._dtype)
+        coeffs = _symplectic(obs[None], self.xz, self.d)[0]
+        hits = np.flatnonzero(coeffs)
+        if not hits.size:
             return self._determined_outcome(obs)
-        # rescale the pivot so it omega-anticommutes exactly once
-        inv = pow(coeffs[pivot], -1, self.d)
-        prow = self._pow(self.rows[pivot], inv)
-        for i, c in enumerate(coeffs):
-            if i != pivot and c:
-                self.rows[i] = self._mul(self.rows[i], self._pow(prow, (-c) % self.d))
+        # every other row becomes a product that commutes with P; the pivot
+        # row is replaced by P with the drawn outcome
+        p = int(hits[0])
+        self.phase, self.xz = self._pivot(self.phase, self.xz, p, coeffs)
         outcome = rng.randrange(self.d)
-        self.rows[pivot] = Row((-outcome * self.scale) % self.D, obs.x, obs.z)
+        self.phase[p], self.xz[p] = -outcome * self.scale % self.D, obs
         self._exp = None
         return outcome
 
-    def _determined_outcome(self, obs: Row) -> int:
-        sol = ring.solve_left(self._exponents(), obs.x + obs.z)
+    def _determined_outcome(self, obs: np.ndarray) -> int:
+        sol = ring.solve_left(self._exponents(), obs.tolist())
         if sol is None:
             raise ValueError("observable commutes but is not in the group")
-        g = Row(0, (0,) * self.n, (0,) * self.n)
-        for coeff, r in zip(sol.entries, self.rows):
-            if coeff:
-                g = self._mul(g, self._pow(r, coeff))
-        if (g.x, g.z) != (obs.x, obs.z):
+        C = np.array([sol.entries], dtype=self._dtype)
+        phase, xz = self._product(C, self.phase, self.xz)
+        if not np.array_equal(xz[0], obs):
             raise AssertionError("group element reconstruction failed")
-        if g.phase % self.scale != 0:
+        if phase[0] % self.scale != 0:
             raise ValueError("inconsistent tableau phase (state not physical)")
-        return (-(g.phase // self.scale)) % self.d
+        return int(-(phase[0] // self.scale) % self.d)
 
     def canonical_form(self) -> tuple:
         """Unique reduced-echelon presentation of the stabilizer group,
         phases included; equal groups give equal forms."""
-        rows = list(self.rows)
-        r = 0
+        phase, xz, r = self.phase, self.xz, 0
         for col in range(2 * self.n):
-            def entry(row):
-                return (row.x + row.z)[col]
-
-            piv = next((i for i in range(r, len(rows)) if entry(rows[i])), None)
-            if piv is None:
+            hits = np.flatnonzero(xz[r:, col])
+            if not hits.size:
                 continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            rows[r] = self._pow(rows[r], pow(entry(rows[r]), -1, self.d))
-            for i in range(len(rows)):
-                if i != r and entry(rows[i]):
-                    rows[i] = self._mul(
-                        rows[i], self._pow(rows[r], (-entry(rows[i])) % self.d)
-                    )
+            order = np.arange(len(xz))
+            order[[r, r + hits[0]]] = order[[r + hits[0], r]]
+            phase, xz = self._pivot(phase[order], xz[order], r, xz[order, col])
             r += 1
-        return tuple((row.x, row.z, row.phase) for row in rows[:r])
+        n = self.n
+        return tuple((tuple(v[:n]), tuple(v[n:]), p)
+                     for p, v in zip(phase[:r].tolist(), xz[:r].tolist()))
 
 
 def _is_prime(d: int) -> bool:

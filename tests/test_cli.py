@@ -13,7 +13,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colexa import cli, colex
+import numpy as np
+
+from colexa import cli, colex, gatecalc, ring
 from colexa import code as code_mod
 from colexa.cli import main
 
@@ -235,6 +237,43 @@ def test_morth_check_respects_cap(capsys):
     assert code == 1 and not obj["holds"]
 
 
+def test_z_distance_without_x_stabilizers(tmp_path, capsys):
+    # with "G0": [] the commutant is all of Z_d^n, and each of the 15 unit
+    # vectors lies outside span(Zstab), so the Z distance is 1
+    _, C = colex.build_tetrahedral(2)
+    H, g = ring.span_check(C.z_stab, C.n)
+    assert ((np.eye(C.n, dtype=H.dtype) @ H) % g).any(axis=1).all()
+    obj = code_mod.code_to_json(C)
+    obj["G0"] = []
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(capsys, "code", "distance", "--code", str(path), "--sector", "z")
+    assert code == 0 and out == {"z": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    # (l_cap + 1) * d table entries: 3,000,000 here
+    ["gate", "level", "--d", "1000000", "--gate", "T", "--l-cap", "2", "--cap", "2999999"],
+    ["gate", "level", "--d", str(10**30), "--gate", "T"],
+    ["gate", "level", "--d", "5", "--gate", "T", "--l-cap", "0"],
+    # d * |span(G0)| evaluations: 5 * 625 here
+    ["gate", "verify", "--code", "tetra", "--d", "5", "--gate", "T", "--cap", "3124"],
+    ["gate", "verify", "--code", "tetra", "--d", str(2**61 - 1), "--gate", "S"],
+])
+def test_gate_tables_are_charged_before_they_are_built(capsys, monkeypatch, argv):
+    monkeypatch.setattr(gatecalc, "build_gate", lambda *a: pytest.fail("a gate table was built"))
+    assert_one_line_usage_error(capsys, argv)
+
+
+def test_gate_tables_at_the_cap_run(capsys):
+    code, obj = run(capsys, "gate", "level", "--d", "5", "--gate", "T", "--l-cap", "3",
+                    "--cap", "20")
+    assert code == 0 and obj["level"] == 3
+    code, obj = run(capsys, "gate", "verify", "--code", "tetra", "--d", "5", "--gate", "T",
+                    "--cap", "3125")
+    assert code == 0 and obj["checked"] == 3125
+
+
 def readme_commands():
     """The argv of every `colexa ...` line of the README's shell examples."""
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -376,5 +415,41 @@ def test_mutated_json_ends_in_an_exit_code(lattice, code):
                 status = main(argv + [str(path), "--cap", "10000"])
             assert status in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
+            if status != 2:
+                json.loads(out.getvalue())
+
+
+GATE_SPECS = st.one_of(
+    st.sampled_from(["T", "T36", "S", "CX", "R:", "R:1,", ""]),
+    st.lists(st.integers(-9, 9) | st.just(2**64), max_size=5).map(
+        lambda c: "R:" + ",".join(map(str, c))),
+    st.text(max_size=5).map(lambda t: "R:" + t),
+)
+ARGV_INTS = st.integers(-2, 12) | st.sampled_from([2**31 - 1, 2**64])
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=mutated(FUZZ_CODE), d=ARGV_INTS, gate=GATE_SPECS, m=ARGV_INTS,
+       l_cap=ARGV_INTS, mu_prime=st.none() | ARGV_INTS)
+def test_mutated_argv_ends_in_an_exit_code(code, d, gate, m, l_cap, mu_prime):
+    """morth check, gate verify, gate level and gauge check on mutated code
+    JSON and on tetra, with drawn --d, --gate, --m, --l-cap and --mu-prime:
+    exit 0, 1 or 2 with no traceback, and JSON unless the exit is 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "code.json")
+        path.write_text(json.dumps(code))
+        commands = [["gate", "level", "--d", str(d), "--gate", gate, "--l-cap", str(l_cap)]]
+        for source in (str(path), "tetra"):
+            flags = ["--code", source, "--d", str(d)]
+            flags += [] if mu_prime is None else ["--mu-prime", str(mu_prime)]
+            commands += [["morth", "check", "--m", str(m), *flags],
+                         ["gate", "verify", "--gate", gate, *flags],
+                         ["gauge", "check", *flags]]
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main(argv + ["--cap", "10000"])
+            assert status in (0, 1, 2), argv
+            assert "Traceback" not in err.getvalue(), argv
             if status != 2:
                 json.loads(out.getvalue())

@@ -1,12 +1,15 @@
 """gauge: subsystem structure, transversal Hadamard, tableau gauge fixing."""
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from colexa import colex, gauge, ring
 from colexa.code import PauliWord, symplectic_phase, syndrome
+from colexa.reports import ValidationReport
 
 
 @pytest.fixture(scope="module")
@@ -17,13 +20,16 @@ def tetra3():
 
 def test_generator_counts(tetra3):
     _, _, G = tetra3
-    assert len(G.gauge_gens()) == 36  # 18 faces x 2 types
-    assert len(G.stab_gens()) == 8  # 4 cells x 2 types
+    assert G.gauge_group.nrows == 36  # 18 faces x 2 types
+    assert G.stabilizer_group.nrows == 8  # 4 cells x 2 types
+    # the exponent matrices are the word lists' rows, in the same order
+    assert G.gauge_group.rows == tuple(w.x_exp + w.z_exp for w in gauge_gens(G))
+    assert G.stabilizer_group.rows == tuple(w.x_exp + w.z_exp for w in stab_gens(G))
 
 
 def test_gauge_group_is_nonabelian(tetra3):
     _, _, G = tetra3
-    gens = G.gauge_gens()
+    gens = gauge_gens(G)
     assert any(
         symplectic_phase(a, b) != 0
         for a in gens
@@ -87,8 +93,8 @@ def test_corrupted_stabilizer_breaks_center(tetra3):
     # the product-based witness is the first three pairs of the pairwise loop
     pairwise = [
         (i, j)
-        for i, s in enumerate(corrupted.stab_gens())
-        for j, g in enumerate(corrupted.gauge_gens())
+        for i, s in enumerate(stab_gens(corrupted))
+        for j, g in enumerate(gauge_gens(corrupted))
         if symplectic_phase(s, g) != 0
     ]
     central = next(c for c in rep.checks if c.name == "stabilizer-central")
@@ -346,3 +352,394 @@ def test_lex_least_on_gauge_system(tetra3):
 def test_lex_least_rejects_composite_modulus():
     with pytest.raises(ValueError):
         gauge._lex_least_solution(ring.ResidueMatrix(4, ((1, 2),)), (1, 2))
+
+
+# --------------------------------------------------------------------------
+# Oracles: the word-by-word gauge layer as it was before the exponent-matrix
+# rewrite, kept verbatim but for names (the generator lists take G as an
+# argument): PauliWord generator lists, the group checks with one in_rowspan
+# solve per row, and the tableau with _sp, _mul and _pow by repeated _mul.
+
+
+def gauge_gens(G) -> list:
+    """All gauge generators: X faces first, then Z faces."""
+    return [PauliWord.x_word(G.d, r) for r in G.face_x.rows] + [
+        PauliWord.z_word(G.d, r) for r in G.face_z.rows
+    ]
+
+
+def stab_gens(G) -> list:
+    return [PauliWord.x_word(G.d, r) for r in G.cell_x.rows] + [
+        PauliWord.z_word(G.d, r) for r in G.cell_z.rows
+    ]
+
+
+def _symplectic_rows(words, d: int) -> ring.ResidueMatrix:
+    return ring.ResidueMatrix(d, tuple(w.x_exp + w.z_exp for w in words))
+
+
+def _phase_matrix(A: list, B: list, d: int) -> np.ndarray:
+    """Entry [i, j] is symplectic_phase(A[i], B[j]), as one Z_d product:
+    (x_a | z_a) . (z_b | -x_b) = x_a . z_b - x_b . z_a."""
+    twisted = ring.ResidueMatrix(
+        d, tuple(w.z_exp + tuple(-e for e in w.x_exp) for w in B)
+    )
+    return ring.mul_transpose(_symplectic_rows(A, d), twisted)
+
+
+def oracle_center_equals_stabilizer(G):
+    """(verdict, report): is the gauge-group center the cell stabilizer?
+
+    The center modulo phases is the kernel of the symplectic Gram matrix of
+    the gauge generators; equality is checked as mutual span membership of
+    exponent vectors plus stabilizer membership in the gauge group.
+    """
+    rep = ValidationReport()
+    gens = gauge_gens(G)
+    gram = ring.ResidueMatrix(G.d, _phase_matrix(gens, gens, G.d).tolist())
+    combos = ring.kernel_mod(gram)
+    gen_mat = _symplectic_rows(gens, G.d)
+    center = ring.ResidueMatrix(
+        G.d,
+        tuple(ring.mat_vec_mul(gen_mat, v).entries for v in combos.rows) or ((0,) * (2 * G.n),),
+    )
+    stabs = stab_gens(G)
+    stab_mat = _symplectic_rows(stabs, G.d)
+
+    missing = [i for i, c in enumerate(center.rows) if not ring.in_rowspan(stab_mat, c)]
+    rep.add("center-in-stabilizer-span", not missing, witness=missing[:3] or None)
+
+    missing = [i for i, s in enumerate(stab_mat.rows) if not ring.in_rowspan(gen_mat, s)]
+    rep.add("stabilizer-in-gauge-group", not missing, witness=missing[:3] or None)
+
+    bad = [(int(i), int(j)) for i, j in np.argwhere(_phase_matrix(stabs, gens, G.d))]
+    rep.add("stabilizer-central", not bad, witness=bad[:3] or None)
+    return rep.ok, rep
+
+
+def oracle_transversal_H_action(W: PauliWord, star_signs) -> PauliWord:
+    """Symplectic action of the star-conjugate transversal Hadamard.
+
+    Unstarred qudits: (x, z) -> (-z, x); starred: (x, z) -> (z, -x); the
+    omega-phase picks up x*z per qudit so the map is a homomorphism modulo
+    global phase.
+    """
+    if len(star_signs) != W.n:
+        raise ValueError("star sign length mismatch")
+    xs, zs = [], []
+    dphi = 0
+    for x, z, s in zip(W.x_exp, W.z_exp, star_signs):
+        dphi += x * z
+        if s == 1:
+            xs.append(-z)
+            zs.append(x)
+        else:
+            xs.append(z)
+            zs.append(-x)
+    return PauliWord(W.d, tuple(xs), tuple(zs), W.phase_exp + dphi)
+
+
+def oracle_verify_H_logical(G) -> ValidationReport:
+    """Does the transversal Hadamard normalize gauge and stabilizer groups
+    and act as the logical Hadamard modulo gauge?"""
+    rep = ValidationReport()
+    gens = gauge_gens(G)
+    gen_mat = _symplectic_rows(gens, G.d)
+    stab_mat = _symplectic_rows(stab_gens(G), G.d)
+
+    def vec(w: PauliWord):
+        return w.x_exp + w.z_exp
+
+    bad = [
+        i
+        for i, g in enumerate(gens)
+        if not ring.in_rowspan(gen_mat, vec(oracle_transversal_H_action(g, G.star_signs)))
+    ]
+    rep.add("gauge-group-normalized", not bad, witness=bad[:3] or None)
+
+    bad = [
+        i
+        for i, s in enumerate(stab_gens(G))
+        if not ring.in_rowspan(stab_mat, vec(oracle_transversal_H_action(s, G.star_signs)))
+    ]
+    rep.add("stabilizer-group-preserved", not bad, witness=bad[:3] or None)
+
+    xbar, zbar = G.bare_logical_x(), G.bare_logical_z()
+    hx = oracle_transversal_H_action(xbar, G.star_signs)
+    diff = tuple((a - b) % G.d for a, b in zip(vec(hx), vec(zbar)))
+    ok_x = all(e == 0 for e in diff) or ring.in_rowspan(gen_mat, diff)
+    rep.add("logical-X-to-Z", ok_x, "H(Xbar) = Zbar modulo gauge")
+
+    hz = oracle_transversal_H_action(zbar, G.star_signs)
+    xinv = tuple((-e) % G.d for e in vec(xbar))
+    diff = tuple((a - b) % G.d for a, b in zip(vec(hz), xinv))
+    ok_z = all(e == 0 for e in diff) or ring.in_rowspan(gen_mat, diff)
+    rep.add("logical-Z-to-X-inverse", ok_z, "H(Zbar) = Xbar^{-1} modulo gauge")
+    return rep
+
+
+def oracle_verify_H_stabilizer_code(C) -> ValidationReport:
+    """Negative control: global transversal H on the plain stabilizer code.
+
+    For mu' != mu - mu' + 2 the image of the Z generators leaves the
+    stabilizer group, so preservation is expected to FAIL on 3D codes.
+    """
+    rep = ValidationReport()
+    stabs = C.stabilizer_words()
+    stab_mat = _symplectic_rows(stabs, C.d)
+    bad = [
+        i
+        for i, s in enumerate(stabs)
+        if not ring.in_rowspan(
+            stab_mat,
+            (lambda w: w.x_exp + w.z_exp)(oracle_transversal_H_action(s, C.star_signs)),
+        )
+    ]
+    rep.add("stabilizer-group-preserved", not bad, witness=bad[:3] or None)
+    return rep
+
+
+class OracleTableau:
+    """Full-rank stabilizer tableau for n qudits of prime dimension d.
+
+    Phase convention: X Z = omega Z X, so Z^a X^b = omega^{-ab} X^b Z^a.
+    Measurement follows the generalized Gottesman update: a generator that
+    omega-noncommutes with the observable becomes the pivot; otherwise the
+    outcome is determined by the phase of the matching group element.
+    """
+
+    def __init__(self, d: int, rows):
+        if not gauge._is_prime(d):
+            raise ValueError("tableau simulation requires prime d")
+        self.d = d
+        self.D = 4 if d == 2 else d
+        self.scale = self.D // d
+        self.rows = [gauge.Row(r.phase % self.D, r.x, r.z) for r in rows]
+        self.n = len(self.rows[0].x) if self.rows else 0
+        self._exp = None  # exponent matrix of rows, kept until an x/z part changes
+        # entry [i, j] is _sp(row_i, row_j): (x_i | z_i) . (z_j | -x_j)
+        twisted = ring.ResidueMatrix(d, tuple(r.z + tuple(-e for e in r.x) for r in self.rows))
+        if ring.mul_transpose(self._exponents(), twisted).any():
+            raise ValueError("tableau rows must pairwise commute")
+
+    # -- group arithmetic on rows ------------------------------------------
+    def _sp(self, a, b) -> int:
+        return (
+            sum(ax * bz - bx * az for ax, az, bx, bz in zip(a.x, a.z, b.x, b.z))
+            % self.d
+        )
+
+    def _mul(self, a, b):
+        cross = sum(az * bx for az, bx in zip(a.z, b.x))
+        return gauge.Row(
+            (a.phase + b.phase - self.scale * cross) % self.D,
+            tuple((ax + bx) % self.d for ax, bx in zip(a.x, b.x)),
+            tuple((az + bz) % self.d for az, bz in zip(a.z, b.z)),
+        )
+
+    def _exponents(self) -> ring.ResidueMatrix:
+        """The rows' (x | z) exponents; one factorization serves every
+        determined measurement until a row's x/z part changes."""
+        if self._exp is None:
+            self._exp = ring.ResidueMatrix(self.d, tuple(r.x + r.z for r in self.rows))
+        return self._exp
+
+    def _pow(self, a, k: int):
+        out = gauge.Row(0, (0,) * self.n, (0,) * self.n)
+        for _ in range(k % self.d):
+            out = self._mul(out, a)
+        return out
+
+    @classmethod
+    def zero_logical(cls, C) -> "OracleTableau":
+        """The |0_L> tableau: X cells, an independent Z-stabilizer basis, Zbar."""
+        rows = [gauge.Row(0, r, (0,) * C.n) for r in ring.row_basis(C.G0).rows]
+        rows += [gauge.Row(0, (0,) * C.n, r) for r in ring.row_basis(C.z_stab).rows]
+        rows.append(gauge.Row(0, (0,) * C.n, C.z_logical.entries))
+        T = cls(C.d, rows)
+        if len(T.rows) != C.n:
+            raise ValueError(f"tableau rank {len(T.rows)} != n {C.n}")
+        if ring.span_size(T._exponents()) != C.d ** C.n:
+            raise ValueError("tableau rows are not independent")
+        return T
+
+    # -- state updates -----------------------------------------------------
+    def apply_pauli(self, E: PauliWord) -> None:
+        """Conjugate the state by a Pauli error (rows pick up phases only)."""
+        e = gauge.Row(0, E.x_exp, E.z_exp)
+        self.rows = [
+            gauge.Row((r.phase + self.scale * self._sp(e, r)) % self.D, r.x, r.z)
+            for r in self.rows
+        ]
+
+    def apply_transversal_H(self, star_signs) -> None:
+        """Conjugate by transversal_H_action; the phase gains sum(x*z) in
+        the tableau's own phase unit."""
+        new = []
+        for r in self.rows:
+            h = oracle_transversal_H_action(PauliWord(self.d, r.x, r.z), star_signs)
+            dphi = sum(x * z for x, z in zip(r.x, r.z))
+            new.append(gauge.Row((r.phase + self.scale * dphi) % self.D, h.x_exp, h.z_exp))
+        self.rows = new
+        self._exp = None
+
+    def measure(self, P: PauliWord, rng: random.Random) -> int:
+        """Measure the generalized Pauli observable P; returns k with
+        eigenvalue omega^k.  Deterministic when P commutes with all rows."""
+        obs = gauge.Row(0, P.x_exp, P.z_exp)
+        coeffs = [self._sp(obs, r) for r in self.rows]
+        pivot = next((i for i, c in enumerate(coeffs) if c), None)
+        if pivot is None:
+            return self._determined_outcome(obs)
+        # rescale the pivot so it omega-anticommutes exactly once
+        inv = pow(coeffs[pivot], -1, self.d)
+        prow = self._pow(self.rows[pivot], inv)
+        for i, c in enumerate(coeffs):
+            if i != pivot and c:
+                self.rows[i] = self._mul(self.rows[i], self._pow(prow, (-c) % self.d))
+        outcome = rng.randrange(self.d)
+        self.rows[pivot] = gauge.Row((-outcome * self.scale) % self.D, obs.x, obs.z)
+        self._exp = None
+        return outcome
+
+    def _determined_outcome(self, obs) -> int:
+        sol = ring.solve_left(self._exponents(), obs.x + obs.z)
+        if sol is None:
+            raise ValueError("observable commutes but is not in the group")
+        g = gauge.Row(0, (0,) * self.n, (0,) * self.n)
+        for coeff, r in zip(sol.entries, self.rows):
+            if coeff:
+                g = self._mul(g, self._pow(r, coeff))
+        if (g.x, g.z) != (obs.x, obs.z):
+            raise AssertionError("group element reconstruction failed")
+        if g.phase % self.scale != 0:
+            raise ValueError("inconsistent tableau phase (state not physical)")
+        return (-(g.phase // self.scale)) % self.d
+
+    def canonical_form(self) -> tuple:
+        """Unique reduced-echelon presentation of the stabilizer group,
+        phases included; equal groups give equal forms."""
+        rows = list(self.rows)
+        r = 0
+        for col in range(2 * self.n):
+            def entry(row):
+                return (row.x + row.z)[col]
+
+            piv = next((i for i in range(r, len(rows)) if entry(rows[i])), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            rows[r] = self._pow(rows[r], pow(entry(rows[r]), -1, self.d))
+            for i in range(len(rows)):
+                if i != r and entry(rows[i]):
+                    rows[i] = self._mul(
+                        rows[i], self._pow(rows[r], (-entry(rows[i])) % self.d)
+                    )
+            r += 1
+        return tuple((row.x, row.z, row.phase) for row in rows[:r])
+
+
+# --------------------------------------------------------------------------
+# The exponent-matrix layer against the oracles
+
+TETRA = {}
+
+
+def tetra(d):
+    """(L, C, G) of the tetra code at d, built once per d."""
+    if d not in TETRA:
+        L, C = colex.build_tetrahedral(d)
+        TETRA[d] = L, C, gauge.build_gauge_code(L, d)
+    return TETRA[d]
+
+
+def outcome_or_error(measure, P, seed):
+    try:
+        return measure(P, random.Random(seed))
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 5, 7]),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(st.sampled_from(["pauli", "random", "rows", "face"]), max_size=12),
+    h_at=st.integers(0, 12),
+)
+def test_tableau_matches_word_oracle(d, seed, steps, h_at):
+    """From |0_L>: random Paulis, one transversal H and measurements of
+    random words, of products of two current rows (determined) and of gauge
+    faces; outcomes, rows and canonical forms agree after every step."""
+    L, C, G = tetra(d)
+    T, O = gauge.Tableau.zero_logical(C), OracleTableau.zero_logical(C)
+    rng = random.Random(seed)
+    steps.insert(h_at, "H")
+    for step in steps:
+        word = PauliWord(d, tuple(rng.randrange(d) for _ in range(15)),
+                         tuple(rng.randrange(d) for _ in range(15)))
+        if step == "H":
+            T.apply_transversal_H(L.star_signs())
+            O.apply_transversal_H(L.star_signs())
+        elif step == "pauli":
+            T.apply_pauli(word)
+            O.apply_pauli(word)
+        else:
+            if step == "rows":
+                a, b = rng.sample(O.rows, 2)
+                k, m = rng.randrange(d), rng.randrange(d)
+                word = PauliWord(d, tuple(k * u + m * v for u, v in zip(a.x, b.x)),
+                                 tuple(k * u + m * v for u, v in zip(a.z, b.z)))
+            elif step == "face":
+                rows = G.face_x.rows if rng.randrange(2) else G.face_z.rows
+                face = rng.choice(rows)
+                word = PauliWord.x_word(d, face) if rows is G.face_x.rows else PauliWord.z_word(d, face)
+            s = rng.randrange(2**32)
+            assert outcome_or_error(T.measure, word, s) == outcome_or_error(O.measure, word, s)
+        assert T.rows == O.rows
+        assert T.canonical_form() == O.canonical_form()
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3, 4, 6]), data=st.data())
+def test_corrupted_gauge_code_reports_match_oracle(d, data):
+    """Rows dropped or changed and star signs flipped: the span-check group
+    checks give the per-row loops' reports, witnesses included."""
+    L, C, G = tetra(d)
+    parts = {k: list(getattr(G, k).rows) for k in ("face_x", "face_z", "cell_x", "cell_z")}
+    signs = list(G.star_signs)
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["entry", "row", "drop", "sign"]))
+        if kind == "sign":
+            i = data.draw(st.integers(0, G.n - 1))
+            signs[i] = -signs[i]
+            continue
+        rows = parts[data.draw(st.sampled_from(sorted(parts)))]
+        i = data.draw(st.integers(0, len(rows) - 1))
+        if kind == "drop" and len(rows) > 1:
+            del rows[i]
+        elif kind == "row":
+            rows[i] = tuple(data.draw(st.integers(0, d - 1)) for _ in range(G.n))
+        else:
+            row = list(rows[i])
+            row[data.draw(st.integers(0, G.n - 1))] = data.draw(st.integers(0, d - 1))
+            rows[i] = tuple(row)
+    bad = gauge.GaugeCode(d, G.n, tuple(signs),
+                          **{k: ring.ResidueMatrix(d, tuple(v)) for k, v in parts.items()})
+    ok, rep = gauge.center_equals_stabilizer(bad)
+    ok_o, rep_o = oracle_center_equals_stabilizer(bad)
+    assert (ok, rep.to_dict()) == (ok_o, rep_o.to_dict())
+    assert gauge.verify_H_logical(bad).to_dict() == oracle_verify_H_logical(bad).to_dict()
+    code = dataclasses.replace(C, star_signs=bad.star_signs, G0=bad.cell_x, z_stab=bad.face_z)
+    assert (gauge.verify_H_stabilizer_code(code).to_dict()
+            == oracle_verify_H_stabilizer_code(code).to_dict())
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_transversal_H_action_matches_oracle(d):
+    sg = tetra(d)[0].star_signs()
+    rng = random.Random(d)
+    for _ in range(20):
+        W = PauliWord(d, tuple(rng.randrange(d) for _ in range(15)),
+                      tuple(rng.randrange(d) for _ in range(15)), rng.randrange(d))
+        assert gauge.transversal_H_action(W, sg) == oracle_transversal_H_action(W, sg)
