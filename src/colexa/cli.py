@@ -175,10 +175,8 @@ def load_lattice(args) -> colex.Lattice:
 def load_code(args):
     """(lattice or None, ColorCode) from --code."""
     if args.code == "tetra":
-        L, C = colex.build_tetrahedral(args.d)
-        if args.mu_prime is not None and args.mu_prime != 3:
-            C = code_mod.from_colex(L, args.mu_prime, args.d)
-        return L, C
+        L = colex.tetrahedral_lattice()
+        return L, code_mod.from_colex(L, 3 if args.mu_prime is None else args.mu_prime, args.d)
     if args.code == "triangle":
         L, C = colex.build_triangle_2d(args.d, args.distance)
         return L, C
@@ -332,7 +330,7 @@ def cmd_gauge_check(args):
     if L is None:
         raise ValueError("gauge check needs a builder lattice (tetra)")
     G = gauge.build_gauge_code(L, args.d)
-    ok, center_rep = gauge.center_equals_stabilizer(G)
+    center_rep = gauge.center_equals_stabilizer(G)
     h_rep = gauge.verify_H_logical(G)
     neg = gauge.verify_H_stabilizer_code(C)
     payload = {
@@ -342,7 +340,7 @@ def cmd_gauge_check(args):
         "transversal_H": h_rep.to_dict(),
         "negative_control_global_H_fails": not neg.ok,
     }
-    passed = ok and h_rep.ok and not neg.ok
+    passed = center_rep.ok and h_rep.ok and not neg.ok
     payload["ok"] = passed
     return (PASS if passed else FAIL), payload
 

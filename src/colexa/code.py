@@ -45,9 +45,6 @@ class PauliWord:
     def n(self) -> int:
         return len(self.x_exp)
 
-    def weight(self) -> int:
-        return sum(1 for x, z in zip(self.x_exp, self.z_exp) if x or z)
-
     @classmethod
     def x_word(cls, d: int, exps) -> "PauliWord":
         exps = tuple(exps)
@@ -111,17 +108,6 @@ class ColorCode:
     def injective(self) -> bool:
         """Whether [G1; G0] has trivial left kernel over Z_d."""
         return ring.kernel_mod(self.encoding()).nrows == 0
-
-    def logical_x_words(self) -> list:
-        return [PauliWord.x_word(self.d, row) for row in self.G1.rows]
-
-    def logical_z_words(self) -> list:
-        return [PauliWord.z_word(self.d, self.z_logical.entries)]
-
-    def stabilizer_words(self) -> list:
-        """All generators, X type first then Z type; the syndrome order."""
-        return ([PauliWord.x_word(self.d, row) for row in self.G0.rows]
-                + [PauliWord.z_word(self.d, row) for row in self.z_stab.rows])
 
 
 @dataclass(frozen=True)
@@ -190,7 +176,7 @@ def verify_code(C: ColorCode) -> ValidationReport:
     rep.add("stabilizers-commute", not bad, witness=bad[:3] or None)
 
     # logical X row l against Z row j: G1_l . Zstab_j; then the logical Z
-    # against X row i: -(G0_i . z_logical)
+    # against X row i: -(G0_i . z_logical), and the logical pair: G1 . z_logical
     zbar_row = ring.ResidueMatrix(C.d, (C.z_logical.entries,))
     bad = [
         {"logical": l, "stabilizer": r0 + j, "phase": c}
@@ -201,9 +187,7 @@ def verify_code(C: ColorCode) -> ValidationReport:
     ]
     rep.add("logicals-commute-with-stabilizers", not bad, witness=bad[:3] or None)
 
-    xbar = C.logical_x_words()[0]
-    zbar = C.logical_z_words()[0]
-    c = symplectic_phase(xbar, zbar)
+    c = int(ring.mul_transpose(C.G1, zbar_row)[0, 0])
     rep.add("logical-pair-omega-commutes", c == 1, f"phase {c}, expected 1")
 
     rep.add("injective-encoding", C.injective(), "[G1; G0] has trivial left kernel")

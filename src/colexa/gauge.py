@@ -115,8 +115,8 @@ def build_gauge_code(L: Lattice, d: int) -> GaugeCode:
     return G
 
 
-def center_equals_stabilizer(G: GaugeCode):
-    """(verdict, report): is the gauge-group center the cell stabilizer?
+def center_equals_stabilizer(G: GaugeCode) -> ValidationReport:
+    """Is the gauge-group center the cell stabilizer?
 
     The center modulo phases is the kernel of the symplectic Gram matrix of
     the gauge generators, applied to them; equality is checked as span
@@ -136,7 +136,7 @@ def center_equals_stabilizer(G: GaugeCode):
 
     bad = [(int(i), int(j)) for i, j in np.argwhere(_symplectic(stab, gauge, G.d))]
     rep.add("stabilizer-central", not bad, witness=bad[:3] or None)
-    return rep.ok, rep
+    return rep
 
 
 def faces_of_cell(L: Lattice, cell) -> list:
@@ -197,13 +197,6 @@ def class_sums_consistent(face_outcomes: dict, classes, d: int):
     """(consistent, sums): whether all color classes agree on the cell value."""
     sums = [reconstruct_cell_outcome(face_outcomes, cls, d) for cls in classes]
     return len(set(sums)) == 1, sums
-
-
-def transversal_H_action(W: PauliWord, star_signs) -> PauliWord:
-    """The star-conjugate transversal Hadamard acting on one word (see
-    _hadamard); the word's omega-power gains sum(x * z)."""
-    xz, dphi = _hadamard(np.array([W.x_exp + W.z_exp], dtype=object), star_signs)
-    return PauliWord(W.d, tuple(xz[0, :W.n]), tuple(xz[0, W.n:]), W.phase_exp + dphi[0])
 
 
 def _preserved(rep: ValidationReport, name: str, M: ring.ResidueMatrix, star_signs) -> None:

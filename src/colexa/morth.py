@@ -50,30 +50,6 @@ class OrthogonalityReport:
         }
 
 
-def circle_product(rows) -> tuple:
-    """Entrywise integer product of canonical representatives; NOT reduced."""
-    rows = [tuple(r.entries) if isinstance(r, ring.ResidueVector) else tuple(r) for r in rows]
-    if not rows:
-        raise ValueError("need at least one row")
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("row lengths differ")
-    out = []
-    for col in zip(*rows):
-        prod = 1
-        for e in col:
-            prod *= int(e)
-        out.append(prod)
-    return tuple(out)
-
-
-def signed_weight(v, signs) -> int:
-    """Sum of sign-weighted entries, as an ordinary integer."""
-    v = tuple(v.entries) if isinstance(v, ring.ResidueVector) else tuple(v)
-    if len(v) != len(signs):
-        raise ValueError("length mismatch")
-    return sum(s * int(e) for s, e in zip(signs, v))
-
-
 def is_m_star_orthogonal(M: StarSignedMatrix, g1_rows, m: int, mode: str = "strong",
                          cap: int = DEFAULT_CAP) -> OrthogonalityReport:
     """Check the order-m orthogonality condition with full witness output.

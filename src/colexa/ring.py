@@ -38,12 +38,6 @@ class ResidueVector:
             self, "entries", tuple(int(e) % self.modulus for e in self.entries)
         )
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
 
 @dataclass(frozen=True)
 class ResidueMatrix:
@@ -267,11 +261,6 @@ def solve_left(M: ResidueMatrix, w: Sequence[int]) -> ResidueVector | None:
     return _combine(U, u, N, m)
 
 
-def in_rowspan(M: ResidueMatrix, w: Sequence[int]) -> bool:
-    """Whether w lies in the Z_N-row-span of M."""
-    return solve_left(M, w) is not None
-
-
 def row_basis(M: ResidueMatrix) -> ResidueMatrix:
     """A free-enumeration generating set for the row span of M.
 
@@ -408,16 +397,3 @@ def mul_transpose(A: ResidueMatrix, B: ResidueMatrix) -> np.ndarray:
     a = np.array(A.rows, dtype=dtype).reshape(A.nrows, n)
     b = np.array(B.rows, dtype=dtype).reshape(B.nrows, n)
     return (a @ b.T) % N
-
-
-def parse_matrix_text(text: str, modulus: int) -> ResidueMatrix:
-    """Parse a whitespace/line delimited integer matrix into Z_N."""
-    rows = []
-    for line in text.strip().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rows.append(tuple(int(tok) for tok in line.replace(",", " ").split()))
-    if not rows:
-        raise ValueError("empty matrix text")
-    return ResidueMatrix(modulus, tuple(rows))

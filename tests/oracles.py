@@ -7,6 +7,8 @@ import itertools
 
 import numpy as np
 
+from colexa.code import PauliWord
+
 
 def brute_kernel(rows, N):
     """All v with v @ M == 0 mod N, by exhaustive scan over Z_N^m."""
@@ -28,6 +30,18 @@ def brute_span(rows, N):
     for v in itertools.product(range(N), repeat=m):
         out.add(tuple(sum(c * row[j] for c, row in zip(v, rows)) % N for j in range(n)))
     return out
+
+
+def stabilizer_words(C) -> list:
+    """C's generators as PauliWords, X type first then Z type: the syndrome
+    order."""
+    return ([PauliWord.x_word(C.d, row) for row in C.G0.rows]
+            + [PauliWord.z_word(C.d, row) for row in C.z_stab.rows])
+
+
+def logical_words(C) -> tuple:
+    """(Xbar, Zbar) of a k = 1 code as PauliWords."""
+    return PauliWord.x_word(C.d, C.G1.rows[0]), PauliWord.z_word(C.d, C.z_logical.entries)
 
 
 def unitary_hierarchy_level(p_table, d, N, l_cap=10):

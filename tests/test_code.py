@@ -10,7 +10,7 @@ from colexa import code as code_mod
 from colexa import colex, ring
 from colexa.code import PauliWord, symplectic_phase
 from colexa.reports import ValidationReport
-from oracles import min_logical_weight_x, min_logical_weight_z
+from oracles import logical_words, min_logical_weight_x, min_logical_weight_z, stabilizer_words
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +43,7 @@ def test_symplectic_phase_basics():
 
 def test_logical_pair_phase_one(tetra3):
     _, C = tetra3
-    xbar = C.logical_x_words()[0]
-    zbar = C.logical_z_words()[0]
-    assert symplectic_phase(xbar, zbar) == 1
+    assert symplectic_phase(*logical_words(C)) == 1
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
@@ -113,7 +111,7 @@ def test_syndrome_x_error_hits_six_faces(tetra3):
 
 def test_syndrome_stabilizer_is_silent(tetra3):
     _, C = tetra3
-    for g in C.stabilizer_words():
+    for g in stabilizer_words(C):
         assert not any(code_mod.syndrome(C, g))
 
 
@@ -186,14 +184,14 @@ def pairwise_verify_code(C):
     """Reference commutation audit: symplectic_phase over every word pair,
     the loop verify_code ran before it became matrix products."""
     rep = ValidationReport()
-    stabs = C.stabilizer_words()
+    stabs = stabilizer_words(C)
     bad = []
     for i, j in itertools.combinations(range(len(stabs)), 2):
         c = symplectic_phase(stabs[i], stabs[j])
         if c != 0:
             bad.append({"pair": [i, j], "phase": c})
     rep.add("stabilizers-commute", not bad, witness=bad[:3] or None)
-    logicals = C.logical_x_words() + C.logical_z_words()
+    logicals = list(logical_words(C))
     bad = []
     for li, lw in enumerate(logicals):
         for si, sw in enumerate(stabs):
@@ -201,7 +199,7 @@ def pairwise_verify_code(C):
             if c != 0:
                 bad.append({"logical": li, "stabilizer": si, "phase": c})
     rep.add("logicals-commute-with-stabilizers", not bad, witness=bad[:3] or None)
-    c = symplectic_phase(C.logical_x_words()[0], C.logical_z_words()[0])
+    c = symplectic_phase(*logical_words(C))
     rep.add("logical-pair-omega-commutes", c == 1, f"phase {c}, expected 1")
     rep.add(
         "injective-encoding",
@@ -317,7 +315,7 @@ def test_distance_cap_exceeded_only_when_both_methods_exceed(tetra3):
 def word_loop_syndrome(C, E):
     """The syndrome as it was before it became two products: the phase of
     every stabilizer word against E, X words first."""
-    return tuple(symplectic_phase(g, E) for g in C.stabilizer_words())
+    return tuple(symplectic_phase(g, E) for g in stabilizer_words(C))
 
 
 def json_code(d, G0, Zstab):

@@ -31,8 +31,7 @@ def test_gauge_check_factor_count(snf_calls, d):
     L, _ = colex.build_tetrahedral(d)
     G = gauge.build_gauge_code(L, d)
     snf_calls.clear()
-    ok, _ = gauge.center_equals_stabilizer(G)
-    assert ok and gauge.verify_H_logical(G).ok
+    assert gauge.center_equals_stabilizer(G).ok and gauge.verify_H_logical(G).ok
     assert len(snf_calls) <= 6
 
 
@@ -40,7 +39,6 @@ def test_repeated_questions_factor_once(snf_calls):
     M = ring.ResidueMatrix(6, ((2, 3, 0), (4, 0, 1), (0, 3, 3)))
     for w in [(0, 0, 0), (2, 3, 0), (1, 1, 1), (0, 3, 4)]:
         ring.solve_left(M, w)
-        ring.in_rowspan(M, w)
     ring.kernel_mod(M)
     ring.span_size(M)
     ring.row_basis(M)
@@ -74,3 +72,11 @@ def test_syndrome_factors_only_the_encoding(snf_calls, capsys):
             "--error", "X^2@3,Z@40"]
     assert cli.main(argv) == 0
     assert len(snf_calls) == 1
+
+
+def test_tetra_at_another_mu_prime_builds_one_code(snf_calls, capsys):
+    # only the mu' = 2 code is built, so only its injectivity check factors
+    assert cli.main(["code", "check", "--code", "tetra", "--mu-prime", "2"]) == 2
+    assert len(snf_calls) == 1
+    assert capsys.readouterr().err == ("colexa: mu_prime=2: [G1; G0] has a nontrivial left "
+                                       "kernel (dependent generators or no encoded qudit)\n")

@@ -20,6 +20,20 @@ def test_build_R_tables():
     assert gatecalc.build_T(3).p == (0, 1, 2)  # reduces to Pauli Z
 
 
+def power_sum_R(d, coeffs):
+    """The R table as build_R computed it before Horner's rule: exact
+    big-integer powers, reduced mod d once at the end."""
+    coeffs = [int(a) for a in coeffs]
+    return tuple(sum(a * j**m for m, a in enumerate(coeffs)) % d for j in range(d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.sampled_from([2, 3, 4, 5, 6, 8, 12, 97, 1000, 65537]),
+       coeffs=st.lists(st.integers(-10**30, 10**30), max_size=8))
+def test_build_R_matches_power_sum(d, coeffs):
+    assert gatecalc.build_R(d, coeffs).p == power_sum_R(d, coeffs)
+
+
 def test_build_T36_tables():
     g3 = gatecalc.build_T36(3)
     assert (g3.N, g3.p) == (9, (0, 1, 8))
@@ -134,7 +148,7 @@ def test_transversal_T_fails_on_triangle():
     assert rep.witness is not None
     # the witness must actually violate the congruence
     w = rep.witness
-    assert gatecalc.transversal_phase(C, gatecalc.build_T(5), w["term"]) != w["expected"]
+    assert phase_of(C, gatecalc.build_T(5), w["term"]) != w["expected"]
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
@@ -144,7 +158,7 @@ def test_transversal_S_both_codes(d):
         lambda: colex.build_tetrahedral(d),
     ):
         _, C = build()
-        assert gatecalc.verify_transversal_S(C).passed
+        assert gatecalc.verify_transversal_phase(C, gatecalc.build_S(d)).passed
 
 
 def test_transversal_CX_tetra_d3():
@@ -162,7 +176,7 @@ def loop_transversal_CX(C: code_mod.ColorCode, cap: int = DEFAULT_CAP) -> Verifi
     total = (C.d * span) ** 2
     if total > cap:
         raise CapExceeded(f"CX check needs {total} > cap {cap} pair checks")
-    words = {x: gatecalc.codeword(C, x, cap) for x in range(C.d)}
+    words = {x: code_mod.codeword(C, x, cap) for x in range(C.d)}
     checked = 0
     for x1, x2 in itertools.product(range(C.d), repeat=2):
         target = words[(x1 + x2) % C.d].terms
@@ -187,49 +201,34 @@ def test_blocked_CX_matches_pair_loop(family, d):
     assert rep.to_dict() == loop_transversal_CX(C).to_dict()
     with pytest.raises(CapExceeded):
         gatecalc.verify_transversal_CX(C, cap=rep.checked - 1)
+    assert gatecalc.verify_transversal_CX(C, cap=rep.checked).to_dict() == rep.to_dict()
 
 
-@pytest.mark.parametrize("family,d", [("tetra", 2), ("triangle", 3)])
-def test_blocked_CX_matches_pair_loop_on_a_perturbed_term(family, d, monkeypatch):
-    """Replace one term r of one word by p = r + e_0, outside its coset.
+def outcome(check, *args, **kwargs):
+    """check's report as a dict, or the type and message of its error."""
+    try:
+        return check(*args, **kwargs).to_dict()
+    except (ValueError, CapExceeded) as exc:
+        return type(exc).__name__, str(exc)
 
-    The loop tests membership in the perturbed term set, the blocked check
-    in the coset, so the blocked check must fail at the first pair in loop
-    order whose sum is outside its coset, found here pair by pair with
-    in_rowspan.  The loop differs only on sums equal to p (it passes them)
-    or to r (it fails them); when its witness is that same first pair, the
-    two reports must be equal.
-    """
-    _, C = colex.build_tetrahedral(d) if family == "tetra" else colex.build_triangle_2d(d, 3)
-    original = code_mod.codeword
-    agreed = 0
-    for word in range(d):
-        for index in range(ring.span_size(C.G0)):
-            terms = list(original(C, word).terms)
-            p = ((terms[index][0] + 1) % d,) + terms[index][1:]
-            terms[index] = p
 
-            def perturbed(C_, x, cap=DEFAULT_CAP, word=word, terms=frozenset(terms)):
-                w = original(C_, x, cap)
-                return code_mod.Codeword(w.x, terms) if x == word else w
+@settings(max_examples=80, deadline=None)
+@given(d=st.sampled_from([2, 3, 4, 5, 6, 8]), n=st.integers(1, 4),
+       k=st.sampled_from([1, 1, 1, 0, 2]), data=st.data())
+def test_CX_closed_form_matches_pair_loop_on_random_codes(d, n, k, data):
+    """Random G0, G1, Zstab and star signs, most of them failing verify_code:
+    the closed form gives the pair loop's report, its cap refusal and its
+    k != 1 error."""
+    def rows(count):
+        return ring.ResidueMatrix(d, tuple(
+            tuple(data.draw(st.integers(0, d - 1)) for _ in range(n)) for _ in range(count)))
 
-            words = [perturbed(C, x).terms for x in range(d)]
-            pairs = ((x1, x2, t1, t2) for x1, x2 in itertools.product(range(d), repeat=2)
-                     for t1 in words[x1] for t2 in words[x2])
-            first = next(
-                i for i, (x1, x2, t1, t2) in enumerate(pairs, 1)
-                if not ring.in_rowspan(C.G0, [a + b - (x1 + x2) * g for a, b, g
-                                              in zip(t1, t2, C.G1.rows[0])]))
-            monkeypatch.setattr(gatecalc, "codeword", perturbed)
-            loop = loop_transversal_CX(C)
-            rep = gatecalc.verify_transversal_CX(C)
-            monkeypatch.undo()
-            assert not rep.passed and rep.checked == first
-            assert p in (tuple(rep.witness["t1"]), tuple(rep.witness["t2"]))
-            if loop.checked == first:
-                agreed += 1
-                assert rep.to_dict() == loop.to_dict()
-    assert agreed >= 3
+    signs = tuple(data.draw(st.sampled_from([1, -1])) for _ in range(n))
+    C = code_mod.ColorCode(d, n, signs, G0=rows(data.draw(st.integers(0, 3))), G1=rows(k),
+                           z_stab=rows(data.draw(st.integers(0, 3))),
+                           z_logical=ring.ResidueVector(d, signs))
+    cap = 40_000
+    assert outcome(gatecalc.verify_transversal_CX, C, cap) == outcome(loop_transversal_CX, C, cap)
 
 
 def test_polynomial_gates_up_to_max_m_transversal():
@@ -260,6 +259,12 @@ def test_gate_spec_parsing():
         gatecalc.build_gate("Q", 3)
 
 
+def phase_of(C, g, term) -> int:
+    """The transversal gate's phase (mod N) on one computational-basis term:
+    g on unstarred qudits, its conjugate on starred ones."""
+    return sum(s * g.p[t] for s, t in zip(C.star_signs, term)) % g.N
+
+
 def loop_transversal_phase(C, g):
     """The term loop verify_transversal_phase ran before it went blocked:
     y in lexicographic order, one term and one phase at a time."""
@@ -273,7 +278,7 @@ def loop_transversal_phase(C, g):
                 for j, e in enumerate(row):
                     term[j] = (term[j] + coeff * e) % C.d
             checked += 1
-            phase = gatecalc.transversal_phase(C, g, term)
+            phase = phase_of(C, g, term)
             if phase != g.p[x]:
                 return checked, {"x": x, "y": list(y), "term": term, "phase": phase,
                                  "expected": g.p[x]}

@@ -1,6 +1,7 @@
 """morth: strong/weak m*-orthogonality with tightness witnesses."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,22 +17,32 @@ def tetra_matrix(request):
     return request.param, C, M, g1
 
 
-def test_circle_product_examples():
-    assert morth.circle_product([(1, 1, 0), (1, 0, 1)]) == (1, 0, 0)
-    assert morth.circle_product([(1, 1)] * 3) == (1, 1)
-    # integers, never reduced mod d
-    assert morth.circle_product([(1, 2), (2, 2)]) == (2, 4)
+def circle(rows) -> list:
+    """Entrywise integer product of canonical representatives; never
+    reduced mod d."""
+    return [math.prod(col) for col in zip(*rows)]
+
+
+def one_row_report(row, signs, g1_rows=()):
+    """The m = 1 report of a single signed row: its signed weight."""
+    M = morth.StarSignedMatrix(ring.ResidueMatrix(5, (row,)), signs)
+    return morth.is_m_star_orthogonal(M, g1_rows, 1)
 
 
 def test_signed_weight_examples():
-    assert morth.signed_weight((1,) * 15, (1,) * 8 + (-1,) * 7) == 1
-    assert morth.signed_weight((0, 0, 0), (1, -1, 1)) == 0
+    # the all-ones row weighs 8 - 7 = 1: it holds as a G1 row, and as a G0
+    # row it is the one witness, with that weight
+    signs = (1,) * 8 + (-1,) * 7
+    assert one_row_report((1,) * 15, signs, {0}).holds
+    assert one_row_report((1,) * 15, signs).witnesses == [((0,), 1)]
+    assert one_row_report((0, 0, 0), (1, -1, 1)).holds
 
 
 def test_tetra_cell_rows_weigh_zero(tetra_matrix):
+    # m = 1 on the G0 rows alone, none of them a G1 row: every weight is 0
     _, C, M, _ = tetra_matrix
-    for row in C.G0.rows:
-        assert morth.signed_weight(row, M.signs) == 0
+    G0 = morth.StarSignedMatrix(C.G0, M.signs)
+    assert morth.is_m_star_orthogonal(G0, (), 1).holds
 
 
 def test_tetra_orthogonality_and_tightness(tetra_matrix):
@@ -86,7 +97,7 @@ def test_d2_weak_is_triorthogonality():
         rep = morth.is_m_star_orthogonal(M, g1, m, "weak")
         assert rep.holds
         for multiset in itertools.combinations_with_replacement(range(len(rows)), m):
-            prod = morth.circle_product([rows[i] for i in multiset])
+            prod = circle(rows[i] for i in multiset)
             expect = 1 if len(set(multiset)) == 1 and multiset[0] in g1 else 0
             assert sum(prod) % 2 == expect % 2
 
@@ -102,7 +113,7 @@ def test_geometric_cross_check():
     }
     for q in (1, 2, 3):
         for combo in itertools.combinations(range(C.G0.nrows), q):
-            prod = morth.circle_product([C.G0.rows[i] for i in combo])
+            prod = circle(C.G0.rows[i] for i in combo)
             supp = frozenset(j for j, e in enumerate(prod) if e)
             if not supp:
                 continue
@@ -135,7 +146,8 @@ def loop_m_star(M, g1_rows, m, mode):
     g1 = frozenset(g1_rows)
     witnesses = []
     for multiset in itertools.combinations_with_replacement(range(M.G.nrows), m):
-        w = morth.signed_weight(morth.circle_product([M.G.rows[i] for i in multiset]), M.signs)
+        prod = circle(M.G.rows[i] for i in multiset)
+        w = sum(s * e for s, e in zip(M.signs, prod))
         expect = 1 if len(set(multiset)) == 1 and multiset[0] in g1 else 0
         bad = (w - expect) % M.G.modulus != 0 if mode == "weak" else w != expect
         if bad:

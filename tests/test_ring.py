@@ -26,7 +26,7 @@ def test_mat_vec_mul_hand_arithmetic():
 
 def test_mat_vec_mul_zero_input():
     M = rmat(7, [[3, 1], [2, 5], [0, 6]])
-    assert ring.mat_vec_mul(M, (0, 0, 0)).is_zero()
+    assert ring.mat_vec_mul(M, (0, 0, 0)).entries == (0, 0)
 
 
 def test_mat_vec_mul_shape_error():
@@ -149,7 +149,7 @@ def test_kernel_and_span_match_exhaustive(N, m, n, data):
     M = rmat(N, rows)
     K = ring.kernel_mod(M)
     for g in K.rows:
-        assert ring.mat_vec_mul(M, g).is_zero()
+        assert not any(ring.mat_vec_mul(M, g).entries)
     kspan = set(ring.iter_span(K)) if K.nrows else {(0,) * m}
     assert kspan == brute_kernel(rows, N)
     assert set(ring.iter_span(M)) == brute_span(rows, N)
@@ -235,7 +235,7 @@ def test_composite_solve_left_iff_span_member(N, m, n, data):
     for _ in range(4):
         w = tuple(data.draw(st.integers(0, N - 1)) for _ in range(n))
         sol = ring.solve_left(M, w)
-        assert (sol is not None) == (w in span) == ring.in_rowspan(M, w)
+        assert (sol is not None) == (w in span)
         if sol is not None:
             assert ring.mat_vec_mul(M, sol.entries).entries == w
 
@@ -265,11 +265,6 @@ def test_composite_span_size_multiplies_over_blocks(N, data):
         [list(r) + [0] * B.ncols for r in A.rows] + [[0] * A.ncols + list(r) for r in B.rows],
     )
     assert ring.span_size(block) == ring.span_size(A) * ring.span_size(B)
-
-
-def test_parse_matrix_text():
-    M = ring.parse_matrix_text("1 2 3\n4 5 6  # comment\n", 4)
-    assert M.rows == ((1, 2, 3), (0, 1, 2))
 
 
 def recursive_span(M):
@@ -353,7 +348,8 @@ def test_span_check_agrees_with_in_rowspan(N, m, n, data):
                  + [list(r) for r in M.rows], dtype=np.int64).reshape(-1, n)
     H, g = ring.span_check(M, n)
     members = ~((W @ H) % g).any(axis=1)
-    expected = [ring.in_rowspan(M, w) if M.rows else not any(w) for w in W.tolist()]
+    expected = [ring.solve_left(M, w) is not None if M.rows else not any(w)
+                for w in W.tolist()]
     assert members.tolist() == expected
 
 
