@@ -17,11 +17,14 @@ import sys
 from . import code as code_mod
 from . import colex, gatecalc, gauge, morth, ring
 
-PASS, FAIL, USAGE = 0, 1, 2
+USAGE = 2
 
 
 def main(argv=None) -> int:
-    """Run one command; main may be called any number of times in a process."""
+    """Run one command; main may be called any number of times in a process.
+
+    Each handler returns (ok, payload); the payload is printed, and ok gives
+    the exit code, 0 or 1."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "handler"):
@@ -29,12 +32,12 @@ def main(argv=None) -> int:
         return USAGE
     try:
         check_args(args)
-        status, payload = globals()[args.handler](args)
+        ok, payload = globals()[args.handler](args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError, code_mod.CapExceeded) as exc:
         print(f"colexa: {exc}", file=sys.stderr)
         return USAGE
     emit(payload, args.pretty)
-    return status
+    return 0 if ok else 1
 
 
 def emit(payload, pretty: bool) -> None:
@@ -231,57 +234,48 @@ def resolve_site(vert: str, C, L) -> int:
     raise ValueError(f"unknown vertex label {vert!r}")
 
 
-# -- handlers --------------------------------------------------------------
+# -- handlers: each returns (ok, JSON payload) --------------------------------
 
 
 def cmd_lattice_build(args):
-    L = load_lattice(args)
-    return PASS, colex.lattice_to_json(L)
+    return True, colex.lattice_to_json(load_lattice(args))
 
 
 def cmd_lattice_check(args):
     L = load_lattice(args)
     rep = colex.validate_colex(L)
-    payload = {"validate": rep.to_dict()}
+    payload = {"validate": rep.to_dict(), "ok": rep.ok}
     if rep.ok:
         if any(L.star.get(v) is None for v in L.vertex_ids):
             L = colex.star_bipartition(L)
         bal = colex.check_cell_balance(L)
-        payload["balance"] = bal.to_dict()
-        payload["starred"] = len(L.starred())
-        payload["unstarred"] = len(L.unstarred())
-        ok = rep.ok and bal.ok
-    else:
-        ok = False
-    payload["ok"] = ok
-    return (PASS if ok else FAIL), payload
+        payload.update(balance=bal.to_dict(), ok=bal.ok,
+                       starred=len(L.starred()), unstarred=len(L.unstarred()))
+    return payload["ok"], payload
 
 
 def cmd_code_build(args):
     _, C = load_code(args)
-    return PASS, code_mod.code_to_json(C)
+    return True, code_mod.code_to_json(C)
 
 
 def cmd_code_check(args):
     _, C = load_code(args)
     rep = code_mod.verify_code(C)
-    return (PASS if rep.ok else FAIL), rep.to_dict()
+    return rep.ok, rep.to_dict()
 
 
 def cmd_code_distance(args):
     _, C = load_code(args)
-    out = {}
     sectors = ["x", "z"] if args.sector == "both" else [args.sector]
-    for s in sectors:
-        out[s] = code_mod.distance(C, s, cap=args.cap)
-    return PASS, out
+    return True, {s: code_mod.distance(C, s, cap=args.cap) for s in sectors}
 
 
 def cmd_code_syndrome(args):
     L, C = load_code(args)
     E = parse_error(args.error, C, L)
     syn = code_mod.syndrome(C, E)
-    return PASS, {
+    return True, {
         "syndrome": list(syn),
         "x_generators": C.G0.nrows,
         "z_generators": C.z_stab.nrows,
@@ -292,7 +286,7 @@ def cmd_code_syndrome(args):
 def cmd_code_codeword(args):
     _, C = load_code(args)
     cw = code_mod.codeword(C, args.x, cap=args.cap)
-    return PASS, {
+    return True, {
         "x": list(cw.x),
         "terms": sorted(list(t) for t in cw.terms),
         "count": len(cw.terms),
@@ -303,26 +297,33 @@ def cmd_morth_check(args):
     _, C = load_code(args)
     M, g1 = morth.code_matrix(C)
     rep = morth.is_m_star_orthogonal(M, g1, args.m, args.mode, cap=args.cap)
-    return (PASS if rep.holds else FAIL), rep.to_dict()
+    witnesses = [{"rows": list(rows), "weight": w} for rows, w in rep.witness or ()]
+    return rep.ok, {"m": args.m, "mode": args.mode, "holds": rep.ok, "witnesses": witnesses}
 
 
 def cmd_gate_level(args):
     # the gate's table and up to l_cap difference tables, d entries each
     charge((args.l_cap + 1) * args.d, args.cap, "gate level table entries")
     g = gatecalc.build_gate(args.gate, args.d)
-    verdict = gatecalc.hierarchy_level(g, args.l_cap)
-    return PASS, {"gate": args.gate, "d": args.d, "N": g.N} | verdict.to_dict()
+    level, trace = gatecalc.hierarchy_level(g, args.l_cap)
+    return True, {"gate": args.gate, "d": args.d, "N": g.N,
+                  "level": f"> {args.l_cap}" if level is None else level,
+                  "trace": [list(t) for t in trace]}
 
 
 def cmd_gate_verify(args):
     _, C = load_code(args)
     if args.gate == "CX":
-        rep = gatecalc.verify_transversal_CX(C, cap=args.cap)
+        rep = gatecalc.verify_transversal_CX(C)
     else:
-        charge(args.d * ring.span_size(C.G0), args.cap, "transversal check evaluations")
-        g = gatecalc.build_gate(args.gate, args.d)
+        # a JSON code carries its own d, which --d does not override
+        charge(C.d * ring.span_size(C.G0), args.cap, "transversal check evaluations")
+        g = gatecalc.build_gate(args.gate, C.d)
         rep = gatecalc.verify_transversal_phase(C, g, cap=args.cap)
-    return (PASS if rep.passed else FAIL), rep.to_dict()
+    payload = {"name": rep.name, "pass": rep.ok, "checked": rep.checked, "witness": rep.witness}
+    if rep.detail:
+        payload["notes"] = [rep.detail]
+    return rep.ok, payload
 
 
 def cmd_gauge_check(args):
@@ -333,23 +334,21 @@ def cmd_gauge_check(args):
     center_rep = gauge.center_equals_stabilizer(G)
     h_rep = gauge.verify_H_logical(G)
     neg = gauge.verify_H_stabilizer_code(C)
-    payload = {
+    ok = center_rep.ok and h_rep.ok and not neg.ok
+    return ok, {
         "gauge_generators": G.gauge_group.nrows,
         "stabilizer_generators": G.stabilizer_group.nrows,
         "center_equals_stabilizer": center_rep.to_dict(),
         "transversal_H": h_rep.to_dict(),
         "negative_control_global_H_fails": not neg.ok,
+        "ok": ok,
     }
-    passed = center_rep.ok and h_rep.ok and not neg.ok
-    payload["ok"] = passed
-    return (PASS if passed else FAIL), payload
 
 
 def cmd_gauge_fix_demo(args):
     log = gauge.fix_demo(args.d, args.seed)
-    ok = all(log["post"].values())
-    log["ok"] = ok
-    return (PASS if ok else FAIL), log
+    log["ok"] = all(log["post"].values())
+    return log["ok"], log
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ring
-from .reports import ValidationReport, check_shape
+from .reports import Report, check_shape
 
 DEFAULT_CAP = 10**7
 
@@ -90,7 +90,7 @@ class ColorCode:
     G0: ring.ResidueMatrix
     G1: ring.ResidueMatrix
     z_stab: ring.ResidueMatrix  # sigma-signed exponent rows, one per generator
-    z_logical: ring.ResidueVector
+    z_logical: tuple  # sigma mod d: the logical Z exponents
 
     @property
     def k(self) -> int:
@@ -152,7 +152,7 @@ def from_colex(L, mu_prime: int, d: int) -> ColorCode:
         G0=cell_rows(L, mu_prime, d),
         G1=ring.ResidueMatrix(d, ((1,) * n,)),
         z_stab=cell_rows(L, L.mu - mu_prime + 2, d, sigma),
-        z_logical=ring.ResidueVector(d, tuple(s for s in sigma)),
+        z_logical=tuple(s % d for s in sigma),
     )
     if not code.injective():
         raise ValueError(f"mu_prime={mu_prime}: [G1; G0] has a nontrivial left kernel "
@@ -160,13 +160,13 @@ def from_colex(L, mu_prime: int, d: int) -> ColorCode:
     return code
 
 
-def verify_code(C: ColorCode) -> ValidationReport:
+def verify_code(C: ColorCode) -> Report:
     """Exhaustive commutation audit of stabilizers and logicals.
 
     Only an X word and a Z word can fail to commute, so the phases of all
     pairs are the entries of three Z_d products; witnesses keep word order.
     """
-    rep = ValidationReport()
+    rep = Report()
     r0 = C.G0.nrows
     # pair (i, r0 + j) of X row i and Z row j: phase G0_i . Zstab_j
     bad = [
@@ -177,7 +177,7 @@ def verify_code(C: ColorCode) -> ValidationReport:
 
     # logical X row l against Z row j: G1_l . Zstab_j; then the logical Z
     # against X row i: -(G0_i . z_logical), and the logical pair: G1 . z_logical
-    zbar_row = ring.ResidueMatrix(C.d, (C.z_logical.entries,))
+    zbar_row = ring._canonical(C.d, (C.z_logical,))
     bad = [
         {"logical": l, "stabilizer": r0 + j, "phase": c}
         for l, j, c in _nonzero(ring.mul_transpose(C.G1, C.z_stab))
@@ -209,7 +209,7 @@ def codeword(C: ColorCode, x, cap: int = DEFAULT_CAP) -> Codeword:
     size = ring.span_size(C.G0)
     if size > cap:
         raise CapExceeded(f"codeword would enumerate {size} > cap {cap} terms")
-    offset = ring.mat_vec_mul(C.G1, x).entries
+    offset = ring.mat_vec_mul(C.G1, x)
     terms = frozenset(ring.iter_span(C.G0, offset))
     if len(terms) != size:
         raise AssertionError("term enumeration lost injectivity")
@@ -282,7 +282,7 @@ def _sector(C: ColorCode, sector: str):
             raise ValueError("a logical label x != 0 has x.G1 in span(G0)")
         labels = itertools.islice(_product(0, C.d, C.k), 1, None)
         blocks = (block for x in labels
-                  for block in ring.span_blocks(C.G0, ring.mat_vec_mul(C.G1, x).entries))
+                  for block in ring.span_blocks(C.G0, ring.mat_vec_mul(C.G1, x)))
         return A, C.G0, ring.span_size(C.G0) * (C.d ** C.k - 1), blocks
     if sector.lower() == "z":
         # a G0 with no rows keeps no column count; its transpose is n x 0
@@ -413,5 +413,5 @@ def code_from_json(obj: dict) -> ColorCode:
         G0=ring.ResidueMatrix(d, tuple(tuple(r) for r in obj["G0"])),
         G1=ring.ResidueMatrix(d, tuple(tuple(r) for r in obj["G1"])),
         z_stab=ring.ResidueMatrix(d, tuple(tuple(r) for r in obj["Zstab"])),
-        z_logical=ring.ResidueVector(d, stars),
+        z_logical=tuple(s % d for s in stars),
     )

@@ -12,11 +12,11 @@ star count.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .code import from_colex
-from .reports import ValidationReport, check_shape
+from .reports import Report, check_shape
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,12 @@ class Lattice:
         return Lattice(self.mu, self.punctured, self.vertex_ids, dict(star), self.cells)
 
 
-def validate_colex(L: Lattice) -> ValidationReport:
+def validate_colex(L: Lattice) -> Report:
     """Check the combinatorially-checkable colex axioms.
 
     Failures are report entries, never exceptions.
     """
-    rep = ValidationReport()
+    rep = Report()
     vset = set(L.vertex_ids)
 
     bad = [c for c in L.cells
@@ -121,35 +121,36 @@ def validate_colex(L: Lattice) -> ValidationReport:
         witness=clashes[:3] or None,
     )
 
-    odd = _odd_cycle_witness(L, adj)
+    odd = _two_coloring(L, adj)[2]
     rep.add(
         "bipartite-skeleton",
         odd is None,
         "1-skeleton admits a 2-coloring",
-        witness=odd,
+        witness=list(odd) if odd else None,
     )
     return rep
 
 
-def _odd_cycle_witness(L: Lattice, adj=None):
-    """None if the 1-skeleton is bipartite, else an offending vertex pair."""
-    if adj is None:
-        adj = L.adjacency()
-    color = {}
+def _two_coloring(L: Lattice, adj: dict):
+    """(side, components, clash) of the breadth-first 2-coloring of the
+    1-skeleton, roots and neighbours taken in sorted order, each root on
+    side False: clash is the first edge (u, w) found with both ends on one
+    side, where the walk stops, or None when the skeleton is bipartite."""
+    side, comps = {}, []
     for root in sorted(L.vertex_ids):
-        if root in color:
+        if root in side:
             continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        side[root] = False
+        comp = [root]
+        for u in comp:  # comp grows while it is walked: breadth-first order
             for w in sorted(adj.get(u, ())):
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return [u, w]
-    return None
+                if w not in side:
+                    side[w] = not side[u]
+                    comp.append(w)
+                elif side[w] == side[u]:
+                    return side, comps, (u, w)
+        comps.append(comp)
+    return side, comps, None
 
 
 def star_bipartition(L: Lattice) -> Lattice:
@@ -159,25 +160,9 @@ def star_bipartition(L: Lattice) -> Lattice:
     or not, lexicographically first feasible pattern) so that the global
     counts satisfy |starred| = |unstarred| - 1.  Odd cycles raise ValueError.
     """
-    adj = L.adjacency()
-    comps = []  # (ordered vertex list, side flag per vertex with seed False)
-    color = {}
-    for root in sorted(L.vertex_ids):
-        if root in color:
-            continue
-        color[root] = False
-        comp = [root]
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in sorted(adj.get(u, ())):
-                if w not in color:
-                    color[w] = not color[u]
-                    comp.append(w)
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    raise ValueError(f"1-skeleton has an odd cycle through {u},{w}")
-        comps.append(comp)
+    color, comps, odd = _two_coloring(L, L.adjacency())
+    if odd is not None:
+        raise ValueError("1-skeleton has an odd cycle through {},{}".format(*odd))
 
     # diff contributed by a component = (#True - #False) under the seed
     # orientation; flipping the component negates it
@@ -224,13 +209,13 @@ def _orientation_flips(diffs, target):
     return flips
 
 
-def check_cell_balance(L: Lattice) -> ValidationReport:
+def check_cell_balance(L: Lattice) -> Report:
     """Check that every cell holds equal starred and unstarred vertex counts.
 
     Also checks the global count (equal when closed, off-by-one punctured).
     Star flags must be assigned first.
     """
-    rep = ValidationReport()
+    rep = Report()
     if any(L.star.get(v) is None for v in L.vertex_ids):
         rep.add("star-flags-present", False, "star flags missing")
         return rep

@@ -11,7 +11,7 @@ holds on every CSS code by linearity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from . import ring
 # codeword is unused here but stays importable as gatecalc.codeword, which
 # perfbench's tracer test patches as a name shared across modules
 from .code import CapExceeded, ColorCode, DEFAULT_CAP, codeword  # noqa: F401
+from .reports import Report
 
 
 @dataclass(frozen=True)
@@ -42,19 +43,6 @@ class PhaseGate:
 
     def is_constant(self) -> bool:
         return len(set(self.p)) == 1
-
-
-@dataclass
-class HierarchyVerdict:
-    level: int | None  # None means "> l_cap"
-    l_cap: int
-    difference_trace: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level if self.level is not None else f"> {self.l_cap}",
-            "trace": [list(t) for t in self.difference_trace],
-        }
 
 
 def build_R(d: int, coeffs) -> PhaseGate:
@@ -108,9 +96,10 @@ def cyclic_difference(g: PhaseGate) -> PhaseGate:
     )
 
 
-def hierarchy_level(g: PhaseGate, l_cap: int = 10) -> HierarchyVerdict:
-    """Smallest l with the l-fold cyclic difference constant; exact for
-    diagonal gates with phases in (2 pi / N) Z.
+def hierarchy_level(g: PhaseGate, l_cap: int = 10) -> tuple:
+    """(level, trace): the smallest l <= l_cap with the l-fold cyclic
+    difference constant, or None if there is none, and the tables of the
+    differences taken.  Exact for diagonal gates with phases in (2 pi / N) Z.
 
     A constant table c after l differences sums to 0 over the cycle, so
     d*c = 0 mod N, forcing c into (N/d)Z: the (l-1)-fold difference is then
@@ -124,27 +113,11 @@ def hierarchy_level(g: PhaseGate, l_cap: int = 10) -> HierarchyVerdict:
         cur = cyclic_difference(cur)
         trace.append(cur.p)
         if cur.is_constant():
-            return HierarchyVerdict(level=l, l_cap=l_cap, difference_trace=trace)
-    return HierarchyVerdict(level=None, l_cap=l_cap, difference_trace=trace)
+            return l, trace
+    return None, trace
 
 
-@dataclass
-class VerificationReport:
-    name: str
-    passed: bool
-    checked: int
-    witness: dict | None = None
-    notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        out = {"name": self.name, "pass": self.passed, "checked": self.checked,
-               "witness": self.witness}
-        if self.notes:
-            out["notes"] = self.notes
-        return out
-
-
-def verify_transversal_phase(C: ColorCode, g: PhaseGate, cap: int = DEFAULT_CAP) -> VerificationReport:
+def verify_transversal_phase(C: ColorCode, g: PhaseGate, cap: int = DEFAULT_CAP) -> Report:
     """Check that the transversal gate acts as p on the logical label.
 
     For every term t = y.G0 + x.G1 of every logical basis state, the total
@@ -155,13 +128,11 @@ def verify_transversal_phase(C: ColorCode, g: PhaseGate, cap: int = DEFAULT_CAP)
         raise ValueError("gate and code dimensions differ")
     if C.k != 1:
         raise ValueError("transversal phase check supports k=1 codes only")
-    notes = []
+    notes = ""
     if any(e != 1 for e in C.G1.rows[0]):
-        notes.append(
-            "G1 row is not all-ones; logical phase target p(x) assumes the "
-            "all-ones logical row, so per-x diagnostics below may not match "
-            "any intended gate"
-        )
+        notes = ("G1 row is not all-ones; logical phase target p(x) assumes the "
+                 "all-ones logical row, so per-x diagnostics below may not match "
+                 "any intended gate")
     span = ring.span_size(C.G0)
     if span * C.d > cap:
         raise CapExceeded(f"transversal check needs {span * C.d} > cap {cap} evaluations")
@@ -184,37 +155,24 @@ def verify_transversal_phase(C: ColorCode, g: PhaseGate, cap: int = DEFAULT_CAP)
                 for o in reversed(orders):
                     rank, digit = divmod(rank, o)
                     y.append(digit)
-                return VerificationReport(
-                    name="transversal-phase",
-                    passed=False,
-                    checked=checked + i + 1,
-                    witness={
-                        "x": x,
-                        "y": y[::-1],
-                        "term": block[i].tolist(),
-                        "phase": int(phases[i]),
-                        "expected": expect,
-                    },
-                    notes=notes,
-                )
+                witness = {"x": x, "y": y[::-1], "term": block[i].tolist(),
+                           "phase": int(phases[i]), "expected": expect}
+                return Report("transversal-phase", False, checked + i + 1, witness, notes)
             checked += len(block)
-    return VerificationReport("transversal-phase", True, checked, None, notes)
+    return Report("transversal-phase", True, checked, detail=notes)
 
 
-def verify_transversal_CX(C: ColorCode, cap: int = DEFAULT_CAP) -> VerificationReport:
+def verify_transversal_CX(C: ColorCode) -> Report:
     """Transversal SUM gate check on two copies of C.
 
     CX maps |t1>|t2> to |t1>|t2 + t1>; the logical claim is that every term
     sum lands in the term set of the summed logical label, for all label
     pairs.  That holds on every CSS code by linearity (Gottesman 1997): the
     terms of x are x.G1 + span(G0), so t1 + t2 lies in (x1 + x2).G1 +
-    span(G0), the term set of x1 + x2 mod d.  The check is decided without
-    enumeration, but it is charged the (d |span(G0)|)^2 pairs it covers, so
-    over-cap inputs are refused as before, and a pass reports them all.
+    span(G0), the term set of x1 + x2 mod d.  The check enumerates nothing,
+    so nothing is charged to the cap; a pass reports the (d |span(G0)|)^2
+    pairs it covers.
     """
     if C.k != 1:
         raise ValueError("CX check supports k=1 codes only")
-    total = (C.d * ring.span_size(C.G0)) ** 2
-    if total > cap:
-        raise CapExceeded(f"CX check needs {total} > cap {cap} pair checks")
-    return VerificationReport("transversal-CX", True, total)
+    return Report("transversal-CX", True, (C.d * ring.span_size(C.G0)) ** 2)

@@ -22,7 +22,7 @@ from . import ring
 # which perfbench's tracer test patches as a name shared across modules
 from .code import ColorCode, PauliWord, cell_rows, symplectic_phase  # noqa: F401
 from .colex import Lattice
-from .reports import ValidationReport
+from .reports import Report
 
 
 def _symplectic(A: np.ndarray, B: np.ndarray, d: int) -> np.ndarray:
@@ -115,7 +115,7 @@ def build_gauge_code(L: Lattice, d: int) -> GaugeCode:
     return G
 
 
-def center_equals_stabilizer(G: GaugeCode) -> ValidationReport:
+def center_equals_stabilizer(G: GaugeCode) -> Report:
     """Is the gauge-group center the cell stabilizer?
 
     The center modulo phases is the kernel of the symplectic Gram matrix of
@@ -123,7 +123,7 @@ def center_equals_stabilizer(G: GaugeCode) -> ValidationReport:
     membership both ways, one span-check product per direction, plus the
     stabilizer commuting with every gauge generator.
     """
-    rep = ValidationReport()
+    rep = Report()
     gauge, stab = _array(G.gauge_group), _array(G.stabilizer_group)
     gram = ring._canonical(G.d, tuple(map(tuple, _symplectic(gauge, gauge, G.d).tolist())))
     center = ring.mul_transpose(ring.kernel_mod(gram), G.gauge_group.transpose())
@@ -151,38 +151,34 @@ def faces_of_cell(L: Lattice, cell) -> list:
 def face_color_classes(L: Lattice, cell) -> list:
     """Partition a cell's faces into 3 classes, each covering the cell once.
 
-    Faces sharing a vertex must land in different classes; a backtracking
-    3-coloring search with the partition requirement finds such classes
-    (they exist for colex cells).
+    Each vertex of the cell then lies on exactly three of its faces, one of
+    each class, so no search is needed.  The faces at the least vertex take
+    classes 0, 1 and 2, and the classes propagate: at a vertex whose faces
+    carry two classes, the third face takes the class left.  Where the walk
+    stops, the least vertex with unclassed faces seeds the next one, its
+    unclassed faces taking the classes left there in order; on a colex cell
+    that happens once per vertex-connected component of faces.  Any other
+    count of faces at a vertex, or a clash, raises ValueError.
     """
     faces = L.cells_of_dim(2)
     idxs = faces_of_cell(L, cell)
-    conflict = {
-        i: {j for j in idxs if j != i and faces[i].vertices & faces[j].vertices}
-        for i in idxs
-    }
-    assign: dict = {}
-
-    def backtrack(pos: int) -> bool:
-        if pos == len(idxs):
-            for cls in range(3):
-                cover = [v for i in idxs if assign[i] == cls for v in faces[i].vertices]
-                if len(cover) != len(cell.vertices) or set(cover) != set(cell.vertices):
-                    return False
-            return True
-        i = idxs[pos]
-        for cls in range(3):
-            if any(assign.get(j) == cls for j in conflict[i]):
-                continue
-            assign[i] = cls
-            if backtrack(pos + 1):
-                return True
-            del assign[i]
-        return False
-
-    if not backtrack(0):
+    at = {v: [i for i in idxs if v in faces[i].vertices] for v in sorted(cell.vertices)}
+    if any(len(on) != 3 for on in at.values()):
         raise ValueError("cell faces admit no partitioning 3-coloring")
-    return [[i for i in idxs if assign[i] == cls] for cls in range(3)]
+    cls: dict = {}
+    for seed in at:
+        walk = [seed]
+        for v in walk:
+            free = [i for i in at[v] if i not in cls]
+            if not free or (len(free) > 1 and v != seed):
+                continue
+            left = sorted({0, 1, 2} - {cls[i] for i in at[v] if i in cls})
+            for i, c in zip(free, left):
+                cls[i] = c
+                walk += sorted(faces[i].vertices)
+    if any({cls[i] for i in on} != {0, 1, 2} for on in at.values()):
+        raise ValueError("cell faces admit no partitioning 3-coloring")
+    return [[i for i in idxs if cls[i] == c] for c in range(3)]
 
 
 def reconstruct_cell_outcome(face_outcomes: dict, color_class, d: int) -> int:
@@ -199,17 +195,17 @@ def class_sums_consistent(face_outcomes: dict, classes, d: int):
     return len(set(sums)) == 1, sums
 
 
-def _preserved(rep: ValidationReport, name: str, M: ring.ResidueMatrix, star_signs) -> None:
+def _preserved(rep: Report, name: str, M: ring.ResidueMatrix, star_signs) -> None:
     """Add the check that transversal H maps every row of M into rowspan(M);
     the witness is the first three rows it maps outside."""
     bad = _outside(M, _hadamard(_array(M), star_signs)[0] % M.modulus)
     rep.add(name, not bad, witness=bad[:3] or None)
 
 
-def verify_H_logical(G: GaugeCode) -> ValidationReport:
+def verify_H_logical(G: GaugeCode) -> Report:
     """Does the transversal Hadamard normalize gauge and stabilizer groups
     and act as the logical Hadamard modulo gauge?"""
-    rep = ValidationReport()
+    rep = Report()
     _preserved(rep, "gauge-group-normalized", G.gauge_group, G.star_signs)
     _preserved(rep, "stabilizer-group-preserved", G.stabilizer_group, G.star_signs)
 
@@ -222,13 +218,13 @@ def verify_H_logical(G: GaugeCode) -> ValidationReport:
     return rep
 
 
-def verify_H_stabilizer_code(C: ColorCode) -> ValidationReport:
+def verify_H_stabilizer_code(C: ColorCode) -> Report:
     """Negative control: global transversal H on the plain stabilizer code.
 
     For mu' != mu - mu' + 2 the image of the Z generators leaves the
     stabilizer group, so preservation is expected to FAIL on 3D codes.
     """
-    rep = ValidationReport()
+    rep = Report()
     _preserved(rep, "stabilizer-group-preserved", _css(C.G0, C.z_stab, C.n), C.star_signs)
     return rep
 
@@ -320,7 +316,7 @@ class Tableau:
         """The |0_L> tableau: X cells, an independent Z-stabilizer basis, Zbar."""
         rows = [Row(0, r, (0,) * C.n) for r in ring.row_basis(C.G0).rows]
         rows += [Row(0, (0,) * C.n, r) for r in ring.row_basis(C.z_stab).rows]
-        rows.append(Row(0, (0,) * C.n, C.z_logical.entries))
+        rows.append(Row(0, (0,) * C.n, C.z_logical))
         T = cls(C.d, rows)
         if len(rows) != C.n:
             raise ValueError(f"tableau rank {len(rows)} != n {C.n}")
@@ -363,7 +359,7 @@ class Tableau:
         sol = ring.solve_left(self._exponents(), obs.tolist())
         if sol is None:
             raise ValueError("observable commutes but is not in the group")
-        C = np.array([sol.entries], dtype=self._dtype)
+        C = np.array([sol], dtype=self._dtype)
         phase, xz = self._product(C, self.phase, self.xz)
         if not np.array_equal(xz[0], obs):
             raise AssertionError("group element reconstruction failed")
@@ -396,7 +392,7 @@ def _is_prime(d: int) -> bool:
 # Gauge fixing
 
 
-def _lex_least_solution(A: ring.ResidueMatrix, target) -> ring.ResidueVector | None:
+def _lex_least_solution(A: ring.ResidueMatrix, target) -> tuple | None:
     """Lexicographically least x with x @ A == target, for a prime modulus.
 
     The solutions are x0 + ker(A).  Eliminating column by column through the
@@ -410,7 +406,7 @@ def _lex_least_solution(A: ring.ResidueMatrix, target) -> ring.ResidueVector | N
     sol = ring.solve_left(A, target)
     if sol is None:
         return None
-    x = list(sol.entries)
+    x = list(sol)
     rows = [list(r) for r in ring.kernel_mod(A).rows]
     for col in range(len(x)):
         piv = next((r for r in rows if r[col]), None)
@@ -421,7 +417,7 @@ def _lex_least_solution(A: ring.ResidueMatrix, target) -> ring.ResidueVector | N
         for v in rows + [x]:
             c = v[col] * inv % p
             v[:] = [(a - c * b) % p for a, b in zip(v, piv)]
-    return ring.ResidueVector(p, tuple(x))
+    return tuple(x)
 
 
 def gauge_fix(T: Tableau, G: GaugeCode, rng: random.Random) -> dict:
@@ -441,8 +437,8 @@ def gauge_fix(T: Tableau, G: GaugeCode, rng: random.Random) -> dict:
     lam = _lex_least_solution(A, outcomes)
     if lam is None:
         raise ValueError("measured face outcomes admit no gauge correction")
-    corr = ring.mat_vec_mul(G.face_x, lam.entries)
-    T.apply_pauli(PauliWord.x_word(d, corr.entries))
+    corr = ring.mat_vec_mul(G.face_x, lam)
+    T.apply_pauli(PauliWord.x_word(d, corr))
 
     post = {
         "face_outcomes_zero": all(
@@ -455,8 +451,8 @@ def gauge_fix(T: Tableau, G: GaugeCode, rng: random.Random) -> dict:
     }
     return {
         "measured": outcomes,
-        "correction": list(lam.entries),
-        "correction_support": [j for j, e in enumerate(corr.entries) if e],
+        "correction": list(lam),
+        "correction_support": [j for j, e in enumerate(corr) if e],
         "post": post,
     }
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ring
 from .code import DEFAULT_CAP, CapExceeded
+from .reports import Report
 
 
 @dataclass(frozen=True)
@@ -32,26 +33,8 @@ class StarSignedMatrix:
             raise ValueError("signs must be +-1")
 
 
-@dataclass
-class OrthogonalityReport:
-    m: int
-    mode: str
-    holds: bool
-    witnesses: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "mode": self.mode,
-            "holds": self.holds,
-            "witnesses": [
-                {"rows": list(rows), "weight": w} for rows, w in self.witnesses
-            ],
-        }
-
-
 def is_m_star_orthogonal(M: StarSignedMatrix, g1_rows, m: int, mode: str = "strong",
-                         cap: int = DEFAULT_CAP) -> OrthogonalityReport:
+                         cap: int = DEFAULT_CAP) -> Report:
     """Check the order-m orthogonality condition with full witness output.
 
     Multisets of m rows must have signed circle-product weight 0, except m
@@ -59,7 +42,8 @@ def is_m_star_orthogonal(M: StarSignedMatrix, g1_rows, m: int, mode: str = "stro
     compares integers; weak mode compares residues mod d.  The C(r+m-1, m)
     multisets are charged to the cap and weighed in blocks, in lexicographic
     order; a weight is at most ncols * (d-1)^m, so it is computed in int64
-    when that fits and in Python ints otherwise.
+    when that fits and in Python ints otherwise.  The witness lists every
+    offending (multiset, weight); the report counts the multisets checked.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -85,14 +69,14 @@ def is_m_star_orthogonal(M: StarSignedMatrix, g1_rows, m: int, mode: str = "stro
         expect = ((idx == idx[:, :1]).all(axis=1) & in_g1[idx[:, 0]]).astype(dtype)
         bad = (w - expect) % d != 0 if mode == "weak" else w != expect
         witnesses += [(chunk[i], int(w[i])) for i in np.flatnonzero(bad)]
-    return OrthogonalityReport(m=m, mode=mode, holds=not witnesses, witnesses=witnesses)
+    return Report("m-star-orthogonality", not witnesses, count, witnesses or None)
 
 
 def max_m_star(M: StarSignedMatrix, g1_rows, mode: str = "strong", m_cap: int = 8) -> int:
     """Largest m <= m_cap at which the condition holds; 0 if none."""
     best = 0
     for m in range(1, m_cap + 1):
-        if is_m_star_orthogonal(M, g1_rows, m, mode).holds:
+        if is_m_star_orthogonal(M, g1_rows, m, mode).ok:
             best = m
     return best
 

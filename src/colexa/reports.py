@@ -1,5 +1,5 @@
-"""Small result-reporting containers shared by the validators, and the shape
-check of JSON inputs."""
+"""The one report type every check returns, and the shape check of JSON
+inputs."""
 
 from __future__ import annotations
 
@@ -8,41 +8,31 @@ from typing import Any
 
 
 @dataclass
-class CheckResult:
-    """Outcome of one named check, with an optional witness payload."""
+class Report:
+    """The verdict of a check: whether it holds, how many cases it covered
+    and, when it fails, a witness.  A report built check by check with add
+    holds iff every one of its checks does."""
 
-    name: str
-    ok: bool
-    detail: str = ""
+    name: str = ""
+    ok: bool = True
+    checked: int = 0
     witness: Any = None
+    detail: str = ""
+    checks: list["Report"] = field(default_factory=list)
+
+    def add(self, name: str, ok: bool, detail: str = "", witness: Any = None) -> None:
+        self.checks.append(Report(name, bool(ok), witness=witness, detail=detail))
+        self.ok = self.ok and bool(ok)
 
     def to_dict(self) -> dict:
+        if not self.name:
+            return {"ok": self.ok, "checks": [c.to_dict() for c in self.checks]}
         out = {"name": self.name, "ok": self.ok}
         if self.detail:
             out["detail"] = self.detail
         if self.witness is not None:
             out["witness"] = self.witness
         return out
-
-
-@dataclass
-class ValidationReport:
-    """An ordered list of checks; passes iff every check passed."""
-
-    checks: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def add(self, name: str, ok: bool, detail: str = "", witness: Any = None):
-        self.checks.append(CheckResult(name, bool(ok), detail, witness))
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.ok]
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "checks": [c.to_dict() for c in self.checks]}
 
 
 def check_shape(value, shape, where: str = "input") -> None:

@@ -25,21 +25,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class ResidueVector:
-    """A vector with entries in Z_N, stored as canonical representatives."""
-
-    modulus: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        object.__setattr__(
-            self, "entries", tuple(int(e) % self.modulus for e in self.entries)
-        )
-
-
-@dataclass(frozen=True)
 class ResidueMatrix:
     """A matrix over Z_N, stored row-major with canonical representatives."""
 
@@ -88,15 +73,17 @@ class _IntRows(tuple):
     """Rows of Python ints (ResidueMatrix rows): copied without int() each."""
 
 
-def mat_vec_mul(M: ResidueMatrix, v: Sequence[int]) -> ResidueVector:
-    """Left action row-vector times matrix: returns v @ M over Z_N."""
+def mat_vec_mul(M: ResidueMatrix, v: Sequence[int]) -> tuple[int, ...]:
+    """Left action row-vector times matrix: v @ M over Z_N, as canonical
+    residues."""
     if len(v) != M.nrows:
         raise ValueError("length of v must equal number of rows of M")
     return _combine(M.rows, v, M.modulus, M.ncols)
 
 
-def _combine(rows, v: Sequence[int], N: int, ncols: int) -> ResidueVector:
-    """v @ rows over Z_N for integer rows; zero coefficients cost nothing."""
+def _combine(rows, v: Sequence[int], N: int, ncols: int) -> tuple[int, ...]:
+    """v @ rows over Z_N for integer rows, as canonical residues; zero
+    coefficients cost nothing."""
     out = [0] * ncols
     for coeff, row in zip(v, rows):
         c = int(coeff) % N
@@ -104,7 +91,7 @@ def _combine(rows, v: Sequence[int], N: int, ncols: int) -> ResidueVector:
             continue
         for j, e in enumerate(row):
             out[j] += c * e
-    return ResidueVector(N, tuple(out))
+    return tuple(e % N for e in out)
 
 
 def smith_normal_form(A: Sequence[Sequence[int]]):
@@ -239,19 +226,19 @@ def kernel_mod(M: ResidueMatrix) -> ResidueMatrix:
     return ResidueMatrix(N, tuple(gens))
 
 
-def solve_left(M: ResidueMatrix, w: Sequence[int]) -> ResidueVector | None:
+def solve_left(M: ResidueMatrix, w: Sequence[int]) -> tuple[int, ...] | None:
     """One solution x of x @ M == w over Z_N, or None if insolvable."""
     N = M.modulus
     if len(w) != M.ncols:
         raise ValueError("length of w must equal number of columns of M")
     U, V, diag = M._factor()
     m, n = M.nrows, M.ncols
-    t = _combine(V, w, N, n).entries
+    t = _combine(V, w, N, n)
     u = [0] * m
     for j in range(n):
         d = diag[j] if j < len(diag) else 0
         if j >= m or d == 0:
-            if t[j] % N != 0:
+            if t[j]:
                 return None
             continue
         g = gcd(d, N)
@@ -271,7 +258,7 @@ def row_basis(M: ResidueMatrix) -> ResidueMatrix:
     U, _V, diag = M._factor()
     # U @ M == S @ V^{-1}, so row i of U @ M is diag[i] times the primitive
     # row i of the unimodular V^{-1}; it vanishes mod N only when N | diag[i]
-    gens = (mat_vec_mul(M, u).entries for u, d in zip(U, diag) if d != 0 and d % N != 0)
+    gens = (mat_vec_mul(M, u) for u, d in zip(U, diag) if d != 0 and d % N != 0)
     return ResidueMatrix(N, tuple(gens))
 
 

@@ -41,7 +41,7 @@ def stabilizer_words(C) -> list:
 
 def logical_words(C) -> tuple:
     """(Xbar, Zbar) of a k = 1 code as PauliWords."""
-    return PauliWord.x_word(C.d, C.G1.rows[0]), PauliWord.z_word(C.d, C.z_logical.entries)
+    return PauliWord.x_word(C.d, C.G1.rows[0]), PauliWord.z_word(C.d, C.z_logical)
 
 
 def unitary_hierarchy_level(p_table, d, N, l_cap=10):

@@ -67,7 +67,7 @@ def test_criterion_3_m_star_orthogonality():
         _, C = colex.build_tetrahedral(d)
         M, g1 = morth.code_matrix(C)
         v = tuple(
-            morth.is_m_star_orthogonal(M, g1, m, "strong").holds
+            morth.is_m_star_orthogonal(M, g1, m, "strong").ok
             for m in (1, 2, 3, 4)
         )
         assert v == (True, True, True, False), f"tetra d={d}"
@@ -75,7 +75,7 @@ def test_criterion_3_m_star_orthogonality():
         _, C = colex.build_triangle_2d(d, 3)
         M, g1 = morth.code_matrix(C)
         v = tuple(
-            morth.is_m_star_orthogonal(M, g1, m, "strong").holds
+            morth.is_m_star_orthogonal(M, g1, m, "strong").ok
             for m in (1, 2, 3)
         )
         assert v == (True, True, False), f"triangle d={d}"
@@ -97,12 +97,12 @@ def test_criterion_4_hierarchy_levels():
                     continue
                 done += 1
                 assert (
-                    gatecalc.hierarchy_level(gatecalc.build_R(d, coeffs), r + 2).level
+                    gatecalc.hierarchy_level(gatecalc.build_R(d, coeffs), r + 2)[0]
                     == r
                 ), (d, r, coeffs)
-    assert gatecalc.hierarchy_level(gatecalc.build_T(3)).level == 1
-    assert gatecalc.hierarchy_level(gatecalc.build_T36(3)).level == 3
-    assert gatecalc.hierarchy_level(gatecalc.build_T36(6)).level == 3
+    assert gatecalc.hierarchy_level(gatecalc.build_T(3))[0] == 1
+    assert gatecalc.hierarchy_level(gatecalc.build_T36(3))[0] == 3
+    assert gatecalc.hierarchy_level(gatecalc.build_T36(6))[0] == 3
     # unitary-oracle agreement at small d
     for g in (
         gatecalc.build_T(5),
@@ -113,7 +113,7 @@ def test_criterion_4_hierarchy_levels():
     ):
         assert (
             unitary_hierarchy_level(g.p, g.d, g.N)
-            == gatecalc.hierarchy_level(g).level
+            == gatecalc.hierarchy_level(g)[0]
         )
     report(4, "finite-difference level == r on 100 draws per (d,r); oracle agrees")
 
@@ -122,25 +122,25 @@ def test_criterion_5_transversal_T():
     for d in (4, 5, 7):
         _, C = colex.build_tetrahedral(d)
         rep = gatecalc.verify_transversal_phase(C, gatecalc.build_T(d))
-        assert rep.passed and rep.checked == d**5, f"T d={d}"
+        assert rep.ok and rep.checked == d**5, f"T d={d}"
     for d in (3, 6):
         _, C = colex.build_tetrahedral(d)
         rep = gatecalc.verify_transversal_phase(C, gatecalc.build_T36(d))
-        assert rep.passed and rep.checked == d**5, f"T36 d={d}"
+        assert rep.ok and rep.checked == d**5, f"T36 d={d}"
     _, C = colex.build_triangle_2d(5, 3)
     rep = gatecalc.verify_transversal_phase(C, gatecalc.build_T(5))
-    assert not rep.passed and rep.witness is not None
+    assert not rep.ok and rep.witness is not None
     report(5, "tetra T d=4,5,7 + T36 d=3,6 pass; triangle T fails with witness")
 
 
 def test_criterion_6_transversal_S_and_CX():
     for d in (3, 5, 7):
         _, C = colex.build_triangle_2d(d, 3)
-        assert gatecalc.verify_transversal_phase(C, gatecalc.build_S(d)).passed
+        assert gatecalc.verify_transversal_phase(C, gatecalc.build_S(d)).ok
         _, C = colex.build_tetrahedral(d)
-        assert gatecalc.verify_transversal_phase(C, gatecalc.build_S(d)).passed
+        assert gatecalc.verify_transversal_phase(C, gatecalc.build_S(d)).ok
     _, C = colex.build_tetrahedral(3)
-    assert gatecalc.verify_transversal_CX(C).passed
+    assert gatecalc.verify_transversal_CX(C).ok
     report(6, "S passes d=3,5,7 on both codes; blockwise CX coset map passes")
 
 

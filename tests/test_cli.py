@@ -29,6 +29,9 @@ def run(capsys, *argv):
 def test_gate_level(capsys):
     code, obj = run(capsys, "gate", "level", "--d", "5", "--gate", "T")
     assert code == 0 and obj["level"] == 3
+    # a level above --l-cap is an answer, not a failed check
+    code, obj = run(capsys, "gate", "level", "--d", "5", "--gate", "T", "--l-cap", "2")
+    assert code == 0 and obj["level"] == "> 2" and len(obj["trace"]) == 2
 
 
 def test_morth_check_pass_and_fail(capsys):
@@ -92,6 +95,30 @@ def test_gate_verify_pass_fail(capsys):
     code, obj = run(capsys, "gate", "verify", "--code", "triangle", "--d", "5",
                     "--gate", "T")
     assert code == 1 and not obj["pass"] and obj["witness"]
+
+
+def test_gate_verify_runs_a_json_code_at_its_own_d(tmp_path, capsys):
+    # the file's d is 3; --d (default 2, or any other value) does not change it
+    _, obj = run(capsys, "code", "build", "--code", "tetra", "--d", "3")
+    path = tmp_path / "t3.json"
+    path.write_text(json.dumps(obj))
+    for extra in ([], ["--d", "5"]):
+        code, obj = run(capsys, "gate", "verify", "--code", str(path), "--gate", "T", *extra)
+        assert code == 0 and obj["pass"] and obj["checked"] == 3**5
+    _, builtin = run(capsys, "gate", "verify", "--code", "tetra", "--d", "3", "--gate", "T")
+    assert obj == builtin
+
+
+@pytest.mark.parametrize("argv,checked", [
+    (["--code", "tetra", "--d", "6"], 6**10),
+    (["--code", "tetra", "--d", "7"], 7**10),
+    (["--code", "triangle", "--distance", "5", "--d", "3"], 3**20),
+    (["--code", "triangle", "--distance", "5", "--d", "6"], 6**20),
+    (["--code", "tetra", "--d", "3", "--cap", "0"], 3**10),
+])
+def test_gate_verify_CX_is_not_charged_to_the_cap(capsys, argv, checked):
+    code, obj = run(capsys, "gate", "verify", "--gate", "CX", *argv)
+    assert code == 0 and obj["pass"] and obj["checked"] == checked
 
 
 def test_gauge_check(capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from colexa import code as code_mod
 from colexa import colex, ring
 from colexa.code import PauliWord, symplectic_phase
-from colexa.reports import ValidationReport
+from colexa.reports import Report
 from oracles import logical_words, min_logical_weight_x, min_logical_weight_z, stabilizer_words
 
 
@@ -169,7 +169,7 @@ def test_code_json_round_trip(tetra3):
     assert back.G1.rows == C.G1.rows
     assert back.z_stab.rows == C.z_stab.rows
     assert back.star_signs == C.star_signs
-    assert back.z_logical.entries == C.z_logical.entries
+    assert back.z_logical == C.z_logical
 
 
 def test_from_colex_rejects_bad_mu_prime(tetra3):
@@ -183,7 +183,7 @@ def test_from_colex_rejects_bad_mu_prime(tetra3):
 def pairwise_verify_code(C):
     """Reference commutation audit: symplectic_phase over every word pair,
     the loop verify_code ran before it became matrix products."""
-    rep = ValidationReport()
+    rep = Report()
     stabs = stabilizer_words(C)
     bad = []
     for i, j in itertools.combinations(range(len(stabs)), 2):

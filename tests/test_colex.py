@@ -88,7 +88,7 @@ def test_single_triangle_fails_bipartite():
     ) + (colex.Cell(2, frozenset((0, 1, 2)), color=0),)
     L = colex.Lattice(2, True, (0, 1, 2), {v: None for v in range(3)}, cells)
     rep = colex.validate_colex(L)
-    failed = {c.name for c in rep.failures()}
+    failed = {c.name for c in rep.checks if not c.ok}
     assert "bipartite-skeleton" in failed
     with pytest.raises(ValueError):
         colex.star_bipartition(L)
@@ -139,7 +139,7 @@ def test_mislabeled_star_flag_fails_balance(tri3):
     v0 = L.vertex_ids[0]
     bad[v0] = not bad[v0]
     rep = colex.check_cell_balance(L.with_star(bad))
-    names = {c.name for c in rep.failures()}
+    names = {c.name for c in rep.checks if not c.ok}
     assert "cell-balance" in names
     witness = next(c for c in rep.checks if c.name == "cell-balance").witness
     assert any(v0 in w["vertices"] for w in witness)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from colexa import colex, gauge, ring
 from colexa.code import PauliWord, symplectic_phase, syndrome
-from colexa.reports import ValidationReport
+from colexa.reports import Report
 from oracles import logical_words, stabilizer_words
 
 
@@ -85,7 +85,7 @@ def test_corrupted_stabilizer_breaks_center(tetra3):
     )
     rep = gauge.center_equals_stabilizer(corrupted)
     assert not rep.ok
-    failed = {c.name for c in rep.failures()}
+    failed = {c.name for c in rep.checks if not c.ok}
     assert "stabilizer-in-gauge-group" in failed
     assert "stabilizer-central" in failed
     # the product-based witness is the first three pairs of the pairwise loop
@@ -179,6 +179,93 @@ def test_face_color_classes(tetra3):
         for cls in classes:
             cover = sorted(v for i in cls for v in faces[i].vertices)
             assert cover == sorted(cell.vertices)
+
+
+def backtracking_face_classes(L, cell) -> list:
+    """The backtracking 3-coloring face_color_classes ran before it
+    propagated classes from a seed vertex, kept as an oracle."""
+    faces = L.cells_of_dim(2)
+    idxs = gauge.faces_of_cell(L, cell)
+    conflict = {
+        i: {j for j in idxs if j != i and faces[i].vertices & faces[j].vertices}
+        for i in idxs
+    }
+    assign: dict = {}
+
+    def backtrack(pos: int) -> bool:
+        if pos == len(idxs):
+            for cls in range(3):
+                cover = [v for i in idxs if assign[i] == cls for v in faces[i].vertices]
+                if len(cover) != len(cell.vertices) or set(cover) != set(cell.vertices):
+                    return False
+            return True
+        i = idxs[pos]
+        for cls in range(3):
+            if any(assign.get(j) == cls for j in conflict[i]):
+                continue
+            assign[i] = cls
+            if backtrack(pos + 1):
+                return True
+            del assign[i]
+        return False
+
+    if not backtrack(0):
+        raise ValueError("cell faces admit no partitioning 3-coloring")
+    return [[i for i in idxs if assign[i] == cls] for cls in range(3)]
+
+
+def as_partition(classes) -> frozenset:
+    return frozenset(frozenset(c) for c in classes)
+
+
+def test_face_classes_match_backtracking(tetra3):
+    L, _, _ = tetra3
+    for cell in L.cells_of_dim(3):
+        assert (as_partition(gauge.face_color_classes(L, cell))
+                == as_partition(backtracking_face_classes(L, cell)))
+
+
+def cube_cell(faces) -> tuple:
+    """A lattice holding one cube-shaped 3-cell on vertices 0..7 (bit i of
+    a vertex is its i-th coordinate) and the given faces of it, each named
+    by (axis, side)."""
+    verts = tuple(range(8))
+    cell = colex.Cell(3, frozenset(verts), color=0)
+    cells = [cell] + [colex.Cell(2, frozenset(v for v in verts if v >> axis & 1 == side))
+                      for axis, side in faces]
+    return colex.Lattice(3, False, verts, {v: None for v in verts}, tuple(cells)), cell
+
+
+def test_face_classes_of_a_cube_pair_opposite_faces():
+    L, cell = cube_cell([(axis, side) for side in (0, 1) for axis in range(3)])
+    classes = gauge.face_color_classes(L, cell)
+    assert as_partition(classes) == as_partition(backtracking_face_classes(L, cell))
+    assert as_partition(classes) == {frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5})}
+
+
+@pytest.mark.parametrize("faces", [
+    # face (2, 1) missing: its four vertices lie on two faces each
+    [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)],
+    # face (0, 0) twice: its vertices lie on four faces each
+    [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 0)],
+])
+def test_face_classes_refuse_a_vertex_not_on_three_faces(faces):
+    L, cell = cube_cell(faces)
+    for classes in (gauge.face_color_classes, backtracking_face_classes):
+        with pytest.raises(ValueError, match="no partitioning 3-coloring"):
+            classes(L, cell)
+
+
+def test_face_classes_refuse_a_clash():
+    # the boundary of a tetrahedron: three faces at every vertex, but the
+    # four faces meet pairwise, so three classes cannot separate them
+    verts = tuple(range(4))
+    cell = colex.Cell(3, frozenset(verts), color=0)
+    faces = [colex.Cell(2, frozenset(verts) - {v}) for v in verts]
+    L = colex.Lattice(3, False, verts, {v: None for v in verts}, (cell, *faces))
+    for classes in (gauge.face_color_classes, backtracking_face_classes):
+        with pytest.raises(ValueError, match="no partitioning 3-coloring"):
+            classes(L, cell)
 
 
 def test_reconstruction_consistency_random_errors(tetra3):
@@ -328,12 +415,12 @@ def test_lex_least_matches_greedy(p, r, c, solvable, data):
     A = ring.ResidueMatrix(p, rows)
     if solvable:
         x = [data.draw(st.integers(0, p - 1)) for _ in range(r)]
-        target = ring.mat_vec_mul(A, x).entries
+        target = ring.mat_vec_mul(A, x)
     else:
         target = tuple(data.draw(st.integers(0, p - 1)) for _ in range(c))
     got = gauge._lex_least_solution(A, target)
     expected = greedy_lex_least(A, target)
-    assert (got.entries if got is not None else None) == expected
+    assert got == expected
     if solvable:
         assert got is not None
 
@@ -343,8 +430,8 @@ def test_lex_least_on_gauge_system(tetra3):
     A = ring.ResidueMatrix(3, ring.mul_transpose(G.face_x, G.face_z).tolist())
     rng = random.Random(7)
     for _ in range(5):
-        target = ring.mat_vec_mul(A, [rng.randrange(3) for _ in range(A.nrows)]).entries
-        assert gauge._lex_least_solution(A, target).entries == greedy_lex_least(A, target)
+        target = ring.mat_vec_mul(A, [rng.randrange(3) for _ in range(A.nrows)])
+        assert gauge._lex_least_solution(A, target) == greedy_lex_least(A, target)
 
 
 def test_lex_least_rejects_composite_modulus():
@@ -397,14 +484,14 @@ def oracle_center_equals_stabilizer(G):
     the gauge generators; equality is checked as mutual span membership of
     exponent vectors plus stabilizer membership in the gauge group.
     """
-    rep = ValidationReport()
+    rep = Report()
     gens = gauge_gens(G)
     gram = ring.ResidueMatrix(G.d, _phase_matrix(gens, gens, G.d).tolist())
     combos = ring.kernel_mod(gram)
     gen_mat = _symplectic_rows(gens, G.d)
     center = ring.ResidueMatrix(
         G.d,
-        tuple(ring.mat_vec_mul(gen_mat, v).entries for v in combos.rows) or ((0,) * (2 * G.n),),
+        tuple(ring.mat_vec_mul(gen_mat, v) for v in combos.rows) or ((0,) * (2 * G.n),),
     )
     stabs = stab_gens(G)
     stab_mat = _symplectic_rows(stabs, G.d)
@@ -442,10 +529,10 @@ def oracle_transversal_H_action(W: PauliWord, star_signs) -> PauliWord:
     return PauliWord(W.d, tuple(xs), tuple(zs), W.phase_exp + dphi)
 
 
-def oracle_verify_H_logical(G) -> ValidationReport:
+def oracle_verify_H_logical(G) -> Report:
     """Does the transversal Hadamard normalize gauge and stabilizer groups
     and act as the logical Hadamard modulo gauge?"""
-    rep = ValidationReport()
+    rep = Report()
     gens = gauge_gens(G)
     gen_mat = _symplectic_rows(gens, G.d)
     stab_mat = _symplectic_rows(stab_gens(G), G.d)
@@ -481,13 +568,13 @@ def oracle_verify_H_logical(G) -> ValidationReport:
     return rep
 
 
-def oracle_verify_H_stabilizer_code(C) -> ValidationReport:
+def oracle_verify_H_stabilizer_code(C) -> Report:
     """Negative control: global transversal H on the plain stabilizer code.
 
     For mu' != mu - mu' + 2 the image of the Z generators leaves the
     stabilizer group, so preservation is expected to FAIL on 3D codes.
     """
-    rep = ValidationReport()
+    rep = Report()
     stabs = stabilizer_words(C)
     stab_mat = _symplectic_rows(stabs, C.d)
     bad = [
@@ -558,7 +645,7 @@ class OracleTableau:
         """The |0_L> tableau: X cells, an independent Z-stabilizer basis, Zbar."""
         rows = [gauge.Row(0, r, (0,) * C.n) for r in ring.row_basis(C.G0).rows]
         rows += [gauge.Row(0, (0,) * C.n, r) for r in ring.row_basis(C.z_stab).rows]
-        rows.append(gauge.Row(0, (0,) * C.n, C.z_logical.entries))
+        rows.append(gauge.Row(0, (0,) * C.n, C.z_logical))
         T = cls(C.d, rows)
         if len(T.rows) != C.n:
             raise ValueError(f"tableau rank {len(T.rows)} != n {C.n}")
@@ -610,7 +697,7 @@ class OracleTableau:
         if sol is None:
             raise ValueError("observable commutes but is not in the group")
         g = gauge.Row(0, (0,) * self.n, (0,) * self.n)
-        for coeff, r in zip(sol.entries, self.rows):
+        for coeff, r in zip(sol, self.rows):
             if coeff:
                 g = self._mul(g, self._pow(r, coeff))
         if (g.x, g.z) != (obs.x, obs.z):

@@ -1,12 +1,13 @@
 """morth: strong/weak m*-orthogonality with tightness witnesses."""
 
 import itertools
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colexa import colex, morth, ring
+from colexa import cli, colex, morth, ring
 from colexa.code import CapExceeded
 
 
@@ -33,26 +34,26 @@ def test_signed_weight_examples():
     # the all-ones row weighs 8 - 7 = 1: it holds as a G1 row, and as a G0
     # row it is the one witness, with that weight
     signs = (1,) * 8 + (-1,) * 7
-    assert one_row_report((1,) * 15, signs, {0}).holds
-    assert one_row_report((1,) * 15, signs).witnesses == [((0,), 1)]
-    assert one_row_report((0, 0, 0), (1, -1, 1)).holds
+    assert one_row_report((1,) * 15, signs, {0}).ok
+    assert one_row_report((1,) * 15, signs).witness == [((0,), 1)]
+    assert one_row_report((0, 0, 0), (1, -1, 1)).ok
 
 
 def test_tetra_cell_rows_weigh_zero(tetra_matrix):
     # m = 1 on the G0 rows alone, none of them a G1 row: every weight is 0
     _, C, M, _ = tetra_matrix
     G0 = morth.StarSignedMatrix(C.G0, M.signs)
-    assert morth.is_m_star_orthogonal(G0, (), 1).holds
+    assert morth.is_m_star_orthogonal(G0, (), 1).ok
 
 
 def test_tetra_orthogonality_and_tightness(tetra_matrix):
     d, _, M, g1 = tetra_matrix
     for m in (1, 2, 3):
-        assert morth.is_m_star_orthogonal(M, g1, m, "strong").holds
+        assert morth.is_m_star_orthogonal(M, g1, m, "strong").ok
     rep = morth.is_m_star_orthogonal(M, g1, 4, "strong")
-    assert not rep.holds
+    assert not rep.ok
     # the tight witness: four distinct cell rows meeting in vertex 1111
-    assert (1, 2, 3, 4) in [rows for rows, _ in rep.witnesses]
+    assert (1, 2, 3, 4) in [rows for rows, _ in rep.witness]
     assert morth.max_m_star(M, g1, "strong", 5) == 3
 
 
@@ -61,8 +62,8 @@ def test_triangle_orthogonality_and_tightness(d):
     _, C = colex.build_triangle_2d(d, 3)
     M, g1 = morth.code_matrix(C)
     for m in (1, 2):
-        assert morth.is_m_star_orthogonal(M, g1, m, "strong").holds
-    assert not morth.is_m_star_orthogonal(M, g1, 3, "strong").holds
+        assert morth.is_m_star_orthogonal(M, g1, m, "strong").ok
+    assert not morth.is_m_star_orthogonal(M, g1, 3, "strong").ok
     assert morth.max_m_star(M, g1, "strong", 5) == 2
 
 
@@ -74,7 +75,7 @@ def test_verdicts_are_d_independent():
         _, C = colex.build_tetrahedral(d)
         M, g1 = morth.code_matrix(C)
         reports[d] = [
-            morth.is_m_star_orthogonal(M, g1, m, "strong").holds
+            morth.is_m_star_orthogonal(M, g1, m, "strong").ok
             for m in (1, 2, 3, 4)
         ]
     assert len(set(map(tuple, reports.values()))) == 1
@@ -83,8 +84,8 @@ def test_verdicts_are_d_independent():
 def test_strong_implies_weak(tetra_matrix):
     _, _, M, g1 = tetra_matrix
     for m in (1, 2, 3):
-        assert morth.is_m_star_orthogonal(M, g1, m, "strong").holds
-        assert morth.is_m_star_orthogonal(M, g1, m, "weak").holds
+        assert morth.is_m_star_orthogonal(M, g1, m, "strong").ok
+        assert morth.is_m_star_orthogonal(M, g1, m, "weak").ok
 
 
 def test_d2_weak_is_triorthogonality():
@@ -95,7 +96,7 @@ def test_d2_weak_is_triorthogonality():
     rows = M.G.rows
     for m in (1, 2, 3):
         rep = morth.is_m_star_orthogonal(M, g1, m, "weak")
-        assert rep.holds
+        assert rep.ok
         for multiset in itertools.combinations_with_replacement(range(len(rows)), m):
             prod = circle(rows[i] for i in multiset)
             expect = 1 if len(set(multiset)) == 1 and multiset[0] in g1 else 0
@@ -130,10 +131,10 @@ def test_all_ones_single_row_condition2_only():
     assert morth.max_m_star(M, {0}, "strong", 7) == 7
 
 
-def test_report_json_shape():
-    _, C = colex.build_tetrahedral(2)
-    M, g1 = morth.code_matrix(C)
-    obj = morth.is_m_star_orthogonal(M, g1, 4, "strong").to_dict()
+def test_report_json_shape(capsys):
+    code = cli.main(["morth", "check", "--code", "tetra", "--d", "2", "--m", "4"])
+    obj = json.loads(capsys.readouterr().out)
+    assert code == 1
     assert obj["m"] == 4 and obj["mode"] == "strong" and obj["holds"] is False
     assert all(set(w) == {"rows", "weight"} for w in obj["witnesses"])
     # canonical (lexicographic) witness order
@@ -152,7 +153,11 @@ def loop_m_star(M, g1_rows, m, mode):
         bad = (w - expect) % M.G.modulus != 0 if mode == "weak" else w != expect
         if bad:
             witnesses.append((multiset, w))
-    return morth.OrthogonalityReport(m, mode, not witnesses, witnesses).to_dict()
+    return not witnesses, witnesses
+
+
+def verdict(rep) -> tuple:
+    return rep.ok, rep.witness or []
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,13 +173,13 @@ def test_blocked_check_matches_multiset_loop(d, family, m, mode, data):
     _, C = (colex.build_tetrahedral(d) if family == "tetra"
             else colex.build_triangle_2d(d, 3))
     M, g1 = morth.code_matrix(C)
-    assert morth.is_m_star_orthogonal(M, g1, m, mode).to_dict() == loop_m_star(M, g1, m, mode)
+    assert verdict(morth.is_m_star_orthogonal(M, g1, m, mode)) == loop_m_star(M, g1, m, mode)
     rows = [list(r) for r in M.G.rows]
     for _ in range(data.draw(st.integers(1, 4))):
         i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, C.n - 1))
         rows[i][j] = data.draw(st.integers(0, d - 1))
     bad = morth.StarSignedMatrix(ring.ResidueMatrix(d, tuple(map(tuple, rows))), M.signs)
-    assert morth.is_m_star_orthogonal(bad, g1, m, mode).to_dict() == loop_m_star(bad, g1, m, mode)
+    assert verdict(morth.is_m_star_orthogonal(bad, g1, m, mode)) == loop_m_star(bad, g1, m, mode)
 
 
 def test_multisets_charged_to_cap():
@@ -183,4 +188,5 @@ def test_multisets_charged_to_cap():
     # 5 rows, m = 6: C(10, 6) = 210 multisets
     with pytest.raises(CapExceeded):
         morth.is_m_star_orthogonal(M, g1, 6, cap=209)
-    assert not morth.is_m_star_orthogonal(M, g1, 6, cap=210).holds
+    rep = morth.is_m_star_orthogonal(M, g1, 6, cap=210)
+    assert not rep.ok and rep.checked == 210
