@@ -166,24 +166,27 @@ def build_parser() -> argparse.ArgumentParser:
 # -- input resolution ------------------------------------------------------
 
 
-def load_lattice(args) -> colex.Lattice:
-    name = args.lattice
+def builtin_lattice(name: str, distance: int):
+    """The built-in lattice called name (tetra, triangle), else None."""
     if name == "tetra":
-        return colex.tetrahedral_lattice()
+        return colex.hypercube_lattice(3)
     if name == "triangle":
-        return colex.triangle_lattice(args.distance)
-    return colex.lattice_from_json(read_json_object(name))
+        return colex.triangle_lattice(distance)
+    return None
+
+
+def load_lattice(args) -> colex.Lattice:
+    L = builtin_lattice(args.lattice, args.distance)
+    return colex.lattice_from_json(read_json_object(args.lattice)) if L is None else L
 
 
 def load_code(args):
-    """(lattice or None, ColorCode) from --code."""
-    if args.code == "tetra":
-        L = colex.tetrahedral_lattice()
-        return L, code_mod.from_colex(L, 3 if args.mu_prime is None else args.mu_prime, args.d)
-    if args.code == "triangle":
-        L, C = colex.build_triangle_2d(args.d, args.distance)
-        return L, C
-    return None, code_mod.code_from_json(read_json_object(args.code))
+    """(lattice or None, ColorCode) from --code; a built-in code has
+    mu' = --mu-prime, by default its lattice's mu."""
+    L = builtin_lattice(args.code, args.distance)
+    if L is None:
+        return None, code_mod.code_from_json(read_json_object(args.code))
+    return L, code_mod.from_colex(L, L.mu if args.mu_prime is None else args.mu_prime, args.d)
 
 
 def read_json_object(path: str) -> dict:

@@ -139,7 +139,8 @@ def from_colex(L, mu_prime: int, d: int) -> ColorCode:
 
     X generators are indicators of mu'-cells; Z generators are sigma-signed
     indicators of (mu - mu' + 2)-cells; the logicals are the (signed)
-    all-ones rows.  Redundant generator rows are retained as given.
+    all-ones rows.  Redundant Z rows are retained as given; redundant X rows
+    make [G1; G0] non-injective, which raises ValueError.
     """
     if not 2 <= mu_prime <= L.mu:
         raise ValueError("mu_prime must satisfy 2 <= mu_prime <= mu")

@@ -258,41 +258,31 @@ def _self_verify(L: Lattice) -> Lattice:
     return L
 
 
-def tetrahedral_lattice() -> Lattice:
-    """The 15-vertex punctured 3-colex.
+def hypercube_lattice(mu: int) -> Lattice:
+    """The punctured mu-colex on the boundary of the (mu+1)-cube.
 
-    Vertices are the nonzero 4-bit strings; the complex is the boundary of
-    the 4-cube with the 0000 vertex punctured out.  k-cells fix 4-k bits to a
-    pattern that is not all-zero: 4 cubic 3-cells C_i = {bit i set}, 18
-    square 2-cells, 28 edges.  Star flag = even popcount.
+    Vertices are the nonzero (mu+1)-bit strings: the all-zero vertex is
+    punctured out.  A k-cell fixes mu+1-k bits, with mask F, to a pattern
+    P != 0 and is {b : b & F == P}; the top cell of colour i is {bit i set}.
+    Cells come top-down: top cells by colour, then for each k the free-bit
+    sets in combinations order and the patterns in product order.  Star flag
+    = even popcount.  mu = 3 is the 15-qudit tetrahedral lattice.
     """
-    verts = tuple(range(1, 16))
+    bits = range(mu + 1)
+    verts = tuple(range(1, 2 ** (mu + 1)))
     cells = []
-    for i in range(4):
-        members = frozenset(b for b in verts if b >> i & 1)
-        cells.append(Cell(3, members, color=i))
-    for free in itertools.combinations(range(4), 2):
-        fixed = [i for i in range(4) if i not in free]
-        for pattern in itertools.product((0, 1), repeat=2):
-            if pattern == (0, 0):
-                continue
-            members = frozenset(
-                b for b in verts
-                if all(b >> i & 1 == p for i, p in zip(fixed, pattern))
-            )
-            cells.append(Cell(2, members))
-    for free in range(4):
-        fixed = [i for i in range(4) if i != free]
-        for pattern in itertools.product((0, 1), repeat=3):
-            if pattern == (0, 0, 0):
-                continue
-            members = frozenset(
-                b for b in verts
-                if all(b >> i & 1 == p for i, p in zip(fixed, pattern))
-            )
-            cells.append(Cell(1, members))
+    for k in range(mu, 0, -1):
+        frees = list(itertools.combinations(bits, k))
+        for free in reversed(frees) if k == mu else frees:  # top cell i fixes bit i
+            fixed = [i for i in bits if i not in free]
+            F = sum(1 << i for i in fixed)
+            patterns = itertools.product((0, 1), repeat=len(fixed))
+            for pattern in itertools.islice(patterns, 1, None):  # P = 0 skipped
+                P = sum(p << i for i, p in zip(fixed, pattern))
+                members = frozenset(b for b in verts if b & F == P)
+                cells.append(Cell(k, members, color=fixed[0] if k == mu else None))
 
-    L = _self_verify(Lattice(3, True, verts, {v: None for v in verts}, tuple(cells)))
+    L = _self_verify(Lattice(mu, True, verts, {v: None for v in verts}, tuple(cells)))
     for v in verts:
         assert L.star[v] == (bin(v).count("1") % 2 == 0), "popcount star rule"
     return L
@@ -300,7 +290,7 @@ def tetrahedral_lattice() -> Lattice:
 
 def build_tetrahedral(d: int):
     """The tetrahedral lattice and its color code over Z_d."""
-    L = tetrahedral_lattice()
+    L = hypercube_lattice(3)
     return L, from_colex(L, mu_prime=3, d=d)
 
 

@@ -37,10 +37,6 @@ class PhaseGate:
             raise ValueError("phase table must have length d")
         object.__setattr__(self, "p", tuple(int(e) % self.N for e in self.p))
 
-    def conjugate(self) -> "PhaseGate":
-        """The complex-conjugate gate: phase table negated mod N."""
-        return PhaseGate(self.d, self.N, tuple(-e for e in self.p))
-
     def is_constant(self) -> bool:
         return len(set(self.p)) == 1
 

@@ -185,6 +185,21 @@ def test_out_of_range_flags_exit_2(capsys, argv):
     assert_one_line_usage_error(capsys, argv)
 
 
+@pytest.mark.parametrize("mu_prime", ["7", "1"])
+def test_triangle_rejects_mu_prime_out_of_range(capsys, mu_prime):
+    argv = ["code", "check", "--code", "triangle", "--d", "3", "--mu-prime", mu_prime]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "colexa: mu_prime must satisfy 2 <= mu_prime <= mu\n"
+
+
+def test_triangle_mu_prime_2_is_the_default(capsys):
+    argv = ["code", "check", "--code", "triangle", "--d", "3"]
+    default = run_raw(capsys, argv)
+    assert default[0] == 0 and run_raw(capsys, argv + ["--mu-prime", "2"]) == default
+
+
 @pytest.mark.parametrize("value", ["abc", "-1"])
 def test_bad_cap_env_exits_2(capsys, monkeypatch, value):
     monkeypatch.setenv("COLEXA_CAP", value)
@@ -414,7 +429,7 @@ def mutated(draw, obj):
     return obj
 
 
-FUZZ_LATTICE = colex.lattice_to_json(colex.tetrahedral_lattice())
+FUZZ_LATTICE = colex.lattice_to_json(colex.hypercube_lattice(3))
 FUZZ_CODE = code_mod.code_to_json(colex.build_tetrahedral(3)[1])
 FUZZ_COMMANDS = [
     ["lattice", "check", "--lattice"],

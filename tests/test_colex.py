@@ -2,12 +2,13 @@
 
 import dataclasses
 import itertools
+import math
 from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colexa import code, colex, ring
+from colexa import code, colex, gatecalc, morth, ring
 from colexa.colex import Cell, Lattice, _self_verify
 
 
@@ -319,6 +320,67 @@ def test_triangle_code_matches_pair_scan_builder(d, distance):
 @pytest.mark.parametrize("d", [2, 3, 6])
 def test_tetrahedral_code_rows_are_canonical(d):
     L, C = colex.build_tetrahedral(d)
-    assert colex.lattice_to_json(L) == colex.lattice_to_json(colex.tetrahedral_lattice())
+    assert colex.lattice_to_json(L) == colex.lattice_to_json(colex.hypercube_lattice(3))
     for M in (C.G0, C.G1, C.z_stab, C.encoding(), C.G0.transpose(), C.z_stab.transpose()):
         assert_canonical(M)
+
+
+# -- hypercube lattices: the paper's claims in every dimension ---------------
+
+
+def hypercube_code(mu, d):
+    return code.from_colex(colex.hypercube_lattice(mu), mu, d)
+
+
+def degree_mu_gate(mu, d):
+    """R gate with phase j^mu."""
+    return gatecalc.build_gate("R:" + ",".join(["0"] * mu + ["1"]), d)
+
+
+@pytest.mark.parametrize("mu", [2, 3, 4, 5])
+def test_hypercube_lattice_validates(mu):
+    L = colex.hypercube_lattice(mu)
+    assert colex.validate_colex(L).ok and colex.check_cell_balance(L).ok
+    assert len(L.vertex_ids) == 2 ** (mu + 1) - 1
+    # a k-cell picks mu+1-k fixed bits and a nonzero pattern on them
+    for k in range(1, mu + 1):
+        assert len(L.cells_of_dim(k)) == math.comb(mu + 1, k) * (2 ** (mu + 1 - k) - 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("mu", [2, 3, 4, 5])
+def test_hypercube_code_distances_and_m_star(mu, d):
+    C = hypercube_code(mu, d)
+    assert code.verify_code(C).ok
+    assert (code.distance(C, "x"), code.distance(C, "z")) == (2 ** mu - 1, 3)
+    assert morth.max_m_star(*morth.code_matrix(C)) == mu
+
+
+@pytest.mark.parametrize("mu,d,level", [
+    (3, 5, 3), (4, 5, 4), (4, 7, 4),
+    # j^p = j mod p: the level drops when d <= mu
+    (3, 3, 1), (4, 3, 2), (5, 5, 1),
+])
+def test_hypercube_degree_mu_gate_is_transversal(mu, d, level):
+    g = degree_mu_gate(mu, d)
+    assert gatecalc.verify_transversal_phase(hypercube_code(mu, d), g).ok
+    assert gatecalc.hierarchy_level(g)[0] == level
+
+
+def test_hypercube_degree_4_gate_fails_on_mu_3():
+    rep = gatecalc.verify_transversal_phase(hypercube_code(3, 5), degree_mu_gate(4, 5))
+    assert not rep.ok and rep.witness is not None
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_mu_2_hypercube_code_is_triangle_3(d):
+    """Some qudit permutation carries the mu = 2 hypercube code's stars,
+    span(G0) and span(Zstab) onto those of triangle L = 3."""
+    H = hypercube_code(2, d)
+    _, T = colex.build_triangle_2d(d, 3)
+    target = (set(ring.iter_span(T.G0)), set(ring.iter_span(T.z_stab)))
+    spans = (set(ring.iter_span(H.G0)), set(ring.iter_span(H.z_stab)))
+    perms = (p for p in itertools.permutations(range(H.n))
+             if tuple(H.star_signs[i] for i in p) == T.star_signs)
+    assert any(tuple({tuple(v[i] for i in p) for v in s} for s in spans) == target
+               for p in perms)

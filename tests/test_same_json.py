@@ -65,7 +65,7 @@ def test_pool_prints_the_recorded_stdout(monkeypatch, workload, size):
 
 def json_inputs() -> dict:
     """Mutated builder JSON, each failing one check."""
-    tetra = colex.lattice_to_json(colex.tetrahedral_lattice())
+    tetra = colex.lattice_to_json(colex.hypercube_lattice(3))
     extra_cell = json.loads(json.dumps(tetra))
     extra_cell["cells"].append({"dim": 1, "color": None, "vertices": [1, 2, 4]})
     odd_edge = json.loads(json.dumps(tetra))
@@ -81,6 +81,8 @@ def json_inputs() -> dict:
 
 
 VERDICT_CASES = [
+    ('lattice build --lattice tetra', 0,
+     "3e58d42963a7fccde0272071eb0b5dd0a20fad55f96e7e6afb57cf4750db8469"),
     ('lattice build --lattice triangle --distance 5', 0,
      "ac4b030eaff28dbbcfa824b2af965c75c240a50c8e95ca5bc8bc7250a5f59870"),
     ('lattice check --lattice tetra', 0,
