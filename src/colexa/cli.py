@@ -166,24 +166,29 @@ def build_parser() -> argparse.ArgumentParser:
 # -- input resolution ------------------------------------------------------
 
 
-def builtin_lattice(name: str, distance: int):
-    """The built-in lattice called name (tetra, triangle), else None."""
+def builtin_lattice(name: str, distance: int, cap: int):
+    """The built-in lattice called name (tetra, triangle), else None.  The
+    triangle's 1 + 3k(k+1) qudits, k = (distance - 1) / 2, are charged to the
+    cap before it is built."""
     if name == "tetra":
         return colex.hypercube_lattice(3)
     if name == "triangle":
+        if distance >= 3:
+            k = (distance - 1) // 2
+            charge(1 + 3 * k * (k + 1), cap, "triangle lattice qudits")
         return colex.triangle_lattice(distance)
     return None
 
 
 def load_lattice(args) -> colex.Lattice:
-    L = builtin_lattice(args.lattice, args.distance)
+    L = builtin_lattice(args.lattice, args.distance, args.cap)
     return colex.lattice_from_json(read_json_object(args.lattice)) if L is None else L
 
 
 def load_code(args):
     """(lattice or None, ColorCode) from --code; a built-in code has
     mu' = --mu-prime, by default its lattice's mu."""
-    L = builtin_lattice(args.code, args.distance)
+    L = builtin_lattice(args.code, args.distance, args.cap)
     if L is None:
         return None, code_mod.code_from_json(read_json_object(args.code))
     return L, code_mod.from_colex(L, L.mu if args.mu_prime is None else args.mu_prime, args.d)

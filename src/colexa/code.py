@@ -106,8 +106,9 @@ class ColorCode:
         return M
 
     def injective(self) -> bool:
-        """Whether [G1; G0] has trivial left kernel over Z_d."""
-        return ring.kernel_mod(self.encoding()).nrows == 0
+        """Whether [G1; G0] has trivial left kernel over Z_d: elimination mod
+        d, decided once per code and factoring nothing."""
+        return ring.independent_rows(self.encoding())
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,8 @@ def from_colex(L, mu_prime: int, d: int) -> ColorCode:
     X generators are indicators of mu'-cells; Z generators are sigma-signed
     indicators of (mu - mu' + 2)-cells; the logicals are the (signed)
     all-ones rows.  Redundant Z rows are retained as given; redundant X rows
-    make [G1; G0] non-injective, which raises ValueError.
+    make [G1; G0] non-injective, which raises ValueError.  That check is
+    ring.independent_rows on [G1; G0], exact at every d, prime or not.
     """
     if not 2 <= mu_prime <= L.mu:
         raise ValueError("mu_prime must satisfy 2 <= mu_prime <= mu")

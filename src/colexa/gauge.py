@@ -11,6 +11,7 @@ d=2, and every update is a closed-form exact integer product.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -320,7 +321,7 @@ class Tableau:
         T = cls(C.d, rows)
         if len(rows) != C.n:
             raise ValueError(f"tableau rank {len(rows)} != n {C.n}")
-        if ring.span_size(T._exponents()) != C.d ** C.n:
+        if not ring.independent_rows(T._exponents()):
             raise ValueError("tableau rows are not independent")
         return T
 
@@ -385,7 +386,7 @@ class Tableau:
 
 
 def _is_prime(d: int) -> bool:
-    return d >= 2 and all(d % p for p in range(2, int(d**0.5) + 1))
+    return d >= 2 and all(d % p for p in range(2, math.isqrt(d) + 1))
 
 
 # --------------------------------------------------------------------------

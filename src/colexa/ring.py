@@ -1,18 +1,20 @@
 """Exact linear algebra over the residue rings Z_N.
 
 Factorizations and solves work with plain Python integers, so there is no
-modulus that can overflow and no floating point anywhere.  The workhorse is an
-integer Smith normal form with unimodular transform tracking; it skips only
-work that cannot change its result (no divisibility scan at unit pivots,
-column operations only on the rows they change), so its U, S and V are those
-of the plain elimination.  Each
-`ResidueMatrix` is factored at most once: the factorization is computed on
-first use and kept on the matrix, and its kernel, row span, span enumeration
-and every linear solve over Z_N, for arbitrary (not necessarily prime) N, are
-answered from that one factorization.  Bulk work (span enumeration, batched
-span membership, matrix products) runs on numpy integer arrays: int64 when
-every intermediate value provably fits, Python integers (dtype=object)
-otherwise.
+modulus that can overflow and no floating point anywhere.  Whether a matrix's
+rows are independent is decided by sparse elimination mod N, with no
+transforms and no factoring of N (independent_rows), and the verdict is kept
+on the matrix.  Every other question goes to an integer Smith normal form with
+unimodular transform tracking; it skips only work that cannot change its
+result (no divisibility scan at unit pivots, column operations only on the
+rows they change), so its U, S and V are those of the plain elimination.
+Each `ResidueMatrix` is factored at most once: the factorization is computed
+on first use and kept on the matrix, and its kernel, row span, span
+enumeration and every linear solve over Z_N, for arbitrary (not necessarily
+prime) N, are answered from that one factorization.  Bulk work (span
+enumeration, batched span membership, matrix products) runs on numpy integer
+arrays: int64 when every intermediate value provably fits, Python integers
+(dtype=object) otherwise.
 """
 
 from __future__ import annotations
@@ -204,6 +206,54 @@ def _inv_mod(a: int, N: int) -> int:
     if g != 1:
         raise ValueError(f"{a} not invertible mod {N}")
     return pow(a, -1, N)
+
+
+def independent_rows(M: ResidueMatrix) -> bool:
+    """Whether M has trivial left kernel over Z_N, decided once and kept on M.
+
+    Rows are independent over Z_N exactly when they are independent over F_p
+    for every prime p | N, and elimination on unit pivots is elimination mod
+    every such p at once; so no transform is built and N is never factored.
+    More rows than columns are dependent at once.
+    """
+    f = M.__dict__.get("_independent")
+    if f is None:
+        f = M.nrows <= M.ncols and _eliminate(M.rows, M.modulus)
+        object.__setattr__(M, "_independent", f)
+    return f
+
+
+def _eliminate(rows, N: int) -> bool:
+    """Whether rows are independent over Z_N, by sparse elimination mod N.
+
+    Each row, kept as {col: residue}, is reduced against the earlier pivot
+    rows in order, so it ends with no entry in a pivot column; its first unit
+    entry, scaled to 1, makes the next pivot, and an empty row is a
+    dependence.  A row whose entries are all zero divisors exposes a factor
+    g = gcd(a, N): the verdict is then the one mod g and mod N/g, whose
+    primes together are those of N.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = {j: e % N for j, e in enumerate(row) if e % N}
+        for c, p in pivots.items():
+            a = r.get(c)
+            if a:
+                for j, e in p.items():
+                    v = (r.get(j, 0) - a * e) % N
+                    if v:
+                        r[j] = v
+                    else:
+                        r.pop(j, None)
+        if not r:
+            return False
+        c = next((j for j, e in r.items() if gcd(e, N) == 1), None)
+        if c is None:
+            g = gcd(next(iter(r.values())), N)
+            return _eliminate(rows, g) and _eliminate(rows, N // g)
+        inv = pow(r[c], -1, N)
+        pivots[c] = {j: e * inv % N for j, e in r.items()}
+    return True
 
 
 def kernel_mod(M: ResidueMatrix) -> ResidueMatrix:

@@ -270,6 +270,28 @@ def test_distance_at_huge_d_exits_2(capsys, d):
         capsys, ["code", "distance", "--code", "tetra", "--d", str(d), "--cap", "10000"])
 
 
+def test_fix_demo_at_huge_d_exits_2(capsys):
+    # primality is tested with integer square roots, so a d past float range
+    # is a usage error, not an OverflowError
+    assert main(["gauge", "fix-demo", "--d", "1" + "0" * 320]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "colexa: tableau simulation requires prime d\n"
+
+
+@pytest.mark.parametrize("action", [["lattice", "check", "--lattice"],
+                                    ["code", "check", "--code"]])
+def test_triangle_qudits_are_charged_before_the_build(capsys, action):
+    # distance 99999999 has 1 + 3k(k+1) qudits, k = (distance - 1) / 2
+    assert main([*action, "triangle", "--distance", "99999999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "colexa: triangle lattice qudits: 7499999850000001 > cap 10000000\n"
+    # distance 5 has 19 qudits: the cap is lifted at exactly that count
+    assert_one_line_usage_error(capsys, [*action, "triangle", "--distance", "5", "--cap", "18"])
+    assert main([*action, "triangle", "--distance", "5", "--cap", "19"]) == 0
+
+
 def test_morth_check_respects_cap(capsys):
     # 5 rows, m = 6: C(10, 6) = 210 multisets
     assert_one_line_usage_error(

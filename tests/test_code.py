@@ -180,6 +180,31 @@ def test_from_colex_rejects_bad_mu_prime(tetra3):
         code_mod.from_colex(L, mu_prime=4, d=3)
 
 
+CODE_LATTICES = [(f"hypercube-{mu}", mu_prime) for mu in (2, 3, 4, 5)
+                 for mu_prime in range(2, mu + 1)]
+CODE_LATTICES += [(f"triangle-{L}", 2) for L in (3, 5, 7)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 12])
+@pytest.mark.parametrize("name, mu_prime", CODE_LATTICES)
+def test_from_colex_verdict_matches_the_snf(name, mu_prime, d):
+    # from_colex accepts exactly when the factored [G1; G0] has no left kernel
+    family, size = name.split("-")
+    L = (colex.hypercube_lattice(int(size)) if family == "hypercube"
+         else colex.triangle_lattice(int(size)))
+    n = len(L.vertex_ids)
+    encoding = ring.ResidueMatrix(d, ((1,) * n,) + code_mod.cell_rows(L, mu_prime, d).rows)
+    expected = ring.kernel_mod(encoding).nrows == 0
+    try:
+        code_mod.from_colex(L, mu_prime, d)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == expected
+    # mu' < mu leaves dependent indicator rows on every hypercube
+    assert expected == (family == "triangle" or mu_prime == int(size))
+
+
 def pairwise_verify_code(C):
     """Reference commutation audit: symplectic_phase over every word pair,
     the loop verify_code ran before it became matrix products."""

@@ -1,9 +1,10 @@
 """Work counts: every ResidueMatrix is factored at most once, so the gauge
-paths make a handful of Smith normal forms, not one per question."""
+paths make a handful of Smith normal forms, not one per question; and a
+matrix asked only whether its rows are independent is not factored at all."""
 
 import pytest
 
-from colexa import cli, code, colex, gauge, ring
+from colexa import cli, colex, gauge, ring
 
 
 @pytest.fixture
@@ -19,11 +20,24 @@ def snf_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def eliminations(monkeypatch):
+    calls = []
+    original = ring._eliminate
+
+    def counting(rows, N):
+        calls.append(len(rows))
+        return original(rows, N)
+
+    monkeypatch.setattr(ring, "_eliminate", counting)
+    return calls
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_fix_demo_factor_count(snf_calls, d):
     log = gauge.fix_demo(d, 1)
     assert all(log["post"].values())
-    assert len(snf_calls) <= 11
+    assert len(snf_calls) <= 9
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
@@ -49,13 +63,13 @@ def test_repeated_questions_factor_once(snf_calls):
     assert len(snf_calls) == 2
 
 
-def test_code_check_factors_encoding_once(snf_calls):
+def test_code_check_decides_independence_once(snf_calls, eliminations, capsys):
     # from_colex checks injectivity and verify_code reports it: both read the
-    # one factorization of the code's [G1; G0]
-    _, C = colex.build_triangle_2d(2, 13)
-    assert code.verify_code(C).ok
-    stacked = [A for A in snf_calls if len(A) == C.G0.nrows + 1]
-    assert stacked == [C.G1.rows + C.G0.rows]
+    # one verdict kept on the code's [G1; G0], and nothing is factored
+    assert cli.main(["code", "check", "--code", "triangle", "--distance", "13"]) == 0
+    assert snf_calls == []
+    faces = colex.triangle_lattice(13).cells_of_dim(2)
+    assert eliminations == [len(faces) + 1]
 
 
 @pytest.mark.parametrize("action", ["build", "check"])
@@ -66,17 +80,24 @@ def test_lattice_commands_factor_nothing(snf_calls, capsys, action, lattice):
     assert snf_calls == []
 
 
-def test_syndrome_factors_only_the_encoding(snf_calls, capsys):
-    # from_colex's injectivity check; the syndrome itself is two products
+def test_syndrome_factors_nothing(snf_calls, capsys):
+    # from_colex's injectivity check is an elimination; the syndrome itself is
+    # two products
     argv = ["code", "syndrome", "--code", "triangle", "--d", "6", "--distance", "11",
             "--error", "X^2@3,Z@40"]
     assert cli.main(argv) == 0
-    assert len(snf_calls) == 1
+    assert snf_calls == []
 
 
-def test_tetra_at_another_mu_prime_builds_one_code(snf_calls, capsys):
-    # only the mu' = 2 code is built, so only its injectivity check factors
+def test_tetra_at_another_mu_prime_builds_one_code(snf_calls, eliminations, capsys,
+                                                  monkeypatch):
+    # only the mu' = 2 code is built, so only its injectivity check runs; its
+    # 19 rows outnumber the 15 qudits, which decides it without elimination
+    decided = []
+    original = ring.independent_rows
+    monkeypatch.setattr(ring, "independent_rows", lambda M: decided.append(M.nrows) or original(M))
     assert cli.main(["code", "check", "--code", "tetra", "--mu-prime", "2"]) == 2
-    assert len(snf_calls) == 1
+    assert decided == [19]
+    assert snf_calls == [] and eliminations == []
     assert capsys.readouterr().err == ("colexa: mu_prime=2: [G1; G0] has a nontrivial left "
                                        "kernel (dependent generators or no encoded qudit)\n")

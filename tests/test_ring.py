@@ -56,6 +56,51 @@ def test_is_injective_encoding_examples():
     assert ring.kernel_mod(rmat(4, [[1, 1], [2, 2]])).nrows != 0
 
 
+def test_independent_rows_examples():
+    assert ring.independent_rows(rmat(3, [[1, 1, 1], [0, 1, 2]]))
+    assert not ring.independent_rows(rmat(4, [[1, 1], [2, 2]]))
+    # no unit entry, yet independent: (2, 3) is a unit row mod 2 and mod 3
+    assert ring.independent_rows(rmat(6, [[2, 3]]))
+    # 3 * (2, 0) == 0 mod 6
+    assert not ring.independent_rows(rmat(6, [[2, 0], [0, 3]]))
+    assert not ring.independent_rows(rmat(5, [[1], [2]]))  # more rows than columns
+    assert not ring.independent_rows(rmat(5, [[], []]))
+    assert ring.independent_rows(rmat(5, []))
+
+
+def test_independent_rows_is_kept_on_the_matrix(monkeypatch):
+    calls = []
+    original = ring._eliminate
+    monkeypatch.setattr(ring, "_eliminate", lambda rows, N: calls.append(N) or original(rows, N))
+    M = rmat(12, [[1, 0, 0], [0, 4, 3]])
+    assert ring.independent_rows(M) and ring.independent_rows(M)
+    # 4 and 3 are zero divisors: the second row splits 12 into 4 and 3
+    assert calls == [12, 4, 3]
+
+
+# moduli for independent_rows: all of 2..12, prime powers, products of
+# several primes, and moduli past int64
+INDEPENDENCE_MODULI = st.sampled_from(
+    [*range(2, 13), 16, 27, 30, 60, 2**64, 3 * (2**61 - 1)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(N=INDEPENDENCE_MODULI, m=st.integers(0, 6), n=st.integers(0, 5), data=st.data())
+def test_independent_rows_matches_kernel(N, m, n, data):
+    # small entries make dependences likely; planted rows are multiples and
+    # sums of earlier rows, with zero-divisor coefficients among them
+    entry = st.one_of(st.integers(0, N - 1), st.integers(0, 2))
+    zero_cols = data.draw(st.sets(st.integers(0, 4), max_size=2))
+    rows = [[0 if j in zero_cols else data.draw(entry) for j in range(n)] for _ in range(m)]
+    coeffs = st.sampled_from([c for c in (1, 2, 3, 4, 5, 6, 2**32, 2**61 - 1, N - 1) if c < N])
+    for i in range(1, m):
+        if data.draw(st.booleans()):
+            j, k = data.draw(st.integers(0, i - 1)), data.draw(st.integers(0, i - 1))
+            a, b = data.draw(coeffs), data.draw(st.sampled_from([0, 1]))
+            rows[i] = [(a * x + b * y) % N for x, y in zip(rows[j], rows[k])]
+    assert ring.independent_rows(rmat(N, rows)) == (ring.kernel_mod(rmat(N, rows)).nrows == 0)
+
+
 SNF_BOUNDS = st.sampled_from([1, 3, 30, 10**6, 2**70])
 
 
