@@ -6,12 +6,14 @@ rows mod d: commutation is one symplectic product of two such matrices and
 span membership one product with a span check, so the group-level checks
 work for every d.  State-level gauge fixing is simulated with a stabilizer
 tableau over prime d: phase exponents live mod d for odd primes and mod 4 for
-d=2, and every update is a closed-form exact integer product.
+d=2, and every update is a closed-form exact integer product.  Destabilizer
+rows dual to the stabilizer rows, kept through every update, turn each
+determined measurement into one symplectic product, with no factorization
+and no solve.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -247,10 +249,14 @@ class Tableau:
     """Full-rank stabilizer tableau for n qudits of prime dimension d.
 
     Phase convention: X Z = omega Z X, so Z^a X^b = omega^{-ab} X^b Z^a.
-    The rows are a phase vector and an array of (x | z) exponents.
+    The rows S are a phase vector and an array xz of (x | z) exponents; the
+    destabilizer rows destab (D, no phases) satisfy <D_i, S_j> = delta_ij,
+    built once from one factorization and kept dual by every update (after
+    Aaronson & Gottesman, and Hostens, Dehaene & De Moor for prime d).
     Measurement follows the generalized Gottesman update: a generator that
     omega-noncommutes with the observable becomes the pivot; otherwise the
-    outcome is determined by the phase of the matching group element.
+    observable is prod_j S_j^c_j with c = <D, obs>, and the outcome is that
+    product's phase.
     """
 
     def __init__(self, d: int, rows):
@@ -266,9 +272,9 @@ class Tableau:
         self.phase = np.array([r.phase % self.D for r in rows], dtype=self._dtype)
         xz = np.array([r.x + r.z for r in rows], dtype=self._dtype)
         self.xz = xz.reshape(len(rows), 2 * self.n) % d
-        self._exp = None  # exponent matrix of rows, kept until an x/z part changes
         if _symplectic(self.xz, self.xz, d).any():
             raise ValueError("tableau rows must pairwise commute")
+        self.destab = self._dual()
 
     @property
     def rows(self) -> list:
@@ -276,12 +282,20 @@ class Tableau:
         return [Row(p, tuple(v[:n]), tuple(v[n:]))
                 for p, v in zip(self.phase.tolist(), self.xz.tolist())]
 
-    def _exponents(self) -> ring.ResidueMatrix:
-        """The rows' (x | z) exponents; one factorization serves every
-        determined measurement until a row's x/z part changes."""
-        if self._exp is None:
-            self._exp = ring._canonical(self.d, tuple(map(tuple, self.xz.tolist())))
-        return self._exp
+    def _dual(self) -> np.ndarray:
+        """Destabilizer rows D with <D_i, S_j> = delta_ij: the solution of
+        D J = I for J = [z_S^T; -x_S^T], from one factorization of J and one
+        solve per row.  A row with no solution means dependent rows."""
+        n, r, d = self.n, len(self.xz), self.d
+        J = np.hstack([self.xz[:, n:], -self.xz[:, :n] % d]).T
+        J = ring._canonical(d, tuple(map(tuple, J.tolist())))
+        D = []
+        for i in range(r):
+            sol = ring.solve_left(J, (0,) * i + (1,) + (0,) * (r - 1 - i))
+            if sol is None:
+                raise ValueError("tableau rows are not independent")
+            D.append(sol)
+        return np.array(D, dtype=self._dtype).reshape(r, 2 * n)
 
     # -- group arithmetic on rows ------------------------------------------
     def _product(self, C: np.ndarray, phase: np.ndarray, xz: np.ndarray):
@@ -321,8 +335,6 @@ class Tableau:
         T = cls(C.d, rows)
         if len(rows) != C.n:
             raise ValueError(f"tableau rank {len(rows)} != n {C.n}")
-        if not ring.independent_rows(T._exponents()):
-            raise ValueError("tableau rows are not independent")
         return T
 
     # -- state updates -----------------------------------------------------
@@ -337,33 +349,36 @@ class Tableau:
         xz, dphi = _hadamard(self.xz, star_signs)
         self.phase = (self.phase + self.scale * dphi) % self.D
         self.xz = xz % self.d
-        self._exp = None
+        self.destab = _hadamard(self.destab, star_signs)[0] % self.d
 
     def measure(self, P: PauliWord, rng: random.Random) -> int:
         """Measure the generalized Pauli observable P; returns k with
         eigenvalue omega^k.  Deterministic when P commutes with all rows."""
+        d = self.d
         obs = np.array(P.x_exp + P.z_exp, dtype=self._dtype)
-        coeffs = _symplectic(obs[None], self.xz, self.d)[0]
+        coeffs = _symplectic(obs[None], self.xz, d)[0]
+        e = _symplectic(self.destab, obs[None], d)[:, 0]
         hits = np.flatnonzero(coeffs)
         if not hits.size:
-            return self._determined_outcome(obs)
+            return self._determined_outcome(obs, e)
         # every other row becomes a product that commutes with P; the pivot
-        # row is replaced by P with the drawn outcome
+        # row is replaced by P with the drawn outcome.  The destabilizers stay
+        # dual: D_i gains (e_i / c_p) S_p, and D_p becomes -S_p / c_p.
         p = int(hits[0])
+        inv = pow(int(coeffs[p]), -1, d)
+        self.destab = (self.destab + (e * inv % d)[:, None] * self.xz[p]) % d
+        self.destab[p] = -inv * self.xz[p] % d
         self.phase, self.xz = self._pivot(self.phase, self.xz, p, coeffs)
-        outcome = rng.randrange(self.d)
+        outcome = rng.randrange(d)
         self.phase[p], self.xz[p] = -outcome * self.scale % self.D, obs
-        self._exp = None
         return outcome
 
-    def _determined_outcome(self, obs: np.ndarray) -> int:
-        sol = ring.solve_left(self._exponents(), obs.tolist())
-        if sol is None:
-            raise ValueError("observable commutes but is not in the group")
-        C = np.array([sol], dtype=self._dtype)
-        phase, xz = self._product(C, self.phase, self.xz)
+    def _determined_outcome(self, obs: np.ndarray, c: np.ndarray) -> int:
+        """Outcome of an observable that commutes with every row: if it is in
+        the group it is prod_j S_j^c_j with c_j = <D_j, obs>, so no solve."""
+        phase, xz = self._product(c[None], self.phase, self.xz)
         if not np.array_equal(xz[0], obs):
-            raise AssertionError("group element reconstruction failed")
+            raise ValueError("observable commutes but is not in the group")
         if phase[0] % self.scale != 0:
             raise ValueError("inconsistent tableau phase (state not physical)")
         return int(-(phase[0] // self.scale) % self.d)
@@ -385,8 +400,33 @@ class Tableau:
                      for p, v in zip(phase[:r].tolist(), xz[:r].tolist()))
 
 
+# Miller-Rabin with the first 13 prime bases decides every d below this bound
+# exactly (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2015)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(d: int) -> bool:
-    return d >= 2 and all(d % p for p in range(2, math.isqrt(d) + 1))
+    """Whether d is prime, by deterministic Miller-Rabin; d at or above
+    _PRIME_BOUND raises ValueError, since no base set is proven there."""
+    if d >= _PRIME_BOUND:
+        raise ValueError("tableau simulation supports prime d < 3.3e24")
+    if d < 2 or any(d % p == 0 for p in _PRIME_BASES):
+        return d in _PRIME_BASES
+    s, t = 0, d - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for a in _PRIME_BASES:
+        x = pow(a, t, d)
+        if x in (1, d - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % d
+            if x == d - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # --------------------------------------------------------------------------

@@ -271,12 +271,21 @@ def test_distance_at_huge_d_exits_2(capsys, d):
 
 
 def test_fix_demo_at_huge_d_exits_2(capsys):
-    # primality is tested with integer square roots, so a d past float range
-    # is a usage error, not an OverflowError
-    assert main(["gauge", "fix-demo", "--d", "1" + "0" * 320]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "colexa: tableau simulation requires prime d\n"
+    # Miller-Rabin on the first 13 prime bases is exact only below 3.3e24, so
+    # a d past that is a usage error, not an OverflowError or an unproven
+    # verdict; 3317044064679887385961981 is the least strong pseudoprime to
+    # all 13 bases
+    for d in ["1" + "0" * 320, "3317044064679887385961981"]:
+        assert main(["gauge", "fix-demo", "--d", d]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "colexa: tableau simulation supports prime d < 3.3e24\n"
+
+
+def test_fix_demo_at_large_prime_d(capsys):
+    # primality is decided at once, and the demo works at d = 10^18 + 3
+    code, payload = run(capsys, "gauge", "fix-demo", "--d", "1000000000000000003")
+    assert code == 0 and payload["ok"]
 
 
 @pytest.mark.parametrize("action", [["lattice", "check", "--lattice"],

@@ -2,9 +2,12 @@
 paths make a handful of Smith normal forms, not one per question; and a
 matrix asked only whether its rows are independent is not factored at all."""
 
+import random
+
 import pytest
 
 from colexa import cli, colex, gauge, ring
+from oracles import stabilizer_words
 
 
 @pytest.fixture
@@ -37,7 +40,20 @@ def eliminations(monkeypatch):
 def test_fix_demo_factor_count(snf_calls, d):
     log = gauge.fix_demo(d, 1)
     assert all(log["post"].values())
-    assert len(snf_calls) <= 9
+    assert len(snf_calls) <= 4
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_determined_measurements_factor_nothing(snf_calls, monkeypatch, d):
+    # each determined outcome is one product with the destabilizer rows
+    C = colex.build_tetrahedral(d)[1]
+    T = gauge.Tableau.zero_logical(C)
+    snf_calls.clear()
+    solves = []
+    monkeypatch.setattr(ring, "solve_left", lambda *a: solves.append(a))
+    rng = random.Random(0)
+    assert all(T.measure(w, rng) == 0 for w in stabilizer_words(C))
+    assert snf_calls == [] and solves == []
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])

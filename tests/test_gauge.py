@@ -1,6 +1,7 @@
 """gauge: subsystem structure, transversal Hadamard, tableau gauge fixing."""
 
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -377,6 +378,25 @@ def test_gauge_fix_final_state_is_color_code_plus(tetra3):
 def test_fix_demo_rejects_nonprime():
     with pytest.raises(ValueError):
         gauge.fix_demo(4, 0)
+
+
+def test_is_prime_matches_trial_division():
+    for d in range(10**5):
+        assert gauge._is_prime(d) == (d >= 2 and all(d % p for p in range(2, math.isqrt(d) + 1)))
+
+
+@pytest.mark.parametrize("d", [2047, 3215031751, 3825123056546413051])
+def test_is_prime_rejects_strong_pseudoprimes(d):
+    # strong pseudoprimes to the bases 2; 2..7; and 2..23
+    assert not gauge._is_prime(d)
+
+
+def test_is_prime_at_large_d():
+    assert gauge._is_prime(10**18 + 3)
+    assert not gauge._is_prime(10**18 + 1)
+    assert not gauge._is_prime(gauge._PRIME_BOUND - 1)
+    with pytest.raises(ValueError, match="supports prime d < 3.3e24"):
+        gauge._is_prime(gauge._PRIME_BOUND)
 
 
 def greedy_lex_least(A, target):
@@ -788,6 +808,32 @@ def test_tableau_matches_word_oracle(d, seed, steps, h_at):
             assert outcome_or_error(T.measure, word, s) == outcome_or_error(O.measure, word, s)
         assert T.rows == O.rows
         assert T.canonical_form() == O.canonical_form()
+        assert np.array_equal(gauge._symplectic(T.destab, T.xz, d), np.eye(C.n, dtype=int))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_tableau_outside_word_matches_oracle(d):
+    # on 3 qudits, X0 X1 and Z0 Z1^(d-1) leave Z2 commuting but outside the
+    # group; a random measurement of X0 X2 replaces the Z row, and then X1 is
+    # commuting but outside
+    rows = [gauge.Row(0, (1, 1, 0), (0, 0, 0)), gauge.Row(0, (0, 0, 0), (1, d - 1, 0))]
+    T, O = gauge.Tableau(d, rows), OracleTableau(d, rows)
+    outside = "observable commutes but is not in the group"
+    for word, expected in [((0, 0, 0, 0, 0, 1), outside), ((1, 0, 1, 0, 0, 0), None),
+                           ((0, 1, 0, 0, 0, 0), outside)]:
+        word = PauliWord(d, word[:3], word[3:])
+        got = outcome_or_error(T.measure, word, d)
+        assert got == outcome_or_error(O.measure, word, d)
+        if expected:
+            assert got == expected
+        assert T.rows == O.rows
+        assert np.array_equal(gauge._symplectic(T.destab, T.xz, d), np.eye(2, dtype=int))
+
+
+def test_tableau_rejects_dependent_rows():
+    xx = gauge.Row(0, (1, 1), (0, 0))
+    with pytest.raises(ValueError, match="tableau rows are not independent"):
+        gauge.Tableau(3, [xx, gauge.Row(1, (2, 2), (0, 0))])
 
 
 @settings(max_examples=40, deadline=None)
