@@ -9,7 +9,9 @@ tableau over prime d: phase exponents live mod d for odd primes and mod 4 for
 d=2, and every update is a closed-form exact integer product.  Destabilizer
 rows dual to the stabilizer rows, kept through every update, turn each
 determined measurement into one symplectic product, with no factorization
-and no solve.
+and no solve.  Every other prime-d question (|0_L> bases, destabilizers,
+canonical form, lex-least correction) is one echelon form over F_d, so the
+tableau factors nothing.
 """
 
 from __future__ import annotations
@@ -251,7 +253,7 @@ class Tableau:
     Phase convention: X Z = omega Z X, so Z^a X^b = omega^{-ab} X^b Z^a.
     The rows S are a phase vector and an array xz of (x | z) exponents; the
     destabilizer rows destab (D, no phases) satisfy <D_i, S_j> = delta_ij,
-    built once from one factorization and kept dual by every update (after
+    built once from one echelon form and kept dual by every update (after
     Aaronson & Gottesman, and Hostens, Dehaene & De Moor for prime d).
     Measurement follows the generalized Gottesman update: a generator that
     omega-noncommutes with the observable becomes the pivot; otherwise the
@@ -283,19 +285,17 @@ class Tableau:
                 for p, v in zip(self.phase.tolist(), self.xz.tolist())]
 
     def _dual(self) -> np.ndarray:
-        """Destabilizer rows D with <D_i, S_j> = delta_ij: the solution of
-        D J = I for J = [z_S^T; -x_S^T], from one factorization of J and one
-        solve per row.  A row with no solution means dependent rows."""
-        n, r, d = self.n, len(self.xz), self.d
-        J = np.hstack([self.xz[:, n:], -self.xz[:, :n] % d]).T
-        J = ring._canonical(d, tuple(map(tuple, J.tolist())))
-        D = []
-        for i in range(r):
-            sol = ring.solve_left(J, (0,) * i + (1,) + (0,) * (r - 1 - i))
-            if sol is None:
-                raise ValueError("tableau rows are not independent")
-            D.append(sol)
-        return np.array(D, dtype=self._dtype).reshape(r, 2 * n)
+        """Destabilizer rows D with <D_i, S_j> = delta_ij, that is D W^T = I
+        for W = [z_S | -x_S].  One echelon T W = R has R = I on its pivot
+        columns, so D = T^T there and 0 elsewhere; fewer pivots than rows
+        means dependent rows."""
+        n, r = self.n, len(self.xz)
+        _R, T, pivots = ring.echelon_mod_p(np.hstack([self.xz[:, n:], -self.xz[:, :n]]), self.d)
+        if len(pivots) < r:
+            raise ValueError("tableau rows are not independent")
+        D = np.zeros((r, 2 * n), dtype=self._dtype)
+        D[:, pivots] = T.T
+        return D
 
     # -- group arithmetic on rows ------------------------------------------
     def _product(self, C: np.ndarray, phase: np.ndarray, xz: np.ndarray):
@@ -313,25 +313,17 @@ class Tableau:
                  + (C * (C - 1) // 2 % d * M.diagonal()).sum(axis=1))
         return (C @ phase - self.scale * cross) % self.D, (C @ xz) % d
 
-    def _pivot(self, phase: np.ndarray, xz: np.ndarray, p: int, c: np.ndarray):
-        """Row p becomes row_p^(1/c_p) and every other row i becomes
-        row_i row_p^(-c_i/c_p), in one closed-form product: a linear function
-        of the rows that is c_i on row i becomes 1 on row p and 0 elsewhere.
-        For prime d, (r^a)^b = r^(ab mod d) phase included, so this equals
-        raising the rescaled pivot row to each power."""
-        inv = pow(int(c[p]), -1, self.d)
-        k = -c * inv % self.d
-        k[p] = inv
-        C = np.hstack([np.eye(len(xz), dtype=self._dtype), k[:, None]])
-        C[p, p] = 0
-        return self._product(C, np.append(phase, phase[p]), np.vstack([xz, xz[p]]))
-
     @classmethod
     def zero_logical(cls, C: ColorCode) -> "Tableau":
-        """The |0_L> tableau: X cells, an independent Z-stabilizer basis, Zbar."""
-        rows = [Row(0, r, (0,) * C.n) for r in ring.row_basis(C.G0).rows]
-        rows += [Row(0, (0,) * C.n, r) for r in ring.row_basis(C.z_stab).rows]
-        rows.append(Row(0, (0,) * C.n, C.z_logical))
+        """The |0_L> tableau: bases of the X cells and of the Z stabilizers
+        (the nonzero rows of their echelon forms over F_d), then Zbar."""
+        if not _is_prime(C.d):
+            raise ValueError("tableau simulation requires prime d")
+        zero = (0,) * C.n
+        X, Z = (ring.echelon_mod_p(_array(M), C.d)[0].tolist() for M in (C.G0, C.z_stab))
+        rows = [Row(0, tuple(r), zero) for r in X if any(r)]
+        rows += [Row(0, zero, tuple(r)) for r in Z if any(r)]
+        rows.append(Row(0, zero, C.z_logical))
         T = cls(C.d, rows)
         if len(rows) != C.n:
             raise ValueError(f"tableau rank {len(rows)} != n {C.n}")
@@ -356,19 +348,23 @@ class Tableau:
         eigenvalue omega^k.  Deterministic when P commutes with all rows."""
         d = self.d
         obs = np.array(P.x_exp + P.z_exp, dtype=self._dtype)
+        if d == 2 and (obs[:self.n] @ obs[self.n:]) % 2:
+            raise ValueError("at d = 2 only Hermitian observables (even x.z) are measured")
         coeffs = _symplectic(obs[None], self.xz, d)[0]
         e = _symplectic(self.destab, obs[None], d)[:, 0]
         hits = np.flatnonzero(coeffs)
         if not hits.size:
             return self._determined_outcome(obs, e)
-        # every other row becomes a product that commutes with P; the pivot
-        # row is replaced by P with the drawn outcome.  The destabilizers stay
-        # dual: D_i gains (e_i / c_p) S_p, and D_p becomes -S_p / c_p.
+        # each other row S_i becomes S_i S_p^(-c_i/c_p), commuting with P, in
+        # one product; row p is replaced by P with the drawn outcome.  The
+        # destabilizers stay dual: D_i gains (e_i/c_p) S_p, D_p is -S_p/c_p.
         p = int(hits[0])
         inv = pow(int(coeffs[p]), -1, d)
         self.destab = (self.destab + (e * inv % d)[:, None] * self.xz[p]) % d
         self.destab[p] = -inv * self.xz[p] % d
-        self.phase, self.xz = self._pivot(self.phase, self.xz, p, coeffs)
+        C = np.hstack([np.eye(len(self.xz), dtype=self._dtype), (-coeffs * inv % d)[:, None]])
+        self.phase, self.xz = self._product(C, np.append(self.phase, self.phase[p]),
+                                            np.vstack([self.xz, self.xz[p]]))
         outcome = rng.randrange(d)
         self.phase[p], self.xz[p] = -outcome * self.scale % self.D, obs
         return outcome
@@ -385,19 +381,14 @@ class Tableau:
 
     def canonical_form(self) -> tuple:
         """Unique reduced-echelon presentation of the stabilizer group,
-        phases included; equal groups give equal forms."""
-        phase, xz, r = self.phase, self.xz, 0
-        for col in range(2 * self.n):
-            hits = np.flatnonzero(xz[r:, col])
-            if not hits.size:
-                continue
-            order = np.arange(len(xz))
-            order[[r, r + hits[0]]] = order[[r + hits[0], r]]
-            phase, xz = self._pivot(phase[order], xz[order], r, xz[order, col])
-            r += 1
+        phases included; equal groups give equal forms.  Row i of the echelon
+        T xz = R is prod_j S_j^T_ij, all phased in one product: with Hermitian
+        rows the group holds no scalar but I, so exponents fix the phase."""
+        _R, T, pivots = ring.echelon_mod_p(self.xz, self.d)
+        phase, xz = self._product(T[:len(pivots)].astype(self._dtype), self.phase, self.xz)
         n = self.n
         return tuple((tuple(v[:n]), tuple(v[n:]), p)
-                     for p, v in zip(phase[:r].tolist(), xz[:r].tolist()))
+                     for p, v in zip(phase.tolist(), xz.tolist()))
 
 
 # Miller-Rabin with the first 13 prime bases decides every d below this bound
@@ -436,29 +427,21 @@ def _is_prime(d: int) -> bool:
 def _lex_least_solution(A: ring.ResidueMatrix, target) -> tuple | None:
     """Lexicographically least x with x @ A == target, for a prime modulus.
 
-    The solutions are x0 + ker(A).  Eliminating column by column through the
-    left kernel's rows zeroes x0 at every kernel pivot column; any other
-    solution first differs from the result at a pivot column, where it is
-    nonzero, so the result is the least.
+    One echelon form of [A^T with its columns reversed | target]: a pivot in
+    the target column means no solution.  Otherwise each pivot variable is
+    its row's target entry minus multiples of the free variables right of
+    it, the earlier x_i; so taking x_0, x_1, ... in turn, each is fixed by
+    the earlier ones or free and least at 0: every free variable is 0.
     """
-    p = A.modulus
+    p, m = A.modulus, A.nrows
     if not _is_prime(p):
         raise ValueError(f"lex-least solution needs a prime modulus, got {p}")
-    sol = ring.solve_left(A, target)
-    if sol is None:
+    a = _array(A).T[:, ::-1]
+    R, _T, pivots = ring.echelon_mod_p(np.hstack([a, np.array(target, dtype=a.dtype)[:, None]]), p)
+    if m in pivots:
         return None
-    x = list(sol)
-    rows = [list(r) for r in ring.kernel_mod(A).rows]
-    for col in range(len(x)):
-        piv = next((r for r in rows if r[col]), None)
-        if piv is None:
-            continue
-        rows.remove(piv)
-        inv = pow(piv[col], -1, p)
-        for v in rows + [x]:
-            c = v[col] * inv % p
-            v[:] = [(a - c * b) % p for a, b in zip(v, piv)]
-    return tuple(x)
+    fixed = dict(zip(pivots, R[:, m].tolist()))
+    return tuple(fixed.get(m - 1 - i, 0) for i in range(m))
 
 
 def gauge_fix(T: Tableau, G: GaugeCode, rng: random.Random) -> dict:

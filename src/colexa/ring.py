@@ -11,7 +11,9 @@ rows they change), so its U, S and V are those of the plain elimination.
 Each `ResidueMatrix` is factored at most once: the factorization is computed
 on first use and kept on the matrix, and its kernel, row span, span
 enumeration and every linear solve over Z_N, for arbitrary (not necessarily
-prime) N, are answered from that one factorization.  Bulk work (span
+prime) N, are answered from that one factorization.  Over F_p, p prime,
+one Gaussian elimination on an array (echelon_mod_p) gives the reduced
+echelon form and its transform, with no Smith form.  Bulk work (span
 enumeration, batched span membership, matrix products) runs on numpy integer
 arrays: int64 when every intermediate value provably fits, Python integers
 (dtype=object) otherwise.
@@ -254,6 +256,32 @@ def _eliminate(rows, N: int) -> bool:
         inv = pow(r[c], -1, N)
         pivots[c] = {j: e * inv % N for j, e in r.items()}
     return True
+
+
+def echelon_mod_p(A: np.ndarray, p: int):
+    """Reduced row echelon form of an integer array over F_p, p prime, with
+    its transform: (R, T, pivots), T invertible and T @ A == R mod p.  Row
+    i < len(pivots) of R has its leading 1 in column pivots[i], the only
+    nonzero entry there; the other rows are zero, so those rows of T span
+    the left kernel.  One elimination on [A | I], a pivot clearing its column
+    in one array update; entries stay below p^2 in size (int64 while 2p^2
+    fits, Python ints otherwise)."""
+    m, n = A.shape
+    dtype = exact_dtype(2 * p * p)
+    M = np.hstack([np.asarray(A, dtype=dtype) % p, np.eye(m, dtype=dtype)])
+    pivots: list[int] = []
+    for col in range(n):
+        r = len(pivots)
+        hits = np.flatnonzero(M[r:, col])
+        if not hits.size:
+            continue
+        M[[r, r + hits[0]]] = M[[r + hits[0], r]]
+        M[r] = M[r] * pow(int(M[r, col]), -1, p) % p
+        c = M[:, col].copy()
+        c[r] = 0
+        M = (M - c[:, None] * M[r]) % p
+        pivots.append(col)
+    return M[:, :n], M[:, n:], pivots
 
 
 def kernel_mod(M: ResidueMatrix) -> ResidueMatrix:

@@ -1,6 +1,7 @@
 """Work counts: every ResidueMatrix is factored at most once, so the gauge
-paths make a handful of Smith normal forms, not one per question; and a
-matrix asked only whether its rows are independent is not factored at all."""
+checks make a handful of Smith normal forms, not one per question; gauge
+fixing at prime d makes none; and a matrix asked only whether its rows are
+independent is not factored at all."""
 
 import random
 
@@ -36,11 +37,16 @@ def eliminations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 7])
-def test_fix_demo_factor_count(snf_calls, d):
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 10**18 + 3])
+def test_fix_demo_factor_count(snf_calls, monkeypatch, d):
+    # every prime-d question of the tableau and the correction is one
+    # echelon form over F_d: no Smith form, no solve, no kernel
+    calls = []
+    for name in ("solve_left", "kernel_mod"):
+        monkeypatch.setattr(ring, name, lambda *a, name=name: calls.append(name))
     log = gauge.fix_demo(d, 1)
     assert all(log["post"].values())
-    assert len(snf_calls) <= 4
+    assert snf_calls == [] and calls == []
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

@@ -696,6 +696,8 @@ class OracleTableau:
     def measure(self, P: PauliWord, rng: random.Random) -> int:
         """Measure the generalized Pauli observable P; returns k with
         eigenvalue omega^k.  Deterministic when P commutes with all rows."""
+        if self.d == 2 and sum(x * z for x, z in zip(P.x_exp, P.z_exp)) % 2:
+            raise ValueError("at d = 2 only Hermitian observables (even x.z) are measured")
         obs = gauge.Row(0, P.x_exp, P.z_exp)
         coeffs = [self._sp(obs, r) for r in self.rows]
         pivot = next((i for i, c in enumerate(coeffs) if c), None)
@@ -763,6 +765,16 @@ def tetra(d):
     return TETRA[d]
 
 
+def random_word(d, rng, n=15):
+    """A uniform word, made Hermitian at d = 2 (X^x Z^z squares to
+    (-1)^(x.z) there) by clearing z at the first qudit where x and z are 1."""
+    x = tuple(rng.randrange(d) for _ in range(n))
+    z = [rng.randrange(d) for _ in range(n)]
+    if d == 2 and sum(a * b for a, b in zip(x, z)) % 2:
+        z[next(j for j in range(n) if x[j] and z[j])] = 0
+    return PauliWord(d, x, tuple(z))
+
+
 def outcome_or_error(measure, P, seed):
     try:
         return measure(P, random.Random(seed))
@@ -779,15 +791,18 @@ def outcome_or_error(measure, P, seed):
 )
 def test_tableau_matches_word_oracle(d, seed, steps, h_at):
     """From |0_L>: random Paulis, one transversal H and measurements of
-    random words, of products of two current rows (determined) and of gauge
-    faces; outcomes, rows and canonical forms agree after every step."""
+    random (Hermitian) words, of products of two current rows (determined)
+    and of gauge faces; outcomes, rows and canonical forms agree after every
+    step.  Both tableaus start from the oracle's rows; zero_logical's own
+    basis differs but gives the same canonical form."""
     L, C, G = tetra(d)
-    T, O = gauge.Tableau.zero_logical(C), OracleTableau.zero_logical(C)
+    O = OracleTableau.zero_logical(C)
+    T = gauge.Tableau(d, O.rows)
+    assert gauge.Tableau.zero_logical(C).canonical_form() == O.canonical_form()
     rng = random.Random(seed)
     steps.insert(h_at, "H")
     for step in steps:
-        word = PauliWord(d, tuple(rng.randrange(d) for _ in range(15)),
-                         tuple(rng.randrange(d) for _ in range(15)))
+        word = random_word(d, rng)
         if step == "H":
             T.apply_transversal_H(L.star_signs())
             O.apply_transversal_H(L.star_signs())
@@ -828,6 +843,19 @@ def test_tableau_outside_word_matches_oracle(d):
             assert got == expected
         assert T.rows == O.rows
         assert np.array_equal(gauge._symplectic(T.destab, T.xz, d), np.eye(2, dtype=int))
+
+
+@pytest.mark.parametrize("tableau", [gauge.Tableau, OracleTableau])
+def test_tableau_refuses_a_non_hermitian_observable_at_d_2(tableau):
+    # X Z has x.z = 1: it squares to -I, with eigenvalues +-i, not +-1;
+    # (X Z) (x) (X Z) has x.z = 2 and is measured
+    z0 = gauge.Row(0, (0, 0), (1, 0))
+    T = tableau(2, [z0])
+    with pytest.raises(ValueError, match="only Hermitian observables"):
+        T.measure(PauliWord(2, (1, 0), (1, 0)), random.Random(0))
+    assert T.rows == [z0]
+    assert T.measure(PauliWord(2, (1, 1), (1, 1)), random.Random(0)) in (0, 1)
+    assert [(r.x, r.z) for r in T.rows] == [((1, 1), (1, 1))]
 
 
 def test_tableau_rejects_dependent_rows():

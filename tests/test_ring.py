@@ -398,6 +398,36 @@ def test_span_check_agrees_with_in_rowspan(N, m, n, data):
     assert members.tolist() == expected
 
 
+def in_span(rows, N, W, n):
+    """Whether every row of W lies in the Z_N row span of rows, by span_check."""
+    H, g = ring.span_check(rmat(N, rows), n)
+    return not (np.array(W, dtype=H.dtype).reshape(len(W), n) @ H % g).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 1009, 2**31 - 1, 2**61 - 1, 10**18 + 3]),
+       m=st.integers(0, 5), n=st.integers(0, 5), data=st.data())
+def test_echelon_mod_p(p, m, n, data):
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    A = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
+    if m >= 3 and data.draw(st.booleans()):  # a dependent row
+        k = data.draw(st.integers(0, p - 1))
+        A[-1] = [(k * a + b) % p for a, b in zip(A[0], A[1])]
+    R, T, pivots = ring.echelon_mod_p(np.array(A, dtype=object).reshape(m, n), p)
+    R, T = R.tolist(), T.tolist()
+    assert all(0 <= e < p for M in (R, T) for row in M for e in row)
+    assert [[e % p for e in row] for row in matmul(T, A)] == R
+    assert bareiss_det(T) % p != 0 if m else T == []
+    # reduced: leading 1s in increasing columns, alone in their columns
+    r = len(pivots)
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert not any(R[i][:c]) and [row[c] for row in R] == [int(i == k) for k in range(m)]
+    assert not any(e for row in R[r:] for e in row)
+    assert r == sum(1 for e in ring.smith_normal_form(A)[3] if e % p)
+    assert in_span(A, p, R, n) and in_span(R, p, A, n)
+
+
 def full_scan_pivot(S, t):
     """The pivot search smith_normal_form ran before it stopped at units:
     the first smallest nonzero |entry| over the whole remaining block."""

@@ -58,7 +58,8 @@ def test_pool_prints_the_recorded_stdout(monkeypatch, workload, size):
 #
 # The README's commands and verdicts the pools never print: failing lattice
 # and code checks, a transversality witness with notes, a level above
-# --l-cap and weak-mode m* witnesses.  Each case is (argv, exit code, sha256
+# --l-cap, weak-mode m* witnesses, and gauge fixing at primes from 2 to
+# 10^18 + 3 and at a composite d.  Each case is (argv, exit code, sha256
 # of stdout); "{name}" in argv is the path of the JSON input named in
 # json_inputs.
 
@@ -163,6 +164,36 @@ VERDICT_CASES = [
      "1abc86b8d73bd56149caea5f75a1718d770af195d32a48e61bedd0f340fb1d23"),
     ('gauge fix-demo --d 2 --seed 3', 0,
      "188ad5385140c01e425a118fed0b8371feded10a7ab07d9845cefd7074c59d96"),
+    ('gauge fix-demo --d 2 --seed 0', 0,
+     "035d07af1513d34b7f7a40e2ef42cb36c62380a516fccb959c9728228cab0f04"),
+    ('gauge fix-demo --d 2 --seed 11', 0,
+     "bdc65bee3702beac95c44d4db1719b2d517d20fb0c885748c22283ab408c00a7"),
+    ('gauge fix-demo --d 3 --seed 0', 0,
+     "b873d77700c145abf79e706bfa8a94b3c374671c4cb400eb8a64fba09ca33220"),
+    ('gauge fix-demo --d 3 --seed 11', 0,
+     "6dc37ceacd32491f7f876e865462a2d56d453812ce52d9fe72ba28bf268c8601"),
+    ('gauge fix-demo --d 5 --seed 0', 0,
+     "4fba670ca8b8d1b81536929d2ed97378f07ce89d9682e0d634cbd42ca6d9353f"),
+    ('gauge fix-demo --d 5 --seed 11', 0,
+     "3a966b9c995d105504de4ec507673d92020ef2f4ac51299bd97ea438b932178d"),
+    ('gauge fix-demo --d 7 --seed 0', 0,
+     "ae0d9806966661e25a5866f06be7bf8dfa4633c1aea36491142a58a8a39617e8"),
+    ('gauge fix-demo --d 7 --seed 11', 0,
+     "2323f7d0932b1df013d177009155a7fce695cba3cc514d9c15a3b25e763a4c27"),
+    ('gauge fix-demo --d 11 --seed 0', 0,
+     "5d79fda8a60c84b1355da844fd1b367fe44a2885e9ba328d11c93b6f07f1ab2f"),
+    ('gauge fix-demo --d 11 --seed 11', 0,
+     "ef8468c6e68071490a01b58ef8d50c89cffb1a4d2fb4d1408f18751c3f12103c"),
+    ('gauge fix-demo --d 1009 --seed 0', 0,
+     "81cbd4e2422be61b885127be273b62a46fd46435a050fc73da6bb722e3ada759"),
+    ('gauge fix-demo --d 1009 --seed 11', 0,
+     "2b61d1a4452101464147139e690add5fc776224e46d3a84a8ff575f6e6b5626d"),
+    ('gauge fix-demo --d 1000000000000000003 --seed 0', 0,
+     "ed5bd57ccdfc68a1449f081d3d57d735da1b582b1029ed7cbd7c853f2a80ad10"),
+    ('gauge fix-demo --d 1000000000000000003 --seed 11', 0,
+     "8285c43323682ef99dfec828fe1de86b44081c7e6111ce5b1b67d8b6213e0195"),
+    ('gauge fix-demo --d 4 --seed 0', 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ('lattice check --lattice tetra --pretty', 0,
      "18d587cda767442defce13bf16459eeb211e7bd7f2720abd7df8ae69d410a406"),
 ]
