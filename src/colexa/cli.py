@@ -250,15 +250,7 @@ def cmd_lattice_build(args):
 
 
 def cmd_lattice_check(args):
-    L = load_lattice(args)
-    rep = colex.validate_colex(L)
-    payload = {"validate": rep.to_dict(), "ok": rep.ok}
-    if rep.ok:
-        if any(L.star.get(v) is None for v in L.vertex_ids):
-            L = colex.star_bipartition(L)
-        bal = colex.check_cell_balance(L)
-        payload.update(balance=bal.to_dict(), ok=bal.ok,
-                       starred=len(L.starred()), unstarred=len(L.unstarred()))
+    _, payload = colex.audit(load_lattice(args))
     return payload["ok"], payload
 
 

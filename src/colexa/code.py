@@ -46,16 +46,6 @@ class PauliWord:
         return len(self.x_exp)
 
     @classmethod
-    def x_word(cls, d: int, exps) -> "PauliWord":
-        exps = tuple(exps)
-        return cls(d, exps, (0,) * len(exps))
-
-    @classmethod
-    def z_word(cls, d: int, exps) -> "PauliWord":
-        exps = tuple(exps)
-        return cls(d, (0,) * len(exps), exps)
-
-    @classmethod
     def single(cls, d: int, n: int, site: int, kind: str, power: int = 1):
         """A one-site X^power or Z^power error."""
         x = [0] * n

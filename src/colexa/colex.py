@@ -1,4 +1,4 @@
-"""Colex lattices: validation, star-bipartitions, and the example builders.
+"""Colex lattices: validation, star-bipartitions, and the lattice builders.
 
 A colex is a celluation of an orientable manifold whose vertices have valency
 mu+1 and whose top cells are properly (mu+1)-colored.  Orientability itself is
@@ -15,7 +15,6 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .code import from_colex
 from .reports import Report, check_shape
 
 
@@ -246,15 +245,27 @@ def check_cell_balance(L: Lattice) -> Report:
     return rep
 
 
-def _self_verify(L: Lattice) -> Lattice:
-    """Builders run the full validation stack before returning."""
+def audit(L: Lattice) -> tuple:
+    """(L, report) of the full check: validate_colex, then, if it holds,
+    star_bipartition where any star flag is missing and check_cell_balance.
+    The report is a JSON object whose "ok" holds iff every check run does;
+    it also counts the starred and unstarred vertices once balance ran."""
     rep = validate_colex(L)
-    if not rep.ok:
-        raise AssertionError(f"builder produced an invalid lattice: {rep.to_dict()}")
-    L = star_bipartition(L)
-    bal = check_cell_balance(L)
-    if not bal.ok:
-        raise AssertionError(f"builder lattice fails balance: {bal.to_dict()}")
+    out = {"validate": rep.to_dict(), "ok": rep.ok}
+    if rep.ok:
+        if any(L.star.get(v) is None for v in L.vertex_ids):
+            L = star_bipartition(L)
+        bal = check_cell_balance(L)
+        out.update(balance=bal.to_dict(), ok=bal.ok,
+                   starred=len(L.starred()), unstarred=len(L.unstarred()))
+    return L, out
+
+
+def _self_verify(L: Lattice) -> Lattice:
+    """Builders audit their lattice and raise unless the report holds."""
+    L, rep = audit(L)
+    if not rep["ok"]:
+        raise AssertionError(f"builder produced an invalid lattice: {rep}")
     return L
 
 
@@ -286,12 +297,6 @@ def hypercube_lattice(mu: int) -> Lattice:
     for v in verts:
         assert L.star[v] == (bin(v).count("1") % 2 == 0), "popcount star rule"
     return L
-
-
-def build_tetrahedral(d: int):
-    """The tetrahedral lattice and its color code over Z_d."""
-    L = hypercube_lattice(3)
-    return L, from_colex(L, mu_prime=3, d=d)
 
 
 def triangle_lattice(distance: int) -> Lattice:
@@ -387,12 +392,6 @@ def triangle_lattice(distance: int) -> Lattice:
     return _self_verify(Lattice(2, True, verts, {v: None for v in verts}, tuple(cells)))
 
 
-def build_triangle_2d(d: int, distance: int):
-    """The triangle lattice of an odd distance and its color code over Z_d."""
-    L = triangle_lattice(distance)
-    return L, from_colex(L, mu_prime=2, d=d)
-
-
 def lattice_to_json(L: Lattice) -> dict:
     return {
         "mu": L.mu,
@@ -420,8 +419,16 @@ _LATTICE_SHAPE = {
 
 
 def lattice_from_json(obj: dict) -> Lattice:
+    """The lattice of a JSON object of _LATTICE_SHAPE; a repeated vertex id,
+    or a cell listing a vertex twice, raises ValueError naming the field."""
     check_shape(obj, _LATTICE_SHAPE, "lattice")
     verts = tuple(v["id"] for v in obj["vertices"])
+    lists = [("vertices[{}].id", verts)]
+    lists += [(f"cells[{i}].vertices[{{}}]", c["vertices"]) for i, c in enumerate(obj["cells"])]
+    for field, ids in lists:
+        if len(set(ids)) < len(ids):
+            j = next(j for j, v in enumerate(ids) if v in ids[:j])
+            raise ValueError(f"lattice.{field.format(j)} repeats the vertex {ids[j]}")
     star = {v["id"]: v.get("star") for v in obj["vertices"]}
     cells = tuple(
         Cell(c["dim"], frozenset(c["vertices"]), c.get("color"))

@@ -16,17 +16,19 @@ tableau factors nothing.
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from . import ring
 # symplectic_phase is unused here but stays importable as gauge.symplectic_phase,
 # which perfbench's tracer test patches as a name shared across modules
-from .code import ColorCode, PauliWord, cell_rows, symplectic_phase  # noqa: F401
-from .colex import Lattice
+from .code import ColorCode, cell_rows, from_colex, symplectic_phase  # noqa: F401
+from .colex import Lattice, hypercube_lattice
 from .reports import Report
 
 
@@ -94,11 +96,13 @@ class GaugeCode:
         """The stabilizer generators as (x | z) rows: X cells, then Z cells."""
         return _css(self.cell_x, self.cell_z, self.n)
 
-    def bare_logical_x(self) -> PauliWord:
-        return PauliWord.x_word(self.d, (1,) * self.n)
+    def bare_logical_x(self) -> tuple:
+        """Xbar as (x | z) exponents: X on every qudit."""
+        return (1,) * self.n + (0,) * self.n
 
-    def bare_logical_z(self) -> PauliWord:
-        return PauliWord.z_word(self.d, tuple(s % self.d for s in self.star_signs))
+    def bare_logical_z(self) -> tuple:
+        """Zbar as (x | z) exponents: Z^sigma_j on qudit j."""
+        return (0,) * self.n + tuple(s % self.d for s in self.star_signs)
 
 
 def build_gauge_code(L: Lattice, d: int) -> GaugeCode:
@@ -144,46 +148,26 @@ def center_equals_stabilizer(G: GaugeCode) -> Report:
     return rep
 
 
-def faces_of_cell(L: Lattice, cell) -> list:
-    """Indices (into the 2-cell list) of the faces inside a top cell."""
-    return [
-        i
-        for i, f in enumerate(L.cells_of_dim(2))
-        if f.vertices <= cell.vertices
-    ]
-
-
 def face_color_classes(L: Lattice, cell) -> list:
-    """Partition a cell's faces into 3 classes, each covering the cell once.
+    """Partition a cell's faces (indices into the 2-cell list) into C(mu, 2)
+    classes, each covering the cell once.
 
-    Each vertex of the cell then lies on exactly three of its faces, one of
-    each class, so no search is needed.  The faces at the least vertex take
-    classes 0, 1 and 2, and the classes propagate: at a vertex whose faces
-    carry two classes, the third face takes the class left.  Where the walk
-    stops, the least vertex with unclassed faces seeds the next one, its
-    unclassed faces taking the classes left there in order; on a colex cell
-    that happens once per vertex-connected component of faces.  Any other
-    count of faces at a vertex, or a clash, raises ValueError.
+    On a hypercube lattice a face frees two bits, those on which its
+    vertices differ, and the faces of the cell that free the same bits form
+    one class; classes come in face order.  Any other count of classes, or
+    a class that does not cover the cell exactly once, raises ValueError.
     """
     faces = L.cells_of_dim(2)
-    idxs = faces_of_cell(L, cell)
-    at = {v: [i for i in idxs if v in faces[i].vertices] for v in sorted(cell.vertices)}
-    if any(len(on) != 3 for on in at.values()):
-        raise ValueError("cell faces admit no partitioning 3-coloring")
-    cls: dict = {}
-    for seed in at:
-        walk = [seed]
-        for v in walk:
-            free = [i for i in at[v] if i not in cls]
-            if not free or (len(free) > 1 and v != seed):
-                continue
-            left = sorted({0, 1, 2} - {cls[i] for i in at[v] if i in cls})
-            for i, c in zip(free, left):
-                cls[i] = c
-                walk += sorted(faces[i].vertices)
-    if any({cls[i] for i in on} != {0, 1, 2} for on in at.values()):
-        raise ValueError("cell faces admit no partitioning 3-coloring")
-    return [[i for i in idxs if cls[i] == c] for c in range(3)]
+    classes: dict = {}
+    for i, f in enumerate(faces):
+        if f.vertices <= cell.vertices:
+            free = reduce(operator.or_, f.vertices) ^ reduce(operator.and_, f.vertices)
+            classes.setdefault(free, []).append(i)
+    k, cover = math.comb(L.mu, 2), sorted(cell.vertices)
+    if len(classes) != k or any(sorted(v for i in c for v in faces[i].vertices) != cover
+                                for c in classes.values()):
+        raise ValueError(f"cell faces admit no partitioning {k}-coloring")
+    return list(classes.values())
 
 
 def reconstruct_cell_outcome(face_outcomes: dict, color_class, d: int) -> int:
@@ -214,8 +198,7 @@ def verify_H_logical(G: GaugeCode) -> Report:
     _preserved(rep, "gauge-group-normalized", G.gauge_group, G.star_signs)
     _preserved(rep, "stabilizer-group-preserved", G.stabilizer_group, G.star_signs)
 
-    bars = _array(ring._canonical(G.d, tuple(
-        w.x_exp + w.z_exp for w in (G.bare_logical_x(), G.bare_logical_z()))))
+    bars = _array(ring._canonical(G.d, (G.bare_logical_x(), G.bare_logical_z())))
     hx, hz = _hadamard(bars, G.star_signs)[0]
     bad = _outside(G.gauge_group, np.array([hx - bars[1], hz + bars[0]]) % G.d)
     rep.add("logical-X-to-Z", 0 not in bad, "H(Xbar) = Zbar modulo gauge")
@@ -238,20 +221,13 @@ def verify_H_stabilizer_code(C: ColorCode) -> Report:
 # Stabilizer tableau over prime d
 
 
-@dataclass(frozen=True)
-class Row:
-    """omega-tilde^phase X^x Z^z with phase mod D (D = d odd, 4 for d=2)."""
-
-    phase: int
-    x: tuple
-    z: tuple
-
-
 class Tableau:
     """Full-rank stabilizer tableau for n qudits of prime dimension d.
 
     Phase convention: X Z = omega Z X, so Z^a X^b = omega^{-ab} X^b Z^a.
-    The rows S are a phase vector and an array xz of (x | z) exponents; the
+    Row i is omega-tilde^phase_i X^x Z^z, phase mod D (D = d odd, 4 for
+    d = 2).  The rows S are a phase vector and an array xz of (x | z)
+    exponents, and every Pauli the tableau takes is one such row; the
     destabilizer rows destab (D, no phases) satisfy <D_i, S_j> = delta_ij,
     built once from one echelon form and kept dual by every update (after
     Aaronson & Gottesman, and Hostens, Dehaene & De Moor for prime d).
@@ -261,28 +237,21 @@ class Tableau:
     product's phase.
     """
 
-    def __init__(self, d: int, rows):
+    def __init__(self, d: int, xz, phase):
         if not _is_prime(d):
             raise ValueError("tableau simulation requires prime d")
-        rows = list(rows)
+        r, width = np.shape(xz)
         self.d = d
         self.D = 4 if d == 2 else d
         self.scale = self.D // d
-        self.n = len(rows[0].x) if rows else 0
+        self.n = width // 2
         # holds every intermediate of _product and _symplectic exactly
-        self._dtype = ring.exact_dtype(4 * (len(rows) + self.n + 1) * d * d)
-        self.phase = np.array([r.phase % self.D for r in rows], dtype=self._dtype)
-        xz = np.array([r.x + r.z for r in rows], dtype=self._dtype)
-        self.xz = xz.reshape(len(rows), 2 * self.n) % d
+        self._dtype = ring.exact_dtype(4 * (r + self.n + 1) * d * d)
+        self.phase = np.array(phase, dtype=self._dtype) % self.D
+        self.xz = np.array(xz, dtype=self._dtype) % d
         if _symplectic(self.xz, self.xz, d).any():
             raise ValueError("tableau rows must pairwise commute")
         self.destab = self._dual()
-
-    @property
-    def rows(self) -> list:
-        n = self.n
-        return [Row(p, tuple(v[:n]), tuple(v[n:]))
-                for p, v in zip(self.phase.tolist(), self.xz.tolist())]
 
     def _dual(self) -> np.ndarray:
         """Destabilizer rows D with <D_i, S_j> = delta_ij, that is D W^T = I
@@ -319,20 +288,20 @@ class Tableau:
         (the nonzero rows of their echelon forms over F_d), then Zbar."""
         if not _is_prime(C.d):
             raise ValueError("tableau simulation requires prime d")
-        zero = (0,) * C.n
+        zero = [0] * C.n
         X, Z = (ring.echelon_mod_p(_array(M), C.d)[0].tolist() for M in (C.G0, C.z_stab))
-        rows = [Row(0, tuple(r), zero) for r in X if any(r)]
-        rows += [Row(0, zero, tuple(r)) for r in Z if any(r)]
-        rows.append(Row(0, zero, C.z_logical))
-        T = cls(C.d, rows)
-        if len(rows) != C.n:
-            raise ValueError(f"tableau rank {len(rows)} != n {C.n}")
+        xz = [r + zero for r in X if any(r)] + [zero + r for r in Z if any(r)]
+        xz.append(zero + list(C.z_logical))
+        T = cls(C.d, xz, [0] * len(xz))
+        if len(xz) != C.n:
+            raise ValueError(f"tableau rank {len(xz)} != n {C.n}")
         return T
 
     # -- state updates -----------------------------------------------------
-    def apply_pauli(self, E: PauliWord) -> None:
-        """Conjugate the state by a Pauli error (rows pick up phases only)."""
-        e = np.array([E.x_exp + E.z_exp], dtype=self._dtype)
+    def apply_pauli(self, row) -> None:
+        """Conjugate the state by the Pauli error with (x | z) exponents row
+        (rows pick up phases only)."""
+        e = np.array([row], dtype=self._dtype) % self.d
         self.phase = (self.phase + self.scale * _symplectic(e, self.xz, self.d)[0]) % self.D
 
     def apply_transversal_H(self, star_signs) -> None:
@@ -343,11 +312,12 @@ class Tableau:
         self.xz = xz % self.d
         self.destab = _hadamard(self.destab, star_signs)[0] % self.d
 
-    def measure(self, P: PauliWord, rng: random.Random) -> int:
-        """Measure the generalized Pauli observable P; returns k with
-        eigenvalue omega^k.  Deterministic when P commutes with all rows."""
+    def measure(self, row, rng: random.Random) -> int:
+        """Measure the generalized Pauli observable with (x | z) exponents
+        row; returns k with eigenvalue omega^k.  Deterministic when it
+        commutes with all rows."""
         d = self.d
-        obs = np.array(P.x_exp + P.z_exp, dtype=self._dtype)
+        obs = np.array(row, dtype=self._dtype) % d
         if d == 2 and (obs[:self.n] @ obs[self.n:]) % 2:
             raise ValueError("at d = 2 only Hermitian observables (even x.z) are measured")
         coeffs = _symplectic(obs[None], self.xz, d)[0]
@@ -424,8 +394,8 @@ def _is_prime(d: int) -> bool:
 # Gauge fixing
 
 
-def _lex_least_solution(A: ring.ResidueMatrix, target) -> tuple | None:
-    """Lexicographically least x with x @ A == target, for a prime modulus.
+def _lex_least_solution(A: np.ndarray, p: int, target) -> tuple | None:
+    """Lexicographically least x with x @ A == target mod p, for a prime p.
 
     One echelon form of [A^T with its columns reversed | target]: a pivot in
     the target column means no solution.  Otherwise each pivot variable is
@@ -433,10 +403,10 @@ def _lex_least_solution(A: ring.ResidueMatrix, target) -> tuple | None:
     it, the earlier x_i; so taking x_0, x_1, ... in turn, each is fixed by
     the earlier ones or free and least at 0: every free variable is 0.
     """
-    p, m = A.modulus, A.nrows
+    m = len(A)
     if not _is_prime(p):
         raise ValueError(f"lex-least solution needs a prime modulus, got {p}")
-    a = _array(A).T[:, ::-1]
+    a = A.T[:, ::-1]
     R, _T, pivots = ring.echelon_mod_p(np.hstack([a, np.array(target, dtype=a.dtype)[:, None]]), p)
     if m in pivots:
         return None
@@ -451,25 +421,20 @@ def gauge_fix(T: Tableau, G: GaugeCode, rng: random.Random) -> dict:
     Mutates T in place; afterwards the tableau should contain the color-code
     stabilizer group with trivial syndrome.
     """
-    d = G.d
-    outcomes = []
-    for zrow in G.face_z.rows:
-        outcomes.append(T.measure(PauliWord.z_word(d, zrow), rng))
+    z_faces = G.gauge_group.rows[G.face_x.nrows:]
+    outcomes = [T.measure(row, rng) for row in z_faces]
 
     # want an X-type C with symplectic phase m_f against every Z face
-    A = ring.ResidueMatrix(d, ring.mul_transpose(G.face_x, G.face_z).tolist())
-    lam = _lex_least_solution(A, outcomes)
+    lam = _lex_least_solution(ring.mul_transpose(G.face_x, G.face_z), G.d, outcomes)
     if lam is None:
         raise ValueError("measured face outcomes admit no gauge correction")
     corr = ring.mat_vec_mul(G.face_x, lam)
-    T.apply_pauli(PauliWord.x_word(d, corr))
+    T.apply_pauli(corr + (0,) * G.n)
 
     post = {
-        "face_outcomes_zero": all(
-            T.measure(PauliWord.z_word(d, zr), rng) == 0 for zr in G.face_z.rows
-        ),
+        "face_outcomes_zero": all(T.measure(row, rng) == 0 for row in z_faces),
         "cell_x_outcomes_zero": all(
-            T.measure(PauliWord.x_word(d, xr), rng) == 0 for xr in G.cell_x.rows
+            T.measure(row, rng) == 0 for row in G.stabilizer_group.rows[:G.cell_x.nrows]
         ),
         "logical_x_plus": T.measure(G.bare_logical_x(), rng) == 0,
     }
@@ -483,9 +448,8 @@ def gauge_fix(T: Tableau, G: GaugeCode, rng: random.Random) -> dict:
 
 def fix_demo(d: int, seed: int) -> dict:
     """The full §-style demo: |0_L>, transversal H, gauge fix, report."""
-    from .colex import build_tetrahedral
-
-    L, C = build_tetrahedral(d)
+    L = hypercube_lattice(3)
+    C = from_colex(L, 3, d)
     G = build_gauge_code(L, d)
     rng = random.Random(seed)
     T = Tableau.zero_logical(C)

@@ -32,16 +32,26 @@ def brute_span(rows, N):
     return out
 
 
+def x_word(d, exps) -> PauliWord:
+    """X^exps on len(exps) qudits."""
+    return PauliWord(d, tuple(exps), (0,) * len(exps))
+
+
+def z_word(d, exps) -> PauliWord:
+    """Z^exps on len(exps) qudits."""
+    return PauliWord(d, (0,) * len(exps), tuple(exps))
+
+
 def stabilizer_words(C) -> list:
     """C's generators as PauliWords, X type first then Z type: the syndrome
     order."""
-    return ([PauliWord.x_word(C.d, row) for row in C.G0.rows]
-            + [PauliWord.z_word(C.d, row) for row in C.z_stab.rows])
+    return ([x_word(C.d, row) for row in C.G0.rows]
+            + [z_word(C.d, row) for row in C.z_stab.rows])
 
 
 def logical_words(C) -> tuple:
     """(Xbar, Zbar) of a k = 1 code as PauliWords."""
-    return PauliWord.x_word(C.d, C.G1.rows[0]), PauliWord.z_word(C.d, C.z_logical)
+    return x_word(C.d, C.G1.rows[0]), z_word(C.d, C.z_logical)
 
 
 def unitary_hierarchy_level(p_table, d, N, l_cap=10):

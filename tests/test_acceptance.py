@@ -13,6 +13,7 @@ import pytest
 from colexa import code as code_mod
 from colexa import colex, gatecalc, gauge, morth
 from colexa.code import PauliWord, syndrome
+from builders import with_code
 from oracles import (
     min_logical_weight_x,
     min_logical_weight_z,
@@ -39,12 +40,12 @@ def report(n, msg):
 
 
 def test_criterion_1_lattice_axioms():
-    L, _ = colex.build_tetrahedral(2)
+    L, _ = with_code(colex.hypercube_lattice(3), 2)
     assert colex.validate_colex(L).ok
     assert colex.check_cell_balance(L).ok
     assert len(L.unstarred()) == 8 and len(L.starred()) == 7
     for dist in (3, 5):
-        Lt, _ = colex.build_triangle_2d(2, dist)
+        Lt, _ = with_code(colex.triangle_lattice(dist), 2)
         assert colex.validate_colex(Lt).ok
         assert colex.check_cell_balance(Lt).ok
         assert len(Lt.starred()) == len(Lt.unstarred()) - 1
@@ -53,10 +54,10 @@ def test_criterion_1_lattice_axioms():
 
 def test_criterion_2_commutation():
     for d in (2, 3, 4, 5, 6, 7):
-        _, C = colex.build_tetrahedral(d)
+        _, C = with_code(colex.hypercube_lattice(3), d)
         assert code_mod.verify_code(C).ok, f"tetra d={d}"
         for dist in (3, 5):
-            _, C = colex.build_triangle_2d(d, dist)
+            _, C = with_code(colex.triangle_lattice(dist), d)
             assert code_mod.verify_code(C).ok, f"triangle {dist} d={d}"
     report(2, "verify_code green on all builder codes, d in 2..7")
 
@@ -64,7 +65,7 @@ def test_criterion_2_commutation():
 def test_criterion_3_m_star_orthogonality():
     verdicts = set()
     for d in (2, 3, 4, 5, 6, 7):
-        _, C = colex.build_tetrahedral(d)
+        _, C = with_code(colex.hypercube_lattice(3), d)
         M, g1 = morth.code_matrix(C)
         v = tuple(
             morth.is_m_star_orthogonal(M, g1, m, "strong").ok
@@ -72,7 +73,7 @@ def test_criterion_3_m_star_orthogonality():
         )
         assert v == (True, True, True, False), f"tetra d={d}"
         verdicts.add(v)
-        _, C = colex.build_triangle_2d(d, 3)
+        _, C = with_code(colex.triangle_lattice(3), d)
         M, g1 = morth.code_matrix(C)
         v = tuple(
             morth.is_m_star_orthogonal(M, g1, m, "strong").ok
@@ -120,14 +121,14 @@ def test_criterion_4_hierarchy_levels():
 
 def test_criterion_5_transversal_T():
     for d in (4, 5, 7):
-        _, C = colex.build_tetrahedral(d)
+        _, C = with_code(colex.hypercube_lattice(3), d)
         rep = gatecalc.verify_transversal_phase(C, gatecalc.build_T(d))
         assert rep.ok and rep.checked == d**5, f"T d={d}"
     for d in (3, 6):
-        _, C = colex.build_tetrahedral(d)
+        _, C = with_code(colex.hypercube_lattice(3), d)
         rep = gatecalc.verify_transversal_phase(C, gatecalc.build_T36(d))
         assert rep.ok and rep.checked == d**5, f"T36 d={d}"
-    _, C = colex.build_triangle_2d(5, 3)
+    _, C = with_code(colex.triangle_lattice(3), 5)
     rep = gatecalc.verify_transversal_phase(C, gatecalc.build_T(5))
     assert not rep.ok and rep.witness is not None
     report(5, "tetra T d=4,5,7 + T36 d=3,6 pass; triangle T fails with witness")
@@ -135,11 +136,11 @@ def test_criterion_5_transversal_T():
 
 def test_criterion_6_transversal_S_and_CX():
     for d in (3, 5, 7):
-        _, C = colex.build_triangle_2d(d, 3)
+        _, C = with_code(colex.triangle_lattice(3), d)
         assert gatecalc.verify_transversal_phase(C, gatecalc.build_S(d)).ok
-        _, C = colex.build_tetrahedral(d)
+        _, C = with_code(colex.hypercube_lattice(3), d)
         assert gatecalc.verify_transversal_phase(C, gatecalc.build_S(d)).ok
-    _, C = colex.build_tetrahedral(3)
+    _, C = with_code(colex.hypercube_lattice(3), 3)
     assert gatecalc.verify_transversal_CX(C).ok
     report(6, "S passes d=3,5,7 on both codes; blockwise CX coset map passes")
 
@@ -147,10 +148,10 @@ def test_criterion_6_transversal_S_and_CX():
 def test_criterion_7_distances():
     for d in (2, 3):
         for dist in (3, 5):
-            _, C = colex.build_triangle_2d(d, dist)
+            _, C = with_code(colex.triangle_lattice(dist), d)
             assert code_mod.distance(C, "x") == dist
             assert code_mod.distance(C, "z") == dist
-        _, C = colex.build_tetrahedral(d)
+        _, C = with_code(colex.hypercube_lattice(3), d)
         dx, dz = code_mod.distance(C, "x"), code_mod.distance(C, "z")
         # independent oracle first, regression pin second
         assert dx == min_logical_weight_x(C.n, d, C.z_stab.rows, C.star_signs)
@@ -160,7 +161,7 @@ def test_criterion_7_distances():
 
 
 def test_criterion_8_syndromes():
-    L, C = colex.build_tetrahedral(3)
+    L, C = with_code(colex.hypercube_lattice(3), 3)
     v1111 = list(L.vertex_ids).index(15)
     syn = syndrome(C, PauliWord.single(3, 15, v1111, "Z"))
     assert syn[:4] == (1, 1, 1, 1) and not any(syn[4:])
@@ -178,29 +179,25 @@ def test_criterion_8_syndromes():
 
 def test_criterion_9_gauge_structure():
     for d in (2, 3, 5, 7):
-        L, _ = colex.build_tetrahedral(d)
+        L, _ = with_code(colex.hypercube_lattice(3), d)
         G = gauge.build_gauge_code(L, d)
         rep = gauge.center_equals_stabilizer(G)
         assert rep.ok, (d, rep.to_dict())
         assert gauge.verify_H_logical(G).ok, d
-    _, C = colex.build_tetrahedral(3)
+    _, C = with_code(colex.hypercube_lattice(3), 3)
     assert not gauge.verify_H_stabilizer_code(C).ok  # negative control
     # face-class reconstruction under 100 random tableau errors
-    L, C = colex.build_tetrahedral(3)
+    L, C = with_code(colex.hypercube_lattice(3), 3)
     G = gauge.build_gauge_code(L, 3)
     classes_by_cell = [gauge.face_color_classes(L, c) for c in L.cells_of_dim(3)]
     rng = random.Random(42)
     for _ in range(100):
-        E = PauliWord(
-            3,
-            tuple(rng.randrange(3) for _ in range(15)),
-            tuple(rng.randrange(3) for _ in range(15)),
-        )
+        E = tuple(rng.randrange(3) for _ in range(30))  # (x | z) exponents
         T = gauge.Tableau.zero_logical(C)
         T.apply_pauli(E)
         outs = {
-            fi: T.measure(PauliWord.x_word(3, xr), rng)
-            for fi, xr in enumerate(G.face_x.rows)
+            fi: T.measure(row, rng)
+            for fi, row in enumerate(G.gauge_group.rows[:G.face_x.nrows])
         }
         for classes in classes_by_cell:
             consistent, _ = gauge.class_sums_consistent(outs, classes, 3)
@@ -209,7 +206,7 @@ def test_criterion_9_gauge_structure():
 
 
 def test_criterion_10_gauge_fixing():
-    L, C = colex.build_tetrahedral(3)
+    L, C = with_code(colex.hypercube_lattice(3), 3)
     G = gauge.build_gauge_code(L, 3)
     forms = set()
     for seed in range(20):
@@ -219,7 +216,7 @@ def test_criterion_10_gauge_fixing():
         assert all(log["post"].values()), seed
         rng = random.Random(seed + 1000)
         for g in stabilizer_words(C):
-            assert T.measure(g, rng) == 0
+            assert T.measure(g.x_exp + g.z_exp, rng) == 0
         forms.add(T.canonical_form())
     assert len(forms) == 1
     report(10, "20 seeds end in the identical color-code group, syndrome 0, |+>")

@@ -18,6 +18,7 @@ import numpy as np
 from colexa import cli, colex, gatecalc, ring
 from colexa import code as code_mod
 from colexa.cli import main
+from builders import with_code
 
 
 def run(capsys, *argv):
@@ -227,6 +228,28 @@ def test_malformed_lattice_inside_exits_2(tmp_path, capsys, lattice):
     assert_one_line_usage_error(capsys, ["lattice", "check", "--lattice", str(path)])
 
 
+@pytest.mark.parametrize("action", ["build", "check"])
+def test_repeated_vertex_id_exits_2(tmp_path, capsys, action):
+    # before, check exited 1 with a global-count witness and build echoed it
+    lattice = colex.lattice_to_json(colex.hypercube_lattice(3))
+    lattice["vertices"].append(dict(lattice["vertices"][4]))
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps(lattice))
+    assert main(["lattice", action, "--lattice", str(path)]) == 2
+    assert capsys.readouterr() == ("", "colexa: lattice.vertices[15].id repeats the vertex 5\n")
+
+
+@pytest.mark.parametrize("action", ["build", "check"])
+def test_cell_listing_a_vertex_twice_exits_2(tmp_path, capsys, action):
+    # before, the repeat was dropped and both commands exited 0
+    lattice = colex.lattice_to_json(colex.hypercube_lattice(3))
+    lattice["cells"][2]["vertices"].insert(1, lattice["cells"][2]["vertices"][0])
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps(lattice))
+    assert main(["lattice", action, "--lattice", str(path)]) == 2
+    assert capsys.readouterr() == ("", "colexa: lattice.cells[2].vertices[1] repeats the vertex 4\n")
+
+
 @pytest.mark.parametrize("bad", [
     [(1, [1])], [(1, [1, 2, 4])],
     # three vertices, one of them not in the lattice: one witness entry
@@ -313,7 +336,7 @@ def test_morth_check_respects_cap(capsys):
 def test_z_distance_without_x_stabilizers(tmp_path, capsys):
     # with "G0": [] the commutant is all of Z_d^n, and each of the 15 unit
     # vectors lies outside span(Zstab), so the Z distance is 1
-    _, C = colex.build_tetrahedral(2)
+    _, C = with_code(colex.hypercube_lattice(3), 2)
     H, g = ring.span_check(C.z_stab, C.n)
     assert ((np.eye(C.n, dtype=H.dtype) @ H) % g).any(axis=1).all()
     obj = code_mod.code_to_json(C)
@@ -461,7 +484,7 @@ def mutated(draw, obj):
 
 
 FUZZ_LATTICE = colex.lattice_to_json(colex.hypercube_lattice(3))
-FUZZ_CODE = code_mod.code_to_json(colex.build_tetrahedral(3)[1])
+FUZZ_CODE = code_mod.code_to_json(with_code(colex.hypercube_lattice(3), 3)[1])
 FUZZ_COMMANDS = [
     ["lattice", "check", "--lattice"],
     ["code", "check", "--code"],

@@ -10,12 +10,13 @@ from colexa import code as code_mod
 from colexa import colex, ring
 from colexa.code import PauliWord, symplectic_phase
 from colexa.reports import Report
+from builders import with_code
 from oracles import logical_words, min_logical_weight_x, min_logical_weight_z, stabilizer_words
 
 
 @pytest.fixture(scope="module")
 def tetra3():
-    return colex.build_tetrahedral(3)
+    return with_code(colex.hypercube_lattice(3), 3)
 
 
 def site(L, vertex):
@@ -48,13 +49,13 @@ def test_logical_pair_phase_one(tetra3):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_verify_code_tetra(d):
-    _, C = colex.build_tetrahedral(d)
+    _, C = with_code(colex.hypercube_lattice(3), d)
     assert code_mod.verify_code(C).ok
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_verify_code_triangle(d):
-    _, C = colex.build_triangle_2d(d, 3)
+    _, C = with_code(colex.triangle_lattice(3), d)
     assert code_mod.verify_code(C).ok
 
 
@@ -137,7 +138,7 @@ def test_syndrome_homomorphism(data, tetra3):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("dist", [3, 5])
 def test_triangle_distance_matches_oracle(d, dist):
-    _, C = colex.build_triangle_2d(d, dist)
+    _, C = with_code(colex.triangle_lattice(dist), d)
     assert code_mod.distance(C, "x") == dist
     assert code_mod.distance(C, "z") == dist
     assert min_logical_weight_x(C.n, d, C.z_stab.rows, C.star_signs) == dist
@@ -146,7 +147,7 @@ def test_triangle_distance_matches_oracle(d, dist):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_tetra_distance_matches_oracle(d):
-    _, C = colex.build_tetrahedral(d)
+    _, C = with_code(colex.hypercube_lattice(3), d)
     dx = code_mod.distance(C, "x")
     dz = code_mod.distance(C, "z")
     assert dx == min_logical_weight_x(C.n, d, C.z_stab.rows, C.star_signs)
@@ -258,8 +259,8 @@ def test_verify_code_matches_pairwise_on_corrupted_z_stab(tetra3):
     data=st.data(),
 )
 def test_verify_code_matches_pairwise_on_random_corruption(d, family, data):
-    _, C = (colex.build_tetrahedral(d) if family == "tetra"
-            else colex.build_triangle_2d(d, 3))
+    _, C = (with_code(colex.hypercube_lattice(3), d) if family == "tetra"
+            else with_code(colex.triangle_lattice(3), d))
     assert code_mod.verify_code(C).to_dict() == pairwise_verify_code(C)
     field = data.draw(st.sampled_from(["G0", "G1", "z_stab"]))
     M = getattr(C, field)
@@ -293,7 +294,7 @@ DISTANCE_CASES = [("tetra", d, None) for d in (2, 3, 4, 6)] + [
 
 @pytest.mark.parametrize("family,d,L", DISTANCE_CASES)
 def test_both_distance_methods_match_oracle(family, d, L):
-    _, C = colex.build_tetrahedral(d) if family == "tetra" else colex.build_triangle_2d(d, L)
+    _, C = with_code(colex.hypercube_lattice(3) if family == "tetra" else colex.triangle_lattice(L), d)
     dz = min_logical_weight_z(C.n, d, C.G0.rows, C.star_signs)
     # the X oracle gives 7 for tetra at d = 6 too, but takes about 90 s
     dx = 7 if (family, d) == ("tetra", 6) else min_logical_weight_x(
@@ -318,7 +319,7 @@ def test_both_distance_methods_match_oracle(family, d, L):
 def test_tetra_z_distance_within_default_cap(d):
     # the commutant has d^11 elements, beyond the cap; the support search
     # needs at most 15 (d-1) + 105 (d-1)^2 + 455 (d-1)^3 vectors
-    _, C = colex.build_tetrahedral(d)
+    _, C = with_code(colex.hypercube_lattice(3), d)
     assert code_mod.distance(C, "z") == 3
 
 
@@ -359,11 +360,11 @@ def json_code(d, G0, Zstab):
 )
 def test_syndrome_products_match_word_loop(d, family, data):
     if family == "tetra":
-        _, C = colex.build_tetrahedral(d)
+        _, C = with_code(colex.hypercube_lattice(3), d)
     elif family == "triangle":
-        _, C = colex.build_triangle_2d(d, 5)
+        _, C = with_code(colex.triangle_lattice(5), d)
     else:
-        _, T = colex.build_tetrahedral(2)
+        _, T = with_code(colex.hypercube_lattice(3), 2)
         G0 = [] if family == "no G0" else [list(r) for r in T.G0.rows]
         Zstab = [] if family == "no Zstab" else [list(r) for r in T.z_stab.rows]
         C = json_code(d, G0, Zstab)

@@ -10,16 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 from colexa import code, colex, gatecalc, morth, ring
 from colexa.colex import Cell, Lattice, _self_verify
+from builders import with_code
 
 
 @pytest.fixture(scope="module")
 def tetra():
-    return colex.build_tetrahedral(3)
+    return with_code(colex.hypercube_lattice(3), 3)
 
 
 @pytest.fixture(scope="module")
 def tri3():
-    return colex.build_triangle_2d(3, 3)
+    return with_code(colex.triangle_lattice(3), 3)
 
 
 def test_tetrahedral_counts(tetra):
@@ -104,8 +105,20 @@ def test_triangle3_counts(tri3):
     assert len(L.unstarred()) == 4 and len(L.starred()) == 3
 
 
+def test_audit_assigns_missing_stars_and_builders_raise_on_a_failed_one(tetra):
+    L, _ = tetra
+    unflagged = L.with_star({v: None for v in L.vertex_ids})
+    assert colex.audit(unflagged)[0].star == L.star
+    flipped = L.with_star({**L.star, 1: not L.star[1]})
+    audited, rep = colex.audit(flipped)
+    assert audited.star == flipped.star
+    assert not rep["ok"] and rep["validate"]["ok"] and not rep["balance"]["ok"]
+    with pytest.raises(AssertionError, match="builder produced an invalid lattice"):
+        _self_verify(flipped)
+
+
 def test_triangle5_counts():
-    L, _ = colex.build_triangle_2d(2, 5)
+    L, _ = with_code(colex.triangle_lattice(5), 2)
     assert len(L.vertex_ids) == 19
     assert len(L.cells_of_dim(2)) == 9
     assert colex.validate_colex(L).ok
@@ -114,7 +127,7 @@ def test_triangle5_counts():
 
 @pytest.mark.parametrize("distance", [7, 9])
 def test_triangle_larger_distances_validate(distance):
-    L, _ = colex.build_triangle_2d(2, distance)
+    L, _ = with_code(colex.triangle_lattice(distance), 2)
     assert colex.validate_colex(L).ok
     assert colex.check_cell_balance(L).ok
     assert len(L.starred()) == len(L.unstarred()) - 1
@@ -131,7 +144,7 @@ def test_triangle_corners_single_plaquette(tri3):
 
 def test_triangle_even_distance_rejected():
     with pytest.raises(ValueError):
-        colex.build_triangle_2d(3, 4)
+        with_code(colex.triangle_lattice(4), 3)
 
 
 def test_mislabeled_star_flag_fails_balance(tri3):
@@ -191,7 +204,7 @@ def test_coloring_clash_witness_matches_pair_scan(tetra):
 @settings(max_examples=60, deadline=None)
 @given(distance=st.sampled_from([3, 5, 7]), data=st.data())
 def test_coloring_audit_matches_pair_scan(distance, data):
-    L, _ = colex.build_triangle_2d(2, distance)
+    L, _ = with_code(colex.triangle_lattice(distance), 2)
     r = len(L.cells_of_dim(L.mu))
     colors = data.draw(st.dictionaries(st.integers(0, r - 1), st.sampled_from([0, 1, 2, None])))
     bad = recolor(L, colors)
@@ -212,7 +225,7 @@ def test_one_cell_of_wrong_size_is_reported_not_raised(tetra):
 
 
 def seed_triangle_lattice(distance):
-    """build_triangle_2d as it was when it scanned every face per plaquette
+    """The triangle builder as it was when it scanned every face per plaquette
     and every pair of faces for edges, verbatim up to its lattice; its code
     came from from_colex(L, mu_prime=2, d=d)."""
     k = (distance - 1) // 2
@@ -309,7 +322,7 @@ def assert_canonical(M):
 @pytest.mark.parametrize("d", [2, 3, 6])
 @pytest.mark.parametrize("distance", [3, 5, 7, 9, 13, 25])
 def test_triangle_code_matches_pair_scan_builder(d, distance):
-    L, C = colex.build_triangle_2d(d, distance)
+    L, C = with_code(colex.triangle_lattice(distance), d)
     seed = code.from_colex(seed_triangle_lattice(distance), mu_prime=2, d=d)
     assert code.code_to_json(C) == code.code_to_json(seed)
     assert colex.lattice_to_json(L) == colex.lattice_to_json(colex.triangle_lattice(distance))
@@ -319,7 +332,7 @@ def test_triangle_code_matches_pair_scan_builder(d, distance):
 
 @pytest.mark.parametrize("d", [2, 3, 6])
 def test_tetrahedral_code_rows_are_canonical(d):
-    L, C = colex.build_tetrahedral(d)
+    L, C = with_code(colex.hypercube_lattice(3), d)
     assert colex.lattice_to_json(L) == colex.lattice_to_json(colex.hypercube_lattice(3))
     for M in (C.G0, C.G1, C.z_stab, C.encoding(), C.G0.transpose(), C.z_stab.transpose()):
         assert_canonical(M)
@@ -377,7 +390,7 @@ def test_mu_2_hypercube_code_is_triangle_3(d):
     """Some qudit permutation carries the mu = 2 hypercube code's stars,
     span(G0) and span(Zstab) onto those of triangle L = 3."""
     H = hypercube_code(2, d)
-    _, T = colex.build_triangle_2d(d, 3)
+    _, T = with_code(colex.triangle_lattice(3), d)
     target = (set(ring.iter_span(T.G0)), set(ring.iter_span(T.z_stab)))
     spans = (set(ring.iter_span(H.G0)), set(ring.iter_span(H.z_stab)))
     perms = (p for p in itertools.permutations(range(H.n))

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from colexa import cli, colex, gauge, ring
+from builders import with_code
 from oracles import stabilizer_words
 
 
@@ -52,19 +53,19 @@ def test_fix_demo_factor_count(snf_calls, monkeypatch, d):
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_determined_measurements_factor_nothing(snf_calls, monkeypatch, d):
     # each determined outcome is one product with the destabilizer rows
-    C = colex.build_tetrahedral(d)[1]
+    C = with_code(colex.hypercube_lattice(3), d)[1]
     T = gauge.Tableau.zero_logical(C)
     snf_calls.clear()
     solves = []
     monkeypatch.setattr(ring, "solve_left", lambda *a: solves.append(a))
     rng = random.Random(0)
-    assert all(T.measure(w, rng) == 0 for w in stabilizer_words(C))
+    assert all(T.measure(w.x_exp + w.z_exp, rng) == 0 for w in stabilizer_words(C))
     assert snf_calls == [] and solves == []
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
 def test_gauge_check_factor_count(snf_calls, d):
-    L, _ = colex.build_tetrahedral(d)
+    L, _ = with_code(colex.hypercube_lattice(3), d)
     G = gauge.build_gauge_code(L, d)
     snf_calls.clear()
     assert gauge.center_equals_stabilizer(G).ok and gauge.verify_H_logical(G).ok

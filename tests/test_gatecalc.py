@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from colexa import code as code_mod, colex, gatecalc, ring
 from colexa.code import CapExceeded, DEFAULT_CAP
 from colexa.reports import Report
+from builders import with_code
 from oracles import unitary_hierarchy_level
 
 
@@ -127,20 +128,20 @@ def test_unitary_oracle_agreement():
 
 @pytest.mark.parametrize("d", [4, 5, 7])
 def test_transversal_T_tetra(d):
-    _, C = colex.build_tetrahedral(d)
+    _, C = with_code(colex.hypercube_lattice(3), d)
     rep = gatecalc.verify_transversal_phase(C, gatecalc.build_T(d))
     assert rep.ok and rep.checked == d**5
 
 
 @pytest.mark.parametrize("d", [3, 6])
 def test_transversal_T36_tetra(d):
-    _, C = colex.build_tetrahedral(d)
+    _, C = with_code(colex.hypercube_lattice(3), d)
     rep = gatecalc.verify_transversal_phase(C, gatecalc.build_T36(d))
     assert rep.ok and rep.checked == d**5
 
 
 def test_transversal_T_fails_on_triangle():
-    _, C = colex.build_triangle_2d(5, 3)
+    _, C = with_code(colex.triangle_lattice(3), 5)
     rep = gatecalc.verify_transversal_phase(C, gatecalc.build_T(5))
     assert not rep.ok
     assert rep.witness is not None
@@ -152,15 +153,15 @@ def test_transversal_T_fails_on_triangle():
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_transversal_S_both_codes(d):
     for build in (
-        lambda: colex.build_triangle_2d(d, 3),
-        lambda: colex.build_tetrahedral(d),
+        lambda: with_code(colex.triangle_lattice(3), d),
+        lambda: with_code(colex.hypercube_lattice(3), d),
     ):
         _, C = build()
         assert gatecalc.verify_transversal_phase(C, gatecalc.build_S(d)).ok
 
 
 def test_transversal_CX_tetra_d3():
-    _, C = colex.build_tetrahedral(3)
+    _, C = with_code(colex.hypercube_lattice(3), 3)
     rep = gatecalc.verify_transversal_CX(C)
     assert rep.ok
 
@@ -193,7 +194,7 @@ def loop_transversal_CX(C: code_mod.ColorCode, cap: int = DEFAULT_CAP) -> Report
 @pytest.mark.parametrize("family,d", [("tetra", 2), ("tetra", 3), ("tetra", 4),
                                       ("triangle", 2), ("triangle", 3)])
 def test_blocked_CX_matches_pair_loop(family, d):
-    _, C = colex.build_tetrahedral(d) if family == "tetra" else colex.build_triangle_2d(d, 3)
+    _, C = with_code(colex.hypercube_lattice(3) if family == "tetra" else colex.triangle_lattice(3), d)
     rep = gatecalc.verify_transversal_CX(C)
     assert rep.ok and rep.checked == (d * ring.span_size(C.G0)) ** 2
     assert verdict(rep) == verdict(loop_transversal_CX(C))
@@ -201,7 +202,7 @@ def test_blocked_CX_matches_pair_loop(family, d):
 
 def test_CX_charges_nothing_to_the_cap():
     # 7^10 = 282,475,249 pairs, over the default cap: none is enumerated
-    _, C = colex.build_tetrahedral(7)
+    _, C = with_code(colex.hypercube_lattice(3), 7)
     rep = gatecalc.verify_transversal_CX(C)
     assert rep.ok and rep.checked == 7**10 > DEFAULT_CAP
 
@@ -244,8 +245,8 @@ def test_polynomial_gates_up_to_max_m_transversal():
 
     rng = random.Random(11)
     for d, build, mstar in (
-        (3, lambda: colex.build_tetrahedral(3), 3),
-        (5, lambda: colex.build_triangle_2d(5, 3), 2),
+        (3, lambda: with_code(colex.hypercube_lattice(3), 3), 3),
+        (5, lambda: with_code(colex.triangle_lattice(3), 5), 2),
     ):
         _, C = build()
         M, g1 = morth.code_matrix(C)
@@ -301,8 +302,8 @@ def loop_transversal_phase(C, g):
     data=st.data(),
 )
 def test_blocked_transversal_matches_term_loop(d, family, gate, data):
-    _, C = (colex.build_tetrahedral(d) if family == "tetra"
-            else colex.build_triangle_2d(d, 3))
+    _, C = (with_code(colex.hypercube_lattice(3), d) if family == "tetra"
+            else with_code(colex.triangle_lattice(3), d))
     if gate == "huge":
         N = d * 2**61
         g = gatecalc.PhaseGate(d, N, tuple(j * j * 2**61 % N for j in range(d)))

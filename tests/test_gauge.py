@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 from colexa import colex, gauge, ring
 from colexa.code import PauliWord, symplectic_phase, syndrome
 from colexa.reports import Report
-from oracles import logical_words, stabilizer_words
+from builders import with_code
+from oracles import logical_words, stabilizer_words, x_word, z_word
 
 
 @pytest.fixture(scope="module")
 def tetra3():
-    L, C = colex.build_tetrahedral(3)
+    L, C = with_code(colex.hypercube_lattice(3), 3)
     return L, C, gauge.build_gauge_code(L, 3)
 
 
@@ -40,14 +41,14 @@ def test_gauge_group_is_nonabelian(tetra3):
 
 
 def test_mu2_rejected():
-    L, _ = colex.build_triangle_2d(3, 3)
+    L, _ = with_code(colex.triangle_lattice(3), 3)
     with pytest.raises(ValueError):
         gauge.build_gauge_code(L, 3)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_center_equals_stabilizer(d):
-    L, _ = colex.build_tetrahedral(d)
+    L, _ = with_code(colex.hypercube_lattice(3), d)
     G = gauge.build_gauge_code(L, d)
     rep = gauge.center_equals_stabilizer(G)
     assert rep.ok, rep.to_dict()
@@ -104,17 +105,18 @@ def test_H_action_on_cells(tetra3):
     L, C, G = tetra3
     sg = G.star_signs
     for xrow, zrow in zip(G.cell_x.rows, G.cell_z.rows):
-        mapped = oracle_transversal_H_action(PauliWord.x_word(3, xrow), sg)
+        mapped = oracle_transversal_H_action(x_word(3, xrow), sg)
         assert mapped.x_exp == (0,) * 15 and mapped.z_exp == zrow
-        back = oracle_transversal_H_action(PauliWord.z_word(3, zrow), sg)
+        back = oracle_transversal_H_action(z_word(3, zrow), sg)
         assert back.z_exp == (0,) * 15
         assert back.x_exp == tuple((-e) % 3 for e in xrow)
 
 
 def test_H_action_on_logicals(tetra3):
-    _, _, G = tetra3
-    hx = oracle_transversal_H_action(G.bare_logical_x(), G.star_signs)
-    zbar = G.bare_logical_z()
+    _, C, G = tetra3
+    xbar, zbar = as_word(G.d, G.bare_logical_x()), as_word(G.d, G.bare_logical_z())
+    assert (xbar, zbar) == logical_words(C)
+    hx = oracle_transversal_H_action(xbar, G.star_signs)
     assert (hx.x_exp, hx.z_exp) == (zbar.x_exp, zbar.z_exp)
     hz = oracle_transversal_H_action(zbar, G.star_signs)
     assert (hz.x_exp, hz.z_exp) == (tuple((-1) % 3 for _ in range(15)), (0,) * 15)
@@ -122,7 +124,7 @@ def test_H_action_on_logicals(tetra3):
 
 def test_H_fourth_power_identity():
     for d in (2, 3, 5, 6):
-        L, _ = colex.build_tetrahedral(d)
+        L, _ = with_code(colex.hypercube_lattice(3), d)
         sg = L.star_signs()
         rng = random.Random(d)
         for _ in range(10):
@@ -159,14 +161,14 @@ def test_H_preserves_symplectic_phases(data):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 6])
 def test_verify_H_logical(d):
-    L, _ = colex.build_tetrahedral(d)
+    L, _ = with_code(colex.hypercube_lattice(3), d)
     G = gauge.build_gauge_code(L, d)
     assert gauge.verify_H_logical(G).ok
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_negative_control_stabilizer_code(d):
-    _, C = colex.build_tetrahedral(d)
+    _, C = with_code(colex.hypercube_lattice(3), d)
     rep = gauge.verify_H_stabilizer_code(C)
     assert not rep.ok  # global H does not preserve the 3D stabilizer code
 
@@ -182,11 +184,20 @@ def test_face_color_classes(tetra3):
             assert cover == sorted(cell.vertices)
 
 
+def test_tetra_face_classes_are_pinned(tetra3):
+    # the classes, list for list, that the propagation walk gave before the
+    # bit masks replaced it: same faces, same class order
+    L, _, _ = tetra3
+    assert [gauge.face_color_classes(L, c) for c in L.cells_of_dim(3)] == [
+        [[10, 11], [13, 14], [16, 17]], [[4, 5], [7, 8], [15, 17]],
+        [[1, 2], [6, 8], [12, 14]], [[0, 2], [3, 5], [9, 11]]]
+
+
 def backtracking_face_classes(L, cell) -> list:
     """The backtracking 3-coloring face_color_classes ran before it
     propagated classes from a seed vertex, kept as an oracle."""
     faces = L.cells_of_dim(2)
-    idxs = gauge.faces_of_cell(L, cell)
+    idxs = [i for i, f in enumerate(faces) if f.vertices <= cell.vertices]
     conflict = {
         i: {j for j in idxs if j != i and faces[i].vertices & faces[j].vertices}
         for i in idxs
@@ -282,9 +293,9 @@ def test_reconstruction_consistency_random_errors(tetra3):
             tuple(rng.randrange(3) for _ in range(15)),
         )
         T = gauge.Tableau.zero_logical(C)
-        T.apply_pauli(E)
+        T.apply_pauli(row(E))
         outs = {
-            fi: T.measure(PauliWord.x_word(3, xr), rng)
+            fi: T.measure(row(x_word(3, xr)), rng)
             for fi, xr in enumerate(G.face_x.rows)
         }
         syn = syndrome(C, E)
@@ -307,20 +318,18 @@ def test_reconstruction_flags_injected_fault(tetra3):
 
 def test_tableau_requires_prime_d():
     with pytest.raises(ValueError):
-        gauge.Tableau(4, [])
+        gauge.Tableau(4, np.zeros((0, 0), dtype=int), [])
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_tableau_rejects_noncommuting_rows(d):
     # X0 X1 and Z0 Z1^(d-1) commute (phase 1 + (d-1) = 0 mod d); X0 does not
     # commute with the second, and that one pair is enough
-    xx = gauge.Row(0, (1, 1), (0, 0))
-    zz = gauge.Row(0, (0, 0), (1, d - 1))
-    x0 = gauge.Row(0, (1, 0), (0, 0))
+    xx, zz, x0 = (1, 1, 0, 0), (0, 0, 1, d - 1), (1, 0, 0, 0)
     with pytest.raises(ValueError, match="pairwise commute"):
-        gauge.Tableau(d, [xx, zz, x0])
-    assert len(gauge.Tableau(d, [xx, zz]).rows) == 2
-    assert gauge.Tableau(d, []).rows == []
+        gauge.Tableau(d, [xx, zz, x0], [0, 0, 0])
+    assert len(gauge.Tableau(d, [xx, zz], [0, 0]).xz) == 2
+    assert gauge.Tableau(d, np.zeros((0, 4), dtype=int), []).xz.shape == (0, 4)
 
 
 def test_tableau_measure_stabilizer_deterministic(tetra3):
@@ -329,15 +338,15 @@ def test_tableau_measure_stabilizer_deterministic(tetra3):
     rng = random.Random(5)
     for g in stabilizer_words(C):
         # codeword(0) state: every stabilizer and Zbar give outcome 0
-        assert T.measure(g, rng) == 0
-    assert T.measure(logical_words(C)[1], rng) == 0
+        assert T.measure(row(g), rng) == 0
+    assert T.measure(row(logical_words(C)[1]), rng) == 0
 
 
 def test_tableau_measurement_repeatable(tetra3):
     _, C, _ = tetra3
     T = gauge.Tableau.zero_logical(C)
     rng = random.Random(5)
-    xbar = logical_words(C)[0]
+    xbar = row(logical_words(C)[0])
     first = T.measure(xbar, rng)  # random outcome, collapses the state
     assert T.measure(xbar, rng) == first  # now determined
 
@@ -371,8 +380,8 @@ def test_gauge_fix_final_state_is_color_code_plus(tetra3):
     gauge.gauge_fix(T, G, random.Random(1))
     rng = random.Random(2)
     for g in stabilizer_words(C):
-        assert T.measure(g, rng) == 0
-    assert T.measure(logical_words(C)[0], rng) == 0
+        assert T.measure(row(g), rng) == 0
+    assert T.measure(row(logical_words(C)[0]), rng) == 0
 
 
 def test_fix_demo_rejects_nonprime():
@@ -438,7 +447,7 @@ def test_lex_least_matches_greedy(p, r, c, solvable, data):
         target = ring.mat_vec_mul(A, x)
     else:
         target = tuple(data.draw(st.integers(0, p - 1)) for _ in range(c))
-    got = gauge._lex_least_solution(A, target)
+    got = gauge._lex_least_solution(np.array(rows), p, target)
     expected = greedy_lex_least(A, target)
     assert got == expected
     if solvable:
@@ -447,23 +456,36 @@ def test_lex_least_matches_greedy(p, r, c, solvable, data):
 
 def test_lex_least_on_gauge_system(tetra3):
     _, _, G = tetra3
-    A = ring.ResidueMatrix(3, ring.mul_transpose(G.face_x, G.face_z).tolist())
+    A = ring.mul_transpose(G.face_x, G.face_z)
+    M = ring.ResidueMatrix(3, A.tolist())
     rng = random.Random(7)
     for _ in range(5):
-        target = ring.mat_vec_mul(A, [rng.randrange(3) for _ in range(A.nrows)])
-        assert gauge._lex_least_solution(A, target) == greedy_lex_least(A, target)
+        target = ring.mat_vec_mul(M, [rng.randrange(3) for _ in range(M.nrows)])
+        assert gauge._lex_least_solution(A, 3, target) == greedy_lex_least(M, target)
 
 
 def test_lex_least_rejects_composite_modulus():
     with pytest.raises(ValueError):
-        gauge._lex_least_solution(ring.ResidueMatrix(4, ((1, 2),)), (1, 2))
+        gauge._lex_least_solution(np.array([[1, 2]]), 4, (1, 2))
 
 
 # --------------------------------------------------------------------------
 # Oracles: the word-by-word gauge layer as it was before the exponent-matrix
 # rewrite, kept verbatim but for names (the generator lists take G as an
-# argument): PauliWord generator lists, the group checks with one in_rowspan
+# argument, the bare logicals are read as words, and the tableau has its own
+# row type): PauliWord generator lists, the group checks with one in_rowspan
 # solve per row, and the tableau with _sp, _mul and _pow by repeated _mul.
+
+
+def as_word(d, xz) -> PauliWord:
+    """The PauliWord of (x | z) exponents."""
+    n = len(xz) // 2
+    return PauliWord(d, tuple(xz[:n]), tuple(xz[n:]))
+
+
+def row(w: PauliWord) -> tuple:
+    """The (x | z) exponents of a PauliWord, as the tableau takes them."""
+    return w.x_exp + w.z_exp
 
 
 def in_rowspan(M: ring.ResidueMatrix, w) -> bool:
@@ -473,14 +495,14 @@ def in_rowspan(M: ring.ResidueMatrix, w) -> bool:
 
 def gauge_gens(G) -> list:
     """All gauge generators: X faces first, then Z faces."""
-    return [PauliWord.x_word(G.d, r) for r in G.face_x.rows] + [
-        PauliWord.z_word(G.d, r) for r in G.face_z.rows
+    return [x_word(G.d, r) for r in G.face_x.rows] + [
+        z_word(G.d, r) for r in G.face_z.rows
     ]
 
 
 def stab_gens(G) -> list:
-    return [PauliWord.x_word(G.d, r) for r in G.cell_x.rows] + [
-        PauliWord.z_word(G.d, r) for r in G.cell_z.rows
+    return [x_word(G.d, r) for r in G.cell_x.rows] + [
+        z_word(G.d, r) for r in G.cell_z.rows
     ]
 
 
@@ -574,7 +596,7 @@ def oracle_verify_H_logical(G) -> Report:
     ]
     rep.add("stabilizer-group-preserved", not bad, witness=bad[:3] or None)
 
-    xbar, zbar = G.bare_logical_x(), G.bare_logical_z()
+    xbar, zbar = as_word(G.d, G.bare_logical_x()), as_word(G.d, G.bare_logical_z())
     hx = oracle_transversal_H_action(xbar, G.star_signs)
     diff = tuple((a - b) % G.d for a, b in zip(vec(hx), vec(zbar)))
     ok_x = all(e == 0 for e in diff) or in_rowspan(gen_mat, diff)
@@ -609,6 +631,15 @@ def oracle_verify_H_stabilizer_code(C) -> Report:
     return rep
 
 
+@dataclasses.dataclass(frozen=True)
+class OracleRow:
+    """omega-tilde^phase X^x Z^z with phase mod D (D = d odd, 4 for d=2)."""
+
+    phase: int
+    x: tuple
+    z: tuple
+
+
 class OracleTableau:
     """Full-rank stabilizer tableau for n qudits of prime dimension d.
 
@@ -624,7 +655,7 @@ class OracleTableau:
         self.d = d
         self.D = 4 if d == 2 else d
         self.scale = self.D // d
-        self.rows = [gauge.Row(r.phase % self.D, r.x, r.z) for r in rows]
+        self.rows = [OracleRow(r.phase % self.D, r.x, r.z) for r in rows]
         self.n = len(self.rows[0].x) if self.rows else 0
         self._exp = None  # exponent matrix of rows, kept until an x/z part changes
         # entry [i, j] is _sp(row_i, row_j): (x_i | z_i) . (z_j | -x_j)
@@ -641,7 +672,7 @@ class OracleTableau:
 
     def _mul(self, a, b):
         cross = sum(az * bx for az, bx in zip(a.z, b.x))
-        return gauge.Row(
+        return OracleRow(
             (a.phase + b.phase - self.scale * cross) % self.D,
             tuple((ax + bx) % self.d for ax, bx in zip(a.x, b.x)),
             tuple((az + bz) % self.d for az, bz in zip(a.z, b.z)),
@@ -655,7 +686,7 @@ class OracleTableau:
         return self._exp
 
     def _pow(self, a, k: int):
-        out = gauge.Row(0, (0,) * self.n, (0,) * self.n)
+        out = OracleRow(0, (0,) * self.n, (0,) * self.n)
         for _ in range(k % self.d):
             out = self._mul(out, a)
         return out
@@ -663,9 +694,9 @@ class OracleTableau:
     @classmethod
     def zero_logical(cls, C) -> "OracleTableau":
         """The |0_L> tableau: X cells, an independent Z-stabilizer basis, Zbar."""
-        rows = [gauge.Row(0, r, (0,) * C.n) for r in ring.row_basis(C.G0).rows]
-        rows += [gauge.Row(0, (0,) * C.n, r) for r in ring.row_basis(C.z_stab).rows]
-        rows.append(gauge.Row(0, (0,) * C.n, C.z_logical))
+        rows = [OracleRow(0, r, (0,) * C.n) for r in ring.row_basis(C.G0).rows]
+        rows += [OracleRow(0, (0,) * C.n, r) for r in ring.row_basis(C.z_stab).rows]
+        rows.append(OracleRow(0, (0,) * C.n, C.z_logical))
         T = cls(C.d, rows)
         if len(T.rows) != C.n:
             raise ValueError(f"tableau rank {len(T.rows)} != n {C.n}")
@@ -676,9 +707,9 @@ class OracleTableau:
     # -- state updates -----------------------------------------------------
     def apply_pauli(self, E: PauliWord) -> None:
         """Conjugate the state by a Pauli error (rows pick up phases only)."""
-        e = gauge.Row(0, E.x_exp, E.z_exp)
+        e = OracleRow(0, E.x_exp, E.z_exp)
         self.rows = [
-            gauge.Row((r.phase + self.scale * self._sp(e, r)) % self.D, r.x, r.z)
+            OracleRow((r.phase + self.scale * self._sp(e, r)) % self.D, r.x, r.z)
             for r in self.rows
         ]
 
@@ -689,7 +720,7 @@ class OracleTableau:
         for r in self.rows:
             h = oracle_transversal_H_action(PauliWord(self.d, r.x, r.z), star_signs)
             dphi = sum(x * z for x, z in zip(r.x, r.z))
-            new.append(gauge.Row((r.phase + self.scale * dphi) % self.D, h.x_exp, h.z_exp))
+            new.append(OracleRow((r.phase + self.scale * dphi) % self.D, h.x_exp, h.z_exp))
         self.rows = new
         self._exp = None
 
@@ -698,7 +729,7 @@ class OracleTableau:
         eigenvalue omega^k.  Deterministic when P commutes with all rows."""
         if self.d == 2 and sum(x * z for x, z in zip(P.x_exp, P.z_exp)) % 2:
             raise ValueError("at d = 2 only Hermitian observables (even x.z) are measured")
-        obs = gauge.Row(0, P.x_exp, P.z_exp)
+        obs = OracleRow(0, P.x_exp, P.z_exp)
         coeffs = [self._sp(obs, r) for r in self.rows]
         pivot = next((i for i, c in enumerate(coeffs) if c), None)
         if pivot is None:
@@ -710,7 +741,7 @@ class OracleTableau:
             if i != pivot and c:
                 self.rows[i] = self._mul(self.rows[i], self._pow(prow, (-c) % self.d))
         outcome = rng.randrange(self.d)
-        self.rows[pivot] = gauge.Row((-outcome * self.scale) % self.D, obs.x, obs.z)
+        self.rows[pivot] = OracleRow((-outcome * self.scale) % self.D, obs.x, obs.z)
         self._exp = None
         return outcome
 
@@ -718,7 +749,7 @@ class OracleTableau:
         sol = ring.solve_left(self._exponents(), obs.x + obs.z)
         if sol is None:
             raise ValueError("observable commutes but is not in the group")
-        g = gauge.Row(0, (0,) * self.n, (0,) * self.n)
+        g = OracleRow(0, (0,) * self.n, (0,) * self.n)
         for coeff, r in zip(sol, self.rows):
             if coeff:
                 g = self._mul(g, self._pow(r, coeff))
@@ -760,7 +791,7 @@ TETRA = {}
 def tetra(d):
     """(L, C, G) of the tetra code at d, built once per d."""
     if d not in TETRA:
-        L, C = colex.build_tetrahedral(d)
+        L, C = with_code(colex.hypercube_lattice(3), d)
         TETRA[d] = L, C, gauge.build_gauge_code(L, d)
     return TETRA[d]
 
@@ -773,6 +804,18 @@ def random_word(d, rng, n=15):
     if d == 2 and sum(a * b for a, b in zip(x, z)) % 2:
         z[next(j for j in range(n) if x[j] and z[j])] = 0
     return PauliWord(d, x, tuple(z))
+
+
+def as_tableau(d, rows) -> gauge.Tableau:
+    """The gauge.Tableau of OracleRows."""
+    return gauge.Tableau(d, [r.x + r.z for r in rows], [r.phase for r in rows])
+
+
+def rows_of(T) -> list:
+    """(phase, (x | z) exponents) of every row of a tableau of either kind."""
+    if isinstance(T, OracleTableau):
+        return [(r.phase, r.x + r.z) for r in T.rows]
+    return list(zip(T.phase.tolist(), map(tuple, T.xz.tolist())))
 
 
 def outcome_or_error(measure, P, seed):
@@ -797,7 +840,7 @@ def test_tableau_matches_word_oracle(d, seed, steps, h_at):
     basis differs but gives the same canonical form."""
     L, C, G = tetra(d)
     O = OracleTableau.zero_logical(C)
-    T = gauge.Tableau(d, O.rows)
+    T = as_tableau(d, O.rows)
     assert gauge.Tableau.zero_logical(C).canonical_form() == O.canonical_form()
     rng = random.Random(seed)
     steps.insert(h_at, "H")
@@ -807,7 +850,7 @@ def test_tableau_matches_word_oracle(d, seed, steps, h_at):
             T.apply_transversal_H(L.star_signs())
             O.apply_transversal_H(L.star_signs())
         elif step == "pauli":
-            T.apply_pauli(word)
+            T.apply_pauli(row(word))
             O.apply_pauli(word)
         else:
             if step == "rows":
@@ -818,10 +861,10 @@ def test_tableau_matches_word_oracle(d, seed, steps, h_at):
             elif step == "face":
                 rows = G.face_x.rows if rng.randrange(2) else G.face_z.rows
                 face = rng.choice(rows)
-                word = PauliWord.x_word(d, face) if rows is G.face_x.rows else PauliWord.z_word(d, face)
+                word = x_word(d, face) if rows is G.face_x.rows else z_word(d, face)
             s = rng.randrange(2**32)
-            assert outcome_or_error(T.measure, word, s) == outcome_or_error(O.measure, word, s)
-        assert T.rows == O.rows
+            assert outcome_or_error(T.measure, row(word), s) == outcome_or_error(O.measure, word, s)
+        assert rows_of(T) == rows_of(O)
         assert T.canonical_form() == O.canonical_form()
         assert np.array_equal(gauge._symplectic(T.destab, T.xz, d), np.eye(C.n, dtype=int))
 
@@ -831,17 +874,16 @@ def test_tableau_outside_word_matches_oracle(d):
     # on 3 qudits, X0 X1 and Z0 Z1^(d-1) leave Z2 commuting but outside the
     # group; a random measurement of X0 X2 replaces the Z row, and then X1 is
     # commuting but outside
-    rows = [gauge.Row(0, (1, 1, 0), (0, 0, 0)), gauge.Row(0, (0, 0, 0), (1, d - 1, 0))]
-    T, O = gauge.Tableau(d, rows), OracleTableau(d, rows)
+    rows = [OracleRow(0, (1, 1, 0), (0, 0, 0)), OracleRow(0, (0, 0, 0), (1, d - 1, 0))]
+    T, O = as_tableau(d, rows), OracleTableau(d, rows)
     outside = "observable commutes but is not in the group"
     for word, expected in [((0, 0, 0, 0, 0, 1), outside), ((1, 0, 1, 0, 0, 0), None),
                            ((0, 1, 0, 0, 0, 0), outside)]:
-        word = PauliWord(d, word[:3], word[3:])
         got = outcome_or_error(T.measure, word, d)
-        assert got == outcome_or_error(O.measure, word, d)
+        assert got == outcome_or_error(O.measure, PauliWord(d, word[:3], word[3:]), d)
         if expected:
             assert got == expected
-        assert T.rows == O.rows
+        assert rows_of(T) == rows_of(O)
         assert np.array_equal(gauge._symplectic(T.destab, T.xz, d), np.eye(2, dtype=int))
 
 
@@ -849,19 +891,21 @@ def test_tableau_outside_word_matches_oracle(d):
 def test_tableau_refuses_a_non_hermitian_observable_at_d_2(tableau):
     # X Z has x.z = 1: it squares to -I, with eigenvalues +-i, not +-1;
     # (X Z) (x) (X Z) has x.z = 2 and is measured
-    z0 = gauge.Row(0, (0, 0), (1, 0))
-    T = tableau(2, [z0])
+    z0 = OracleRow(0, (0, 0), (1, 0))
+    if tableau is OracleTableau:
+        T, obs = OracleTableau(2, [z0]), as_word
+    else:
+        T, obs = as_tableau(2, [z0]), lambda d, xz: xz
     with pytest.raises(ValueError, match="only Hermitian observables"):
-        T.measure(PauliWord(2, (1, 0), (1, 0)), random.Random(0))
-    assert T.rows == [z0]
-    assert T.measure(PauliWord(2, (1, 1), (1, 1)), random.Random(0)) in (0, 1)
-    assert [(r.x, r.z) for r in T.rows] == [((1, 1), (1, 1))]
+        T.measure(obs(2, (1, 0, 1, 0)), random.Random(0))
+    assert rows_of(T) == [(0, (0, 0, 1, 0))]
+    assert T.measure(obs(2, (1, 1, 1, 1)), random.Random(0)) in (0, 1)
+    assert [xz for _, xz in rows_of(T)] == [(1, 1, 1, 1)]
 
 
 def test_tableau_rejects_dependent_rows():
-    xx = gauge.Row(0, (1, 1), (0, 0))
     with pytest.raises(ValueError, match="tableau rows are not independent"):
-        gauge.Tableau(3, [xx, gauge.Row(1, (2, 2), (0, 0))])
+        gauge.Tableau(3, [(1, 1, 0, 0), (2, 2, 0, 0)], [0, 1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -910,3 +954,67 @@ def test_transversal_H_action_matches_oracle(d):
         xz, dphi = gauge._hadamard(np.array([W.x_exp + W.z_exp], dtype=object), sg)
         mapped = PauliWord(d, tuple(xz[0, :15]), tuple(xz[0, 15:]), W.phase_exp + dphi[0])
         assert mapped == oracle_transversal_H_action(W, sg)
+
+
+# --------------------------------------------------------------------------
+# Hypercube gauge codes beyond 3D: mu = 4 at d = 2, 3, 5 and mu = 5 at d = 2
+
+HYPERCUBE = {}
+BEYOND_3D = [(4, 2), (4, 3), (4, 5), (5, 2)]
+
+
+def hypercube(mu, d):
+    """(L, C, G) on the punctured (mu+1)-cube boundary, X stabilizers on the
+    mu-cells, built once per (mu, d)."""
+    if (mu, d) not in HYPERCUBE:
+        L, C = with_code(colex.hypercube_lattice(mu), d)
+        HYPERCUBE[mu, d] = L, C, gauge.build_gauge_code(L, d)
+    return HYPERCUBE[mu, d]
+
+
+@pytest.mark.parametrize("mu", [4, 5])
+def test_face_classes_beyond_3d(mu):
+    L = colex.hypercube_lattice(mu)
+    faces = L.cells_of_dim(2)
+    for cell in L.cells_of_dim(mu):
+        classes = gauge.face_color_classes(L, cell)
+        assert len(classes) == math.comb(mu, 2)
+        assert sorted(i for c in classes for i in c) == [
+            i for i, f in enumerate(faces) if f.vertices <= cell.vertices]
+        for cls in classes:
+            assert sorted(v for i in cls for v in faces[i].vertices) == sorted(cell.vertices)
+
+
+@pytest.mark.parametrize("mu,d", BEYOND_3D)
+def test_class_sums_are_the_x_cell_syndrome_beyond_3d(mu, d):
+    L, C, G = hypercube(mu, d)
+    classes_by_cell = [gauge.face_color_classes(L, c) for c in L.cells_of_dim(mu)]
+    rng = random.Random(mu * d)
+    for _ in range(5):
+        E = PauliWord(d, tuple(rng.randrange(d) for _ in range(C.n)),
+                      tuple(rng.randrange(d) for _ in range(C.n)))
+        T = gauge.Tableau.zero_logical(C)
+        T.apply_pauli(row(E))
+        outs = {fi: T.measure(xz, rng)
+                for fi, xz in enumerate(G.gauge_group.rows[:G.face_x.nrows])}
+        syn = syndrome(C, E)
+        for ci, classes in enumerate(classes_by_cell):
+            consistent, sums = gauge.class_sums_consistent(outs, classes, d)
+            assert consistent and sums[0] == syn[ci]
+
+
+@pytest.mark.parametrize("mu,d", BEYOND_3D)
+def test_center_and_H_beyond_3d(mu, d):
+    _, C, G = hypercube(mu, d)
+    assert gauge.center_equals_stabilizer(G).ok
+    assert gauge.verify_H_logical(G).ok
+    assert not gauge.verify_H_stabilizer_code(C).ok  # negative control
+
+
+@pytest.mark.parametrize("mu,d", BEYOND_3D)
+def test_gauge_fix_beyond_3d(mu, d):
+    L, C, G = hypercube(mu, d)
+    T = gauge.Tableau.zero_logical(C)
+    T.apply_transversal_H(L.star_signs())
+    log = gauge.gauge_fix(T, G, random.Random(mu + d))
+    assert all(log["post"].values()), log["post"]

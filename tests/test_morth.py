@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from colexa import cli, colex, morth, ring
 from colexa.code import CapExceeded
+from builders import with_code
 
 
 @pytest.fixture(scope="module", params=[2, 3, 4, 5, 6, 7])
 def tetra_matrix(request):
-    _, C = colex.build_tetrahedral(request.param)
+    _, C = with_code(colex.hypercube_lattice(3), request.param)
     M, g1 = morth.code_matrix(C)
     return request.param, C, M, g1
 
@@ -59,7 +60,7 @@ def test_tetra_orthogonality_and_tightness(tetra_matrix):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_triangle_orthogonality_and_tightness(d):
-    _, C = colex.build_triangle_2d(d, 3)
+    _, C = with_code(colex.triangle_lattice(3), d)
     M, g1 = morth.code_matrix(C)
     for m in (1, 2):
         assert morth.is_m_star_orthogonal(M, g1, m, "strong").ok
@@ -72,7 +73,7 @@ def test_verdicts_are_d_independent():
     # strong-mode integer weights cannot depend on d
     reports = {}
     for d in (2, 3, 4, 5, 6, 7):
-        _, C = colex.build_tetrahedral(d)
+        _, C = with_code(colex.hypercube_lattice(3), d)
         M, g1 = morth.code_matrix(C)
         reports[d] = [
             morth.is_m_star_orthogonal(M, g1, m, "strong").ok
@@ -91,7 +92,7 @@ def test_strong_implies_weak(tetra_matrix):
 def test_d2_weak_is_triorthogonality():
     # Bravyi-Haah triorthogonality of the 15-qubit matrix: mod-2 weights of
     # single, double and triple row products, checked directly
-    _, C = colex.build_tetrahedral(2)
+    _, C = with_code(colex.hypercube_lattice(3), 2)
     M, g1 = morth.code_matrix(C)
     rows = M.G.rows
     for m in (1, 2, 3):
@@ -106,7 +107,7 @@ def test_d2_weak_is_triorthogonality():
 def test_geometric_cross_check():
     # products of q <= mu' distinct G0 rows are supported on a cell of
     # dimension >= mu' - q + 1, or nowhere
-    L, C = colex.build_tetrahedral(3)
+    L, C = with_code(colex.hypercube_lattice(3), 3)
     idx = {v: j for j, v in enumerate(L.vertex_ids)}
     cells_by_dim = {
         k: [frozenset(idx[v] for v in c.vertices) for c in L.cells_of_dim(k)]
@@ -170,8 +171,8 @@ def verdict(rep) -> tuple:
     data=st.data(),
 )
 def test_blocked_check_matches_multiset_loop(d, family, m, mode, data):
-    _, C = (colex.build_tetrahedral(d) if family == "tetra"
-            else colex.build_triangle_2d(d, 3))
+    _, C = (with_code(colex.hypercube_lattice(3), d) if family == "tetra"
+            else with_code(colex.triangle_lattice(3), d))
     M, g1 = morth.code_matrix(C)
     assert verdict(morth.is_m_star_orthogonal(M, g1, m, mode)) == loop_m_star(M, g1, m, mode)
     rows = [list(r) for r in M.G.rows]
@@ -183,7 +184,7 @@ def test_blocked_check_matches_multiset_loop(d, family, m, mode, data):
 
 
 def test_multisets_charged_to_cap():
-    _, C = colex.build_tetrahedral(2)
+    _, C = with_code(colex.hypercube_lattice(3), 2)
     M, g1 = morth.code_matrix(C)
     # 5 rows, m = 6: C(10, 6) = 210 multisets
     with pytest.raises(CapExceeded):

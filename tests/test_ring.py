@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colexa import colex, gauge, ring
+from builders import with_code
 from oracles import brute_kernel, brute_span
 
 
@@ -175,7 +176,7 @@ def test_smith_normal_form_takes_numpy_entries_exactly():
 
 
 def test_int_rows_copy_gives_the_same_factorization():
-    C = colex.build_triangle_2d(6, 7)[1]
+    C = with_code(colex.triangle_lattice(7), 6)[1]
     rows = C.encoding().rows
     assert ring.smith_normal_form(ring._IntRows(rows)) == ring.smith_normal_form(rows)
 
@@ -544,7 +545,8 @@ def test_snf_matches_seed_oracle(m, n, bound, data):
 @pytest.mark.parametrize("family, d", [("triangle", 2), ("triangle", 6), ("tetra", 3), ("tetra", 5)])
 def test_snf_matches_seed_oracle_on_code_matrices(family, d):
     if family == "triangle":
-        A = colex.build_triangle_2d(d, 13)[1].encoding().rows
+        A = with_code(colex.triangle_lattice(13), d)[1].encoding().rows
     else:
-        A = gauge.Tableau.zero_logical(colex.build_tetrahedral(d)[1]).xz.tolist()
+        _, C = with_code(colex.hypercube_lattice(3), d)
+        A = gauge.Tableau.zero_logical(C).xz.tolist()
     assert ring.smith_normal_form(A) == seed_snf(A)

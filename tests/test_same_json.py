@@ -73,9 +73,9 @@ def json_inputs() -> dict:
     odd_edge["cells"].append({"dim": 1, "color": None, "vertices": [1, 2]})
     unbalanced = json.loads(json.dumps(tetra))
     unbalanced["vertices"][0]["star"] = not unbalanced["vertices"][0]["star"]
-    bad_g0 = code_mod.code_to_json(colex.build_tetrahedral(3)[1])
+    bad_g0 = code_mod.code_to_json(code_mod.from_colex(colex.hypercube_lattice(3), 3, 3))
     bad_g0["G0"][0][0] = 2
-    g1_twos = code_mod.code_to_json(colex.build_tetrahedral(5)[1])
+    g1_twos = code_mod.code_to_json(code_mod.from_colex(colex.hypercube_lattice(3), 3, 5))
     g1_twos["G1"] = [[2] * g1_twos["n"]]
     return {"extra_cell": extra_cell, "odd_edge": odd_edge, "unbalanced": unbalanced,
             "bad_g0": bad_g0, "g1_twos": g1_twos}
