@@ -202,10 +202,10 @@ def read_json_object(path: str) -> dict:
     return obj
 
 
-def parse_error(spec: str, C, L) -> code_mod.PauliWord:
-    """Parse 'Z@1111,X^2@7' style error specs into one PauliWord."""
-    x = [0] * C.n
-    z = [0] * C.n
+def parse_error(spec: str, C, L) -> tuple:
+    """Parse 'Z@1111,X^2@7' style error specs into one (x | z) exponent row
+    mod d."""
+    xz = [0] * (2 * C.n)
     for term in spec.split(","):
         term = term.strip()
         if "@" not in term:
@@ -216,30 +216,27 @@ def parse_error(spec: str, C, L) -> code_mod.PauliWord:
             op, pw = op.split("^", 1)
             power = int(pw)
         site = resolve_site(vert, C, L)
-        if op.upper() == "X":
-            x[site] += power
-        elif op.upper() == "Z":
-            z[site] += power
-        else:
+        if op.upper() not in ("X", "Z"):
             raise ValueError(f"unknown Pauli {op!r}")
-    return code_mod.PauliWord(C.d, tuple(x), tuple(z))
+        xz[site + (C.n if op.upper() == "Z" else 0)] += power
+    return tuple(e % C.d for e in xz)
 
 
 def resolve_site(vert: str, C, L) -> int:
-    """Vertex label to qudit index; binary strings name builder vertices."""
-    label = None
-    try:
-        label = int(vert)
-    except ValueError:
-        pass
+    """Vertex label to qudit index.  On a hypercube lattice, whose vertices
+    are the nonzero (mu+1)-bit strings, a label of exactly mu+1 binary digits
+    names the vertex with those bits; every other label is a decimal id."""
     ids = list(L.vertex_ids) if L is not None else list(range(C.n))
-    if label is not None and label in ids:
-        return ids.index(label)
-    if set(vert) <= {"0", "1"} and len(vert) > 1:
-        b = int(vert, 2)
-        if b in ids:
-            return ids.index(b)
-    raise ValueError(f"unknown vertex label {vert!r}")
+    bits = L is not None and L.vertex_ids == tuple(range(1, 2 ** (L.mu + 1)))
+    if bits and len(vert) == L.mu + 1 and set(vert) <= {"0", "1"}:
+        label = int(vert, 2)
+    elif vert.isascii() and vert.isdigit():
+        label = int(vert)
+    else:
+        label = None
+    if label not in ids:
+        raise ValueError(f"unknown vertex label {vert!r}")
+    return ids.index(label)
 
 
 # -- handlers: each returns (ok, JSON payload) --------------------------------
@@ -273,8 +270,7 @@ def cmd_code_distance(args):
 
 def cmd_code_syndrome(args):
     L, C = load_code(args)
-    E = parse_error(args.error, C, L)
-    syn = code_mod.syndrome(C, E)
+    syn = code_mod.syndrome(C, parse_error(args.error, C, L))
     return True, {
         "syndrome": list(syn),
         "x_generators": C.G0.nrows,

@@ -1,8 +1,8 @@
 """Qudit color codes: stabilizers, logicals, codewords, syndromes, distance.
 
-Everything is symplectic: a Pauli word is a pair of exponent vectors mod d
-plus an omega-power, and commutation questions reduce to an integer bilinear
-form.  X generators sit on mu'-cells, Z generators on (mu-mu'+2)-cells with
+Everything is symplectic: a Pauli is a row of (x | z) exponents mod d, and
+commutation questions reduce to one integer bilinear form, symplectic_phase.
+X generators sit on mu'-cells, Z generators on (mu-mu'+2)-cells with
 the star signs folded into the exponents (starred vertices hold d-1 instead
 of a separate conjugation channel).
 """
@@ -25,49 +25,12 @@ class CapExceeded(RuntimeError):
     """Raised when an enumeration would exceed the configured cap."""
 
 
-@dataclass(frozen=True)
-class PauliWord:
-    """omega^phase_exp * X^x_exp * Z^z_exp on n qudits of dimension d."""
-
-    d: int
-    x_exp: tuple
-    z_exp: tuple
-    phase_exp: int = 0
-
-    def __post_init__(self):
-        if len(self.x_exp) != len(self.z_exp):
-            raise ValueError("x and z exponent lengths differ")
-        object.__setattr__(self, "x_exp", tuple(e % self.d for e in self.x_exp))
-        object.__setattr__(self, "z_exp", tuple(e % self.d for e in self.z_exp))
-        object.__setattr__(self, "phase_exp", self.phase_exp % self.d)
-
-    @property
-    def n(self) -> int:
-        return len(self.x_exp)
-
-    @classmethod
-    def single(cls, d: int, n: int, site: int, kind: str, power: int = 1):
-        """A one-site X^power or Z^power error."""
-        x = [0] * n
-        z = [0] * n
-        if kind.upper() == "X":
-            x[site] = power
-        elif kind.upper() == "Z":
-            z[site] = power
-        else:
-            raise ValueError(f"unknown Pauli kind {kind!r}")
-        return cls(d, tuple(x), tuple(z))
-
-
-def symplectic_phase(A: PauliWord, B: PauliWord) -> int:
-    """The c with A B = omega^c B A."""
-    if A.d != B.d or A.n != B.n:
-        raise ValueError("mismatched qudit count or dimension")
-    total = sum(
-        ax * bz - bx * az
-        for ax, az, bx, bz in zip(A.x_exp, A.z_exp, B.x_exp, B.z_exp)
-    )
-    return total % A.d
+def symplectic_phase(A: np.ndarray, B: np.ndarray, d: int) -> np.ndarray:
+    """Entry [i, j] is the c with A_i B_j = omega^c B_j A_i, for arrays of
+    (x | z) exponent rows: x_i . z_j - z_i . x_j mod d.  The dtype must hold
+    n (d-1)^2."""
+    n = A.shape[1] // 2
+    return (A[:, :n] @ B[:, n:].T - A[:, n:] @ B[:, :n].T) % d
 
 
 @dataclass(frozen=True)
@@ -80,7 +43,11 @@ class ColorCode:
     G0: ring.ResidueMatrix
     G1: ring.ResidueMatrix
     z_stab: ring.ResidueMatrix  # sigma-signed exponent rows, one per generator
-    z_logical: tuple  # sigma mod d: the logical Z exponents
+
+    @property
+    def z_logical(self) -> tuple:
+        """sigma mod d: the logical Z exponents."""
+        return tuple(s % self.d for s in self.star_signs)
 
     @property
     def k(self) -> int:
@@ -145,7 +112,6 @@ def from_colex(L, mu_prime: int, d: int) -> ColorCode:
         G0=cell_rows(L, mu_prime, d),
         G1=ring.ResidueMatrix(d, ((1,) * n,)),
         z_stab=cell_rows(L, L.mu - mu_prime + 2, d, sigma),
-        z_logical=tuple(s % d for s in sigma),
     )
     if not code.injective():
         raise ValueError(f"mu_prime={mu_prime}: [G1; G0] has a nontrivial left kernel "
@@ -209,16 +175,17 @@ def codeword(C: ColorCode, x, cap: int = DEFAULT_CAP) -> Codeword:
     return Codeword(x=x, terms=terms)
 
 
-def syndrome(C: ColorCode, E: PauliWord):
-    """Symplectic phase of every stabilizer generator against E.
+def syndrome(C: ColorCode, e) -> tuple:
+    """Symplectic phase of every stabilizer generator against the error with
+    (x | z) exponent row e, 2n entries.
 
     Order: X generators in G0 row order, then Z generators.  Two exact Z_d
-    products: X row i gives G0_i . z_E and Z row j gives -(Zstab_j . x_E).
+    products: X row i gives G0_i . z_e and Z row j gives -(Zstab_j . x_e).
     """
-    if E.d != C.d or E.n != C.n:
-        raise ValueError("mismatched qudit count or dimension")
-    x_part = ring.mul_transpose(C.G0, ring.ResidueMatrix(C.d, (E.z_exp,)))
-    z_part = -ring.mul_transpose(C.z_stab, ring.ResidueMatrix(C.d, (E.x_exp,))) % C.d
+    if len(e) != 2 * C.n:
+        raise ValueError(f"error row has {len(e)} entries, not 2n = {2 * C.n}")
+    x_part = ring.mul_transpose(C.G0, ring.ResidueMatrix(C.d, (e[C.n:],)))
+    z_part = -ring.mul_transpose(C.z_stab, ring.ResidueMatrix(C.d, (e[:C.n],))) % C.d
     return tuple(x_part[:, 0].tolist() + z_part[:, 0].tolist())
 
 
@@ -406,5 +373,4 @@ def code_from_json(obj: dict) -> ColorCode:
         G0=ring.ResidueMatrix(d, tuple(tuple(r) for r in obj["G0"])),
         G1=ring.ResidueMatrix(d, tuple(tuple(r) for r in obj["G1"])),
         z_stab=ring.ResidueMatrix(d, tuple(tuple(r) for r in obj["Zstab"])),
-        z_logical=tuple(s % d for s in stars),
     )

@@ -25,19 +25,9 @@ from functools import cached_property, reduce
 import numpy as np
 
 from . import ring
-# symplectic_phase is unused here but stays importable as gauge.symplectic_phase,
-# which perfbench's tracer test patches as a name shared across modules
-from .code import ColorCode, cell_rows, from_colex, symplectic_phase  # noqa: F401
+from .code import ColorCode, cell_rows, from_colex, symplectic_phase
 from .colex import Lattice, hypercube_lattice
 from .reports import Report
-
-
-def _symplectic(A: np.ndarray, B: np.ndarray, d: int) -> np.ndarray:
-    """Entry [i, j] is the c with A_i B_j = omega^c B_j A_i, for rows of
-    (x | z) exponents: x_i . z_j - z_i . x_j mod d.  The dtype must hold
-    n (d-1)^2."""
-    n = A.shape[1] // 2
-    return (A[:, :n] @ B[:, n:].T - A[:, n:] @ B[:, :n].T) % d
 
 
 def _hadamard(xz: np.ndarray, star_signs):
@@ -119,7 +109,7 @@ def build_gauge_code(L: Lattice, d: int) -> GaugeCode:
         cell_x=cell_rows(L, L.mu, d),
         cell_z=cell_rows(L, L.mu, d, sigma),
     )
-    if _symplectic(_array(G.stabilizer_group), _array(G.gauge_group), d).any():
+    if symplectic_phase(_array(G.stabilizer_group), _array(G.gauge_group), d).any():
         raise AssertionError("stabilizer fails to commute with gauge group")
     return G
 
@@ -134,7 +124,7 @@ def center_equals_stabilizer(G: GaugeCode) -> Report:
     """
     rep = Report()
     gauge, stab = _array(G.gauge_group), _array(G.stabilizer_group)
-    gram = ring._canonical(G.d, tuple(map(tuple, _symplectic(gauge, gauge, G.d).tolist())))
+    gram = ring._canonical(G.d, tuple(map(tuple, symplectic_phase(gauge, gauge, G.d).tolist())))
     center = ring.mul_transpose(ring.kernel_mod(gram), G.gauge_group.transpose())
 
     missing = _outside(G.stabilizer_group, center)
@@ -143,7 +133,7 @@ def center_equals_stabilizer(G: GaugeCode) -> Report:
     missing = _outside(G.gauge_group, stab)
     rep.add("stabilizer-in-gauge-group", not missing, witness=missing[:3] or None)
 
-    bad = [(int(i), int(j)) for i, j in np.argwhere(_symplectic(stab, gauge, G.d))]
+    bad = [(int(i), int(j)) for i, j in np.argwhere(symplectic_phase(stab, gauge, G.d))]
     rep.add("stabilizer-central", not bad, witness=bad[:3] or None)
     return rep
 
@@ -245,11 +235,11 @@ class Tableau:
         self.D = 4 if d == 2 else d
         self.scale = self.D // d
         self.n = width // 2
-        # holds every intermediate of _product and _symplectic exactly
+        # holds every intermediate of _product and symplectic_phase exactly
         self._dtype = ring.exact_dtype(4 * (r + self.n + 1) * d * d)
         self.phase = np.array(phase, dtype=self._dtype) % self.D
         self.xz = np.array(xz, dtype=self._dtype) % d
-        if _symplectic(self.xz, self.xz, d).any():
+        if symplectic_phase(self.xz, self.xz, d).any():
             raise ValueError("tableau rows must pairwise commute")
         self.destab = self._dual()
 
@@ -302,7 +292,7 @@ class Tableau:
         """Conjugate the state by the Pauli error with (x | z) exponents row
         (rows pick up phases only)."""
         e = np.array([row], dtype=self._dtype) % self.d
-        self.phase = (self.phase + self.scale * _symplectic(e, self.xz, self.d)[0]) % self.D
+        self.phase = (self.phase + self.scale * symplectic_phase(e, self.xz, self.d)[0]) % self.D
 
     def apply_transversal_H(self, star_signs) -> None:
         """Conjugate by the transversal Hadamard; each row's phase gains
@@ -320,8 +310,8 @@ class Tableau:
         obs = np.array(row, dtype=self._dtype) % d
         if d == 2 and (obs[:self.n] @ obs[self.n:]) % 2:
             raise ValueError("at d = 2 only Hermitian observables (even x.z) are measured")
-        coeffs = _symplectic(obs[None], self.xz, d)[0]
-        e = _symplectic(self.destab, obs[None], d)[:, 0]
+        coeffs = symplectic_phase(obs[None], self.xz, d)[0]
+        e = symplectic_phase(self.destab, obs[None], d)[:, 0]
         hits = np.flatnonzero(coeffs)
         if not hits.size:
             return self._determined_outcome(obs, e)

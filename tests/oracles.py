@@ -4,10 +4,60 @@ calculus), so agreement between the two is meaningful evidence.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from colexa.code import PauliWord
+
+@dataclass(frozen=True)
+class PauliWord:
+    """omega^phase_exp * X^x_exp * Z^z_exp on n qudits of dimension d: the
+    word-level Pauli, against which the library's (x | z) rows are checked."""
+
+    d: int
+    x_exp: tuple
+    z_exp: tuple
+    phase_exp: int = 0
+
+    def __post_init__(self):
+        if len(self.x_exp) != len(self.z_exp):
+            raise ValueError("x and z exponent lengths differ")
+        object.__setattr__(self, "x_exp", tuple(e % self.d for e in self.x_exp))
+        object.__setattr__(self, "z_exp", tuple(e % self.d for e in self.z_exp))
+        object.__setattr__(self, "phase_exp", self.phase_exp % self.d)
+
+    @property
+    def n(self) -> int:
+        return len(self.x_exp)
+
+    @property
+    def row(self) -> tuple:
+        """The (x | z) exponent row, as the library takes a Pauli."""
+        return self.x_exp + self.z_exp
+
+    @classmethod
+    def single(cls, d: int, n: int, site: int, kind: str, power: int = 1):
+        """A one-site X^power or Z^power error."""
+        x = [0] * n
+        z = [0] * n
+        if kind.upper() == "X":
+            x[site] = power
+        elif kind.upper() == "Z":
+            z[site] = power
+        else:
+            raise ValueError(f"unknown Pauli kind {kind!r}")
+        return cls(d, tuple(x), tuple(z))
+
+
+def word_phase(A: PauliWord, B: PauliWord) -> int:
+    """The c with A B = omega^c B A, one word pair at a time."""
+    if A.d != B.d or A.n != B.n:
+        raise ValueError("mismatched qudit count or dimension")
+    total = sum(
+        ax * bz - bx * az
+        for ax, az, bx, bz in zip(A.x_exp, A.z_exp, B.x_exp, B.z_exp)
+    )
+    return total % A.d
 
 
 def brute_kernel(rows, N):

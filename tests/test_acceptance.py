@@ -12,9 +12,10 @@ import pytest
 
 from colexa import code as code_mod
 from colexa import colex, gatecalc, gauge, morth
-from colexa.code import PauliWord, syndrome
+from colexa.code import syndrome
 from builders import with_code
 from oracles import (
+    PauliWord,
     min_logical_weight_x,
     min_logical_weight_z,
     stabilizer_words,
@@ -163,11 +164,11 @@ def test_criterion_7_distances():
 def test_criterion_8_syndromes():
     L, C = with_code(colex.hypercube_lattice(3), 3)
     v1111 = list(L.vertex_ids).index(15)
-    syn = syndrome(C, PauliWord.single(3, 15, v1111, "Z"))
+    syn = syndrome(C, PauliWord.single(3, 15, v1111, "Z").row)
     assert syn[:4] == (1, 1, 1, 1) and not any(syn[4:])
-    syn = syndrome(C, PauliWord.single(3, 15, v1111, "Z", power=2))
+    syn = syndrome(C, PauliWord.single(3, 15, v1111, "Z", power=2).row)
     assert syn[:4] == (2, 2, 2, 2)
-    syn = syndrome(C, PauliWord.single(3, 15, v1111, "X"))
+    syn = syndrome(C, PauliWord.single(3, 15, v1111, "X").row)
     faces = L.cells_of_dim(2)
     assert not any(syn[:4])
     assert [i for i, v in enumerate(syn[4:]) if v] == [

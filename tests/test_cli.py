@@ -19,6 +19,7 @@ from colexa import cli, colex, gatecalc, ring
 from colexa import code as code_mod
 from colexa.cli import main
 from builders import with_code
+from oracles import PauliWord, stabilizer_words, word_phase
 
 
 def run(capsys, *argv):
@@ -52,6 +53,68 @@ def test_syndrome_binary_vertex_label(capsys):
     code, obj = run(capsys, "code", "syndrome", "--code", "tetra", "--d", "3",
                     "--error", "X@1111")
     assert code == 0 and len(obj["nonzero"]) == 6
+
+
+def oracle_syndrome(C, L, terms):
+    """The syndrome of the word with terms (kind, power, vertex id), from the
+    word-level oracle."""
+    x, z = [0] * C.n, [0] * C.n
+    for kind, power, vertex in terms:
+        (x if kind == "X" else z)[list(L.vertex_ids).index(vertex)] += power
+    E = PauliWord(C.d, tuple(x), tuple(z))
+    return [word_phase(g, E) for g in stabilizer_words(C)]
+
+
+def assert_unknown_label(capsys, argv, label):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"colexa: unknown vertex label {label!r}\n"
+
+
+def test_tetra_reads_binary_only_at_four_digits(capsys):
+    # mu + 1 = 4 binary digits name a vertex's bits; other labels are decimal
+    L, C = with_code(colex.hypercube_lattice(3), 3)
+    argv = ["code", "syndrome", "--code", "tetra", "--d", "3", "--error"]
+    for label, vertex in (("0011", 3), ("0010", 2), ("1010", 10), ("11", 11), ("00011", 11),
+                          ("3", 3)):
+        code, obj = run(capsys, *argv, f"Z@{label}")
+        assert code == 0 and obj["syndrome"] == oracle_syndrome(C, L, [("Z", 1, vertex)])
+    for label in ("111", "0000", "16", "+3", "1_1", ""):
+        assert_unknown_label(capsys, argv + [f"Z@{label}"], label)
+
+
+def test_triangle_labels_are_decimal_ids(capsys):
+    # 37 qudits: 100 is no vertex id, and no longer read as binary 4
+    argv = ["code", "syndrome", "--code", "triangle", "--distance", "7", "--d", "2", "--error"]
+    L, C = with_code(colex.triangle_lattice(7), 2)
+    code, obj = run(capsys, *argv, "Z@4")
+    assert code == 0 and obj["syndrome"] == oracle_syndrome(C, L, [("Z", 1, 4)])
+    for label in ("100", "37"):
+        assert_unknown_label(capsys, argv + [f"Z@{label}"], label)
+
+
+def test_json_code_labels_are_decimal_ids(tmp_path, capsys):
+    # qudits 0..14: 10 is qudit 10, and 1110 is no longer read as binary 14
+    L, C = with_code(colex.hypercube_lattice(3), 3)
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code_mod.code_to_json(C)))
+    argv = ["code", "syndrome", "--code", str(path), "--error"]
+    code, obj = run(capsys, *argv, "Z@10")
+    assert code == 0
+    assert obj["syndrome"] == oracle_syndrome(C, L, [("Z", 1, L.vertex_ids[10])])
+    for label in ("1110", "15"):
+        assert_unknown_label(capsys, argv + [f"Z@{label}"], label)
+
+
+def test_syndrome_powers_reduce_mod_d(capsys):
+    # -1 + 10^26 is 0 mod 3 and 4 mod 5
+    for d in (3, 5):
+        L, C = with_code(colex.hypercube_lattice(3), d)
+        code, obj = run(capsys, "code", "syndrome", "--code", "tetra", "--d", str(d), "--error",
+                        "X^-1@7,X^100000000000000000000000000@7")
+        assert code == 0 and obj["syndrome"] == oracle_syndrome(C, L, [("X", 10**26 - 1, 7)])
+        assert any(obj["syndrome"]) == (d == 5)
 
 
 def test_code_distance(capsys):

@@ -3,15 +3,16 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from colexa import code as code_mod
 from colexa import colex, ring
-from colexa.code import PauliWord, symplectic_phase
 from colexa.reports import Report
 from builders import with_code
-from oracles import logical_words, min_logical_weight_x, min_logical_weight_z, stabilizer_words
+from oracles import (PauliWord, logical_words, min_logical_weight_x, min_logical_weight_z,
+                     stabilizer_words, word_phase)
 
 
 @pytest.fixture(scope="module")
@@ -33,18 +34,41 @@ def test_generator_counts(tetra3):
 
 
 def test_symplectic_phase_basics():
-    X = PauliWord(5, (1,), (0,))
-    Z = PauliWord(5, (0,), (1,))
-    assert symplectic_phase(X, Z) == 1
+    # X against Z on one qudit, and X X against Z Z^(d-1) on two
+    assert code_mod.symplectic_phase(np.array([[1, 0]]), np.array([[0, 1]]), 5).tolist() == [[1]]
     for d in (2, 3, 4, 7):
-        XX = PauliWord(d, (1, 1), (0, 0))
-        ZZc = PauliWord(d, (0, 0), (1, d - 1))
-        assert symplectic_phase(XX, ZZc) == 0
+        XX, ZZc = np.array([[1, 1, 0, 0]]), np.array([[0, 0, 1, d - 1]])
+        assert code_mod.symplectic_phase(XX, ZZc, d).tolist() == [[0]]
 
 
 def test_logical_pair_phase_one(tetra3):
     _, C = tetra3
-    assert symplectic_phase(*logical_words(C)) == 1
+    xbar, zbar = (np.array([w.row]) for w in logical_words(C))
+    assert code_mod.symplectic_phase(xbar, zbar, C.d).tolist() == [[1]]
+    assert word_phase(*logical_words(C)) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # 2^40 + 15 needs dtype=object: n (d-1)^2 passes 2^63
+    d=st.sampled_from([2, 3, 4, 6, 2**40 + 15]),
+    n=st.integers(1, 6),
+    data=st.data(),
+)
+def test_symplectic_phase_matches_word_oracle(d, n, data):
+    def rows():
+        count = data.draw(st.integers(0, 4))
+        return [data.draw(st.lists(st.integers(-d, 2 * d), min_size=2 * n, max_size=2 * n))
+                for _ in range(count)]
+
+    A, B = rows(), rows()
+    dtype = ring.exact_dtype(2 * n * (2 * d) ** 2)
+    a, b = (np.array(M, dtype=dtype).reshape(len(M), 2 * n) for M in (A, B))
+    P = code_mod.symplectic_phase(a, b, d)
+    assert P.shape == (len(A), len(B))
+    words = [[PauliWord(d, r[:n], r[n:]) for r in M] for M in (A, B)]
+    assert P.tolist() == [[word_phase(u, v) for v in words[1]] for u in words[0]]
+    assert ((P + code_mod.symplectic_phase(b, a, d).T) % d == 0).all()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
@@ -91,17 +115,17 @@ def test_codeword_cap(tetra3):
 def test_syndrome_z_error_hits_cells(tetra3):
     L, C = tetra3
     E = PauliWord.single(3, 15, site(L, 0b1111), "Z")
-    syn = code_mod.syndrome(C, E)
+    syn = code_mod.syndrome(C, E.row)
     assert syn[:4] == (1, 1, 1, 1)
     assert not any(syn[4:])
     E2 = PauliWord.single(3, 15, site(L, 0b1111), "Z", power=2)
-    assert code_mod.syndrome(C, E2)[:4] == (2, 2, 2, 2)
+    assert code_mod.syndrome(C, E2.row)[:4] == (2, 2, 2, 2)
 
 
 def test_syndrome_x_error_hits_six_faces(tetra3):
     L, C = tetra3
     E = PauliWord.single(3, 15, site(L, 0b1111), "X")
-    syn = code_mod.syndrome(C, E)
+    syn = code_mod.syndrome(C, E.row)
     assert not any(syn[:4])
     assert sum(1 for v in syn[4:] if v) == 6
     # the six flagged faces are exactly those containing vertex 1111
@@ -113,7 +137,7 @@ def test_syndrome_x_error_hits_six_faces(tetra3):
 def test_syndrome_stabilizer_is_silent(tetra3):
     _, C = tetra3
     for g in stabilizer_words(C):
-        assert not any(code_mod.syndrome(C, g))
+        assert not any(code_mod.syndrome(C, g.row))
 
 
 @settings(max_examples=50, deadline=None)
@@ -131,7 +155,7 @@ def test_syndrome_homomorphism(data, tetra3):
         tuple((a + b) % 3 for a, b in zip(E1.x_exp, E2.x_exp)),
         tuple((a + b) % 3 for a, b in zip(E1.z_exp, E2.z_exp)),
     )
-    s1, s2, sp = (code_mod.syndrome(C, E) for E in (E1, E2, prod))
+    s1, s2, sp = (code_mod.syndrome(C, E.row) for E in (E1, E2, prod))
     assert sp == tuple((a + b) % 3 for a, b in zip(s1, s2))
 
 
@@ -207,13 +231,13 @@ def test_from_colex_verdict_matches_the_snf(name, mu_prime, d):
 
 
 def pairwise_verify_code(C):
-    """Reference commutation audit: symplectic_phase over every word pair,
+    """Reference commutation audit: word_phase over every word pair,
     the loop verify_code ran before it became matrix products."""
     rep = Report()
     stabs = stabilizer_words(C)
     bad = []
     for i, j in itertools.combinations(range(len(stabs)), 2):
-        c = symplectic_phase(stabs[i], stabs[j])
+        c = word_phase(stabs[i], stabs[j])
         if c != 0:
             bad.append({"pair": [i, j], "phase": c})
     rep.add("stabilizers-commute", not bad, witness=bad[:3] or None)
@@ -221,11 +245,11 @@ def pairwise_verify_code(C):
     bad = []
     for li, lw in enumerate(logicals):
         for si, sw in enumerate(stabs):
-            c = symplectic_phase(lw, sw)
+            c = word_phase(lw, sw)
             if c != 0:
                 bad.append({"logical": li, "stabilizer": si, "phase": c})
     rep.add("logicals-commute-with-stabilizers", not bad, witness=bad[:3] or None)
-    c = symplectic_phase(*logical_words(C))
+    c = word_phase(*logical_words(C))
     rep.add("logical-pair-omega-commutes", c == 1, f"phase {c}, expected 1")
     rep.add(
         "injective-encoding",
@@ -341,7 +365,7 @@ def test_distance_cap_exceeded_only_when_both_methods_exceed(tetra3):
 def word_loop_syndrome(C, E):
     """The syndrome as it was before it became two products: the phase of
     every stabilizer word against E, X words first."""
-    return tuple(symplectic_phase(g, E) for g in stabilizer_words(C))
+    return tuple(word_phase(g, E) for g in stabilizer_words(C))
 
 
 def json_code(d, G0, Zstab):
@@ -370,17 +394,19 @@ def test_syndrome_products_match_word_loop(d, family, data):
         C = json_code(d, G0, Zstab)
     exps = st.lists(st.integers(-d, 2 * d), min_size=C.n, max_size=C.n)
     E = PauliWord(d, tuple(data.draw(exps)), tuple(data.draw(exps)))
-    syn = code_mod.syndrome(C, E)
+    syn = code_mod.syndrome(C, E.row)
     assert syn == word_loop_syndrome(C, E)
     assert len(syn) == C.G0.nrows + C.z_stab.nrows
     assert all(type(s) is int for s in syn)
 
 
 def test_syndrome_rejects_mismatched_word(tetra3):
+    # an error row has 2n = 30 entries; a row carries no d to mismatch
     _, C = tetra3
-    for E in (PauliWord.single(3, 14, 0, "Z"), PauliWord.single(5, 15, 0, "Z")):
-        with pytest.raises(ValueError):
-            code_mod.syndrome(C, E)
+    for e in (PauliWord.single(3, 14, 0, "Z").row, PauliWord.single(3, 16, 0, "Z").row,
+              (0,) * 15):
+        with pytest.raises(ValueError, match="not 2n = 30"):
+            code_mod.syndrome(C, e)
 
 
 @pytest.mark.parametrize("lo,hi,w", [(0, 2, 0), (0, 3, 1), (1, 4, 3), (0, 6, 2), (1, 2, 4)])

@@ -232,8 +232,7 @@ def test_CX_closed_form_matches_pair_loop_on_random_codes(d, n, k, data):
 
     signs = tuple(data.draw(st.sampled_from([1, -1])) for _ in range(n))
     C = code_mod.ColorCode(d, n, signs, G0=rows(data.draw(st.integers(0, 3))), G1=rows(k),
-                           z_stab=rows(data.draw(st.integers(0, 3))),
-                           z_logical=tuple(s % d for s in signs))
+                           z_stab=rows(data.draw(st.integers(0, 3))))
     expect = outcome(loop_transversal_CX, C, 40_000)
     if expect[0] != "CapExceeded":
         assert outcome(gatecalc.verify_transversal_CX, C) == expect

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colexa import colex, gauge, ring
-from colexa.code import PauliWord, symplectic_phase, syndrome
+from colexa.code import symplectic_phase, syndrome
 from colexa.reports import Report
 from builders import with_code
-from oracles import logical_words, stabilizer_words, x_word, z_word
+from oracles import PauliWord, logical_words, stabilizer_words, word_phase, x_word, z_word
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ def test_gauge_group_is_nonabelian(tetra3):
     _, _, G = tetra3
     gens = gauge_gens(G)
     assert any(
-        symplectic_phase(a, b) != 0
+        word_phase(a, b) != 0
         for a in gens
         for b in gens
     )
@@ -95,7 +95,7 @@ def test_corrupted_stabilizer_breaks_center(tetra3):
         (i, j)
         for i, s in enumerate(stab_gens(corrupted))
         for j, g in enumerate(gauge_gens(corrupted))
-        if symplectic_phase(s, g) != 0
+        if word_phase(s, g) != 0
     ]
     central = next(c for c in rep.checks if c.name == "stabilizer-central")
     assert central.witness == pairwise[:3]
@@ -156,7 +156,7 @@ def test_H_preserves_symplectic_phases(data):
     a, b = words
     ha = oracle_transversal_H_action(a, sg)
     hb = oracle_transversal_H_action(b, sg)
-    assert symplectic_phase(ha, hb) == symplectic_phase(a, b)
+    assert word_phase(ha, hb) == word_phase(a, b)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 6])
@@ -293,12 +293,12 @@ def test_reconstruction_consistency_random_errors(tetra3):
             tuple(rng.randrange(3) for _ in range(15)),
         )
         T = gauge.Tableau.zero_logical(C)
-        T.apply_pauli(row(E))
+        T.apply_pauli(E.row)
         outs = {
-            fi: T.measure(row(x_word(3, xr)), rng)
+            fi: T.measure(x_word(3, xr).row, rng)
             for fi, xr in enumerate(G.face_x.rows)
         }
-        syn = syndrome(C, E)
+        syn = syndrome(C, E.row)
         for ci, classes in enumerate(classes_by_cell):
             consistent, sums = gauge.class_sums_consistent(outs, classes, 3)
             assert consistent
@@ -338,15 +338,15 @@ def test_tableau_measure_stabilizer_deterministic(tetra3):
     rng = random.Random(5)
     for g in stabilizer_words(C):
         # codeword(0) state: every stabilizer and Zbar give outcome 0
-        assert T.measure(row(g), rng) == 0
-    assert T.measure(row(logical_words(C)[1]), rng) == 0
+        assert T.measure(g.row, rng) == 0
+    assert T.measure(logical_words(C)[1].row, rng) == 0
 
 
 def test_tableau_measurement_repeatable(tetra3):
     _, C, _ = tetra3
     T = gauge.Tableau.zero_logical(C)
     rng = random.Random(5)
-    xbar = row(logical_words(C)[0])
+    xbar = logical_words(C)[0].row
     first = T.measure(xbar, rng)  # random outcome, collapses the state
     assert T.measure(xbar, rng) == first  # now determined
 
@@ -380,8 +380,8 @@ def test_gauge_fix_final_state_is_color_code_plus(tetra3):
     gauge.gauge_fix(T, G, random.Random(1))
     rng = random.Random(2)
     for g in stabilizer_words(C):
-        assert T.measure(row(g), rng) == 0
-    assert T.measure(row(logical_words(C)[0]), rng) == 0
+        assert T.measure(g.row, rng) == 0
+    assert T.measure(logical_words(C)[0].row, rng) == 0
 
 
 def test_fix_demo_rejects_nonprime():
@@ -483,11 +483,6 @@ def as_word(d, xz) -> PauliWord:
     return PauliWord(d, tuple(xz[:n]), tuple(xz[n:]))
 
 
-def row(w: PauliWord) -> tuple:
-    """The (x | z) exponents of a PauliWord, as the tableau takes them."""
-    return w.x_exp + w.z_exp
-
-
 def in_rowspan(M: ring.ResidueMatrix, w) -> bool:
     """Whether w lies in the Z_N-row-span of M, by one linear solve."""
     return ring.solve_left(M, w) is not None
@@ -511,7 +506,7 @@ def _symplectic_rows(words, d: int) -> ring.ResidueMatrix:
 
 
 def _phase_matrix(A: list, B: list, d: int) -> np.ndarray:
-    """Entry [i, j] is symplectic_phase(A[i], B[j]), as one Z_d product:
+    """Entry [i, j] is word_phase(A[i], B[j]), as one Z_d product:
     (x_a | z_a) . (z_b | -x_b) = x_a . z_b - x_b . z_a."""
     twisted = ring.ResidueMatrix(
         d, tuple(w.z_exp + tuple(-e for e in w.x_exp) for w in B)
@@ -850,7 +845,7 @@ def test_tableau_matches_word_oracle(d, seed, steps, h_at):
             T.apply_transversal_H(L.star_signs())
             O.apply_transversal_H(L.star_signs())
         elif step == "pauli":
-            T.apply_pauli(row(word))
+            T.apply_pauli(word.row)
             O.apply_pauli(word)
         else:
             if step == "rows":
@@ -863,10 +858,10 @@ def test_tableau_matches_word_oracle(d, seed, steps, h_at):
                 face = rng.choice(rows)
                 word = x_word(d, face) if rows is G.face_x.rows else z_word(d, face)
             s = rng.randrange(2**32)
-            assert outcome_or_error(T.measure, row(word), s) == outcome_or_error(O.measure, word, s)
+            assert outcome_or_error(T.measure, word.row, s) == outcome_or_error(O.measure, word, s)
         assert rows_of(T) == rows_of(O)
         assert T.canonical_form() == O.canonical_form()
-        assert np.array_equal(gauge._symplectic(T.destab, T.xz, d), np.eye(C.n, dtype=int))
+        assert np.array_equal(symplectic_phase(T.destab, T.xz, d), np.eye(C.n, dtype=int))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -884,7 +879,7 @@ def test_tableau_outside_word_matches_oracle(d):
         if expected:
             assert got == expected
         assert rows_of(T) == rows_of(O)
-        assert np.array_equal(gauge._symplectic(T.destab, T.xz, d), np.eye(2, dtype=int))
+        assert np.array_equal(symplectic_phase(T.destab, T.xz, d), np.eye(2, dtype=int))
 
 
 @pytest.mark.parametrize("tableau", [gauge.Tableau, OracleTableau])
@@ -994,10 +989,10 @@ def test_class_sums_are_the_x_cell_syndrome_beyond_3d(mu, d):
         E = PauliWord(d, tuple(rng.randrange(d) for _ in range(C.n)),
                       tuple(rng.randrange(d) for _ in range(C.n)))
         T = gauge.Tableau.zero_logical(C)
-        T.apply_pauli(row(E))
+        T.apply_pauli(E.row)
         outs = {fi: T.measure(xz, rng)
                 for fi, xz in enumerate(G.gauge_group.rows[:G.face_x.nrows])}
-        syn = syndrome(C, E)
+        syn = syndrome(C, E.row)
         for ci, classes in enumerate(classes_by_cell):
             consistent, sums = gauge.class_sums_consistent(outs, classes, d)
             assert consistent and sums[0] == syn[ci]
