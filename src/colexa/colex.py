@@ -11,9 +11,12 @@ star count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .reports import Report, check_shape
 
@@ -32,14 +35,19 @@ class Lattice:
     """A (possibly punctured) mu-dimensional colex candidate.
 
     The star map may hold None values before star_bipartition has run.
-    Vertices are integer ids; 0-cells are not stored.
+    Vertices are integer ids; 0-cells are not stored.  The star map is a
+    read-only view of a private copy, so a lattice can be shared: with_star
+    gives a lattice with other flags.
     """
 
     mu: int
     punctured: bool
     vertex_ids: tuple
-    star: dict
+    star: Mapping
     cells: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "star", MappingProxyType(dict(self.star)))
 
     def cells_of_dim(self, k: int) -> list:
         return [c for c in self.cells if c.dim == k]
@@ -70,8 +78,8 @@ class Lattice:
             out.append(-1 if flag else 1)
         return tuple(out)
 
-    def with_star(self, star: dict) -> "Lattice":
-        return Lattice(self.mu, self.punctured, self.vertex_ids, dict(star), self.cells)
+    def with_star(self, star: Mapping) -> "Lattice":
+        return Lattice(self.mu, self.punctured, self.vertex_ids, star, self.cells)
 
 
 def validate_colex(L: Lattice) -> Report:
@@ -269,8 +277,10 @@ def _self_verify(L: Lattice) -> Lattice:
     return L
 
 
+@functools.cache
 def hypercube_lattice(mu: int) -> Lattice:
-    """The punctured mu-colex on the boundary of the (mu+1)-cube.
+    """The punctured mu-colex on the boundary of the (mu+1)-cube, built and
+    audited once per mu per process and shared read-only.
 
     Vertices are the nonzero (mu+1)-bit strings: the all-zero vertex is
     punctured out.  A k-cell fixes mu+1-k bits, with mask F, to a pattern
@@ -299,8 +309,10 @@ def hypercube_lattice(mu: int) -> Lattice:
     return L
 
 
+@functools.cache
 def triangle_lattice(distance: int) -> Lattice:
-    """Triangular patch of the hexagonal 6.6.6 2-colex.
+    """Triangular patch of the hexagonal 6.6.6 2-colex, built and audited
+    once per distance per process and shared read-only.
 
     Built from the dual picture: plaquette centers live on a triangular wedge
     of the integer lattice and qubits are the unit triangles of that wedge

@@ -16,11 +16,9 @@ tableau factors nothing.
 
 from __future__ import annotations
 
-import math
-import operator
 import random
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -136,42 +134,6 @@ def center_equals_stabilizer(G: GaugeCode) -> Report:
     bad = [(int(i), int(j)) for i, j in np.argwhere(symplectic_phase(stab, gauge, G.d))]
     rep.add("stabilizer-central", not bad, witness=bad[:3] or None)
     return rep
-
-
-def face_color_classes(L: Lattice, cell) -> list:
-    """Partition a cell's faces (indices into the 2-cell list) into C(mu, 2)
-    classes, each covering the cell once.
-
-    On a hypercube lattice a face frees two bits, those on which its
-    vertices differ, and the faces of the cell that free the same bits form
-    one class; classes come in face order.  Any other count of classes, or
-    a class that does not cover the cell exactly once, raises ValueError.
-    """
-    faces = L.cells_of_dim(2)
-    classes: dict = {}
-    for i, f in enumerate(faces):
-        if f.vertices <= cell.vertices:
-            free = reduce(operator.or_, f.vertices) ^ reduce(operator.and_, f.vertices)
-            classes.setdefault(free, []).append(i)
-    k, cover = math.comb(L.mu, 2), sorted(cell.vertices)
-    if len(classes) != k or any(sorted(v for i in c for v in faces[i].vertices) != cover
-                                for c in classes.values()):
-        raise ValueError(f"cell faces admit no partitioning {k}-coloring")
-    return list(classes.values())
-
-
-def reconstruct_cell_outcome(face_outcomes: dict, color_class, d: int) -> int:
-    """Sum of face measurement outcomes over one color class, mod d."""
-    missing = [f for f in color_class if f not in face_outcomes]
-    if missing:
-        raise KeyError(f"missing outcomes for faces {missing}")
-    return sum(face_outcomes[f] for f in color_class) % d
-
-
-def class_sums_consistent(face_outcomes: dict, classes, d: int):
-    """(consistent, sums): whether all color classes agree on the cell value."""
-    sums = [reconstruct_cell_outcome(face_outcomes, cls, d) for cls in classes]
-    return len(set(sums)) == 1, sums
 
 
 def _preserved(rep: Report, name: str, M: ring.ResidueMatrix, star_signs) -> None:

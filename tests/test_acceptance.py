@@ -16,6 +16,8 @@ from colexa.code import syndrome
 from builders import with_code
 from oracles import (
     PauliWord,
+    class_sums_consistent,
+    face_color_classes,
     min_logical_weight_x,
     min_logical_weight_z,
     stabilizer_words,
@@ -190,7 +192,7 @@ def test_criterion_9_gauge_structure():
     # face-class reconstruction under 100 random tableau errors
     L, C = with_code(colex.hypercube_lattice(3), 3)
     G = gauge.build_gauge_code(L, 3)
-    classes_by_cell = [gauge.face_color_classes(L, c) for c in L.cells_of_dim(3)]
+    classes_by_cell = [face_color_classes(L, c) for c in L.cells_of_dim(3)]
     rng = random.Random(42)
     for _ in range(100):
         E = tuple(rng.randrange(3) for _ in range(30))  # (x | z) exponents
@@ -201,7 +203,7 @@ def test_criterion_9_gauge_structure():
             for fi, row in enumerate(G.gauge_group.rows[:G.face_x.nrows])
         }
         for classes in classes_by_cell:
-            consistent, _ = gauge.class_sums_consistent(outs, classes, 3)
+            consistent, _ = class_sums_consistent(outs, classes, 3)
             assert consistent
     report(9, "center=stabilizer d=2,3,5,7; H checks; face-class sums agree x100")
 

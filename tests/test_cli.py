@@ -219,6 +219,21 @@ def test_cap_flag_and_env(capsys, monkeypatch):
     assert code == 2
 
 
+def test_cap_is_charged_before_a_built_triangle_is_reused(capsys):
+    # the triangle built by the first call is shared, yet the second call's
+    # cap still refuses it before the builder is asked for it
+    argv = ["lattice", "build", "--lattice", "triangle", "--distance", "25"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--cap", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "colexa: triangle lattice qudits: 469 > cap 100\n"
+    for _ in range(2):  # a builder error is raised again, never kept
+        with pytest.raises(ValueError, match="odd integer"):
+            colex.triangle_lattice(4)
+
+
 def test_usage_errors(capsys):
     assert main(["code", "syndrome", "--code", "tetra", "--d", "3",
                  "--error", "Q@1111"]) == 2

@@ -117,6 +117,32 @@ def test_audit_assigns_missing_stars_and_builders_raise_on_a_failed_one(tetra):
         _self_verify(flipped)
 
 
+@pytest.mark.parametrize("builder, arg", [(colex.hypercube_lattice, 3),
+                                           (colex.triangle_lattice, 7)])
+def test_built_lattices_are_shared_and_read_only(builder, arg):
+    L = builder(arg)
+    before = colex.lattice_to_json(L)
+    loaded = colex.lattice_from_json(before)
+    v = L.vertex_ids[0]
+    for lattice in (L, loaded):
+        with pytest.raises(TypeError):
+            lattice.star[v] = not lattice.star[v]
+    flipped = L.with_star({**L.star, v: not L.star[v]})
+    assert flipped is not L and flipped.star[v] != L.star[v]
+    colex.audit(L)
+    colex.audit(flipped)
+    assert builder(arg) is L
+    assert colex.lattice_to_json(L) == before
+
+
+def test_lattice_keeps_a_private_copy_of_its_star_map():
+    star = {0: True, 1: False}
+    L = Lattice(1, False, (0, 1), star, (Cell(1, frozenset({0, 1}), color=0),))
+    star[0] = False
+    assert dict(L.star) == {0: True, 1: False}
+    assert L.with_star(star).star == star and dict(L.star) == {0: True, 1: False}
+
+
 def test_triangle5_counts():
     L, _ = with_code(colex.triangle_lattice(5), 2)
     assert len(L.vertex_ids) == 19

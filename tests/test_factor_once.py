@@ -1,7 +1,8 @@
 """Work counts: every ResidueMatrix is factored at most once, so the gauge
 checks make a handful of Smith normal forms, not one per question; gauge
-fixing at prime d makes none; and a matrix asked only whether its rows are
-independent is not factored at all."""
+fixing at prime d makes none; a matrix asked only whether its rows are
+independent is not factored at all; and each built-in lattice is built and
+audited once per process."""
 
 import random
 
@@ -124,3 +125,25 @@ def test_tetra_at_another_mu_prime_builds_one_code(snf_calls, eliminations, caps
     assert snf_calls == [] and eliminations == []
     assert capsys.readouterr().err == ("colexa: mu_prime=2: [G1; G0] has a nontrivial left "
                                        "kernel (dependent generators or no encoded qudit)\n")
+
+
+def test_each_lattice_is_built_and_audited_once(monkeypatch, capsys):
+    colex.triangle_lattice.cache_clear()
+    audits = []
+    original = colex.audit
+    monkeypatch.setattr(colex, "audit", lambda L: audits.append(L.mu) or original(L))
+    for d in (2, 6):
+        for error in ("X@0", "Z@5", "X@3,Z@40", "Z@60", "X@1,X@2", "Z@7"):
+            argv = ["code", "syndrome", "--code", "triangle", "--distance", "11",
+                    "--d", str(d), "--error", error]
+            assert cli.main(argv) == 0
+    assert audits == [2]
+
+    tetra = colex.hypercube_lattice(3)
+    gauge_lattices = []
+    build = gauge.build_gauge_code
+    monkeypatch.setattr(gauge, "build_gauge_code",
+                        lambda L, d: gauge_lattices.append(L) or build(L, d))
+    assert cli.main(["gauge", "check", "--code", "tetra"]) == 0
+    gauge.fix_demo(3, 0)
+    assert len(gauge_lattices) == 2 and all(L is tetra for L in gauge_lattices)

@@ -12,7 +12,17 @@ from colexa import colex, gauge, ring
 from colexa.code import symplectic_phase, syndrome
 from colexa.reports import Report
 from builders import with_code
-from oracles import PauliWord, logical_words, stabilizer_words, word_phase, x_word, z_word
+from oracles import (
+    PauliWord,
+    class_sums_consistent,
+    face_color_classes,
+    logical_words,
+    reconstruct_cell_outcome,
+    stabilizer_words,
+    word_phase,
+    x_word,
+    z_word,
+)
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +187,7 @@ def test_face_color_classes(tetra3):
     L, _, _ = tetra3
     faces = L.cells_of_dim(2)
     for cell in L.cells_of_dim(3):
-        classes = gauge.face_color_classes(L, cell)
+        classes = face_color_classes(L, cell)
         assert sorted(len(c) for c in classes) == [2, 2, 2]
         for cls in classes:
             cover = sorted(v for i in cls for v in faces[i].vertices)
@@ -188,7 +198,7 @@ def test_tetra_face_classes_are_pinned(tetra3):
     # the classes, list for list, that the propagation walk gave before the
     # bit masks replaced it: same faces, same class order
     L, _, _ = tetra3
-    assert [gauge.face_color_classes(L, c) for c in L.cells_of_dim(3)] == [
+    assert [face_color_classes(L, c) for c in L.cells_of_dim(3)] == [
         [[10, 11], [13, 14], [16, 17]], [[4, 5], [7, 8], [15, 17]],
         [[1, 2], [6, 8], [12, 14]], [[0, 2], [3, 5], [9, 11]]]
 
@@ -233,7 +243,7 @@ def as_partition(classes) -> frozenset:
 def test_face_classes_match_backtracking(tetra3):
     L, _, _ = tetra3
     for cell in L.cells_of_dim(3):
-        assert (as_partition(gauge.face_color_classes(L, cell))
+        assert (as_partition(face_color_classes(L, cell))
                 == as_partition(backtracking_face_classes(L, cell)))
 
 
@@ -250,7 +260,7 @@ def cube_cell(faces) -> tuple:
 
 def test_face_classes_of_a_cube_pair_opposite_faces():
     L, cell = cube_cell([(axis, side) for side in (0, 1) for axis in range(3)])
-    classes = gauge.face_color_classes(L, cell)
+    classes = face_color_classes(L, cell)
     assert as_partition(classes) == as_partition(backtracking_face_classes(L, cell))
     assert as_partition(classes) == {frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5})}
 
@@ -263,7 +273,7 @@ def test_face_classes_of_a_cube_pair_opposite_faces():
 ])
 def test_face_classes_refuse_a_vertex_not_on_three_faces(faces):
     L, cell = cube_cell(faces)
-    for classes in (gauge.face_color_classes, backtracking_face_classes):
+    for classes in (face_color_classes, backtracking_face_classes):
         with pytest.raises(ValueError, match="no partitioning 3-coloring"):
             classes(L, cell)
 
@@ -275,7 +285,7 @@ def test_face_classes_refuse_a_clash():
     cell = colex.Cell(3, frozenset(verts), color=0)
     faces = [colex.Cell(2, frozenset(verts) - {v}) for v in verts]
     L = colex.Lattice(3, False, verts, {v: None for v in verts}, (cell, *faces))
-    for classes in (gauge.face_color_classes, backtracking_face_classes):
+    for classes in (face_color_classes, backtracking_face_classes):
         with pytest.raises(ValueError, match="no partitioning 3-coloring"):
             classes(L, cell)
 
@@ -283,7 +293,7 @@ def test_face_classes_refuse_a_clash():
 def test_reconstruction_consistency_random_errors(tetra3):
     L, C, G = tetra3
     classes_by_cell = [
-        gauge.face_color_classes(L, c) for c in L.cells_of_dim(3)
+        face_color_classes(L, c) for c in L.cells_of_dim(3)
     ]
     rng = random.Random(0)
     for _ in range(100):
@@ -300,20 +310,20 @@ def test_reconstruction_consistency_random_errors(tetra3):
         }
         syn = syndrome(C, E.row)
         for ci, classes in enumerate(classes_by_cell):
-            consistent, sums = gauge.class_sums_consistent(outs, classes, 3)
+            consistent, sums = class_sums_consistent(outs, classes, 3)
             assert consistent
             assert sums[0] == syn[ci]
 
 
 def test_reconstruction_flags_injected_fault(tetra3):
     L, _, _ = tetra3
-    classes = gauge.face_color_classes(L, L.cells_of_dim(3)[0])
+    classes = face_color_classes(L, L.cells_of_dim(3)[0])
     outs = {f: 0 for cls in classes for f in cls}
     outs[classes[0][0]] = 1
-    consistent, _ = gauge.class_sums_consistent(outs, classes, 3)
+    consistent, _ = class_sums_consistent(outs, classes, 3)
     assert not consistent
     with pytest.raises(KeyError):
-        gauge.reconstruct_cell_outcome({}, classes[0], 3)
+        reconstruct_cell_outcome({}, classes[0], 3)
 
 
 def test_tableau_requires_prime_d():
@@ -972,7 +982,7 @@ def test_face_classes_beyond_3d(mu):
     L = colex.hypercube_lattice(mu)
     faces = L.cells_of_dim(2)
     for cell in L.cells_of_dim(mu):
-        classes = gauge.face_color_classes(L, cell)
+        classes = face_color_classes(L, cell)
         assert len(classes) == math.comb(mu, 2)
         assert sorted(i for c in classes for i in c) == [
             i for i, f in enumerate(faces) if f.vertices <= cell.vertices]
@@ -983,7 +993,7 @@ def test_face_classes_beyond_3d(mu):
 @pytest.mark.parametrize("mu,d", BEYOND_3D)
 def test_class_sums_are_the_x_cell_syndrome_beyond_3d(mu, d):
     L, C, G = hypercube(mu, d)
-    classes_by_cell = [gauge.face_color_classes(L, c) for c in L.cells_of_dim(mu)]
+    classes_by_cell = [face_color_classes(L, c) for c in L.cells_of_dim(mu)]
     rng = random.Random(mu * d)
     for _ in range(5):
         E = PauliWord(d, tuple(rng.randrange(d) for _ in range(C.n)),
@@ -994,7 +1004,7 @@ def test_class_sums_are_the_x_cell_syndrome_beyond_3d(mu, d):
                 for fi, xz in enumerate(G.gauge_group.rows[:G.face_x.nrows])}
         syn = syndrome(C, E.row)
         for ci, classes in enumerate(classes_by_cell):
-            consistent, sums = gauge.class_sums_consistent(outs, classes, d)
+            consistent, sums = class_sums_consistent(outs, classes, d)
             assert consistent and sums[0] == syn[ci]
 
 
