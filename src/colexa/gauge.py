@@ -7,18 +7,20 @@ span membership one product with a span check, so the group-level checks
 work for every d.  State-level gauge fixing is simulated with a stabilizer
 tableau over prime d: phase exponents live mod d for odd primes and mod 4 for
 d=2, and every update is a closed-form exact integer product.  Destabilizer
-rows dual to the stabilizer rows, kept through every update, turn each
-determined measurement into one symplectic product, with no factorization
-and no solve.  Every other prime-d question (|0_L> bases, destabilizers,
-canonical form, lex-least correction) is one echelon form over F_d, so the
-tableau factors nothing.
+rows dual to the stabilizer rows, kept through every update, turn a run of
+determined measurements into one symplectic product, with no factorization
+and no solve, so a block of observables costs about one pass of products
+per random outcome.  Every other prime-d question (|0_L> bases,
+destabilizers, canonical form, lex-least correction) is one echelon form
+over F_d, so the tableau factors nothing.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -234,6 +236,12 @@ class Tableau:
                  + (C * (C - 1) // 2 % d * M.diagonal()).sum(axis=1))
         return (C @ phase - self.scale * cross) % self.D, (C @ xz) % d
 
+    def copy(self) -> "Tableau":
+        """An independent tableau in the same state."""
+        T = copy.copy(self)
+        T.phase, T.xz, T.destab = self.phase.copy(), self.xz.copy(), self.destab.copy()
+        return T
+
     @classmethod
     def zero_logical(cls, C: ColorCode) -> "Tableau":
         """The |0_L> tableau: bases of the X cells and of the Z stabilizers
@@ -250,10 +258,17 @@ class Tableau:
         return T
 
     # -- state updates -----------------------------------------------------
+    def _rows(self, rows) -> np.ndarray:
+        """The (x | z) rows as an array mod d; a row without 2n entries raises."""
+        for row in rows:
+            if len(row) != 2 * self.n:
+                raise ValueError(f"observable row has {len(row)} entries, not 2n = {2 * self.n}")
+        return np.array(rows, dtype=self._dtype).reshape(len(rows), 2 * self.n) % self.d
+
     def apply_pauli(self, row) -> None:
         """Conjugate the state by the Pauli error with (x | z) exponents row
         (rows pick up phases only)."""
-        e = np.array([row], dtype=self._dtype) % self.d
+        e = self._rows([row])
         self.phase = (self.phase + self.scale * symplectic_phase(e, self.xz, self.d)[0]) % self.D
 
     def apply_transversal_H(self, star_signs) -> None:
@@ -264,23 +279,40 @@ class Tableau:
         self.xz = xz % self.d
         self.destab = _hadamard(self.destab, star_signs)[0] % self.d
 
-    def measure(self, row, rng: random.Random) -> int:
-        """Measure the generalized Pauli observable with (x | z) exponents
-        row; returns k with eigenvalue omega^k.  Deterministic when it
-        commutes with all rows."""
-        d = self.d
-        obs = np.array(row, dtype=self._dtype) % d
-        if d == 2 and (obs[:self.n] @ obs[self.n:]) % 2:
+    def measure(self, rows, rng: random.Random) -> list:
+        """Measure the generalized Pauli observables with (x | z) exponent
+        rows, in order; returns each k with eigenvalue omega^k.
+
+        One product finds the first row that fails to commute with the
+        tableau.  The rows before it are determined and leave the state
+        unchanged, so their outcomes come from one more product; that row is
+        measured at random, and the rest are tested against the new rows.
+        Outcomes, rng draws and final state are those of one row at a time.
+        """
+        d, n = self.d, self.n
+        obs = self._rows(rows)
+        if d == 2 and ((obs[:, :n] * obs[:, n:]).sum(axis=1) % 2).any():
             raise ValueError("at d = 2 only Hermitian observables (even x.z) are measured")
-        coeffs = symplectic_phase(obs[None], self.xz, d)[0]
+        outcomes = []
+        while len(obs):
+            coeffs = symplectic_phase(obs, self.xz, d)
+            hits = np.flatnonzero(coeffs.any(axis=1))
+            k = int(hits[0]) if hits.size else len(obs)
+            outcomes += self._determined_outcomes(obs[:k])
+            if k < len(obs):
+                outcomes.append(self._random_outcome(obs[k], coeffs[k], rng))
+            obs = obs[k + 1:]
+        return outcomes
+
+    def _random_outcome(self, obs: np.ndarray, coeffs: np.ndarray, rng: random.Random) -> int:
+        """Measure obs, which fails to commute with the rows where coeffs is
+        nonzero: the first of them is the pivot.  Each other row S_i becomes
+        S_i S_p^(-c_i/c_p), commuting with obs, in one product; row p is
+        replaced by obs with the drawn outcome.  The destabilizers stay dual:
+        D_i gains (e_i/c_p) S_p, D_p is -S_p/c_p."""
+        d = self.d
         e = symplectic_phase(self.destab, obs[None], d)[:, 0]
-        hits = np.flatnonzero(coeffs)
-        if not hits.size:
-            return self._determined_outcome(obs, e)
-        # each other row S_i becomes S_i S_p^(-c_i/c_p), commuting with P, in
-        # one product; row p is replaced by P with the drawn outcome.  The
-        # destabilizers stay dual: D_i gains (e_i/c_p) S_p, D_p is -S_p/c_p.
-        p = int(hits[0])
+        p = int(np.flatnonzero(coeffs)[0])
         inv = pow(int(coeffs[p]), -1, d)
         self.destab = (self.destab + (e * inv % d)[:, None] * self.xz[p]) % d
         self.destab[p] = -inv * self.xz[p] % d
@@ -291,15 +323,21 @@ class Tableau:
         self.phase[p], self.xz[p] = -outcome * self.scale % self.D, obs
         return outcome
 
-    def _determined_outcome(self, obs: np.ndarray, c: np.ndarray) -> int:
-        """Outcome of an observable that commutes with every row: if it is in
-        the group it is prod_j S_j^c_j with c_j = <D_j, obs>, so no solve."""
-        phase, xz = self._product(c[None], self.phase, self.xz)
-        if not np.array_equal(xz[0], obs):
+    def _determined_outcomes(self, obs: np.ndarray) -> list:
+        """Outcomes of observables that commute with every row: one in the
+        group is prod_j S_j^c_j with c_j = <D_j, obs>, so no solve.  The
+        first row outside the group or with an unphysical phase raises."""
+        if not len(obs):
+            return []
+        phase, xz = self._product(symplectic_phase(self.destab, obs, self.d).T,
+                                  self.phase, self.xz)
+        outside = (xz != obs).any(axis=1)
+        bad = np.flatnonzero(outside | (phase % self.scale != 0))
+        if bad.size and outside[bad[0]]:
             raise ValueError("observable commutes but is not in the group")
-        if phase[0] % self.scale != 0:
+        if bad.size:
             raise ValueError("inconsistent tableau phase (state not physical)")
-        return int(-(phase[0] // self.scale) % self.d)
+        return (-(phase // self.scale) % self.d).tolist()
 
     def canonical_form(self) -> tuple:
         """Unique reduced-echelon presentation of the stabilizer group,
@@ -374,7 +412,7 @@ def gauge_fix(T: Tableau, G: GaugeCode, rng: random.Random) -> dict:
     stabilizer group with trivial syndrome.
     """
     z_faces = G.gauge_group.rows[G.face_x.nrows:]
-    outcomes = [T.measure(row, rng) for row in z_faces]
+    outcomes = T.measure(z_faces, rng)
 
     # want an X-type C with symplectic phase m_f against every Z face
     lam = _lex_least_solution(ring.mul_transpose(G.face_x, G.face_z), G.d, outcomes)
@@ -384,11 +422,9 @@ def gauge_fix(T: Tableau, G: GaugeCode, rng: random.Random) -> dict:
     T.apply_pauli(corr + (0,) * G.n)
 
     post = {
-        "face_outcomes_zero": all(T.measure(row, rng) == 0 for row in z_faces),
-        "cell_x_outcomes_zero": all(
-            T.measure(row, rng) == 0 for row in G.stabilizer_group.rows[:G.cell_x.nrows]
-        ),
-        "logical_x_plus": T.measure(G.bare_logical_x(), rng) == 0,
+        "face_outcomes_zero": not any(T.measure(z_faces, rng)),
+        "cell_x_outcomes_zero": not any(T.measure(G.stabilizer_group.rows[:G.cell_x.nrows], rng)),
+        "logical_x_plus": T.measure([G.bare_logical_x()], rng) == [0],
     }
     return {
         "measured": outcomes,
@@ -398,15 +434,23 @@ def gauge_fix(T: Tableau, G: GaugeCode, rng: random.Random) -> dict:
     }
 
 
-def fix_demo(d: int, seed: int) -> dict:
-    """The full §-style demo: |0_L>, transversal H, gauge fix, report."""
+@cache
+def _fix_demo_start(d: int) -> tuple:
+    """The tetra gauge code at d and the |0_L> tableau after transversal H,
+    which no seed changes: built once per d and never mutated."""
     L = hypercube_lattice(3)
     C = from_colex(L, 3, d)
     G = build_gauge_code(L, d)
-    rng = random.Random(seed)
     T = Tableau.zero_logical(C)
     T.apply_transversal_H(L.star_signs())
-    log = gauge_fix(T, G, rng)
+    return G, T
+
+
+def fix_demo(d: int, seed: int) -> dict:
+    """The full §-style demo: |0_L>, transversal H, gauge fix, report."""
+    G, start = _fix_demo_start(d)
+    T = start.copy()
+    log = gauge_fix(T, G, random.Random(seed))
     log["seed"] = seed
     log["canonical_form"] = [
         {"x": list(x), "z": list(z), "phase": phase}

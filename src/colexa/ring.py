@@ -1,6 +1,6 @@
 """Exact linear algebra over the residue rings Z_N.
 
-Factorizations and solves work with plain Python integers, so there is no
+Factorizations work with plain Python integers, so there is no
 modulus that can overflow and no floating point anywhere.  Whether a matrix's
 rows are independent is decided by sparse elimination mod N, with no
 transforms and no factoring of N (independent_rows), and the verdict is kept
@@ -10,8 +10,9 @@ result (no divisibility scan at unit pivots, column operations only on the
 rows they change), so its U, S and V are those of the plain elimination.
 Each `ResidueMatrix` is factored at most once: the factorization is computed
 on first use and kept on the matrix, and its kernel, row span, span
-enumeration and every linear solve over Z_N, for arbitrary (not necessarily
-prime) N, are answered from that one factorization.  Over F_p, p prime,
+enumeration and span membership over Z_N, for arbitrary (not necessarily
+prime) N, are answered from that one factorization; no question needs a
+particular solution x of x M = w.  Over F_p, p prime,
 one Gaussian elimination on an array (echelon_mod_p) gives the reduced
 echelon form and its transform, with no Smith form.  Bulk work (span
 enumeration, batched span membership, matrix products) runs on numpy integer
@@ -202,14 +203,6 @@ def _find_pivot(S, t: int):
     return piv
 
 
-def _inv_mod(a: int, N: int) -> int:
-    a %= N
-    g = gcd(a, N)
-    if g != 1:
-        raise ValueError(f"{a} not invertible mod {N}")
-    return pow(a, -1, N)
-
-
 def independent_rows(M: ResidueMatrix) -> bool:
     """Whether M has trivial left kernel over Z_N, decided once and kept on M.
 
@@ -302,28 +295,6 @@ def kernel_mod(M: ResidueMatrix) -> ResidueMatrix:
         if any(row):
             gens.append(row)
     return ResidueMatrix(N, tuple(gens))
-
-
-def solve_left(M: ResidueMatrix, w: Sequence[int]) -> tuple[int, ...] | None:
-    """One solution x of x @ M == w over Z_N, or None if insolvable."""
-    N = M.modulus
-    if len(w) != M.ncols:
-        raise ValueError("length of w must equal number of columns of M")
-    U, V, diag = M._factor()
-    m, n = M.nrows, M.ncols
-    t = _combine(V, w, N, n)
-    u = [0] * m
-    for j in range(n):
-        d = diag[j] if j < len(diag) else 0
-        if j >= m or d == 0:
-            if t[j]:
-                return None
-            continue
-        g = gcd(d, N)
-        if t[j] % g != 0:
-            return None
-        u[j] = (t[j] // g) * _inv_mod(d // g, N // g) % (N // g)
-    return _combine(U, u, N, m)
 
 
 def row_basis(M: ResidueMatrix) -> ResidueMatrix:
@@ -431,8 +402,8 @@ def span_check(M: ResidueMatrix, ncols: int | None = None):
 
     Read off the stored factorization: with T = w V, w is in the span iff
     T_j == 0 mod gcd(diag_j, N) in every column j, where diag_j = 0 past the
-    diagonal (solve_left's test).  Columns with gcd 1 constrain nothing and
-    are dropped.  H is V mod N on the others, int64 when a product
+    diagonal (x M = w is then solvable).  Columns with gcd 1 constrain
+    nothing and are dropped.  H is V mod N on the others, int64 when a product
     ncols * (N-1)^2 fits and Python ints otherwise.  ncols gives the width
     when M has no rows; the span is then {0}.
     """

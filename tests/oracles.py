@@ -1,6 +1,8 @@
 """Independent test oracles: brute-force implementations kept deliberately
 separate from the library's algorithms (no Smith normal form, no table
-calculus), so agreement between the two is meaningful evidence.
+calculus), so agreement between the two is meaningful evidence.  The one
+exception is solve_left, a linear solve read off the library's stored Smith
+form, which the word-level reference checks use for span membership.
 """
 
 import itertools
@@ -10,6 +12,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+
+from colexa import ring
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,30 @@ def word_phase(A: PauliWord, B: PauliWord) -> int:
         for ax, az, bx, bz in zip(A.x_exp, A.z_exp, B.x_exp, B.z_exp)
     )
     return total % A.d
+
+
+def solve_left(M, w):
+    """One solution x of x @ M == w over Z_N, or None if insolvable, from
+    M's stored factorization U M V = diag: with t = w V, each t_j must be a
+    multiple of gcd(diag_j, N) (and 0 past the diagonal)."""
+    N = M.modulus
+    if len(w) != M.ncols:
+        raise ValueError("length of w must equal number of columns of M")
+    U, V, diag = M._factor()
+    m, n = M.nrows, M.ncols
+    t = ring._combine(V, w, N, n)
+    u = [0] * m
+    for j in range(n):
+        d = diag[j] if j < len(diag) else 0
+        if j >= m or d == 0:
+            if t[j]:
+                return None
+            continue
+        g = math.gcd(d, N)
+        if t[j] % g != 0:
+            return None
+        u[j] = (t[j] // g) * pow(d // g, -1, N // g) % (N // g)
+    return ring._combine(U, u, N, m)
 
 
 def brute_kernel(rows, N):

@@ -198,10 +198,7 @@ def test_criterion_9_gauge_structure():
         E = tuple(rng.randrange(3) for _ in range(30))  # (x | z) exponents
         T = gauge.Tableau.zero_logical(C)
         T.apply_pauli(E)
-        outs = {
-            fi: T.measure(row, rng)
-            for fi, row in enumerate(G.gauge_group.rows[:G.face_x.nrows])
-        }
+        outs = dict(enumerate(T.measure(G.gauge_group.rows[:G.face_x.nrows], rng)))
         for classes in classes_by_cell:
             consistent, _ = class_sums_consistent(outs, classes, 3)
             assert consistent
@@ -219,7 +216,7 @@ def test_criterion_10_gauge_fixing():
         assert all(log["post"].values()), seed
         rng = random.Random(seed + 1000)
         for g in stabilizer_words(C):
-            assert T.measure(g.x_exp + g.z_exp, rng) == 0
+            assert T.measure([g.x_exp + g.z_exp], rng) == [0]
         forms.add(T.canonical_form())
     assert len(forms) == 1
     report(10, "20 seeds end in the identical color-code group, syndrome 0, |+>")

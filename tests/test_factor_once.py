@@ -10,7 +10,7 @@ import pytest
 
 from colexa import cli, colex, gauge, ring
 from builders import with_code
-from oracles import stabilizer_words
+from oracles import solve_left, stabilizer_words
 
 
 @pytest.fixture
@@ -42,26 +42,26 @@ def eliminations(monkeypatch):
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 10**18 + 3])
 def test_fix_demo_factor_count(snf_calls, monkeypatch, d):
     # every prime-d question of the tableau and the correction is one
-    # echelon form over F_d: no Smith form, no solve, no kernel
+    # echelon form over F_d: no Smith form (so no solve over Z_N), no kernel;
+    # the start state is built afresh, so zero_logical is counted too
     calls = []
-    for name in ("solve_left", "kernel_mod"):
-        monkeypatch.setattr(ring, name, lambda *a, name=name: calls.append(name))
+    monkeypatch.setattr(ring, "kernel_mod", lambda *a: calls.append("kernel_mod"))
+    gauge._fix_demo_start.cache_clear()
     log = gauge.fix_demo(d, 1)
     assert all(log["post"].values())
     assert snf_calls == [] and calls == []
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
-def test_determined_measurements_factor_nothing(snf_calls, monkeypatch, d):
-    # each determined outcome is one product with the destabilizer rows
+def test_determined_measurements_factor_nothing(snf_calls, d):
+    # each block of determined outcomes is one product with the destabilizer
+    # rows; the library has no linear solve, and nothing is factored
     C = with_code(colex.hypercube_lattice(3), d)[1]
     T = gauge.Tableau.zero_logical(C)
     snf_calls.clear()
-    solves = []
-    monkeypatch.setattr(ring, "solve_left", lambda *a: solves.append(a))
     rng = random.Random(0)
-    assert all(T.measure(w.x_exp + w.z_exp, rng) == 0 for w in stabilizer_words(C))
-    assert snf_calls == [] and solves == []
+    assert all(T.measure([w.x_exp + w.z_exp], rng) == [0] for w in stabilizer_words(C))
+    assert not hasattr(ring, "solve_left") and snf_calls == []
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
@@ -76,7 +76,7 @@ def test_gauge_check_factor_count(snf_calls, d):
 def test_repeated_questions_factor_once(snf_calls):
     M = ring.ResidueMatrix(6, ((2, 3, 0), (4, 0, 1), (0, 3, 3)))
     for w in [(0, 0, 0), (2, 3, 0), (1, 1, 1), (0, 3, 4)]:
-        ring.solve_left(M, w)
+        solve_left(M, w)
     ring.kernel_mod(M)
     ring.span_size(M)
     ring.row_basis(M)
@@ -145,5 +145,6 @@ def test_each_lattice_is_built_and_audited_once(monkeypatch, capsys):
     monkeypatch.setattr(gauge, "build_gauge_code",
                         lambda L, d: gauge_lattices.append(L) or build(L, d))
     assert cli.main(["gauge", "check", "--code", "tetra"]) == 0
+    gauge._fix_demo_start.cache_clear()
     gauge.fix_demo(3, 0)
     assert len(gauge_lattices) == 2 and all(L is tetra for L in gauge_lattices)

@@ -18,6 +18,7 @@ from oracles import (
     face_color_classes,
     logical_words,
     reconstruct_cell_outcome,
+    solve_left,
     stabilizer_words,
     word_phase,
     x_word,
@@ -304,10 +305,7 @@ def test_reconstruction_consistency_random_errors(tetra3):
         )
         T = gauge.Tableau.zero_logical(C)
         T.apply_pauli(E.row)
-        outs = {
-            fi: T.measure(x_word(3, xr).row, rng)
-            for fi, xr in enumerate(G.face_x.rows)
-        }
+        outs = dict(enumerate(T.measure([x_word(3, xr).row for xr in G.face_x.rows], rng)))
         syn = syndrome(C, E.row)
         for ci, classes in enumerate(classes_by_cell):
             consistent, sums = class_sums_consistent(outs, classes, 3)
@@ -348,8 +346,8 @@ def test_tableau_measure_stabilizer_deterministic(tetra3):
     rng = random.Random(5)
     for g in stabilizer_words(C):
         # codeword(0) state: every stabilizer and Zbar give outcome 0
-        assert T.measure(g.row, rng) == 0
-    assert T.measure(logical_words(C)[1].row, rng) == 0
+        assert T.measure([g.row], rng) == [0]
+    assert T.measure([logical_words(C)[1].row], rng) == [0]
 
 
 def test_tableau_measurement_repeatable(tetra3):
@@ -357,8 +355,8 @@ def test_tableau_measurement_repeatable(tetra3):
     T = gauge.Tableau.zero_logical(C)
     rng = random.Random(5)
     xbar = logical_words(C)[0].row
-    first = T.measure(xbar, rng)  # random outcome, collapses the state
-    assert T.measure(xbar, rng) == first  # now determined
+    first = T.measure([xbar], rng)  # random outcome, collapses the state
+    assert T.measure([xbar], rng) == first  # now determined
 
 
 def test_gauge_fix_identity_on_fixed_state(tetra3):
@@ -390,8 +388,8 @@ def test_gauge_fix_final_state_is_color_code_plus(tetra3):
     gauge.gauge_fix(T, G, random.Random(1))
     rng = random.Random(2)
     for g in stabilizer_words(C):
-        assert T.measure(g.row, rng) == 0
-    assert T.measure(logical_words(C)[0].row, rng) == 0
+        assert T.measure([g.row], rng) == [0]
+    assert T.measure([logical_words(C)[0].row], rng) == [0]
 
 
 def test_fix_demo_rejects_nonprime():
@@ -430,7 +428,7 @@ def greedy_lex_least(A, target):
         sub = ring.ResidueMatrix(N, tuple(rest) or ((0,) * A.ncols,))
         for val in range(N):
             t2 = [(e - val * h) % N for e, h in zip(t, head)]
-            if ring.solve_left(sub, t2) is not None:
+            if solve_left(sub, t2) is not None:
                 chosen.append(val)
                 t = t2
                 break
@@ -495,7 +493,7 @@ def as_word(d, xz) -> PauliWord:
 
 def in_rowspan(M: ring.ResidueMatrix, w) -> bool:
     """Whether w lies in the Z_N-row-span of M, by one linear solve."""
-    return ring.solve_left(M, w) is not None
+    return solve_left(M, w) is not None
 
 
 def gauge_gens(G) -> list:
@@ -751,7 +749,7 @@ class OracleTableau:
         return outcome
 
     def _determined_outcome(self, obs) -> int:
-        sol = ring.solve_left(self._exponents(), obs.x + obs.z)
+        sol = solve_left(self._exponents(), obs.x + obs.z)
         if sol is None:
             raise ValueError("observable commutes but is not in the group")
         g = OracleRow(0, (0,) * self.n, (0,) * self.n)
@@ -823,6 +821,11 @@ def rows_of(T) -> list:
     return list(zip(T.phase.tolist(), map(tuple, T.xz.tolist())))
 
 
+def measure_one(T):
+    """T.measure on one row: the block method called with a block of one."""
+    return lambda row, rng: T.measure([row], rng)[0]
+
+
 def outcome_or_error(measure, P, seed):
     try:
         return measure(P, random.Random(seed))
@@ -868,7 +871,8 @@ def test_tableau_matches_word_oracle(d, seed, steps, h_at):
                 face = rng.choice(rows)
                 word = x_word(d, face) if rows is G.face_x.rows else z_word(d, face)
             s = rng.randrange(2**32)
-            assert outcome_or_error(T.measure, word.row, s) == outcome_or_error(O.measure, word, s)
+            assert (outcome_or_error(measure_one(T), word.row, s)
+                    == outcome_or_error(O.measure, word, s))
         assert rows_of(T) == rows_of(O)
         assert T.canonical_form() == O.canonical_form()
         assert np.array_equal(symplectic_phase(T.destab, T.xz, d), np.eye(C.n, dtype=int))
@@ -884,7 +888,7 @@ def test_tableau_outside_word_matches_oracle(d):
     outside = "observable commutes but is not in the group"
     for word, expected in [((0, 0, 0, 0, 0, 1), outside), ((1, 0, 1, 0, 0, 0), None),
                            ((0, 1, 0, 0, 0, 0), outside)]:
-        got = outcome_or_error(T.measure, word, d)
+        got = outcome_or_error(measure_one(T), word, d)
         assert got == outcome_or_error(O.measure, PauliWord(d, word[:3], word[3:]), d)
         if expected:
             assert got == expected
@@ -898,19 +902,133 @@ def test_tableau_refuses_a_non_hermitian_observable_at_d_2(tableau):
     # (X Z) (x) (X Z) has x.z = 2 and is measured
     z0 = OracleRow(0, (0, 0), (1, 0))
     if tableau is OracleTableau:
-        T, obs = OracleTableau(2, [z0]), as_word
+        T = OracleTableau(2, [z0])
+        measure = lambda xz, rng: T.measure(as_word(2, xz), rng)
     else:
-        T, obs = as_tableau(2, [z0]), lambda d, xz: xz
+        T = as_tableau(2, [z0])
+        measure = measure_one(T)
     with pytest.raises(ValueError, match="only Hermitian observables"):
-        T.measure(obs(2, (1, 0, 1, 0)), random.Random(0))
+        measure((1, 0, 1, 0), random.Random(0))
     assert rows_of(T) == [(0, (0, 0, 1, 0))]
-    assert T.measure(obs(2, (1, 1, 1, 1)), random.Random(0)) in (0, 1)
+    assert measure((1, 1, 1, 1), random.Random(0)) in (0, 1)
     assert [xz for _, xz in rows_of(T)] == [(1, 1, 1, 1)]
 
 
 def test_tableau_rejects_dependent_rows():
     with pytest.raises(ValueError, match="tableau rows are not independent"):
         gauge.Tableau(3, [(1, 1, 0, 0), (2, 2, 0, 0)], [0, 1])
+
+
+def draw_rows(d, C, G, kinds, rng) -> list:
+    """One Hermitian (x | z) row per kind: a power of a stabilizer
+    generator, of Xbar or of Zbar, a uniform word (which commutes with
+    almost nothing) or a gauge generator."""
+    stabs, bars = [w.row for w in stabilizer_words(C)], [w.row for w in logical_words(C)]
+    pick = {"stabilizer": lambda: rng.choice(stabs), "logical": lambda: rng.choice(bars),
+            "random": lambda: random_word(d, rng).row,
+            "face": lambda: rng.choice(G.gauge_group.rows)}
+    rows = []
+    for kind in kinds:
+        k = rng.randrange(1, d)
+        rows.append(tuple(k * e % d for e in pick[kind]()))
+    return rows
+
+
+def measured(T, rows, rng, one_at_a_time):
+    """The outcomes of rows measured as one block or row by row, or the
+    error message either way raises."""
+    try:
+        if one_at_a_time:
+            return [measure_one(T)(row, rng) for row in rows]
+        return T.measure(rows, rng)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 5, 7]),
+    hadamard=st.booleans(),
+    partial=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["stabilizer", "logical", "random", "face"]),
+                   min_size=1, max_size=12),
+)
+def test_block_measurement_equals_one_row_at_a_time(d, hadamard, partial, seed, kinds):
+    """From |0_L>, with or without transversal H, a block of random rows
+    gives the outcomes, rng state, rows and destabilizers of measuring its
+    rows one at a time.  Dropping Zbar's row leaves logicals and faces that
+    commute with every row but lie outside the group; both ways raise."""
+    L, C, G = tetra(d)
+    start = gauge.Tableau.zero_logical(C)
+    if hadamard:
+        start.apply_transversal_H(L.star_signs())
+    if partial:
+        start = gauge.Tableau(d, start.xz[:-1], start.phase[:-1])
+    rows = draw_rows(d, C, G, kinds, random.Random(seed))
+    runs = []
+    for one_at_a_time in (False, True):
+        T, rng = start.copy(), random.Random(seed)
+        runs.append((measured(T, rows, rng, one_at_a_time), T.canonical_form(),
+                     T.destab.tolist(), rng.getstate()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_block_raises_at_a_commuting_row_outside_the_group(d):
+    # without Zbar's row, Zbar commutes with every row but is outside; the
+    # stabilizer before it is measured, the random word after it never is
+    L, C, G = tetra(d)
+    full = gauge.Tableau.zero_logical(C)
+    T = gauge.Tableau(d, full.xz[:-1], full.phase[:-1])
+    zbar = logical_words(C)[1].row
+    rows = [stabilizer_words(C)[0].row, zbar, random_word(d, random.Random(d)).row]
+    before = T.canonical_form()
+    for one_at_a_time in (False, True):
+        rng = random.Random(0)
+        assert measured(T, rows, rng, one_at_a_time) == "observable commutes but is not in the group"
+        assert T.canonical_form() == before and rng.getstate() == random.Random(0).getstate()
+
+
+def test_block_raises_the_error_of_its_first_bad_row():
+    # at d = 2 the row Z0 with phase exponent 1 is i Z0, not Hermitian: its
+    # measurement finds the state unphysical; Z1 is outside the group
+    T = gauge.Tableau(2, [(0, 0, 1, 0)], [1])
+    z0, z1 = (0, 0, 1, 0), (0, 0, 0, 1)
+    for rows, error in [([z0, z1], "inconsistent tableau phase (state not physical)"),
+                        ([z1, z0], "observable commutes but is not in the group")]:
+        for one_at_a_time in (False, True):
+            assert measured(T, rows, random.Random(0), one_at_a_time) == error
+
+
+@pytest.mark.parametrize("length", [28, 31, 32])
+def test_tableau_refuses_a_row_without_2n_entries(tetra3, length):
+    # tetra has n = 15: a row must have 30 entries; nothing is measured or
+    # applied, even when the bad row follows a good one
+    _, C, _ = tetra3
+    T, rng = gauge.Tableau.zero_logical(C), random.Random(0)
+    before = T.canonical_form()
+    message = f"observable row has {length} entries, not 2n = 30"
+    with pytest.raises(ValueError, match=message):
+        T.measure([logical_words(C)[0].row, (1,) * length], rng)
+    with pytest.raises(ValueError, match=message):
+        T.apply_pauli((1,) * length)
+    assert T.canonical_form() == before and rng.getstate() == random.Random(0).getstate()
+
+
+def test_fix_demo_start_is_never_mutated():
+    # the demos share one start state per d: run in sequence, each gives what
+    # it gives from a start built afresh
+    runs = [(d, seed) for d in (2, 3, 5, 7) for seed in range(5)]
+    shared = [gauge.fix_demo(d, seed) for d, seed in runs]
+    fresh = []
+    for d, seed in runs:
+        gauge._fix_demo_start.cache_clear()
+        fresh.append(gauge.fix_demo(d, seed))
+    assert shared == fresh
+    for _ in range(2):  # an error is not cached
+        with pytest.raises(ValueError, match="tableau simulation requires prime d"):
+            gauge.fix_demo(4, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1000,8 +1118,7 @@ def test_class_sums_are_the_x_cell_syndrome_beyond_3d(mu, d):
                       tuple(rng.randrange(d) for _ in range(C.n)))
         T = gauge.Tableau.zero_logical(C)
         T.apply_pauli(E.row)
-        outs = {fi: T.measure(xz, rng)
-                for fi, xz in enumerate(G.gauge_group.rows[:G.face_x.nrows])}
+        outs = dict(enumerate(T.measure(G.gauge_group.rows[:G.face_x.nrows], rng)))
         syn = syndrome(C, E.row)
         for ci, classes in enumerate(classes_by_cell):
             consistent, sums = class_sums_consistent(outs, classes, d)
