@@ -1,8 +1,9 @@
 """colexa command line: machine-readable JSON front-end over the library.
 
 Exit codes: 0 = all requested checks pass, 1 = a verification failed (witness
-in the JSON), 2 = usage or input errors.  All randomness is seeded; the
-enumeration cap comes from --cap or the COLEXA_CAP environment variable.
+in the JSON), 2 = usage or input errors, or a failed write to stdout.  All
+randomness is seeded; the enumeration cap comes from --cap or the COLEXA_CAP
+environment variable.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ def main(argv=None) -> int:
     """Run one command; main may be called any number of times in a process.
 
     Each handler returns (ok, payload); the payload is printed, and ok gives
-    the exit code, 0 or 1."""
+    the exit code, 0 or 1.  A failed write to stdout (a closed pipe, a full
+    disk) exits 2 with one line on stderr."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "handler"):
@@ -36,15 +38,18 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError, code_mod.CapExceeded) as exc:
         print(f"colexa: {exc}", file=sys.stderr)
         return USAGE
-    emit(payload, args.pretty)
+    try:
+        emit(payload, args.pretty)
+    except OSError as exc:
+        print(f"colexa: cannot write the output: {exc}", file=sys.stderr)
+        # the unwritten output stays buffered: send it, at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return USAGE
     return 0 if ok else 1
 
 
 def emit(payload, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, indent=2 if pretty else None, sort_keys=True), flush=True)
 
 
 def check_args(args) -> None:
@@ -284,7 +289,7 @@ def cmd_code_codeword(args):
     cw = code_mod.codeword(C, args.x, cap=args.cap)
     return True, {
         "x": list(cw.x),
-        "terms": sorted(list(t) for t in cw.terms),
+        "terms": sorted(cw.terms),
         "count": len(cw.terms),
     }
 

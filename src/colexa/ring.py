@@ -14,10 +14,13 @@ enumeration and span membership over Z_N, for arbitrary (not necessarily
 prime) N, are answered from that one factorization; no question needs a
 particular solution x of x M = w.  Over F_p, p prime,
 one Gaussian elimination on an array (echelon_mod_p) gives the reduced
-echelon form and its transform, with no Smith form.  Bulk work (span
-enumeration, batched span membership, matrix products) runs on numpy integer
-arrays: int64 when every intermediate value provably fits, Python integers
-(dtype=object) otherwise.
+echelon form and its transform, with no Smith form.  Bulk work (batched span
+membership, matrix products) runs on numpy integer arrays: int64 when every
+intermediate value provably fits, Python integers (dtype=object) otherwise.
+Span enumeration adds only two residues at a time, so its blocks use the
+narrowest unsigned dtype that holds 2(N-1) and are reduced mod N with no
+division; for N > 2^63, where 2(N-1) passes 2^64 - 1, they are Python
+integers reduced by %.
 """
 
 from __future__ import annotations
@@ -350,12 +353,17 @@ def span_blocks(M: ResidueMatrix, offset=None) -> Iterator[np.ndarray]:
     row_basis generators, 0 <= y_i < span_orders(M)[i], first generator
     outermost.  The trailing generators span one inner block, built once;
     each yielded block is that inner block shifted by one combination of the
-    leading generators, taken by an odometer.  Only residues are added, so
-    entries are int64 when 2(N-1) fits and Python ints otherwise.
+    leading generators, taken by an odometer.  Only two residues are ever
+    added, so blocks have dtype np.min_scalar_type(2(N-1)): uint8 for
+    N <= 128, then uint16, uint32 or uint64, and Python ints (object) for
+    N > 2^63.  An unsigned sum s <= 2N - 2 is reduced with no division as
+    min(s, s - N): s - N wraps above s exactly when s < N.  Object blocks
+    are reduced by % N.
     """
     N = M.modulus
     n = M.ncols if offset is None else len(offset)
-    dtype = exact_dtype(2 * (N - 1))
+    dtype = np.min_scalar_type(2 * (N - 1))
+    top = None if dtype == object else dtype.type(N)
     basis = row_basis(M).rows
     gens = np.array(basis, dtype=dtype).reshape(len(basis), n)
     orders = span_orders(M)
@@ -374,7 +382,8 @@ def span_blocks(M: ResidueMatrix, offset=None) -> Iterator[np.ndarray]:
         shift += np.array([int(e) % N for e in offset], dtype=dtype)
     counts = [0] * split
     while True:
-        yield (inner + shift) % N
+        s = inner + shift
+        yield s % N if top is None else np.minimum(s, s - top, out=s)
         # next combination of the leading generators, the last one fastest;
         # orders[i] * g_i == 0 mod N, so a digit rolling over restores shift
         i = split - 1
@@ -391,7 +400,9 @@ def span_blocks(M: ResidueMatrix, offset=None) -> Iterator[np.ndarray]:
 
 def iter_span(M: ResidueMatrix, offset=None) -> Iterator[tuple[int, ...]]:
     """Iterate every element of offset + rowspan(M) exactly once, as tuples
-    of canonical residues in span_blocks order."""
+    of canonical residues in span_blocks order.  The blocks are unsigned
+    (the narrowest dtype holding 2(N-1), reduced mod N with no division) or
+    Python ints for N > 2^63; either way the tuples hold Python ints."""
     for block in span_blocks(M, offset):
         yield from map(tuple, block.tolist())
 

@@ -1,8 +1,10 @@
 """Independent test oracles: brute-force implementations kept deliberately
 separate from the library's algorithms (no Smith normal form, no table
-calculus), so agreement between the two is meaningful evidence.  The one
-exception is solve_left, a linear solve read off the library's stored Smith
-form, which the word-level reference checks use for span membership.
+calculus), so agreement between the two is meaningful evidence.  The two
+exceptions read the library's stored Smith form: solve_left, a linear solve,
+which the word-level reference checks use for span membership, and
+recursive_span, which walks the row_basis generators one tuple at a time to
+give the order that span enumeration must keep.
 """
 
 import itertools
@@ -111,6 +113,22 @@ def brute_span(rows, N):
     for v in itertools.product(range(N), repeat=m):
         out.add(tuple(sum(c * row[j] for c, row in zip(v, rows)) % N for j in range(n)))
     return out
+
+
+def recursive_span(M):
+    """The span in the order of the recursive enumerator span_blocks replaced:
+    first row_basis generator outermost, one tuple at a time."""
+    gens, orders, N = ring.row_basis(M).rows, ring.span_orders(M), M.modulus
+
+    def rec(acc, idx):
+        if idx == len(gens):
+            yield acc
+            return
+        for _ in range(orders[idx]):
+            yield from rec(acc, idx + 1)
+            acc = tuple((a + b) % N for a, b in zip(acc, gens[idx]))
+
+    return list(rec((0,) * M.ncols, 0))
 
 
 def x_word(d, exps) -> PauliWord:

@@ -500,14 +500,48 @@ def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch):
     assert [fresh[i][0] for i in range(len(calls) - 4, len(calls))] == [2, 0, 0, 2]
 
 
+def cli_env():
+    """The environment of a colexa subprocess that imports this colexa."""
+    return dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parent.parent))
+
+
 def test_import_does_not_build_the_parser():
-    src = pathlib.Path(cli.__file__).resolve().parent.parent
     probe = ("import colexa.cli as c; assert c.build_parser.cache_info().currsize == 0; "
              "c.main(['gate', 'level', '--d', '3', '--gate', 'T']); "
              "assert c.build_parser.cache_info().currsize == 1")
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", probe], env=cli_env(), capture_output=True,
+                          text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+CODEWORD_ARGV = ["-m", "colexa.cli", "code", "codeword", "--code", "triangle", "--d", "3", "--x", "1"]
+
+
+def assert_write_failed(proc, stderr):
+    assert proc.returncode == 2
+    assert len(stderr.splitlines()) == 1, stderr
+    assert stderr.startswith("colexa: cannot write the output: ")
+
+
+def test_closed_stdout_pipe_exits_2_without_a_traceback():
+    # the reader is gone before the first byte: every write raises EPIPE
+    proc = subprocess.Popen([sys.executable, *CODEWORD_ARGV], env=cli_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.wait()
+    proc.stderr.close()
+    assert_write_failed(proc, stderr)
+    assert "Broken pipe" in stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_device_exits_2_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, *CODEWORD_ARGV], env=cli_env(), stdout=full,
+                              stderr=subprocess.PIPE, text=True)
+    assert_write_failed(proc, proc.stderr)
+    assert "No space left" in proc.stderr
 
 
 def json_paths(obj, path=()):

@@ -362,6 +362,35 @@ def test_distance_cap_exceeded_only_when_both_methods_exceed(tetra3):
     assert code_mod._enumerate_distance(C, "z", cap=177147) == 3
 
 
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([4, 6, 127, 128, 129]), n=st.integers(2, 3), data=st.data())
+def test_distance_methods_agree_at_the_block_dtype_edges(d, n, data):
+    # k = 1 codes from JSON: G1 alone on qudit 0 keeps [G1; G0] injective,
+    # and G0's unit on qudit 1 keeps the commutant at d^(n-1) vectors; a Z
+    # row on qudit 0 alone makes the Z distance at least 2.  Span blocks are
+    # uint8 up to d = 128 and uint16 at 129
+    def row():
+        return data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
+
+    G0 = [0, 1] + row()[2:]
+    G1 = [1] + row()[1:]
+    Zstab = [row() for _ in range(data.draw(st.integers(0, 2)))]
+    if data.draw(st.booleans()):
+        Zstab.append([1] + [0] * (n - 1))
+    C = code_mod.code_from_json({"d": d, "n": n, "stars": [1] * n, "G0": [G0], "G1": [G1],
+                                 "Zstab": Zstab})
+
+    def outcome(method, sector):
+        try:
+            return method(C, sector)
+        except ValueError as exc:
+            return str(exc)
+
+    for sector in ("x", "z"):
+        assert (outcome(code_mod._enumerate_distance, sector)
+                == outcome(code_mod._search_distance, sector))
+
+
 def word_loop_syndrome(C, E):
     """The syndrome as it was before it became two products: the phase of
     every stabilizer word against E, X words first."""

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -320,3 +321,18 @@ def test_blocked_transversal_matches_term_loop(d, family, gate, data):
         rep = gatecalc.verify_transversal_phase(code, g)
         assert (rep.checked, rep.witness) == loop_transversal_phase(code, g)
         assert rep.ok == (rep.witness is None)
+
+
+@pytest.mark.parametrize("d,dtype", [(127, np.uint8), (129, np.uint16)])
+@pytest.mark.parametrize("gate", ["R:0,1", "S", "T"])
+def test_transversal_at_the_block_dtype_edges_matches_term_loop(d, dtype, gate):
+    # terms (x + y, x - y, x) with the last qudit starred: a linear table
+    # passes, S fails at x = 0, y = 1 and T (6 x y^2 too many) at x = 1, y = 1
+    C = code_mod.code_from_json({"d": d, "n": 3, "stars": [1, 1, -1], "G0": [[1, d - 1, 0]],
+                                 "G1": [[1, 1, 1]], "Zstab": []})
+    assert next(ring.span_blocks(C.G0)).dtype == dtype
+    g = gatecalc.build_gate(gate, d)
+    rep = gatecalc.verify_transversal_phase(C, g)
+    assert (rep.checked, rep.witness) == loop_transversal_phase(C, g)
+    assert rep.ok == (gate == "R:0,1")
+    assert rep.ok or (rep.witness["x"], rep.witness["y"]) == ((0, [1]) if gate == "S" else (1, [1]))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from colexa import colex, gauge, ring
 from builders import with_code
-from oracles import brute_kernel, brute_span, solve_left
+from oracles import brute_kernel, brute_span, recursive_span, solve_left
 
 
 def rmat(N, rows):
@@ -313,22 +313,6 @@ def test_composite_span_size_multiplies_over_blocks(N, data):
     assert ring.span_size(block) == ring.span_size(A) * ring.span_size(B)
 
 
-def recursive_span(M):
-    """The span in the order of the recursive enumerator span_blocks replaced:
-    first row_basis generator outermost, one tuple at a time."""
-    gens, orders, N = ring.row_basis(M).rows, ring.span_orders(M), M.modulus
-
-    def rec(acc, idx):
-        if idx == len(gens):
-            yield acc
-            return
-        for _ in range(orders[idx]):
-            yield from rec(acc, idx + 1)
-            acc = tuple((a + b) % N for a, b in zip(acc, gens[idx]))
-
-    return list(rec((0,) * M.ncols, 0))
-
-
 @settings(max_examples=60, deadline=None)
 @given(N=COMPOSITE, m=st.integers(1, 4), n=st.integers(1, 4),
        block=st.sampled_from([1, 3, 8, ring.BLOCK_ROWS]), data=st.data())
@@ -343,10 +327,29 @@ def test_span_blocks_in_iter_span_order(N, m, n, block, data):
         elements = list(ring.iter_span(M))
     finally:
         ring.BLOCK_ROWS = default
-    assert all(b.dtype == np.int64 and 1 <= len(b) <= block for b in blocks)
+    assert all(b.dtype == np.min_scalar_type(2 * (N - 1)) and 1 <= len(b) <= block for b in blocks)
     assert [r for b in blocks for r in map(tuple, b.tolist())] == elements == reference
     assert shifted == [tuple((a + b) % N for a, b in zip(offset, r)) for r in reference]
     assert set(elements) == brute_span([list(r) for r in M.rows], N)
+
+
+@pytest.mark.parametrize("N,dtype", [
+    (2, np.uint8), (127, np.uint8), (128, np.uint8), (129, np.uint16),
+    (32768, np.uint16), (32769, np.uint32), (2**31, np.uint32), (2**31 + 1, np.uint64),
+    (2**63, np.uint64), (2**63 + 1, object),
+])
+def test_span_blocks_reduce_exactly_at_each_dtype_edge(N, dtype):
+    # the narrowest unsigned dtype that holds 2(N-1); two generators of order
+    # p, the least prime factor of N, with entries up to N - N/p, and offset
+    # N - 1, so most unreduced sums pass N and must wrap back below it
+    p = next(q for q in range(2, N + 1) if N % q == 0)
+    a = N // p
+    M = rmat(N, [[a, N - a, N - a], [0, a, N - a]])
+    offset = (N - 1,) * 3
+    blocks = list(ring.span_blocks(M, offset))
+    assert all(b.dtype == dtype for b in blocks)
+    assert [r for b in blocks for r in map(tuple, b.tolist())] == [
+        tuple((o + t) % N for o, t in zip(offset, r)) for r in recursive_span(M)]
 
 
 def test_span_blocks_python_ints_past_int64():
