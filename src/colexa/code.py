@@ -44,6 +44,16 @@ class ColorCode:
     G1: ring.ResidueMatrix
     z_stab: ring.ResidueMatrix  # sigma-signed exponent rows, one per generator
 
+    def __post_init__(self):
+        """Every matrix has n columns: one with no rows takes that width."""
+        for name in ("G0", "G1", "z_stab"):
+            M = getattr(self, name)
+            if M.ncols != self.n:
+                if M.nrows:
+                    raise ValueError(f"{name} has {M.ncols} columns, not n = {self.n}")
+                M = ring.ResidueMatrix(M.modulus, M.array.reshape(0, self.n))
+                object.__setattr__(self, name, M)
+
     @property
     def z_logical(self) -> tuple:
         """sigma mod d: the logical Z exponents."""
@@ -58,7 +68,7 @@ class ColorCode:
         every question about it reads one factorization."""
         M = self.__dict__.get("_encoding")
         if M is None:
-            M = ring._canonical(self.d, self.G1.rows + self.G0.rows)
+            M = ring.ResidueMatrix(self.d, np.concatenate([self.G1.array, self.G0.array]))
             object.__setattr__(self, "_encoding", M)
         return M
 
@@ -78,18 +88,15 @@ class Codeword:
 
 def cell_rows(L, dim: int, d: int, signs=None) -> ring.ResidueMatrix:
     """One row per dim-cell of L over Z_d, in vertex order: 1 on the cell's
-    vertices, or the vertex's sign there when signs are given."""
+    vertices, or the vertex's sign there when signs are given.  The entries
+    go into one integer array in one scatter; the matrix reduces them mod d."""
     if d < 2:
         raise ValueError("d must be >= 2")
-    index = {v: j for j, v in enumerate(L.vertex_ids)}
-    signs = [s % d for s in signs or (1,) * len(index)]
-    rows = []
-    for cell in L.cells_of_dim(dim):
-        row = [0] * len(index)
-        for v in cell.vertices:
-            row[index[v]] = signs[index[v]]
-        rows.append(tuple(row))
-    return ring._canonical(d, tuple(rows))
+    n, index = len(L.vertex_ids), {v: j for j, v in enumerate(L.vertex_ids)}
+    cells = L.cells_of_dim(dim)
+    rows = np.zeros((len(cells), n), dtype=np.int64)
+    np.put(rows, [i * n + index[v] for i, cell in enumerate(cells) for v in cell.vertices], 1)
+    return ring.ResidueMatrix(d, rows if signs is None else rows * signs)
 
 
 def from_colex(L, mu_prime: int, d: int) -> ColorCode:
@@ -110,7 +117,7 @@ def from_colex(L, mu_prime: int, d: int) -> ColorCode:
         n=n,
         star_signs=sigma,
         G0=cell_rows(L, mu_prime, d),
-        G1=ring.ResidueMatrix(d, ((1,) * n,)),
+        G1=ring.ResidueMatrix(d, np.ones((1, n), dtype=np.int64)),
         z_stab=cell_rows(L, L.mu - mu_prime + 2, d, sigma),
     )
     if not code.injective():
@@ -136,7 +143,7 @@ def verify_code(C: ColorCode) -> Report:
 
     # logical X row l against Z row j: G1_l . Zstab_j; then the logical Z
     # against X row i: -(G0_i . z_logical), and the logical pair: G1 . z_logical
-    zbar_row = ring._canonical(C.d, (C.z_logical,))
+    zbar_row = ring.ResidueMatrix(C.d, (C.z_logical,))
     bad = [
         {"logical": l, "stabilizer": r0 + j, "phase": c}
         for l, j, c in _nonzero(ring.mul_transpose(C.G1, C.z_stab))
@@ -202,7 +209,7 @@ def distance(C: ColorCode, sector: str, cap: int = DEFAULT_CAP) -> int:
     A, B, space, blocks = _sector(C, sector)
     best = C.n + 1
     if space <= cap:
-        blocks, screen = iter(blocks), ring.span_check(B, C.n)
+        blocks, screen = iter(blocks), ring.span_check(B)
         best = _lightest(next(blocks), screen, best)
         if space <= _search_bound(C.n, C.d, best):
             return _found(_lightest_of(blocks, screen, best), C.n)
@@ -218,7 +225,7 @@ def _enumerate_distance(C: ColorCode, sector: str, cap: int = DEFAULT_CAP) -> in
     _A, B, space, blocks = _sector(C, sector)
     if space > cap:
         raise CapExceeded(f"{sector.upper()}-sector coset space {space} > cap {cap}")
-    return _found(_lightest_of(blocks, ring.span_check(B, C.n), C.n + 1), C.n)
+    return _found(_lightest_of(blocks, ring.span_check(B), C.n + 1), C.n)
 
 
 def _search_distance(C: ColorCode, sector: str, cap: int = DEFAULT_CAP) -> int:
@@ -245,9 +252,8 @@ def _sector(C: ColorCode, sector: str):
                   for block in ring.span_blocks(C.G0, ring.mat_vec_mul(C.G1, x)))
         return A, C.G0, ring.span_size(C.G0) * (C.d ** C.k - 1), blocks
     if sector.lower() == "z":
-        # a G0 with no rows keeps no column count; its transpose is n x 0
-        A = ring.kernel_mod(C.G0.transpose() if C.G0.rows else ring._canonical(C.d, ((),) * C.n))
-        if not A.rows:
+        A = ring.kernel_mod(C.G0.transpose())
+        if not A.nrows:
             raise ValueError("commutant contains no logical; k = 0?")
         return A, C.z_stab, ring.span_size(A), ring.span_blocks(A)
     raise ValueError("sector must be 'x' or 'z'")
@@ -292,8 +298,8 @@ def _weight_search(C: ColorCode, A, B, cap: int, below: int) -> int:
     checked only on the vectors that pass A.  Every vector is charged to the
     cap.
     """
-    HA, gA = ring.span_check(A, C.n)
-    HB, gB = ring.span_check(B, C.n)
+    HA, gA = ring.span_check(A)
+    HB, gB = ring.span_check(B)
     spent = 0
     for w in range(1, min(below, C.n + 1)):
         for S, P in _weight_batches(C.n, C.d, w):
@@ -343,9 +349,9 @@ def code_to_json(C: ColorCode) -> dict:
         "d": C.d,
         "n": C.n,
         "stars": list(C.star_signs),
-        "G0": [list(r) for r in C.G0.rows],
-        "G1": [list(r) for r in C.G1.rows],
-        "Zstab": [list(r) for r in C.z_stab.rows],
+        "G0": C.G0.array.tolist(),
+        "G1": C.G1.array.tolist(),
+        "Zstab": C.z_stab.array.tolist(),
     }
 
 
@@ -366,11 +372,5 @@ def code_from_json(obj: dict) -> ColorCode:
             raise ValueError(f"code.{key}[{bad[0]}] has {len(obj[key][bad[0]])} entries, not n = {n}")
     if len(obj["G1"]) != 1:
         raise ValueError(f"code.G1 must have exactly one row, got {len(obj['G1'])}")
-    return ColorCode(
-        d=d,
-        n=n,
-        star_signs=stars,
-        G0=ring.ResidueMatrix(d, tuple(tuple(r) for r in obj["G0"])),
-        G1=ring.ResidueMatrix(d, tuple(tuple(r) for r in obj["G1"])),
-        z_stab=ring.ResidueMatrix(d, tuple(tuple(r) for r in obj["Zstab"])),
-    )
+    G0, G1, Z = (ring.ResidueMatrix(d, obj[key]) for key in ("G0", "G1", "Zstab"))
+    return ColorCode(d=d, n=n, star_signs=stars, G0=G0, G1=G1, z_stab=Z)

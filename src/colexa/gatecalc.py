@@ -125,7 +125,8 @@ def verify_transversal_phase(C: ColorCode, g: PhaseGate, cap: int = DEFAULT_CAP)
     if C.k != 1:
         raise ValueError("transversal phase check supports k=1 codes only")
     notes = ""
-    if any(e != 1 for e in C.G1.rows[0]):
+    g1 = C.G1.array[0]
+    if (g1 != 1).any():
         notes = ("G1 row is not all-ones; logical phase target p(x) assumes the "
                  "all-ones logical row, so per-x diagnostics below may not match "
                  "any intended gate")
@@ -138,7 +139,7 @@ def verify_transversal_phase(C: ColorCode, g: PhaseGate, cap: int = DEFAULT_CAP)
     signs = np.array(C.star_signs, dtype=dtype)
     checked = 0
     for x in range(C.d):
-        offset = tuple((x * e) % C.d for e in C.G1.rows[0])
+        offset = g1 * x % C.d
         expect = g.p[x]
         for block in ring.span_blocks(C.G0, offset):
             phases = (table[block] @ signs) % g.N

@@ -54,7 +54,7 @@ def is_m_star_orthogonal(M: StarSignedMatrix, g1_rows, m: int, mode: str = "stro
     if count > cap:
         raise CapExceeded(f"m={m} needs {count} > cap {cap} row multisets")
     dtype = ring.exact_dtype(n * (d - 1) ** m)
-    G = np.array(M.G.rows, dtype=dtype).reshape(r, n)
+    G = M.G.array.astype(dtype)
     signs = np.array(M.signs, dtype=dtype)
     g1 = frozenset(g1_rows)
     in_g1 = np.array([i in g1 for i in range(r)], dtype=bool)
@@ -83,6 +83,5 @@ def max_m_star(M: StarSignedMatrix, g1_rows, mode: str = "strong", m_cap: int = 
 
 def code_matrix(C) -> tuple:
     """(StarSignedMatrix, g1 row index set) for a ColorCode, G1 rows first."""
-    rows = C.G1.rows + C.G0.rows
-    M = StarSignedMatrix(ring.ResidueMatrix(C.d, rows), C.star_signs)
+    M = StarSignedMatrix(C.encoding(), C.star_signs)
     return M, frozenset(range(C.G1.nrows))

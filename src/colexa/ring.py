@@ -1,84 +1,104 @@
 """Exact linear algebra over the residue rings Z_N.
 
-Factorizations work with plain Python integers, so there is no
-modulus that can overflow and no floating point anywhere.  Whether a matrix's
-rows are independent is decided by sparse elimination mod N, with no
-transforms and no factoring of N (independent_rows), and the verdict is kept
-on the matrix.  Every other question goes to an integer Smith normal form with
-unimodular transform tracking; it skips only work that cannot change its
-result (no divisibility scan at unit pivots, column operations only on the
-rows they change), so its U, S and V are those of the plain elimination.
-Each `ResidueMatrix` is factored at most once: the factorization is computed
-on first use and kept on the matrix, and its kernel, row span, span
-enumeration and span membership over Z_N, for arbitrary (not necessarily
-prime) N, are answered from that one factorization; no question needs a
-particular solution x of x M = w.  Over F_p, p prime,
-one Gaussian elimination on an array (echelon_mod_p) gives the reduced
-echelon form and its transform, with no Smith form.  Bulk work (batched span
-membership, matrix products) runs on numpy integer arrays: int64 when every
-intermediate value provably fits, Python integers (dtype=object) otherwise.
-Span enumeration adds only two residues at a time, so its blocks use the
-narrowest unsigned dtype that holds 2(N-1) and are reduced mod N with no
-division; for N > 2^63, where 2(N-1) passes 2^64 - 1, they are Python
-integers reduced by %.
+A matrix over Z_N (ResidueMatrix) is one 2-D numpy array of canonical
+residues, which every layer reads as it is: its dtype holds every product of
+a row with a canonical vector, int64 when that provably fits and Python
+integers (dtype=object) otherwise, so such a product needs no cast and none
+can overflow.  There is no floating point anywhere.  Factorizations work with
+plain Python integers.  Whether a matrix's rows are independent is decided by
+sparse elimination mod N, with no transforms and no factoring of N
+(independent_rows), and the verdict is kept on the matrix.  Every other
+question goes to an integer Smith normal form with unimodular transform
+tracking; it skips only work that cannot change its result (no divisibility
+scan at unit pivots, column operations only on the rows they change), so its
+U, S and V are those of the plain elimination.  Each `ResidueMatrix` is
+factored at most once: the factorization is computed on first use and kept
+on the matrix, and its kernel, row span, span enumeration and span
+membership over Z_N, for arbitrary (not necessarily prime) N, are answered
+from that one factorization.  Over F_p, p prime, one Gaussian elimination on
+an array (echelon_mod_p) gives the reduced echelon form and its transform,
+with no Smith form.  Span enumeration adds only two residues at a time, so
+its blocks use the narrowest unsigned dtype that holds 2(N-1) and are
+reduced mod N with no division; for N > 2^63, where 2(N-1) passes 2^64 - 1,
+they are Python integers reduced by %.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
+import operator
+from math import gcd, prod
 from typing import Iterator, Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
 class ResidueMatrix:
-    """A matrix over Z_N, stored row-major with canonical representatives."""
+    """A matrix over Z_N: one read-only 2-D numpy array of canonical
+    residues in [0, N), which keeps its shape with no rows.  Its dtype,
+    exact_dtype(max(N, ncols (N-1)^2)), holds N and the product of a row with
+    any canonical vector: int64 when that fits, Python ints (object)
+    otherwise.  Built from an integer array or from rows of integers, each
+    entry reduced exactly, as int(e) % N.  Equality and hash are by
+    (modulus, rows)."""
 
-    modulus: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.modulus < 2:
+    def __init__(self, modulus: int, array):
+        N = modulus
+        if N < 2:
             raise ValueError("modulus must be >= 2")
-        rows = tuple(
-            tuple(int(e) % self.modulus for e in row) for row in self.rows
-        )
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rows)
+        if isinstance(array, np.ndarray):
+            m, n = array.shape
+        else:
+            array = [[int(e) % N for e in row] for row in array]
+            m, n = len(array), len(array[0]) if array else 0
+            if any(len(r) != n for r in array):
+                raise ValueError("ragged rows")
+        dtype = exact_dtype(max(N, n * (N - 1) ** 2))
+        # Python ints may not fit dtype until reduced; a narrow integer dtype
+        # may not hold N until cast
+        if isinstance(array, list):
+            a = np.array(array, dtype=dtype).reshape(m, n)
+        elif array.dtype == object:
+            a = (array % N).astype(dtype, copy=False)
+        else:
+            a = array.astype(dtype, copy=False) % N
+        a.setflags(write=False)
+        self.modulus, self.array = N, a
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The entries as tuples of Python ints, built on each access."""
+        return tuple(map(tuple, self.array.tolist()))
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return self.array.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return self.array.shape[1]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ResidueMatrix):
+            return NotImplemented
+        return (self.modulus, self.rows) == (other.modulus, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.modulus, self.rows))
+
+    def __repr__(self) -> str:
+        return f"ResidueMatrix({self.modulus}, {self.rows})"
 
     def transpose(self) -> "ResidueMatrix":
-        return _canonical(self.modulus, tuple(zip(*self.rows)))
+        return ResidueMatrix(self.modulus, self.array.T)
 
     def _factor(self):
-        """(U, V, diag) of smith_normal_form(self.rows), computed on first use."""
-        f = self.__dict__.get("_snf")
-        if f is None:
-            U, _S, V, diag = smith_normal_form(_IntRows(self.rows))
-            f = (U, V, diag)
-            object.__setattr__(self, "_snf", f)
-        return f
-
-
-def _canonical(N: int, rows: tuple) -> ResidueMatrix:
-    """ResidueMatrix(N, rows) for rows already canonical, taken as they are."""
-    M = object.__new__(ResidueMatrix)
-    M.__dict__.update(modulus=N, rows=rows)
-    return M
-
-
-class _IntRows(tuple):
-    """Rows of Python ints (ResidueMatrix rows): copied without int() each."""
+        """(U, V, diag) of smith_normal_form(self.array.tolist()), computed on
+        first use, with U as a 2-D array of Python ints (dtype=object) and V
+        as the Smith form's lists."""
+        if "_snf" not in self.__dict__:
+            U, _S, V, diag = smith_normal_form(self.array.tolist())
+            self._snf = (np.array(U, dtype=object).reshape(len(U), len(U)), V, diag)
+        return self._snf
 
 
 def mat_vec_mul(M: ResidueMatrix, v: Sequence[int]) -> tuple[int, ...]:
@@ -86,28 +106,17 @@ def mat_vec_mul(M: ResidueMatrix, v: Sequence[int]) -> tuple[int, ...]:
     residues."""
     if len(v) != M.nrows:
         raise ValueError("length of v must equal number of rows of M")
-    return _combine(M.rows, v, M.modulus, M.ncols)
-
-
-def _combine(rows, v: Sequence[int], N: int, ncols: int) -> tuple[int, ...]:
-    """v @ rows over Z_N for integer rows, as canonical residues; zero
-    coefficients cost nothing."""
-    out = [0] * ncols
-    for coeff, row in zip(v, rows):
-        c = int(coeff) % N
-        if c == 0:
-            continue
-        for j, e in enumerate(row):
-            out[j] += c * e
-    return tuple(e % N for e in out)
+    # v's dtype holds a sum of M.nrows products of residues
+    c = ResidueMatrix(M.modulus, (v,)).array
+    return tuple((c @ M.array.astype(c.dtype, copy=False) % M.modulus)[0].tolist())
 
 
 def smith_normal_form(A: Sequence[Sequence[int]]):
     """Integer Smith normal form with transforms: returns (U, S, V, diag).
 
     U and V are unimodular integer matrices with U @ A @ V == S, where S is
-    diagonal with divisibility d1 | d2 | ... .  A is copied as Python ints,
-    never changed, and all arithmetic is exact.  diag is the list of
+    diagonal with divisibility d1 | d2 | ... .  A, of any integer type, is
+    copied as Python ints, never changed, and all arithmetic is exact.  diag is the list of
     diagonal entries of S (length min(nrows, ncols)).
 
     Two steps skip work that cannot change the result.  The scan that makes
@@ -117,7 +126,7 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
     S and V that are nonzero in column t; column t itself does not change
     while row t is cleared, so that row list is built once per step.
     """
-    S = [list(row) if type(A) is _IntRows else [int(e) for e in row] for row in A]
+    S = [list(map(operator.index, row)) for row in A]
     m = len(S)
     n = len(S[0]) if S else 0
     U = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -214,11 +223,9 @@ def independent_rows(M: ResidueMatrix) -> bool:
     every such p at once; so no transform is built and N is never factored.
     More rows than columns are dependent at once.
     """
-    f = M.__dict__.get("_independent")
-    if f is None:
-        f = M.nrows <= M.ncols and _eliminate(M.rows, M.modulus)
-        object.__setattr__(M, "_independent", f)
-    return f
+    if "_independent" not in M.__dict__:
+        M._independent = M.nrows <= M.ncols and _eliminate(M.array.tolist(), M.modulus)
+    return M._independent
 
 
 def _eliminate(rows, N: int) -> bool:
@@ -288,16 +295,13 @@ def kernel_mod(M: ResidueMatrix) -> ResidueMatrix:
     """
     N = M.modulus
     U, _V, diag = M._factor()
-    gens: list[tuple[int, ...]] = []
-    for i, u in enumerate(U):
-        d = diag[i] if i < len(diag) else 0
-        mult = N // gcd(d, N) if d != 0 else 1
-        if mult == N and d != 0:
-            continue
-        row = tuple((mult * e) % N for e in u)
-        if any(row):
-            gens.append(row)
-    return ResidueMatrix(N, tuple(gens))
+    # row i of U M is diag[i] times a primitive row, so N / gcd(diag[i], N)
+    # times row i of U is in the kernel; gcd 1 gives nothing
+    mult = np.array([N // gcd(diag[i] if i < len(diag) else 0, N)
+                     for i in range(M.nrows)], dtype=object)
+    keep = mult < N
+    K = U[keep] * mult[keep, None] % N
+    return ResidueMatrix(N, K[(K != 0).any(axis=1)])
 
 
 def row_basis(M: ResidueMatrix) -> ResidueMatrix:
@@ -310,30 +314,21 @@ def row_basis(M: ResidueMatrix) -> ResidueMatrix:
     U, _V, diag = M._factor()
     # U @ M == S @ V^{-1}, so row i of U @ M is diag[i] times the primitive
     # row i of the unimodular V^{-1}; it vanishes mod N only when N | diag[i]
-    gens = (mat_vec_mul(M, u) for u, d in zip(U, diag) if d != 0 and d % N != 0)
-    return ResidueMatrix(N, tuple(gens))
+    # gens has width M.nrows, so its dtype holds a sum of M.nrows products
+    gens = ResidueMatrix(N, U[[i for i, d in enumerate(diag) if d % N]]).array
+    return ResidueMatrix(N, gens @ M.array.astype(gens.dtype, copy=False) % N)
 
 
 def span_orders(M: ResidueMatrix) -> list[int]:
     """Orders of the free-enumeration generators returned by row_basis."""
     N = M.modulus
     _U, _V, diag = M._factor()
-    orders = []
-    for d in diag:
-        if d == 0:
-            continue
-        order = N // gcd(d, N)
-        if order > 1:
-            orders.append(order)
-    return orders
+    return [o for o in (N // gcd(d, N) for d in diag) if o > 1]
 
 
 def span_size(M: ResidueMatrix) -> int:
     """Cardinality of the Z_N-row-span of M."""
-    out = 1
-    for o in span_orders(M):
-        out *= o
-    return out
+    return prod(span_orders(M))
 
 
 # rows per enumeration block: bounds the memory of every blocked loop
@@ -364,8 +359,7 @@ def span_blocks(M: ResidueMatrix, offset=None) -> Iterator[np.ndarray]:
     n = M.ncols if offset is None else len(offset)
     dtype = np.min_scalar_type(2 * (N - 1))
     top = None if dtype == object else dtype.type(N)
-    basis = row_basis(M).rows
-    gens = np.array(basis, dtype=dtype).reshape(len(basis), n)
+    gens = row_basis(M).array.astype(dtype)
     orders = span_orders(M)
     split, size = len(orders), 1
     while split and size * orders[split - 1] <= BLOCK_ROWS:
@@ -407,21 +401,19 @@ def iter_span(M: ResidueMatrix, offset=None) -> Iterator[tuple[int, ...]]:
         yield from map(tuple, block.tolist())
 
 
-def span_check(M: ResidueMatrix, ncols: int | None = None):
+def span_check(M: ResidueMatrix):
     """A check matrix of rowspan(M): (H, g) such that a row vector w lies in
     the span iff w @ H == 0 mod g, column by column.
 
     Read off the stored factorization: with T = w V, w is in the span iff
     T_j == 0 mod gcd(diag_j, N) in every column j, where diag_j = 0 past the
     diagonal (x M = w is then solvable).  Columns with gcd 1 constrain
-    nothing and are dropped.  H is V mod N on the others, int64 when a product
-    ncols * (N-1)^2 fits and Python ints otherwise.  ncols gives the width
-    when M has no rows; the span is then {0}.
+    nothing and are dropped.  H is V mod N on the others, in M's dtype, which
+    holds w @ H for canonical w.  A matrix with no rows spans {0}: H is the
+    identity and g is N, with no factorization.
     """
-    N = M.modulus
-    n = M.ncols if M.rows else ncols
-    dtype = exact_dtype(n * (N - 1) ** 2)
-    if not M.rows:
+    N, n, dtype = M.modulus, M.ncols, M.array.dtype
+    if not M.nrows:
         return np.eye(n, dtype=dtype), np.full(n, N, dtype=dtype)
     _U, V, diag = M._factor()
     g = [gcd(diag[j] if j < len(diag) else 0, N) for j in range(n)]
@@ -433,14 +425,9 @@ def span_check(M: ResidueMatrix, ncols: int | None = None):
 def mul_transpose(A: ResidueMatrix, B: ResidueMatrix) -> np.ndarray:
     """A @ B^T mod N as an exact integer array: entry [i, j] is A_i . B_j.
 
-    Entries are canonical, so a dot product is at most ncols * (N-1)^2; int64
-    is used when that fits, Python integers (dtype=object) otherwise.
+    Both arrays are read as they are: a matrix's dtype holds the product of
+    one of its rows with any canonical vector of its width.
     """
-    if A.rows and B.rows and A.ncols != B.ncols:
+    if A.ncols != B.ncols:
         raise ValueError("column counts differ")
-    N = A.modulus
-    n = A.ncols or B.ncols
-    dtype = exact_dtype(n * (N - 1) ** 2)
-    a = np.array(A.rows, dtype=dtype).reshape(A.nrows, n)
-    b = np.array(B.rows, dtype=dtype).reshape(B.nrows, n)
-    return (a @ b.T) % N
+    return A.array @ B.array.T % A.modulus

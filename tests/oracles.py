@@ -78,7 +78,7 @@ def solve_left(M, w):
         raise ValueError("length of w must equal number of columns of M")
     U, V, diag = M._factor()
     m, n = M.nrows, M.ncols
-    t = ring._combine(V, w, N, n)
+    t = _combine(V, w, N, n)
     u = [0] * m
     for j in range(n):
         d = diag[j] if j < len(diag) else 0
@@ -90,7 +90,17 @@ def solve_left(M, w):
         if t[j] % g != 0:
             return None
         u[j] = (t[j] // g) * pow(d // g, -1, N // g) % (N // g)
-    return ring._combine(U, u, N, m)
+    return _combine(U, u, N, m)
+
+
+def _combine(rows, v, N, ncols):
+    """v @ rows over Z_N for Python-int rows, as canonical residues."""
+    out = [0] * ncols
+    for coeff, row in zip(v, rows):
+        c = int(coeff) % N
+        for j, e in enumerate(row):
+            out[j] += c * e
+    return tuple(e % N for e in out)
 
 
 def brute_kernel(rows, N):

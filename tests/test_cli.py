@@ -117,6 +117,24 @@ def test_syndrome_powers_reduce_mod_d(capsys):
         assert any(obj["syndrome"]) == (d == 5)
 
 
+def test_error_term_without_at_sign_is_a_usage_error(capsys):
+    assert main(["code", "syndrome", "--code", "tetra", "--d", "3", "--error", ","]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "colexa: bad error term '', expected PAULI[@^pow]@vertex\n"
+
+
+def test_x_distance_of_a_logical_in_span_g0_is_a_usage_error(tmp_path, capsys):
+    # G1 = G0: the logical X of x = 1 is already a stabilizer
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"d": 3, "n": 3, "stars": [1, 1, 1], "G0": [[1, 1, 1]],
+                                "G1": [[1, 1, 1]], "Zstab": []}))
+    assert main(["code", "distance", "--code", str(path), "--sector", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "colexa: a logical label x != 0 has x.G1 in span(G0)\n"
+
+
 def test_code_distance(capsys):
     code, obj = run(capsys, "code", "distance", "--code", "triangle",
                     "--d", "2", "--distance", "3", "--sector", "both")
@@ -415,7 +433,7 @@ def test_z_distance_without_x_stabilizers(tmp_path, capsys):
     # with "G0": [] the commutant is all of Z_d^n, and each of the 15 unit
     # vectors lies outside span(Zstab), so the Z distance is 1
     _, C = with_code(colex.hypercube_lattice(3), 2)
-    H, g = ring.span_check(C.z_stab, C.n)
+    H, g = ring.span_check(C.z_stab)
     assert ((np.eye(C.n, dtype=H.dtype) @ H) % g).any(axis=1).all()
     obj = code_mod.code_to_json(C)
     obj["G0"] = []

@@ -197,6 +197,20 @@ def test_code_json_round_trip(tetra3):
     assert back.z_logical == C.z_logical
 
 
+def test_code_matrices_take_n_columns():
+    """A G0 built from no rows has width 0 and takes n; the code then
+    answers as one whose G0 spans {0}.  A matrix with rows of another width
+    is refused."""
+    G1, Z = ring.ResidueMatrix(3, ((1, 1, 1),)), ring.ResidueMatrix(3, ((1, 2, 0),))
+    C = code_mod.ColorCode(3, 3, (1, 1, 1), G0=ring.ResidueMatrix(3, ()), G1=G1, z_stab=Z)
+    assert C.G0.array.shape == (0, 3)
+    assert not code_mod.verify_code(C).ok
+    assert (code_mod.distance(C, "x"), code_mod.distance(C, "z")) == (3, 1)
+    assert code_mod.codeword(C, 1).terms == {(1, 1, 1)}
+    with pytest.raises(ValueError, match="z_stab has 2 columns, not n = 3"):
+        code_mod.ColorCode(3, 3, (1, 1, 1), G0=G1, G1=G1, z_stab=ring.ResidueMatrix(3, ((1, 2),)))
+
+
 def test_from_colex_rejects_bad_mu_prime(tetra3):
     L, _ = tetra3
     with pytest.raises(ValueError):

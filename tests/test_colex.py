@@ -2,13 +2,14 @@
 
 import dataclasses
 import itertools
+import json
 import math
 from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colexa import code, colex, gatecalc, morth, ring
+from colexa import cli, code, colex, gatecalc, morth, ring
 from colexa.colex import Cell, Lattice, _self_verify
 from builders import with_code
 
@@ -94,6 +95,60 @@ def test_single_triangle_fails_bipartite():
     assert "bipartite-skeleton" in failed
     with pytest.raises(ValueError):
         colex.star_bipartition(L)
+
+
+def closed_4cube_boundary(punctured=False):
+    """The boundary of the 4-cube, a closed mu = 3 colex: the 16 four-bit
+    vertices, every face of the cube below dimension 4, and the top cells
+    {bit i = b}, colored i."""
+    cells = []
+    for k in (1, 2, 3):
+        for free in itertools.combinations(range(4), k):
+            fixed = [b for b in range(4) if b not in free]
+            for vals in itertools.product((0, 1), repeat=len(fixed)):
+                base = sum(v << b for b, v in zip(fixed, vals))
+                vertices = frozenset(base | sum(1 << b for b, on in zip(free, bits) if on)
+                                     for bits in itertools.product((0, 1), repeat=k))
+                cells.append(Cell(k, vertices, fixed[0] if k == 3 else None))
+    return Lattice(3, punctured, tuple(range(16)), {v: None for v in range(16)}, tuple(cells))
+
+
+def test_closed_lattice_checks_valency_and_needs_star_flags():
+    L = closed_4cube_boundary()
+    assert [len(L.cells_of_dim(k)) for k in (1, 2, 3)] == [32, 24, 8]
+    rep = colex.validate_colex(L)
+    assert rep.ok
+    assert {c.name: c.detail for c in rep.checks}["vertex-valency"] == \
+        "valency == mu+1 at every vertex"
+    bal = colex.check_cell_balance(L)
+    assert not bal.ok and [(c.name, c.ok) for c in bal.checks] == [("star-flags-present", False)]
+    # one vertex of valency 3 fails the closed valency check
+    cut = dataclasses.replace(L, cells=tuple(c for c in L.cells if c.vertices != {0, 1}))
+    assert not {c.name: c.ok for c in colex.validate_colex(cut).checks}["vertex-valency"]
+
+
+def test_closed_lattice_check_balances_eight_and_eight(tmp_path, capsys):
+    path = tmp_path / "closed.json"
+    path.write_text(json.dumps(colex.lattice_to_json(closed_4cube_boundary())))
+    assert cli.main(["lattice", "check", "--lattice", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["ok"] and (rep["starred"], rep["unstarred"]) == (8, 8)
+    assert {"detail": "closed: starred 8 == unstarred 8", "name": "global-count",
+            "ok": True} in rep["balance"]["checks"]
+
+
+def test_punctured_flag_on_a_closed_lattice_has_no_star_orientation(tmp_path, capsys):
+    # one component with as many starred as unstarred vertices: neither
+    # orientation gives |starred| = |unstarred| - 1
+    with pytest.raises(ValueError, match="no component orientation"):
+        colex.star_bipartition(closed_4cube_boundary(punctured=True))
+    path = tmp_path / "punctured.json"
+    path.write_text(json.dumps(colex.lattice_to_json(closed_4cube_boundary(punctured=True))))
+    assert cli.main(["lattice", "check", "--lattice", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("colexa: no component orientation achieves "
+                            "|starred| = |unstarred| - 1\n")
 
 
 def test_triangle3_counts(tri3):

@@ -141,6 +141,14 @@ def test_transversal_T36_tetra(d):
     assert rep.ok and rep.checked == d**5
 
 
+def test_transversal_phase_charges_its_own_cap():
+    # |span(G0)| = 3^4 terms for each of the 3 labels: 243 evaluations
+    _, C = with_code(colex.hypercube_lattice(3), 3)
+    with pytest.raises(CapExceeded) as exc:
+        gatecalc.verify_transversal_phase(C, gatecalc.build_T(3), cap=10)
+    assert str(exc.value) == "transversal check needs 243 > cap 10 evaluations"
+
+
 def test_transversal_T_fails_on_triangle():
     _, C = with_code(colex.triangle_lattice(3), 5)
     rep = gatecalc.verify_transversal_phase(C, gatecalc.build_T(5))

@@ -36,6 +36,23 @@ def test_mat_vec_mul_shape_error():
         ring.mat_vec_mul(M, (1, 0))
 
 
+@pytest.mark.parametrize("N", [3, 2**63 - 1, 2**63, 2**64 + 13])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0), (2, 3)])
+def test_matrix_keeps_its_shape_and_a_dtype_that_holds_N(N, shape):
+    entries = np.array([[2 * i - j - 1 for j in range(shape[1])] for i in range(shape[0])],
+                       dtype=np.int64).reshape(shape)
+    M = ring.ResidueMatrix(N, entries)
+    assert M.array.shape == shape and not M.array.flags.writeable
+    assert np.array(N, dtype=M.array.dtype) == N
+    assert M.rows == tuple(tuple(e % N for e in r) for r in entries.tolist())
+    assert ring.ResidueMatrix(N, entries.astype(object)) == M
+    T = M.transpose()
+    assert T.array.shape == shape[::-1] and T.transpose() == M
+    H, g = ring.span_check(M)
+    assert H.shape[0] == shape[1] and g.shape == (H.shape[1],)
+    assert ring.kernel_mod(M).ncols == shape[0]
+
+
 def test_kernel_unit_mod5():
     assert ring.kernel_mod(rmat(5, [[1]])).nrows == 0
 
@@ -173,12 +190,6 @@ def test_smith_normal_form_takes_numpy_entries_exactly():
     assert (U, S, V, diag) == ring.smith_normal_form(A.tolist())
     assert all(type(e) is int for M in (U, S, V) for row in M for e in row)
     assert matmul(matmul(U, A.tolist()), V) == S
-
-
-def test_int_rows_copy_gives_the_same_factorization():
-    C = with_code(colex.triangle_lattice(7), 6)[1]
-    rows = C.encoding().rows
-    assert ring.smith_normal_form(ring._IntRows(rows)) == ring.smith_normal_form(rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -395,16 +406,31 @@ def test_span_check_agrees_with_in_rowspan(N, m, n, data):
     M = draw_matrix(data, N, m, n)
     W = np.array([[data.draw(st.integers(0, N - 1)) for _ in range(n)] for _ in range(6)]
                  + [list(r) for r in M.rows], dtype=np.int64).reshape(-1, n)
-    H, g = ring.span_check(M, n)
+    H, g = ring.span_check(ring.ResidueMatrix(N, M.array.reshape(m, n)))
     members = ~((W @ H) % g).any(axis=1)
     expected = [solve_left(M, w) is not None if M.rows else not any(w)
                 for w in W.tolist()]
     assert members.tolist() == expected
 
 
+def test_span_check_holds_a_product_over_every_row_of_H():
+    """One kept column at N = 3000000019: (N-1)^2 < 2^63 <= 3 (N-1)^2, so
+    only a dtype for all three rows of H holds w @ H exactly."""
+    N = 3000000019
+    M = rmat(N, [[1, 0, 1], [0, 1, 1]])
+    H, g = ring.span_check(M)
+    assert H.shape == (3, 1) and (N - 1) ** 2 < 2**63 <= 3 * (N - 1) ** 2
+    assert H.dtype == M.array.dtype == object
+    top = [N - 1, N - 2, N - 3]
+    W = [ring.mat_vec_mul(M, (a, b)) for a in top for b in top]
+    W += [tuple(w[:2]) + ((w[2] + c) % N,) for w in W for c in (1, N - 1)]
+    members = ~(np.array(W, dtype=H.dtype) @ H % g).any(axis=1)
+    assert members.tolist() == [solve_left(M, w) is not None for w in W] == [True] * 9 + [False] * 18
+
+
 def in_span(rows, N, W, n):
     """Whether every row of W lies in the Z_N row span of rows, by span_check."""
-    H, g = ring.span_check(rmat(N, rows), n)
+    H, g = ring.span_check(ring.ResidueMatrix(N, np.array(rows, dtype=object).reshape(len(rows), n)))
     return not (np.array(W, dtype=H.dtype).reshape(len(W), n) @ H % g).any()
 
 
