@@ -2,17 +2,21 @@
 
 The gauge group is generated by X- and Z-type face operators; its center must
 reproduce the cell stabilizers.  Every group is a matrix of (x | z) exponent
-rows mod d: commutation is one symplectic product of two such matrices and
-span membership one product with a span check, so the group-level checks
-work for every d.  State-level gauge fixing is simulated with a stabilizer
-tableau over prime d: phase exponents live mod d for odd primes and mod 4 for
-d=2, and every update is a closed-form exact integer product.  Destabilizer
-rows dual to the stabilizer rows, kept through every update, turn a run of
-determined measurements into one symplectic product, with no factorization
-and no solve, so a block of observables costs about one pass of products
-per random outcome.  Every other prime-d question (|0_L> bases,
-destabilizers, canonical form, lex-least correction) is one echelon form
-over F_d, so the tableau factors nothing.
+rows mod d, and commutation is one symplectic product of two such matrices.
+Both groups are CSS, so every other group-level question is asked of the X
+and Z halves: the center comes from the left kernels of A = face_x face_z^T
+and A^T, and span membership is one product with each half's span check.
+Each kernel is one echelon form over F_d at prime d and a Smith form
+otherwise, so the checks work for every d.  State-level gauge fixing is
+simulated with a stabilizer tableau over prime d: phase exponents live mod d
+for odd primes and mod 4 for d=2, and every update is a closed-form exact
+integer product.  Destabilizer rows dual to the stabilizer rows, kept
+through every update, turn a run of determined measurements into one
+symplectic product, with no factorization and no solve, so a block of
+observables costs about one pass of products per random outcome.  Every
+other prime-d question (|0_L> bases, destabilizers, canonical form,
+lex-least correction) is one echelon form over F_d, so the tableau factors
+nothing.
 """
 
 from __future__ import annotations
@@ -50,11 +54,33 @@ def _css(X: ring.ResidueMatrix, Z: ring.ResidueMatrix) -> ring.ResidueMatrix:
                                                    [np.zeros_like(z), z]]))
 
 
-def _outside(M: ring.ResidueMatrix, rows: np.ndarray) -> list:
-    """Indices of the canonical rows that are not in rowspan(M), from one
-    product with M's span check."""
-    H, g = ring.span_check(M)
-    return np.flatnonzero(((rows.astype(H.dtype) @ H) % g).any(axis=1)).tolist()
+def _left_kernel(A: np.ndarray, d: int) -> ring.ResidueMatrix:
+    """Generators of {v : v @ A == 0 mod d}, as rows: at prime d the echelon
+    transform's rows past the rank, else (or past the Miller-Rabin bound)
+    kernel_mod's."""
+    if d < _PRIME_BOUND and _is_prime(d):
+        _R, T, pivots = ring.echelon_mod_p(A, d)
+        return ring.ResidueMatrix(d, T[len(pivots):])
+    return ring.kernel_mod(ring.ResidueMatrix(d, A))
+
+
+def _span_check(M: ring.ResidueMatrix) -> np.ndarray:
+    """H with w in rowspan(M) iff w @ H == 0 mod d: over Z_d a row span is
+    what annihilates the right kernel, whose generators are H's columns.
+    Kept on M, in M's dtype, which holds w @ H for every canonical w."""
+    if "_check" not in M.__dict__:
+        M._check = _left_kernel(M.array.T, M.modulus).array.T.astype(M.array.dtype)
+    return M._check
+
+
+def _outside(X: ring.ResidueMatrix, Z: ring.ResidueMatrix, rows: np.ndarray) -> list:
+    """Indices of the canonical (x | z) rows outside rowspan(X) + rowspan(Z):
+    those with x outside rowspan(X) or z outside rowspan(Z)."""
+    n, out = X.ncols, np.zeros(len(rows), dtype=bool)
+    for M, half in ((X, rows[:, :n]), (Z, rows[:, n:])):
+        H = _span_check(M)
+        out |= (half.astype(H.dtype) @ H % M.modulus).any(axis=1)
+    return np.flatnonzero(out).tolist()
 
 
 @dataclass(frozen=True)
@@ -107,23 +133,31 @@ def build_gauge_code(L: Lattice, d: int) -> GaugeCode:
     return G
 
 
+def _center(G: GaugeCode) -> ring.ResidueMatrix:
+    """Generators of the gauge group's center modulo phases, as (x | z) rows.
+    The gauge Gram matrix is [[0, A], [-A^T, 0]] with A = face_x face_z^T, so
+    they are u face_x for u in leftker(A), then v face_z for v in leftker(A^T)."""
+    A = ring.mul_transpose(G.face_x, G.face_z)
+    x, z = (ring.ResidueMatrix(G.d, ring.mul_transpose(_left_kernel(B, G.d), M.transpose()))
+            for B, M in ((A, G.face_x), (A.T, G.face_z)))
+    return _css(x, z)
+
+
 def center_equals_stabilizer(G: GaugeCode) -> Report:
     """Is the gauge-group center the cell stabilizer?
 
-    The center modulo phases is the kernel of the symplectic Gram matrix of
-    the gauge generators, applied to them; equality is checked as span
-    membership both ways, one span-check product per direction, plus the
-    stabilizer commuting with every gauge generator.
+    The center is read from the X and Z halves (_center), never from the
+    2f x 2f Gram matrix; equality is checked as span membership both ways,
+    one product per half with its span check, plus the stabilizer commuting
+    with every gauge generator.
     """
     rep = Report()
     gauge, stab = G.gauge_group.array, G.stabilizer_group.array
-    gram = ring.ResidueMatrix(G.d, symplectic_phase(gauge, gauge, G.d))
-    center = ring.mul_transpose(ring.kernel_mod(gram), G.gauge_group.transpose())
 
-    missing = _outside(G.stabilizer_group, center)
+    missing = _outside(G.cell_x, G.cell_z, _center(G).array)
     rep.add("center-in-stabilizer-span", not missing, witness=missing[:3] or None)
 
-    missing = _outside(G.gauge_group, stab)
+    missing = _outside(G.face_x, G.face_z, stab)
     rep.add("stabilizer-in-gauge-group", not missing, witness=missing[:3] or None)
 
     bad = [(int(i), int(j)) for i, j in np.argwhere(symplectic_phase(stab, gauge, G.d))]
@@ -131,10 +165,11 @@ def center_equals_stabilizer(G: GaugeCode) -> Report:
     return rep
 
 
-def _preserved(rep: Report, name: str, M: ring.ResidueMatrix, star_signs) -> None:
-    """Add the check that transversal H maps every row of M into rowspan(M);
-    the witness is the first three rows it maps outside."""
-    bad = _outside(M, _hadamard(M.array, star_signs)[0] % M.modulus)
+def _preserved(rep: Report, name: str, X: ring.ResidueMatrix, Z: ring.ResidueMatrix,
+               star_signs) -> None:
+    """Add the check that transversal H maps every row of the CSS group of X
+    and Z into it; the witness is the first three rows it maps outside."""
+    bad = _outside(X, Z, _hadamard(_css(X, Z).array, star_signs)[0] % X.modulus)
     rep.add(name, not bad, witness=bad[:3] or None)
 
 
@@ -142,12 +177,12 @@ def verify_H_logical(G: GaugeCode) -> Report:
     """Does the transversal Hadamard normalize gauge and stabilizer groups
     and act as the logical Hadamard modulo gauge?"""
     rep = Report()
-    _preserved(rep, "gauge-group-normalized", G.gauge_group, G.star_signs)
-    _preserved(rep, "stabilizer-group-preserved", G.stabilizer_group, G.star_signs)
+    _preserved(rep, "gauge-group-normalized", G.face_x, G.face_z, G.star_signs)
+    _preserved(rep, "stabilizer-group-preserved", G.cell_x, G.cell_z, G.star_signs)
 
     bars = ring.ResidueMatrix(G.d, (G.bare_logical_x(), G.bare_logical_z())).array
     hx, hz = _hadamard(bars, G.star_signs)[0]
-    bad = _outside(G.gauge_group, np.array([hx - bars[1], hz + bars[0]]) % G.d)
+    bad = _outside(G.face_x, G.face_z, np.array([hx - bars[1], hz + bars[0]]) % G.d)
     rep.add("logical-X-to-Z", 0 not in bad, "H(Xbar) = Zbar modulo gauge")
     rep.add("logical-Z-to-X-inverse", 1 not in bad, "H(Zbar) = Xbar^{-1} modulo gauge")
     return rep
@@ -160,7 +195,7 @@ def verify_H_stabilizer_code(C: ColorCode) -> Report:
     stabilizer group, so preservation is expected to FAIL on 3D codes.
     """
     rep = Report()
-    _preserved(rep, "stabilizer-group-preserved", _css(C.G0, C.z_stab), C.star_signs)
+    _preserved(rep, "stabilizer-group-preserved", C.G0, C.z_stab, C.star_signs)
     return rep
 
 

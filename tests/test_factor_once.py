@@ -1,8 +1,9 @@
 """Work counts: every ResidueMatrix is factored at most once, so the gauge
-checks make a handful of Smith normal forms, not one per question; gauge
-fixing at prime d makes none; a matrix asked only whether its rows are
-independent is not factored at all; and each built-in lattice is built and
-audited once per process."""
+checks make a handful of Smith normal forms, not one per question, and at
+prime d none, one echelon form per half instead; gauge fixing at prime d
+makes none; a matrix asked only whether its rows are independent is not
+factored at all; and each built-in lattice is built and audited once per
+process."""
 
 import random
 
@@ -65,12 +66,26 @@ def test_determined_measurements_factor_nothing(snf_calls, d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
-def test_gauge_check_factor_count(snf_calls, d):
+def test_gauge_check_factor_count(snf_calls, monkeypatch, d):
+    # every question is asked of the X and Z halves: at prime d the center
+    # eliminates A = face_x face_z^T and A^T once each, and each half's span
+    # check is one elimination of its transpose, kept for verify_H_logical;
+    # at composite d the same six matrices are factored instead
+    echelons = []
+    original = ring.echelon_mod_p
+    monkeypatch.setattr(ring, "echelon_mod_p",
+                        lambda A, p: echelons.append(A.shape) or original(A, p))
     L, _ = with_code(colex.hypercube_lattice(3), d)
     G = gauge.build_gauge_code(L, d)
     snf_calls.clear()
     assert gauge.center_equals_stabilizer(G).ok and gauge.verify_H_logical(G).ok
-    assert len(snf_calls) <= 6
+    faces, cells = G.face_x.nrows, G.cell_x.nrows
+    if d in (2, 3):
+        assert snf_calls == []
+        assert sorted(echelons) == sorted([(faces, faces)] * 2 + [(G.n, faces)] * 2
+                                          + [(G.n, cells)] * 2)
+    else:
+        assert echelons == [] and len(snf_calls) <= 6
 
 
 def test_repeated_questions_factor_once(snf_calls):

@@ -526,18 +526,24 @@ def oracle_center_equals_stabilizer(G):
     """(verdict, report): is the gauge-group center the cell stabilizer?
 
     The center modulo phases is the kernel of the symplectic Gram matrix of
-    the gauge generators; equality is checked as mutual span membership of
+    the gauge generators, whose only nonzero blocks are the X-face x Z-face
+    phase block and minus its transpose.  Its generators come in the
+    library's order: X-type combinations over the left kernel of the block,
+    then Z-type ones over the left kernel of its transpose (both from the
+    library's kernel).  Equality is checked as mutual span membership of
     exponent vectors plus stabilizer membership in the gauge group.
     """
     rep = Report()
     gens = gauge_gens(G)
-    gram = ring.ResidueMatrix(G.d, _phase_matrix(gens, gens, G.d).tolist())
-    combos = ring.kernel_mod(gram)
-    gen_mat = _symplectic_rows(gens, G.d)
+    xs, zs = gens[:G.face_x.nrows], gens[G.face_x.nrows:]
+    block = _phase_matrix(xs, zs, G.d)
     center = ring.ResidueMatrix(
         G.d,
-        tuple(ring.mat_vec_mul(gen_mat, v) for v in combos.rows) or ((0,) * (2 * G.n),),
+        tuple(ring.mat_vec_mul(_symplectic_rows(words, G.d), v)
+              for words, B in ((xs, block), (zs, block.T))
+              for v in gauge._left_kernel(B, G.d).rows) or ((0,) * (2 * G.n),),
     )
+    gen_mat = _symplectic_rows(gens, G.d)
     stabs = stab_gens(G)
     stab_mat = _symplectic_rows(stabs, G.d)
 
@@ -1031,11 +1037,9 @@ def test_fix_demo_start_is_never_mutated():
             gauge.fix_demo(4, 0)
 
 
-@settings(max_examples=40, deadline=None)
-@given(d=st.sampled_from([2, 3, 4, 6]), data=st.data())
-def test_corrupted_gauge_code_reports_match_oracle(d, data):
-    """Rows dropped or changed and star signs flipped: the span-check group
-    checks give the per-row loops' reports, witnesses included."""
+def corrupted(d, data):
+    """(C, G) of the tetra code at d with rows dropped or changed and star
+    signs flipped; C takes G's star signs, X cells and Z faces."""
     L, C, G = tetra(d)
     parts = {k: list(getattr(G, k).rows) for k in ("face_x", "face_z", "cell_x", "cell_z")}
     signs = list(G.star_signs)
@@ -1057,13 +1061,57 @@ def test_corrupted_gauge_code_reports_match_oracle(d, data):
             rows[i] = tuple(row)
     bad = gauge.GaugeCode(d, G.n, tuple(signs),
                           **{k: ring.ResidueMatrix(d, tuple(v)) for k, v in parts.items()})
+    code = dataclasses.replace(C, star_signs=bad.star_signs, G0=bad.cell_x, z_stab=bad.face_z)
+    return code, bad
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3, 4, 6]), data=st.data())
+def test_corrupted_gauge_code_reports_match_oracle(d, data):
+    """Rows dropped or changed and star signs flipped: the span-check group
+    checks give the per-row loops' reports, witnesses included."""
+    code, bad = corrupted(d, data)
     rep = gauge.center_equals_stabilizer(bad)
     ok_o, rep_o = oracle_center_equals_stabilizer(bad)
     assert (rep.ok, rep.to_dict()) == (ok_o, rep_o.to_dict())
     assert gauge.verify_H_logical(bad).to_dict() == oracle_verify_H_logical(bad).to_dict()
-    code = dataclasses.replace(C, star_signs=bad.star_signs, G0=bad.cell_x, z_stab=bad.face_z)
     assert (gauge.verify_H_stabilizer_code(code).to_dict()
             == oracle_verify_H_stabilizer_code(code).to_dict())
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3, 4, 6]), data=st.data())
+def test_center_from_halves_is_the_gram_kernel(d, data):
+    """The halves' center and the kernel of the full 2f x 2f Gram matrix
+    applied to the gauge rows span the same module over Z_d."""
+    _code, bad = corrupted(d, data)
+    gauge_rows = bad.gauge_group.array
+    gram = ring.ResidueMatrix(d, symplectic_phase(gauge_rows, gauge_rows, d))
+    zero = ((0,) * (2 * bad.n),)
+    full = ring.ResidueMatrix(
+        d, ring.mul_transpose(ring.kernel_mod(gram), bad.gauge_group.transpose()).tolist()
+        or zero)
+    halves = ring.ResidueMatrix(d, gauge._center(bad).rows or zero)
+    assert all(in_rowspan(full, w) for w in halves.rows)
+    assert all(in_rowspan(halves, w) for w in full.rows)
+
+
+def test_span_check_holds_a_product_over_every_row():
+    """At N = 3000000019, (N-1)^2 < 2^63 <= 15 (N-1)^2: each half's prime-d
+    span check is kept in an exact dtype, so w @ H over all n rows of H
+    equals the Python-integer product and never wraps."""
+    N = 3000000019
+    G = gauge.build_gauge_code(colex.hypercube_lattice(3), N)
+    assert gauge._is_prime(N) and (N - 1) ** 2 < 2**63 <= G.n * (N - 1) ** 2
+    for M in (G.face_x, G.face_z, G.cell_x, G.cell_z):
+        H = gauge._span_check(M)
+        assert H.shape[0] == G.n and H.dtype == M.array.dtype == object
+        W = np.vstack([M.array, np.full((1, G.n), N - 1, dtype=object)])
+        exact = [[sum(int(a) * int(b) for a, b in zip(w, h)) for h in H.T.tolist()]
+                 for w in W.tolist()]
+        assert (W.astype(H.dtype) @ H).tolist() == exact
+        assert [not any(e % N for e in row) for row in exact] == [
+            in_rowspan(M, w) for w in W.tolist()]
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -1125,8 +1173,10 @@ def test_class_sums_are_the_x_cell_syndrome_beyond_3d(mu, d):
             assert consistent and sums[0] == syn[ci]
 
 
-@pytest.mark.parametrize("mu,d", BEYOND_3D)
+@pytest.mark.parametrize("mu,d", BEYOND_3D + [(4, 4), (4, 6), (5, 3)])
 def test_center_and_H_beyond_3d(mu, d):
+    # composite d at mu = 4 runs on the halves' Smith forms; mu = 5 at d = 3
+    # took minutes on the 2f x 2f Gram matrix and takes about 0.1 s on halves
     _, C, G = hypercube(mu, d)
     assert gauge.center_equals_stabilizer(G).ok
     assert gauge.verify_H_logical(G).ok

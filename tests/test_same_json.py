@@ -58,8 +58,9 @@ def test_pool_prints_the_recorded_stdout(monkeypatch, workload, size):
 #
 # The README's commands and verdicts the pools never print: failing lattice
 # and code checks, a transversality witness with notes, a level above
-# --l-cap, weak-mode m* witnesses, and gauge fixing at primes from 2 to
-# 10^18 + 3 and at a composite d.  Each case is (argv, exit code, sha256
+# --l-cap, weak-mode m* witnesses, gauge checks at composite d, at primes up
+# to 10^18 + 3 and past the Miller-Rabin bound, and gauge fixing at primes
+# from 2 to 10^18 + 3 and at a composite d.  Each case is (argv, exit code, sha256
 # of stdout); "{name}" in argv is the path of the JSON input named in
 # json_inputs.
 
@@ -157,6 +158,16 @@ VERDICT_CASES = [
     ('morth check --code tetra --d 5 --m 3 --mode weak', 0,
      "b376a4eb9e52bc84e9c9985840499f493721257874a2b22b2d0a466746a1a134"),
     ('gauge check --code tetra --d 2', 0,
+     "b7381cc74636a2236a6c4745992a80bfdb93f9685f28f714a3846fb4918313d4"),
+    ('gauge check --code tetra --d 9', 0,
+     "b7381cc74636a2236a6c4745992a80bfdb93f9685f28f714a3846fb4918313d4"),
+    ('gauge check --code tetra --d 12', 0,
+     "b7381cc74636a2236a6c4745992a80bfdb93f9685f28f714a3846fb4918313d4"),
+    ('gauge check --code tetra --d 3000000019', 0,
+     "b7381cc74636a2236a6c4745992a80bfdb93f9685f28f714a3846fb4918313d4"),
+    ('gauge check --code tetra --d 1000000000000000003', 0,
+     "b7381cc74636a2236a6c4745992a80bfdb93f9685f28f714a3846fb4918313d4"),
+    ('gauge check --code tetra --d 3317044064679887385961983', 0,
      "b7381cc74636a2236a6c4745992a80bfdb93f9685f28f714a3846fb4918313d4"),
     ('gauge check --code {bad_g0}', 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
