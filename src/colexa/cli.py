@@ -216,10 +216,11 @@ def parse_error(spec: str, C, L) -> tuple:
         if "@" not in term:
             raise ValueError(f"bad error term {term!r}, expected PAULI[@^pow]@vertex")
         op, vert = term.split("@", 1)
-        power = 1
-        if "^" in op:
-            op, pw = op.split("^", 1)
-            power = int(pw)
+        op, caret, pw = op.partition("^")
+        try:
+            power = int(pw) if caret else 1
+        except ValueError:
+            raise ValueError(f"error term {term!r}: the power {pw!r} is not an integer") from None
         site = resolve_site(vert, C, L)
         if op.upper() not in ("X", "Z"):
             raise ValueError(f"unknown Pauli {op!r}")

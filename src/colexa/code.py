@@ -4,7 +4,9 @@ Everything is symplectic: a Pauli is a row of (x | z) exponents mod d, and
 commutation questions reduce to one integer bilinear form, symplectic_phase.
 X generators sit on mu'-cells, Z generators on (mu-mu'+2)-cells with
 the star signs folded into the exponents (starred vertices hold d-1 instead
-of a separate conjugation channel).
+of a separate conjugation channel).  A shared lattice keeps its cell incidence
+per dimension and the [G1; G0] verdict per (mu', d): only the first code per
+(lattice, mu', d) per process pays for that verdict's elimination.
 """
 
 from __future__ import annotations
@@ -88,15 +90,19 @@ class Codeword:
 
 def cell_rows(L, dim: int, d: int, signs=None) -> ring.ResidueMatrix:
     """One row per dim-cell of L over Z_d, in vertex order: 1 on the cell's
-    vertices, or the vertex's sign there when signs are given.  The entries
-    go into one integer array in one scatter; the matrix reduces them mod d."""
+    vertices, or the vertex's sign there when signs are given.  The 0/1
+    incidence is scattered into a uint8 array once per (L, dim) and kept on
+    L read-only; each matrix is one cast of it, reduced mod d."""
     if d < 2:
         raise ValueError("d must be >= 2")
-    n, index = len(L.vertex_ids), {v: j for j, v in enumerate(L.vertex_ids)}
-    cells = L.cells_of_dim(dim)
-    rows = np.zeros((len(cells), n), dtype=np.int64)
-    np.put(rows, [i * n + index[v] for i, cell in enumerate(cells) for v in cell.vertices], 1)
-    return ring.ResidueMatrix(d, rows if signs is None else rows * signs)
+    kept = L.__dict__.setdefault("_incidence", {})
+    if dim not in kept:
+        n, index = len(L.vertex_ids), {v: j for j, v in enumerate(L.vertex_ids)}
+        cells = L.cells_of_dim(dim)
+        kept[dim] = rows = np.zeros((len(cells), n), dtype=np.uint8)
+        np.put(rows, [i * n + index[v] for i, cell in enumerate(cells) for v in cell.vertices], 1)
+        rows.setflags(write=False)
+    return ring.ResidueMatrix(d, kept[dim] if signs is None else kept[dim] * signs)
 
 
 def from_colex(L, mu_prime: int, d: int) -> ColorCode:
@@ -106,7 +112,8 @@ def from_colex(L, mu_prime: int, d: int) -> ColorCode:
     indicators of (mu - mu' + 2)-cells; the logicals are the (signed)
     all-ones rows.  Redundant Z rows are retained as given; redundant X rows
     make [G1; G0] non-injective, which raises ValueError.  That check is
-    ring.independent_rows on [G1; G0], exact at every d, prime or not.
+    ring.independent_rows on [G1; G0], exact at every d, prime or not, run
+    once per (L, mu', d): L keeps the verdict for later codes' encoding().
     """
     if not 2 <= mu_prime <= L.mu:
         raise ValueError("mu_prime must satisfy 2 <= mu_prime <= mu")
@@ -120,7 +127,11 @@ def from_colex(L, mu_prime: int, d: int) -> ColorCode:
         G1=ring.ResidueMatrix(d, np.ones((1, n), dtype=np.int64)),
         z_stab=cell_rows(L, L.mu - mu_prime + 2, d, sigma),
     )
-    if not code.injective():
+    M, verdicts = code.encoding(), L.__dict__.setdefault("_injective", {})
+    if (mu_prime, d) not in verdicts:
+        verdicts[mu_prime, d] = ring.independent_rows(M)
+    M._independent = verdicts[mu_prime, d]
+    if not M._independent:
         raise ValueError(f"mu_prime={mu_prime}: [G1; G0] has a nontrivial left kernel "
                          "(dependent generators or no encoded qudit)")
     return code

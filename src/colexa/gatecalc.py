@@ -80,7 +80,10 @@ def build_gate(spec: str, d: int) -> PhaseGate:
     if spec == "S":
         return build_S(d)
     if spec.startswith("R:"):
-        coeffs = [int(tok) for tok in spec[2:].split(",")]
+        try:
+            coeffs = [int(tok) for tok in spec[2:].split(",")]
+        except ValueError:
+            raise ValueError(f"gate spec {spec!r}: the R coefficients must be integers") from None
         return build_R(d, coeffs)
     raise ValueError(f"unknown gate spec {spec!r}")
 

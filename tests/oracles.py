@@ -76,6 +76,8 @@ def solve_left(M, w):
     N = M.modulus
     if len(w) != M.ncols:
         raise ValueError("length of w must equal number of columns of M")
+    if not M.nrows:  # the Smith form of no rows keeps no columns to check
+        return None if any(e % N for e in w) else ()
     U, V, diag = M._factor()
     m, n = M.nrows, M.ncols
     t = _combine(V, w, N, n)
@@ -101,6 +103,15 @@ def _combine(rows, v, N, ncols):
         for j, e in enumerate(row):
             out[j] += c * e
     return tuple(e % N for e in out)
+
+
+def cell_incidence_rows(L, dim, d, signs=None) -> tuple:
+    """One row per dim-cell of L, read straight off L.cells_of_dim: the
+    vertex's sign (1 when no signs are given) mod d on the cell's vertices,
+    0 elsewhere, in vertex order."""
+    signs = signs or (1,) * len(L.vertex_ids)
+    return tuple(tuple(s % d if v in c.vertices else 0 for v, s in zip(L.vertex_ids, signs))
+                 for c in L.cells_of_dim(dim))
 
 
 def brute_kernel(rows, N):

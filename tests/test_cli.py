@@ -124,6 +124,21 @@ def test_error_term_without_at_sign_is_a_usage_error(capsys):
     assert captured.err == "colexa: bad error term '', expected PAULI[@^pow]@vertex\n"
 
 
+@pytest.mark.parametrize("term, power", [("X^@3", ""), ("Z^2x@3", "2x"), ("X^1.5@3", "1.5")])
+def test_error_term_with_a_malformed_power_is_a_usage_error(capsys, term, power):
+    argv = ["code", "syndrome", "--code", "tetra", "--error", f"Z@1,{term}"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"colexa: error term {term!r}: the power {power!r} is not an integer\n")
+
+
+@pytest.mark.parametrize("gate", ["R:x", "R:1,,2", "R:", "R:1,2.0"])
+def test_gate_with_a_malformed_coefficient_is_a_usage_error(capsys, gate):
+    assert main(["gate", "level", "--d", "3", "--gate", gate]) == 2
+    assert capsys.readouterr() == (
+        "", f"colexa: gate spec {gate!r}: the R coefficients must be integers\n")
+
+
 def test_x_distance_of_a_logical_in_span_g0_is_a_usage_error(tmp_path, capsys):
     # G1 = G0: the logical X of x = 1 is already a stabilizer
     path = tmp_path / "code.json"

@@ -11,8 +11,8 @@ from colexa import code as code_mod
 from colexa import colex, ring
 from colexa.reports import Report
 from builders import with_code
-from oracles import (PauliWord, logical_words, min_logical_weight_x, min_logical_weight_z,
-                     stabilizer_words, word_phase)
+from oracles import (PauliWord, cell_incidence_rows, logical_words, min_logical_weight_x,
+                     min_logical_weight_z, stabilizer_words, word_phase)
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +219,12 @@ def test_from_colex_rejects_bad_mu_prime(tetra3):
         code_mod.from_colex(L, mu_prime=4, d=3)
 
 
+def named_lattice(name):
+    family, size = name.split("-")
+    build = colex.hypercube_lattice if family == "hypercube" else colex.triangle_lattice
+    return build(int(size))
+
+
 CODE_LATTICES = [(f"hypercube-{mu}", mu_prime) for mu in (2, 3, 4, 5)
                  for mu_prime in range(2, mu + 1)]
 CODE_LATTICES += [(f"triangle-{L}", 2) for L in (3, 5, 7)]
@@ -228,9 +234,7 @@ CODE_LATTICES += [(f"triangle-{L}", 2) for L in (3, 5, 7)]
 @pytest.mark.parametrize("name, mu_prime", CODE_LATTICES)
 def test_from_colex_verdict_matches_the_snf(name, mu_prime, d):
     # from_colex accepts exactly when the factored [G1; G0] has no left kernel
-    family, size = name.split("-")
-    L = (colex.hypercube_lattice(int(size)) if family == "hypercube"
-         else colex.triangle_lattice(int(size)))
+    L = named_lattice(name)
     n = len(L.vertex_ids)
     encoding = ring.ResidueMatrix(d, ((1,) * n,) + code_mod.cell_rows(L, mu_prime, d).rows)
     expected = ring.kernel_mod(encoding).nrows == 0
@@ -241,7 +245,33 @@ def test_from_colex_verdict_matches_the_snf(name, mu_prime, d):
         accepted = False
     assert accepted == expected
     # mu' < mu leaves dependent indicator rows on every hypercube
-    assert expected == (family == "triangle" or mu_prime == int(size))
+    assert expected == (name.startswith("triangle") or mu_prime == L.mu)
+
+
+ROW_LATTICES = [f"hypercube-{mu}" for mu in (3, 4, 5)]
+ROW_LATTICES += [f"triangle-{L}" for L in range(3, 15, 2)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 12])
+@pytest.mark.parametrize("name", ROW_LATTICES)
+def test_kept_rows_and_verdicts_match_the_oracle(name, d):
+    """cell_rows, one cast of the incidence the lattice keeps, equals rows
+    read straight off its cells, signed and unsigned; the verdict a lattice
+    keeps per (mu', d) equals a fresh elimination of [G1; G0] built from
+    those rows, on the call that decides it and on the one that reads it."""
+    L = named_lattice(name)
+    sigma = L.star_signs()
+    for dim in range(1, L.mu + 1):
+        assert code_mod.cell_rows(L, dim, d).rows == cell_incidence_rows(L, dim, d)
+        assert code_mod.cell_rows(L, dim, d, sigma).rows == cell_incidence_rows(L, dim, d, sigma)
+    for mu_prime in range(2, L.mu + 1):
+        fresh = ring._eliminate(((1,) * len(sigma),) + cell_incidence_rows(L, mu_prime, d), d)
+        for _ in range(2):
+            try:
+                kept = code_mod.from_colex(L, mu_prime, d).injective()
+            except ValueError:
+                kept = False
+            assert kept == fresh
 
 
 def pairwise_verify_code(C):

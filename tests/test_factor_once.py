@@ -2,14 +2,19 @@
 checks make a handful of Smith normal forms, not one per question, and at
 prime d none, one echelon form per half instead; gauge fixing at prime d
 makes none; a matrix asked only whether its rows are independent is not
-factored at all; and each built-in lattice is built and audited once per
-process."""
+factored at all; each built-in lattice is built and audited once per
+process; and a lattice decides whether [G1; G0] is injective once per
+(mu', d), while a code read from JSON is decided on every load.  A test
+that counts the first build of a code clears the lattice caches first, so
+its count does not hang on which tests ran before it."""
 
+import json
 import random
 
+import numpy as np
 import pytest
 
-from colexa import cli, colex, gauge, ring
+from colexa import cli, code, colex, gauge, ring
 from builders import with_code
 from oracles import solve_left, stabilizer_words
 
@@ -37,6 +42,22 @@ def eliminations(monkeypatch):
         return original(rows, N)
 
     monkeypatch.setattr(ring, "_eliminate", counting)
+    return calls
+
+
+@pytest.fixture
+def decisions(monkeypatch):
+    """(nrows, modulus) of every matrix that ring.independent_rows decides:
+    one that holds no verdict yet."""
+    calls = []
+    original = ring.independent_rows
+
+    def counting(M):
+        if "_independent" not in M.__dict__:
+            calls.append((M.nrows, M.modulus))
+        return original(M)
+
+    monkeypatch.setattr(ring, "independent_rows", counting)
     return calls
 
 
@@ -104,11 +125,18 @@ def test_repeated_questions_factor_once(snf_calls):
 
 def test_code_check_decides_independence_once(snf_calls, eliminations, capsys):
     # from_colex checks injectivity and verify_code reports it: both read the
-    # one verdict kept on the code's [G1; G0], and nothing is factored
-    assert cli.main(["code", "check", "--code", "triangle", "--distance", "13"]) == 0
+    # one verdict kept on the code's [G1; G0], and nothing is factored; the
+    # lattice keeps that verdict, so checking the code again eliminates nothing
+    colex.triangle_lattice.cache_clear()
+    argv = ["code", "check", "--code", "triangle", "--distance", "13"]
+    assert cli.main(argv) == 0
     assert snf_calls == []
     faces = colex.triangle_lattice(13).cells_of_dim(2)
     assert eliminations == [len(faces) + 1]
+    first = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    assert eliminations == [len(faces) + 1] and snf_calls == []
+    assert capsys.readouterr().out == first
 
 
 @pytest.mark.parametrize("action", ["build", "check"])
@@ -128,18 +156,76 @@ def test_syndrome_factors_nothing(snf_calls, capsys):
     assert snf_calls == []
 
 
-def test_tetra_at_another_mu_prime_builds_one_code(snf_calls, eliminations, capsys,
-                                                  monkeypatch):
+def test_tetra_at_another_mu_prime_builds_one_code(snf_calls, eliminations, decisions,
+                                                  capsys):
     # only the mu' = 2 code is built, so only its injectivity check runs; its
-    # 19 rows outnumber the 15 qudits, which decides it without elimination
-    decided = []
-    original = ring.independent_rows
-    monkeypatch.setattr(ring, "independent_rows", lambda M: decided.append(M.nrows) or original(M))
-    assert cli.main(["code", "check", "--code", "tetra", "--mu-prime", "2"]) == 2
-    assert decided == [19]
-    assert snf_calls == [] and eliminations == []
-    assert capsys.readouterr().err == ("colexa: mu_prime=2: [G1; G0] has a nontrivial left "
-                                       "kernel (dependent generators or no encoded qudit)\n")
+    # 19 rows outnumber the 15 qudits, which decides it without elimination;
+    # the lattice keeps the False verdict, and a repeat fails the same way
+    colex.hypercube_lattice.cache_clear()
+    argv = ["code", "check", "--code", "tetra", "--mu-prime", "2"]
+    message = ("colexa: mu_prime=2: [G1; G0] has a nontrivial left kernel "
+               "(dependent generators or no encoded qudit)\n")
+    for _ in range(2):
+        assert cli.main(argv) == 2
+        assert decisions == [(19, 2)]
+        assert snf_calls == [] and eliminations == []
+        assert capsys.readouterr() == ("", message)
+
+
+def test_each_lattice_mu_prime_and_d_is_decided_once(decisions):
+    # every (mu', d) on a lattice is decided on its first code, accepted or
+    # not, and every later code reads the kept verdict, in any order
+    colex.hypercube_lattice.cache_clear()
+    L = colex.hypercube_lattice(4)
+    keys = [(mu_prime, d) for mu_prime in (2, 3, 4) for d in (2, 3, 6)]
+    for mu_prime, d in keys + keys[::-1] + keys:
+        try:
+            C = code.from_colex(L, mu_prime, d)
+            assert code.verify_code(C).ok and mu_prime == 4
+        except ValueError:
+            assert mu_prime < 4
+    # the logical row and the C(5, mu') (2^(5 - mu') - 1) mu'-cells
+    encoding_rows = {2: 1 + 10 * 7, 3: 1 + 10 * 3, 4: 1 + 5}
+    assert decisions == [(encoding_rows[mu_prime], d) for mu_prime, d in keys]
+
+
+def test_a_new_lattice_or_a_json_code_keeps_nothing(decisions, eliminations, tmp_path,
+                                                   capsys):
+    # with_star and lattice_from_json give lattices that start with nothing
+    # kept, and a code read from JSON is decided on every load
+    L = colex.hypercube_lattice(3)
+    code.from_colex(L, 3, 5)
+    assert {"_incidence", "_injective"} <= L.__dict__.keys()
+    fresh = [L.with_star(L.star), colex.lattice_from_json(colex.lattice_to_json(L))]
+    for M in fresh:
+        assert M == L and not {"_incidence", "_injective"} & M.__dict__.keys()
+    decisions.clear()
+    for M in fresh:
+        code.from_colex(M, 3, 5)
+    assert decisions == [(5, 5), (5, 5)]
+
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code.code_to_json(code.from_colex(L, 3, 5))))
+    eliminations.clear()
+    for _ in range(2):
+        assert cli.main(["code", "check", "--code", str(path)]) == 0
+    assert eliminations == [5, 5]
+    capsys.readouterr()
+
+
+def test_the_kept_incidence_is_read_only():
+    # every code's matrices are casts of the kept incidence, never views of it
+    colex.hypercube_lattice.cache_clear()
+    L = colex.hypercube_lattice(3)
+    C = code.from_colex(L, 3, 2)
+    kept = L.__dict__["_incidence"]
+    assert sorted(kept) == [2, 3]
+    for rows in kept.values():
+        assert rows.dtype == np.uint8 and not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 2
+    assert not np.shares_memory(C.G0.array, kept[3])
+    assert C.G0.array.tolist() == kept[3].tolist()
 
 
 def test_each_lattice_is_built_and_audited_once(monkeypatch, capsys):

@@ -403,14 +403,20 @@ def test_iter_span_offset_python_ints_past_int64():
 @given(N=st.sampled_from([2, 3, 4, 6, 8, 12]), m=st.integers(0, 3), n=st.integers(1, 4),
        data=st.data())
 def test_span_check_agrees_with_in_rowspan(N, m, n, data):
-    M = draw_matrix(data, N, m, n)
+    M = ring.ResidueMatrix(N, draw_matrix(data, N, m, n).array.reshape(m, n))
     W = np.array([[data.draw(st.integers(0, N - 1)) for _ in range(n)] for _ in range(6)]
                  + [list(r) for r in M.rows], dtype=np.int64).reshape(-1, n)
-    H, g = ring.span_check(ring.ResidueMatrix(N, M.array.reshape(m, n)))
+    H, g = ring.span_check(M)
     members = ~((W @ H) % g).any(axis=1)
-    expected = [solve_left(M, w) is not None if M.rows else not any(w)
-                for w in W.tolist()]
-    assert members.tolist() == expected
+    assert members.tolist() == [solve_left(M, w) is not None for w in W.tolist()]
+
+
+def test_solve_left_on_no_rows():
+    # the span of no rows is {0}: only the zero target is solvable, by ()
+    for N in (2, 6, 3000000019):
+        M = ring.ResidueMatrix(N, np.zeros((0, 3), dtype=np.int64))
+        assert solve_left(M, (0, 0, 0)) == () and solve_left(M, (0, 0, N)) == ()
+        assert solve_left(M, (0, 1, 0)) is None and solve_left(M, (N - 1, 0, 0)) is None
 
 
 def test_span_check_holds_a_product_over_every_row_of_H():
