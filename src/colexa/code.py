@@ -220,10 +220,10 @@ def distance(C: ColorCode, sector: str, cap: int = DEFAULT_CAP) -> int:
     A, B, space, blocks = _sector(C, sector)
     best = C.n + 1
     if space <= cap:
-        blocks, screen = iter(blocks), ring.span_check(B)
-        best = _lightest(next(blocks), screen, best)
+        blocks = iter(blocks)
+        best = _lightest(next(blocks), B, best)
         if space <= _search_bound(C.n, C.d, best):
-            return _found(_lightest_of(blocks, screen, best), C.n)
+            return _found(_lightest_of(blocks, B, best), C.n)
     try:
         return _weight_search(C, A, B, cap, best)
     except CapExceeded:
@@ -236,7 +236,7 @@ def _enumerate_distance(C: ColorCode, sector: str, cap: int = DEFAULT_CAP) -> in
     _A, B, space, blocks = _sector(C, sector)
     if space > cap:
         raise CapExceeded(f"{sector.upper()}-sector coset space {space} > cap {cap}")
-    return _found(_lightest_of(blocks, ring.span_check(B), C.n + 1), C.n)
+    return _found(_lightest_of(blocks, B, C.n + 1), C.n)
 
 
 def _search_distance(C: ColorCode, sector: str, cap: int = DEFAULT_CAP) -> int:
@@ -251,8 +251,9 @@ def _sector(C: ColorCode, sector: str):
     `space` vectors of rowspan(A) in all.
 
     X: A = [G1; G0], B = G0, and the blocks are the cosets x.G1 + span(G0)
-    with x != 0.  Z: A is the commutant of the X stabilizers, streamed
-    whole, and B = z_stab.
+    with x != 0.  Z: A is the commutant of the X stabilizers, the right
+    kernel of G0 that G0's span check holds as columns, streamed whole, and
+    B = z_stab.
     """
     if sector.lower() == "x":
         A = C.encoding()
@@ -263,27 +264,27 @@ def _sector(C: ColorCode, sector: str):
                   for block in ring.span_blocks(C.G0, ring.mat_vec_mul(C.G1, x)))
         return A, C.G0, ring.span_size(C.G0) * (C.d ** C.k - 1), blocks
     if sector.lower() == "z":
-        A = ring.kernel_mod(C.G0.transpose())
+        A = ring.ResidueMatrix(C.d, ring.span_check(C.G0).T)
         if not A.nrows:
             raise ValueError("commutant contains no logical; k = 0?")
         return A, C.z_stab, ring.span_size(A), ring.span_blocks(A)
     raise ValueError("sector must be 'x' or 'z'")
 
 
-def _lightest(block: np.ndarray, screen, best: int) -> int:
-    """min(best, weight of the lightest row of block that fails the span
-    check screen = (H, g)); only rows lighter than best are checked."""
+def _lightest(block: np.ndarray, B: ring.ResidueMatrix, best: int) -> int:
+    """min(best, weight of the lightest row of block outside rowspan(B));
+    only rows lighter than best are checked."""
     weights = np.count_nonzero(block, axis=1)
     light = weights < best
     if light.any():
-        H, g = screen
-        light[light] = ((block[light].astype(H.dtype) @ H) % g).any(axis=1)
+        H = ring.span_check(B)
+        light[light] = ((block[light].astype(H.dtype) @ H) % B.modulus).any(axis=1)
     return int(weights[light].min()) if light.any() else best
 
 
-def _lightest_of(blocks, screen, best: int) -> int:
+def _lightest_of(blocks, B: ring.ResidueMatrix, best: int) -> int:
     for block in blocks:
-        best = _lightest(block, screen, best)
+        best = _lightest(block, B, best)
     return best
 
 
@@ -309,18 +310,17 @@ def _weight_search(C: ColorCode, A, B, cap: int, below: int) -> int:
     checked only on the vectors that pass A.  Every vector is charged to the
     cap.
     """
-    HA, gA = ring.span_check(A)
-    HB, gB = ring.span_check(B)
+    HA, HB = ring.span_check(A), ring.span_check(B)
     spent = 0
     for w in range(1, min(below, C.n + 1)):
         for S, P in _weight_batches(C.n, C.d, w):
             # candidate (i, j) puts pattern P[j] on support S[i]
-            in_a = ~((P.astype(HA.dtype) @ HA[S]) % gA).any(axis=2).reshape(-1)
+            in_a = ~((P.astype(HA.dtype) @ HA[S]) % C.d).any(axis=2).reshape(-1)
             room, spent = cap - spent, spent + in_a.size
             i, j = np.divmod(np.flatnonzero(in_a[:room]), len(P))
             if i.size:
                 TB = P[j].astype(HB.dtype)[:, None, :] @ HB[S[i]]
-                if (TB % gB).any(axis=2).any():
+                if (TB % C.d).any(axis=2).any():
                     return w
             if spent > cap:
                 raise CapExceeded(f"support search needs more than cap {cap} vectors")

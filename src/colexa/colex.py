@@ -69,14 +69,14 @@ class Lattice:
         return [v for v in self.vertex_ids if self.star.get(v) is False]
 
     def star_signs(self) -> tuple:
-        """sigma_j per vertex in vertex_ids order: +1 unstarred, -1 starred."""
-        out = []
-        for v in self.vertex_ids:
-            flag = self.star.get(v)
-            if flag is None:
+        """sigma_j per vertex in vertex_ids order: +1 unstarred, -1 starred.
+        Kept on the lattice on first use; missing flags raise on every call."""
+        if "_star_signs" not in self.__dict__:
+            flags = [self.star.get(v) for v in self.vertex_ids]
+            if None in flags:
                 raise ValueError("star flags not assigned; run star_bipartition")
-            out.append(-1 if flag else 1)
-        return tuple(out)
+            self.__dict__["_star_signs"] = tuple(-1 if flag else 1 for flag in flags)
+        return self.__dict__["_star_signs"]
 
     def with_star(self, star: Mapping) -> "Lattice":
         return Lattice(self.mu, self.punctured, self.vertex_ids, star, self.cells)

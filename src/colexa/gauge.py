@@ -6,17 +6,17 @@ rows mod d, and commutation is one symplectic product of two such matrices.
 Both groups are CSS, so every other group-level question is asked of the X
 and Z halves: the center comes from the left kernels of A = face_x face_z^T
 and A^T, and span membership is one product with each half's span check.
-Each kernel is one echelon form over F_d at prime d and a Smith form
-otherwise, so the checks work for every d.  State-level gauge fixing is
-simulated with a stabilizer tableau over prime d: phase exponents live mod d
-for odd primes and mod 4 for d=2, and every update is a closed-form exact
-integer product.  Destabilizer rows dual to the stabilizer rows, kept
-through every update, turn a run of determined measurements into one
-symplectic product, with no factorization and no solve, so a block of
-observables costs about one pass of products per random outcome.  Every
-other prime-d question (|0_L> bases, destabilizers, canonical form,
-lex-least correction) is one echelon form over F_d, so the tableau factors
-nothing.
+ring answers each kernel and span check, by an echelon form over F_d at
+prime d and a Smith form otherwise, so the checks work for every d.
+State-level gauge fixing is simulated with a stabilizer tableau over prime
+d: phase exponents live mod d for odd primes and mod 4 for d=2, and every
+update is a closed-form exact integer product.  Destabilizer rows dual to
+the stabilizer rows, kept through every update, turn a run of determined
+measurements into one symplectic product, with no factorization and no
+solve, so a block of observables costs about one pass of products per
+random outcome.  Every other prime-d question (|0_L> bases, destabilizers,
+canonical form, lex-least correction) is one echelon form over F_d, so the
+tableau factors nothing.
 """
 
 from __future__ import annotations
@@ -54,31 +54,12 @@ def _css(X: ring.ResidueMatrix, Z: ring.ResidueMatrix) -> ring.ResidueMatrix:
                                                    [np.zeros_like(z), z]]))
 
 
-def _left_kernel(A: np.ndarray, d: int) -> ring.ResidueMatrix:
-    """Generators of {v : v @ A == 0 mod d}, as rows: at prime d the echelon
-    transform's rows past the rank, else (or past the Miller-Rabin bound)
-    kernel_mod's."""
-    if d < _PRIME_BOUND and _is_prime(d):
-        _R, T, pivots = ring.echelon_mod_p(A, d)
-        return ring.ResidueMatrix(d, T[len(pivots):])
-    return ring.kernel_mod(ring.ResidueMatrix(d, A))
-
-
-def _span_check(M: ring.ResidueMatrix) -> np.ndarray:
-    """H with w in rowspan(M) iff w @ H == 0 mod d: over Z_d a row span is
-    what annihilates the right kernel, whose generators are H's columns.
-    Kept on M, in M's dtype, which holds w @ H for every canonical w."""
-    if "_check" not in M.__dict__:
-        M._check = _left_kernel(M.array.T, M.modulus).array.T.astype(M.array.dtype)
-    return M._check
-
-
 def _outside(X: ring.ResidueMatrix, Z: ring.ResidueMatrix, rows: np.ndarray) -> list:
     """Indices of the canonical (x | z) rows outside rowspan(X) + rowspan(Z):
     those with x outside rowspan(X) or z outside rowspan(Z)."""
     n, out = X.ncols, np.zeros(len(rows), dtype=bool)
     for M, half in ((X, rows[:, :n]), (Z, rows[:, n:])):
-        H = _span_check(M)
+        H = ring.span_check(M)
         out |= (half.astype(H.dtype) @ H % M.modulus).any(axis=1)
     return np.flatnonzero(out).tolist()
 
@@ -137,9 +118,9 @@ def _center(G: GaugeCode) -> ring.ResidueMatrix:
     """Generators of the gauge group's center modulo phases, as (x | z) rows.
     The gauge Gram matrix is [[0, A], [-A^T, 0]] with A = face_x face_z^T, so
     they are u face_x for u in leftker(A), then v face_z for v in leftker(A^T)."""
-    A = ring.mul_transpose(G.face_x, G.face_z)
-    x, z = (ring.ResidueMatrix(G.d, ring.mul_transpose(_left_kernel(B, G.d), M.transpose()))
-            for B, M in ((A, G.face_x), (A.T, G.face_z)))
+    A = ring.ResidueMatrix(G.d, ring.mul_transpose(G.face_x, G.face_z))
+    x, z = (ring.ResidueMatrix(G.d, ring.mul_transpose(ring.kernel_mod(B), M.transpose()))
+            for B, M in ((A, G.face_x), (A.transpose(), G.face_z)))
     return _css(x, z)
 
 
@@ -220,7 +201,7 @@ class Tableau:
     """
 
     def __init__(self, d: int, xz, phase):
-        if not _is_prime(d):
+        if not ring.is_prime(d):
             raise ValueError("tableau simulation requires prime d")
         r, width = np.shape(xz)
         self.d = d
@@ -274,7 +255,7 @@ class Tableau:
     def zero_logical(cls, C: ColorCode) -> "Tableau":
         """The |0_L> tableau: bases of the X cells and of the Z stabilizers
         (the nonzero rows of their echelon forms over F_d), then Zbar."""
-        if not _is_prime(C.d):
+        if not ring.is_prime(C.d):
             raise ValueError("tableau simulation requires prime d")
         zero = [0] * C.n
         X, Z = (ring.echelon_mod_p(M.array, C.d)[0].tolist() for M in (C.G0, C.z_stab))
@@ -379,35 +360,6 @@ class Tableau:
                      for p, v in zip(phase.tolist(), xz.tolist()))
 
 
-# Miller-Rabin with the first 13 prime bases decides every d below this bound
-# exactly (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2015)
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIME_BOUND = 3317044064679887385961981
-
-
-def _is_prime(d: int) -> bool:
-    """Whether d is prime, by deterministic Miller-Rabin; d at or above
-    _PRIME_BOUND raises ValueError, since no base set is proven there."""
-    if d >= _PRIME_BOUND:
-        raise ValueError("tableau simulation supports prime d < 3.3e24")
-    if d < 2 or any(d % p == 0 for p in _PRIME_BASES):
-        return d in _PRIME_BASES
-    s, t = 0, d - 1
-    while t % 2 == 0:
-        s, t = s + 1, t // 2
-    for a in _PRIME_BASES:
-        x = pow(a, t, d)
-        if x in (1, d - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % d
-            if x == d - 1:
-                break
-        else:
-            return False
-    return True
-
-
 # --------------------------------------------------------------------------
 # Gauge fixing
 
@@ -422,7 +374,7 @@ def _lex_least_solution(A: np.ndarray, p: int, target) -> tuple | None:
     the earlier ones or free and least at 0: every free variable is 0.
     """
     m = len(A)
-    if not _is_prime(p):
+    if not ring.is_prime(p):
         raise ValueError(f"lex-least solution needs a prime modulus, got {p}")
     a = A.T[:, ::-1]
     R, _T, pivots = ring.echelon_mod_p(np.hstack([a, np.array(target, dtype=a.dtype)[:, None]]), p)

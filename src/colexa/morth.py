@@ -40,10 +40,11 @@ def is_m_star_orthogonal(M: StarSignedMatrix, g1_rows, m: int, mode: str = "stro
     Multisets of m rows must have signed circle-product weight 0, except m
     copies of a single G1 row, which must have weight 1.  Strong mode
     compares integers; weak mode compares residues mod d.  The C(r+m-1, m)
-    multisets are charged to the cap and weighed in blocks, in lexicographic
-    order; a weight is at most ncols * (d-1)^m, so it is computed in int64
-    when that fits and in Python ints otherwise.  The witness lists every
-    offending (multiset, weight); the report counts the multisets checked.
+    multisets, m row indices each, are charged to the cap as count * m before
+    anything is built, and weighed in blocks, in lexicographic order; a
+    weight is at most ncols * (d-1)^m, so it is computed in int64 when that
+    fits and in Python ints otherwise.  The witness lists every offending
+    (multiset, weight); the report counts the multisets checked.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -51,9 +52,10 @@ def is_m_star_orthogonal(M: StarSignedMatrix, g1_rows, m: int, mode: str = "stro
         raise ValueError("mode must be 'strong' or 'weak'")
     r, n, d = M.G.nrows, M.G.ncols, M.G.modulus
     count = math.comb(r + m - 1, m)
-    if count > cap:
-        raise CapExceeded(f"m={m} needs {count} > cap {cap} row multisets")
-    dtype = ring.exact_dtype(n * (d - 1) ** m)
+    if count * m > cap:
+        raise CapExceeded(f"m={m} needs {count} row multisets of m rows: {count * m} > cap {cap}")
+    # (d-1)^m >= 2^63 once m >= 63 and d > 2, so m is clipped there
+    dtype = ring.exact_dtype(n * (d - 1) ** min(m, 63))
     G = M.G.array.astype(dtype)
     signs = np.array(M.signs, dtype=dtype)
     g1 = frozenset(g1_rows)

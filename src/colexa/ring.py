@@ -7,20 +7,24 @@ integers (dtype=object) otherwise, so such a product needs no cast and none
 can overflow.  There is no floating point anywhere.  Factorizations work with
 plain Python integers.  Whether a matrix's rows are independent is decided by
 sparse elimination mod N, with no transforms and no factoring of N
-(independent_rows), and the verdict is kept on the matrix.  Every other
-question goes to an integer Smith normal form with unimodular transform
-tracking; it skips only work that cannot change its result (no divisibility
-scan at unit pivots, column operations only on the rows they change), so its
-U, S and V are those of the plain elimination.  Each `ResidueMatrix` is
-factored at most once: the factorization is computed on first use and kept
-on the matrix, and its kernel, row span, span enumeration and span
-membership over Z_N, for arbitrary (not necessarily prime) N, are answered
-from that one factorization.  Over F_p, p prime, one Gaussian elimination on
-an array (echelon_mod_p) gives the reduced echelon form and its transform,
-with no Smith form.  Span enumeration adds only two residues at a time, so
-its blocks use the narrowest unsigned dtype that holds 2(N-1) and are
-reduced mod N with no division; for N > 2^63, where 2(N-1) passes 2^64 - 1,
-they are Python integers reduced by %.
+(independent_rows), and the verdict is kept on the matrix.  This module
+alone chooses between the two factorizations behind every other question.
+A left kernel (kernel_mod) at prime N, decided by deterministic
+Miller-Rabin (is_prime), is one Gaussian elimination on an array
+(echelon_mod_p), which gives the reduced echelon form and its transform; at
+any other N it is read off an integer Smith normal form with unimodular
+transform tracking.  That Smith form skips only work that cannot change its
+result (no divisibility scan at unit pivots, column operations only on the
+rows they change), so its U, S and V are those of the plain elimination.
+Each `ResidueMatrix` is Smith-factored at most once: the Smith form is
+computed on first use and kept on the matrix (and, transposed, on its
+transpose), and its row basis, span orders and span enumeration are
+answered from it.  Span membership, at every N, is
+one product with a check matrix kept on the matrix (span_check): over Z_N a
+row span is exactly the annihilator of its right kernel.  Span enumeration
+adds only two residues at a time, so its blocks use the narrowest unsigned
+dtype that holds 2(N-1) and are reduced mod N with no division; for
+N > 2^63, where 2(N-1) passes 2^64 - 1, they are Python integers reduced by %.
 """
 
 from __future__ import annotations
@@ -89,7 +93,13 @@ class ResidueMatrix:
         return f"ResidueMatrix({self.modulus}, {self.rows})"
 
     def transpose(self) -> "ResidueMatrix":
-        return ResidueMatrix(self.modulus, self.array.T)
+        """M^T, which keeps M's Smith form transposed, if M keeps one:
+        U M V = S gives V^T M^T U^T = S^T.  (With no rows, V has no width.)"""
+        T = ResidueMatrix(self.modulus, self.array.T)
+        if "_snf" in self.__dict__ and self.nrows:
+            U, V, diag = self._snf
+            T._snf = (np.array(V, dtype=object).reshape(len(V), len(V)).T, U.T.tolist(), diag)
+        return T
 
     def _factor(self):
         """(U, V, diag) of smith_normal_form(self.array.tolist()), computed on
@@ -287,13 +297,47 @@ def echelon_mod_p(A: np.ndarray, p: int):
     return M[:, :n], M[:, n:], pivots
 
 
+# Miller-Rabin with the first 13 prime bases decides every N below this bound
+# exactly (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2015)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
+def is_prime(d: int) -> bool:
+    """Whether d is prime, by deterministic Miller-Rabin; d at or above
+    PRIME_BOUND raises ValueError, since no base set is proven there."""
+    if d >= PRIME_BOUND:
+        raise ValueError("tableau simulation supports prime d < 3.3e24")
+    if d < 2 or any(d % p == 0 for p in _PRIME_BASES):
+        return d in _PRIME_BASES
+    s, t = 0, d - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for a in _PRIME_BASES:
+        x = pow(a, t, d)
+        if x in (1, d - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % d
+            if x == d - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def kernel_mod(M: ResidueMatrix) -> ResidueMatrix:
     """Generators of the left kernel {v : v @ M == 0 mod N}, as rows.
 
-    Returned generators need not be minimal but together they generate the
+    At prime N (below PRIME_BOUND) they are the rows of the echelon
+    transform past the rank, a basis; otherwise they are read off the Smith
+    form kept on M, and need not be minimal but together generate the
     kernel exactly.  Zero generators are dropped.
     """
     N = M.modulus
+    if N < PRIME_BOUND and is_prime(N):
+        _R, T, pivots = echelon_mod_p(M.array, N)
+        return ResidueMatrix(N, T[len(pivots):])
     U, _V, diag = M._factor()
     # row i of U M is diag[i] times a primitive row, so N / gcd(diag[i], N)
     # times row i of U is in the kernel; gcd 1 gives nothing
@@ -401,25 +445,20 @@ def iter_span(M: ResidueMatrix, offset=None) -> Iterator[tuple[int, ...]]:
         yield from map(tuple, block.tolist())
 
 
-def span_check(M: ResidueMatrix):
-    """A check matrix of rowspan(M): (H, g) such that a row vector w lies in
-    the span iff w @ H == 0 mod g, column by column.
+def span_check(M: ResidueMatrix) -> np.ndarray:
+    """A check matrix of rowspan(M): H such that a row vector w lies in the
+    span iff w @ H == 0 mod N.
 
-    Read off the stored factorization: with T = w V, w is in the span iff
-    T_j == 0 mod gcd(diag_j, N) in every column j, where diag_j = 0 past the
-    diagonal (x M = w is then solvable).  Columns with gcd 1 constrain
-    nothing and are dropped.  H is V mod N on the others, in M's dtype, which
-    holds w @ H for canonical w.  A matrix with no rows spans {0}: H is the
-    identity and g is N, with no factorization.
+    Over Z_N a row span is exactly what annihilates the right kernel (the
+    double-annihilator property of Frobenius rings), so H is
+    kernel_mod(M^T)^T, computed on first use and kept on M; at composite N
+    it reads M's Smith form, which M^T keeps, if M was factored.  That
+    kernel has M's width, so H has M's dtype, which holds w @ H for
+    canonical w.  A matrix with no rows spans {0}: H is then the identity.
     """
-    N, n, dtype = M.modulus, M.ncols, M.array.dtype
-    if not M.nrows:
-        return np.eye(n, dtype=dtype), np.full(n, N, dtype=dtype)
-    _U, V, diag = M._factor()
-    g = [gcd(diag[j] if j < len(diag) else 0, N) for j in range(n)]
-    keep = [j for j in range(n) if g[j] != 1]
-    H = np.array([[V[i][j] % N for j in keep] for i in range(n)], dtype=dtype)
-    return H.reshape(n, len(keep)), np.array([g[j] for j in keep], dtype=dtype)
+    if "_check" not in M.__dict__:
+        M._check = kernel_mod(M.transpose()).array.T
+    return M._check
 
 
 def mul_transpose(A: ResidueMatrix, B: ResidueMatrix) -> np.ndarray:

@@ -11,7 +11,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import numpy as np
 
@@ -436,20 +436,32 @@ def test_triangle_qudits_are_charged_before_the_build(capsys, action):
 
 
 def test_morth_check_respects_cap(capsys):
-    # 5 rows, m = 6: C(10, 6) = 210 multisets
-    assert_one_line_usage_error(
-        capsys, ["morth", "check", "--code", "tetra", "--d", "2", "--m", "6", "--cap", "10"])
+    # 5 rows, m = 6: C(10, 6) = 210 multisets of 6 row indices, 1260 in all
+    for cap in ("10", "1259"):
+        assert_one_line_usage_error(
+            capsys, ["morth", "check", "--code", "tetra", "--d", "2", "--m", "6", "--cap", cap])
     code, obj = run(capsys, "morth", "check", "--code", "tetra", "--d", "2", "--m", "6",
-                    "--cap", "210")
+                    "--cap", "1260")
     assert code == 1 and not obj["holds"]
+
+
+def test_morth_check_charges_m_for_one_row(tmp_path, capsys):
+    # with "G0": [] the code matrix is the one G1 row: C(m, m) = 1 multiset,
+    # still m = 10^6 row indices long, charged before any of it is built
+    obj = code_mod.code_to_json(with_code(colex.hypercube_lattice(3), 3)[1])
+    obj["G0"] = []
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(obj))
+    assert_one_line_usage_error(
+        capsys, ["morth", "check", "--code", str(path), "--m", str(10**6), "--cap", "10000"])
 
 
 def test_z_distance_without_x_stabilizers(tmp_path, capsys):
     # with "G0": [] the commutant is all of Z_d^n, and each of the 15 unit
     # vectors lies outside span(Zstab), so the Z distance is 1
     _, C = with_code(colex.hypercube_lattice(3), 2)
-    H, g = ring.span_check(C.z_stab)
-    assert ((np.eye(C.n, dtype=H.dtype) @ H) % g).any(axis=1).all()
+    H = ring.span_check(C.z_stab)
+    assert ((np.eye(C.n, dtype=H.dtype) @ H) % C.d).any(axis=1).all()
     obj = code_mod.code_to_json(C)
     obj["G0"] = []
     path = tmp_path / "code.json"
@@ -672,6 +684,8 @@ ARGV_INTS = st.integers(-2, 12) | st.sampled_from([2**31 - 1, 2**64])
 @settings(max_examples=60, deadline=None)
 @given(code=mutated(FUZZ_CODE), d=ARGV_INTS, gate=GATE_SPECS, m=ARGV_INTS,
        l_cap=ARGV_INTS, mu_prime=st.none() | ARGV_INTS)
+# one G1 row and no G0 rows: one multiset, 2^31 - 1 row indices long
+@example(code={**FUZZ_CODE, "G0": []}, d=3, gate="T", m=2**31 - 1, l_cap=2, mu_prime=None)
 def test_mutated_argv_ends_in_an_exit_code(code, d, gate, m, l_cap, mu_prime):
     """morth check, gate verify, gate level and gauge check on mutated code
     JSON and on tetra, with drawn --d, --gate, --m, --l-cap and --mu-prime:

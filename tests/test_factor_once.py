@@ -6,7 +6,8 @@ factored at all; each built-in lattice is built and audited once per
 process; and a lattice decides whether [G1; G0] is injective once per
 (mu', d), while a code read from JSON is decided on every load.  A test
 that counts the first build of a code clears the lattice caches first, so
-its count does not hang on which tests ran before it."""
+its count does not hang on which tests ran before it.  A code distance
+eliminates G0^T once for both sectors."""
 
 import json
 import random
@@ -109,6 +110,32 @@ def test_gauge_check_factor_count(snf_calls, monkeypatch, d):
         assert echelons == [] and len(snf_calls) <= 6
 
 
+@pytest.mark.parametrize("d", [3, 6])
+def test_distance_eliminates_G0_transpose_once(snf_calls, monkeypatch, capsys, d):
+    # G0's span check screens the X sector and holds the Z commutant as its
+    # columns, so one elimination of G0^T serves both sectors.  The Smith
+    # forms of [G1; G0] (5 x 15), G0 (4 x 15) and the commutant (11 x 15)
+    # give span sizes and enumeration; each span check eliminates a
+    # transpose: G0^T, Zstab^T, and the commutant's for the Z support
+    # search.  At prime d those are echelon forms, so three Smith forms in
+    # all.  At d = 6 they are Smith forms, but G0^T and the commutant's
+    # transpose keep the Smith forms of G0 and the commutant, transposed, so
+    # only Zstab^T is factored: four in all
+    echelons = []
+    original = ring.echelon_mod_p
+    monkeypatch.setattr(ring, "echelon_mod_p",
+                        lambda A, p: echelons.append(A.shape) or original(A, p))
+    argv = ["code", "distance", "--code", "tetra", "--d", str(d), "--sector", "both"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {"x": 7, "z": 3}
+    smith = [(len(A), len(A[0])) for A in snf_calls]
+    if d == 3:
+        assert smith == [(5, 15), (4, 15), (11, 15)]
+        assert echelons == [(15, 4), (15, 18), (15, 11)]
+    else:
+        assert smith == [(5, 15), (4, 15), (11, 15), (15, 18)] and echelons == []
+
+
 def test_repeated_questions_factor_once(snf_calls):
     M = ring.ResidueMatrix(6, ((2, 3, 0), (4, 0, 1), (0, 3, 3)))
     for w in [(0, 0, 0), (2, 3, 0), (1, 1, 1), (0, 3, 4)]:
@@ -195,10 +222,11 @@ def test_a_new_lattice_or_a_json_code_keeps_nothing(decisions, eliminations, tmp
     # kept, and a code read from JSON is decided on every load
     L = colex.hypercube_lattice(3)
     code.from_colex(L, 3, 5)
-    assert {"_incidence", "_injective"} <= L.__dict__.keys()
+    kept = {"_incidence", "_injective", "_star_signs"}
+    assert kept <= L.__dict__.keys()
     fresh = [L.with_star(L.star), colex.lattice_from_json(colex.lattice_to_json(L))]
     for M in fresh:
-        assert M == L and not {"_incidence", "_injective"} & M.__dict__.keys()
+        assert M == L and not kept & M.__dict__.keys()
     decisions.clear()
     for M in fresh:
         code.from_colex(M, 3, 5)
@@ -211,6 +239,19 @@ def test_a_new_lattice_or_a_json_code_keeps_nothing(decisions, eliminations, tmp
         assert cli.main(["code", "check", "--code", str(path)]) == 0
     assert eliminations == [5, 5]
     capsys.readouterr()
+
+
+def test_star_signs_are_kept_once_flags_are_set():
+    # the first call builds sigma and keeps it for every later call, and
+    # a lattice with an unset flag raises on every call and keeps nothing
+    L = colex.hypercube_lattice(3).with_star(colex.hypercube_lattice(3).star)
+    signs = L.star_signs()
+    assert L.star_signs() is signs and L.__dict__["_star_signs"] is signs
+    unset = L.with_star({**L.star, L.vertex_ids[0]: None})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="star flags not assigned"):
+            unset.star_signs()
+    assert "_star_signs" not in unset.__dict__
 
 
 def test_the_kept_incidence_is_read_only():

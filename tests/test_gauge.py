@@ -397,25 +397,6 @@ def test_fix_demo_rejects_nonprime():
         gauge.fix_demo(4, 0)
 
 
-def test_is_prime_matches_trial_division():
-    for d in range(10**5):
-        assert gauge._is_prime(d) == (d >= 2 and all(d % p for p in range(2, math.isqrt(d) + 1)))
-
-
-@pytest.mark.parametrize("d", [2047, 3215031751, 3825123056546413051])
-def test_is_prime_rejects_strong_pseudoprimes(d):
-    # strong pseudoprimes to the bases 2; 2..7; and 2..23
-    assert not gauge._is_prime(d)
-
-
-def test_is_prime_at_large_d():
-    assert gauge._is_prime(10**18 + 3)
-    assert not gauge._is_prime(10**18 + 1)
-    assert not gauge._is_prime(gauge._PRIME_BOUND - 1)
-    with pytest.raises(ValueError, match="supports prime d < 3.3e24"):
-        gauge._is_prime(gauge._PRIME_BOUND)
-
-
 def greedy_lex_least(A, target):
     """Reference lex-least solver: fix x_0, x_1, ... to the least value that
     keeps the rest of the system solvable (one solve per candidate value)."""
@@ -541,7 +522,8 @@ def oracle_center_equals_stabilizer(G):
         G.d,
         tuple(ring.mat_vec_mul(_symplectic_rows(words, G.d), v)
               for words, B in ((xs, block), (zs, block.T))
-              for v in gauge._left_kernel(B, G.d).rows) or ((0,) * (2 * G.n),),
+              for v in ring.kernel_mod(ring.ResidueMatrix(G.d, B)).rows)
+        or ((0,) * (2 * G.n),),
     )
     gen_mat = _symplectic_rows(gens, G.d)
     stabs = stab_gens(G)
@@ -659,7 +641,7 @@ class OracleTableau:
     """
 
     def __init__(self, d: int, rows):
-        if not gauge._is_prime(d):
+        if not ring.is_prime(d):
             raise ValueError("tableau simulation requires prime d")
         self.d = d
         self.D = 4 if d == 2 else d
@@ -1094,24 +1076,6 @@ def test_center_from_halves_is_the_gram_kernel(d, data):
     halves = ring.ResidueMatrix(d, gauge._center(bad).rows or zero)
     assert all(in_rowspan(full, w) for w in halves.rows)
     assert all(in_rowspan(halves, w) for w in full.rows)
-
-
-def test_span_check_holds_a_product_over_every_row():
-    """At N = 3000000019, (N-1)^2 < 2^63 <= 15 (N-1)^2: each half's prime-d
-    span check is kept in an exact dtype, so w @ H over all n rows of H
-    equals the Python-integer product and never wraps."""
-    N = 3000000019
-    G = gauge.build_gauge_code(colex.hypercube_lattice(3), N)
-    assert gauge._is_prime(N) and (N - 1) ** 2 < 2**63 <= G.n * (N - 1) ** 2
-    for M in (G.face_x, G.face_z, G.cell_x, G.cell_z):
-        H = gauge._span_check(M)
-        assert H.shape[0] == G.n and H.dtype == M.array.dtype == object
-        W = np.vstack([M.array, np.full((1, G.n), N - 1, dtype=object)])
-        exact = [[sum(int(a) * int(b) for a, b in zip(w, h)) for h in H.T.tolist()]
-                 for w in W.tolist()]
-        assert (W.astype(H.dtype) @ H).tolist() == exact
-        assert [not any(e % N for e in row) for row in exact] == [
-            in_rowspan(M, w) for w in W.tolist()]
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

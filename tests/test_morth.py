@@ -186,8 +186,19 @@ def test_blocked_check_matches_multiset_loop(d, family, m, mode, data):
 def test_multisets_charged_to_cap():
     _, C = with_code(colex.hypercube_lattice(3), 2)
     M, g1 = morth.code_matrix(C)
-    # 5 rows, m = 6: C(10, 6) = 210 multisets
+    # 5 rows, m = 6: C(10, 6) = 210 multisets of 6 row indices, 1260 in all
     with pytest.raises(CapExceeded):
-        morth.is_m_star_orthogonal(M, g1, 6, cap=209)
-    rep = morth.is_m_star_orthogonal(M, g1, 6, cap=210)
+        morth.is_m_star_orthogonal(M, g1, 6, cap=1259)
+    rep = morth.is_m_star_orthogonal(M, g1, 6, cap=1260)
     assert not rep.ok and rep.checked == 210
+
+
+@pytest.mark.parametrize("m", [62, 63, 64, 100])
+def test_weights_past_int64_at_large_m(m):
+    # one row of 2s at d = 3 weighs 2^m sum(signs) = 2^(m+1) m-fold: past
+    # int64 from m = 62 on, exact in Python ints, with m charged once
+    M = morth.StarSignedMatrix(ring.ResidueMatrix(3, ((2, 2, 2, 2),)), (1, 1, -1, 1))
+    rep = morth.is_m_star_orthogonal(M, {0}, m, cap=m)
+    assert not rep.ok and rep.checked == 1 and rep.witness == [((0,) * m, 2 ** (m + 1))]
+    with pytest.raises(CapExceeded):
+        morth.is_m_star_orthogonal(M, {0}, m, cap=m - 1)

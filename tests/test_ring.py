@@ -1,6 +1,7 @@
 """ring: exact Z_N linear algebra, checked against exhaustive oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -48,8 +49,8 @@ def test_matrix_keeps_its_shape_and_a_dtype_that_holds_N(N, shape):
     assert ring.ResidueMatrix(N, entries.astype(object)) == M
     T = M.transpose()
     assert T.array.shape == shape[::-1] and T.transpose() == M
-    H, g = ring.span_check(M)
-    assert H.shape[0] == shape[1] and g.shape == (H.shape[1],)
+    H = ring.span_check(M)
+    assert H.shape[0] == shape[1] and H.dtype == M.array.dtype
     assert ring.kernel_mod(M).ncols == shape[0]
 
 
@@ -72,6 +73,25 @@ def test_is_injective_encoding_examples():
     # (x, y) -> x.G1 + y.G0 is injective iff [G1; G0] has trivial left kernel
     assert ring.kernel_mod(rmat(3, [[1, 1, 1], [0, 1, 2]])).nrows == 0
     assert ring.kernel_mod(rmat(4, [[1, 1], [2, 2]])).nrows != 0
+
+
+def test_is_prime_matches_trial_division():
+    for d in range(10**5):
+        assert ring.is_prime(d) == (d >= 2 and all(d % p for p in range(2, math.isqrt(d) + 1)))
+
+
+@pytest.mark.parametrize("d", [2047, 3215031751, 3825123056546413051])
+def test_is_prime_rejects_strong_pseudoprimes(d):
+    # strong pseudoprimes to the bases 2; 2..7; and 2..23
+    assert not ring.is_prime(d)
+
+
+def test_is_prime_at_large_d():
+    assert ring.is_prime(10**18 + 3)
+    assert not ring.is_prime(10**18 + 1)
+    assert not ring.is_prime(ring.PRIME_BOUND - 1)
+    with pytest.raises(ValueError, match="supports prime d < 3.3e24"):
+        ring.is_prime(ring.PRIME_BOUND)
 
 
 def test_independent_rows_examples():
@@ -181,6 +201,25 @@ def test_smith_normal_form_transforms(m, n, bound, scale, data):
         if b != 0:
             assert a != 0 and b % a == 0
     assert abs(bareiss_det(U)) == 1 and abs(bareiss_det(V)) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(N=st.sampled_from([4, 6, 12, 2**64 - 1]), m=st.integers(0, 4), n=st.integers(0, 4),
+       data=st.data())
+def test_transpose_keeps_the_smith_form_transposed(N, m, n, data):
+    # a factored M gives M^T the Smith form V^T M^T U^T = S^T, exact over
+    # the integers; an unfactored M, or one with no rows, gives it none
+    M = ring.ResidueMatrix(N, draw_matrix(data, N, m, n).array.reshape(m, n))
+    assert "_snf" not in M.transpose().__dict__
+    M._factor()
+    T = M.transpose()
+    assert ("_snf" in T.__dict__) == (m > 0)
+    U, V, diag = T._factor()
+    A = T.array.tolist()
+    assert matmul(matmul(U.tolist(), A), V) == [
+        [diag[i] if i == j else 0 for j in range(m)] for i in range(n)]
+    assert abs(bareiss_det(U.tolist())) == 1 and abs(bareiss_det(V)) == 1
+    assert ring.span_size(T) == ring.span_size(ring.ResidueMatrix(N, A))
 
 
 def test_smith_normal_form_takes_numpy_entries_exactly():
@@ -399,16 +438,47 @@ def test_iter_span_offset_python_ints_past_int64():
     assert all(type(e) is int for r in shifted for e in r)
 
 
-@settings(max_examples=60, deadline=None)
-@given(N=st.sampled_from([2, 3, 4, 6, 8, 12]), m=st.integers(0, 3), n=st.integers(1, 4),
+# 2^61 - 1 and 10^18 + 3 are primes whose echelon forms hold Python ints
+# (2p^2 passes 2^63); 2^64 - 1 = 3 5 17 257 641 65537 6700417 is a Smith form's
+SPAN_MODULI = [2, 3, 4, 6, 8, 12, 2**61 - 1, 10**18 + 3, 2**64 - 1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(N=st.sampled_from(SPAN_MODULI), m=st.integers(0, 3), n=st.integers(1, 4),
        data=st.data())
 def test_span_check_agrees_with_in_rowspan(N, m, n, data):
     M = ring.ResidueMatrix(N, draw_matrix(data, N, m, n).array.reshape(m, n))
-    W = np.array([[data.draw(st.integers(0, N - 1)) for _ in range(n)] for _ in range(6)]
-                 + [list(r) for r in M.rows], dtype=np.int64).reshape(-1, n)
-    H, g = ring.span_check(M)
-    members = ~((W @ H) % g).any(axis=1)
-    assert members.tolist() == [solve_left(M, w) is not None for w in W.tolist()]
+    W = [[data.draw(st.integers(0, N - 1)) for _ in range(n)] for _ in range(6)]
+    W += [list(r) for r in M.rows]
+    W += [ring.mat_vec_mul(M, [data.draw(st.integers(0, N - 1)) for _ in range(m)])
+          for _ in range(2 if m else 0)]
+    H = ring.span_check(M)
+    assert H.dtype == M.array.dtype and H is ring.span_check(M)
+    members = ~(np.array(W, dtype=H.dtype).reshape(-1, n) @ H % N).any(axis=1)
+    assert members.tolist() == [solve_left(M, w) is not None for w in W]
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 2**31 - 1, 2**61 - 1, 10**18 + 3]),
+       m=st.integers(0, 5), n=st.integers(0, 4), data=st.data())
+def test_prime_kernel_spans_the_smith_form_kernel(p, m, n, data):
+    """At prime N kernel_mod is the echelon transform's rows past the rank;
+    they span the module read off M's Smith form U M V = S: the rows i of U
+    with p | diag_i, and those past the diagonal."""
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    A = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
+    if m >= 3 and data.draw(st.booleans()):  # a dependent row
+        k = data.draw(st.integers(0, p - 1))
+        A[-1] = [(k * a + b) % p for a, b in zip(A[0], A[1])]
+    M = ring.ResidueMatrix(p, np.array(A, dtype=object).reshape(m, n))
+    K = ring.kernel_mod(M)
+    U, _V, diag = M._factor()
+    smith = ring.ResidueMatrix(p, [U[i].tolist() for i in range(m)
+                                   if i >= len(diag) or diag[i] % p == 0])
+    assert K.ncols == m and K.nrows == smith.nrows
+    assert not (K.array @ M.array.astype(K.array.dtype) % p).any()
+    assert all(solve_left(smith, k) is not None for k in K.rows)
+    assert all(solve_left(K, k) is not None for k in smith.rows)
 
 
 def test_solve_left_on_no_rows():
@@ -420,24 +490,38 @@ def test_solve_left_on_no_rows():
 
 
 def test_span_check_holds_a_product_over_every_row_of_H():
-    """One kept column at N = 3000000019: (N-1)^2 < 2^63 <= 3 (N-1)^2, so
-    only a dtype for all three rows of H holds w @ H exactly."""
+    """At the prime N = 3000000019, (N-1)^2 < 2^63 <= 3 (N-1)^2, so only a
+    dtype for all rows of H holds w @ H exactly: one column of H for a 2 x 3
+    matrix, and each half of the tetra gauge code (n = 15), whose products
+    equal the Python-integer ones and never wrap."""
     N = 3000000019
     M = rmat(N, [[1, 0, 1], [0, 1, 1]])
-    H, g = ring.span_check(M)
+    H = ring.span_check(M)
     assert H.shape == (3, 1) and (N - 1) ** 2 < 2**63 <= 3 * (N - 1) ** 2
     assert H.dtype == M.array.dtype == object
     top = [N - 1, N - 2, N - 3]
     W = [ring.mat_vec_mul(M, (a, b)) for a in top for b in top]
     W += [tuple(w[:2]) + ((w[2] + c) % N,) for w in W for c in (1, N - 1)]
-    members = ~(np.array(W, dtype=H.dtype) @ H % g).any(axis=1)
+    members = ~(np.array(W, dtype=H.dtype) @ H % N).any(axis=1)
     assert members.tolist() == [solve_left(M, w) is not None for w in W] == [True] * 9 + [False] * 18
+
+    G = gauge.build_gauge_code(colex.hypercube_lattice(3), N)
+    assert ring.is_prime(N) and G.n == 15
+    for M in (G.face_x, G.face_z, G.cell_x, G.cell_z):
+        H = ring.span_check(M)
+        assert H.shape[0] == G.n and H.dtype == M.array.dtype == object
+        W = np.vstack([M.array, np.full((1, G.n), N - 1, dtype=object)])
+        exact = [[sum(int(a) * int(b) for a, b in zip(w, h)) for h in H.T.tolist()]
+                 for w in W.tolist()]
+        assert (W @ H).tolist() == exact
+        assert [not any(e % N for e in row) for row in exact] == [
+            solve_left(M, w) is not None for w in W.tolist()]
 
 
 def in_span(rows, N, W, n):
     """Whether every row of W lies in the Z_N row span of rows, by span_check."""
-    H, g = ring.span_check(ring.ResidueMatrix(N, np.array(rows, dtype=object).reshape(len(rows), n)))
-    return not (np.array(W, dtype=H.dtype).reshape(len(W), n) @ H % g).any()
+    H = ring.span_check(ring.ResidueMatrix(N, np.array(rows, dtype=object).reshape(len(rows), n)))
+    return not (np.array(W, dtype=H.dtype).reshape(len(W), n) @ H % N).any()
 
 
 @settings(max_examples=200, deadline=None)
