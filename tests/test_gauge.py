@@ -1078,6 +1078,24 @@ def test_center_from_halves_is_the_gram_kernel(d, data):
     assert all(in_rowspan(halves, w) for w in full.rows)
 
 
+def test_span_check_holds_a_product_over_every_row():
+    """At N = 3000000019, (N-1)^2 < 2^63 <= 15 (N-1)^2: each half's span
+    check is kept in an exact dtype, so w @ H over all n rows of H equals
+    the Python-integer product and never wraps."""
+    N = 3000000019
+    G = gauge.build_gauge_code(colex.hypercube_lattice(3), N)
+    assert ring.is_prime(N) and (N - 1) ** 2 < 2**63 <= G.n * (N - 1) ** 2
+    for M in (G.face_x, G.face_z, G.cell_x, G.cell_z):
+        H = ring.span_check(M)
+        assert H.shape[0] == G.n and H.dtype == M.array.dtype == object
+        W = np.vstack([M.array, np.full((1, G.n), N - 1, dtype=object)])
+        exact = [[sum(int(a) * int(b) for a, b in zip(w, h)) for h in H.T.tolist()]
+                 for w in W.tolist()]
+        assert (W.astype(H.dtype) @ H).tolist() == exact
+        assert [not any(e % N for e in row) for row in exact] == [
+            in_rowspan(M, w) for w in W.tolist()]
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_transversal_H_action_matches_oracle(d):
     # the exponent map behind verify_H_logical and Tableau.apply_transversal_H
