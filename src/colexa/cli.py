@@ -15,6 +15,8 @@ import os
 import random
 import sys
 
+import numpy as np
+
 from . import code as code_mod
 from . import colex, gatecalc, gauge, morth, ring
 
@@ -49,7 +51,50 @@ def main(argv=None) -> int:
 
 
 def emit(payload, pretty: bool) -> None:
-    print(json.dumps(payload, indent=2 if pretty else None, sort_keys=True), flush=True)
+    """Print the payload as JSON with sorted keys, a numpy array as its
+    nested lists.  Compact output writes an array value with array_json and
+    a payload with no array in one json.dumps."""
+    if pretty:
+        text = json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    elif any(isinstance(v, np.ndarray) for v in payload.values()):
+        text = "{" + ", ".join(
+            f"{json.dumps(k)}: "
+            + (array_json(v) if isinstance(v, np.ndarray) else json.dumps(v, sort_keys=True))
+            for k, v in sorted(payload.items())) + "}"
+    else:
+        text = json.dumps(payload, sort_keys=True)
+    print(text, flush=True)
+
+
+def array_json(A: np.ndarray) -> str:
+    """json.dumps(A.tolist()) for a 2-D array of nonnegative integers, byte
+    for byte, with no per-integer encoding.
+
+    Every entry gets as many digit places as the largest one, taken in A's
+    own dtype as a // 10^k % 10; the leading places of shorter entries are
+    masked to 0 bytes, which are dropped with the text assembled around them.
+    At most ring.BLOCK_ROWS rows are written at a time.
+    """
+    m, n = A.shape
+    if not A.size:
+        return json.dumps(A.tolist())
+    width = len(str(A.max()))
+    powers = np.array([10 ** k for k in reversed(range(width))], dtype=A.dtype)
+    out = []
+    for start in range(0, m, ring.BLOCK_ROWS):
+        block = A[start:start + ring.BLOCK_ROWS, :, None]
+        # one row of text: "[" then, per entry, its digit places and ", "
+        # ("]," after the last), then " "; the last row's ", " is cut below
+        text = np.empty((len(block), n * (width + 2) + 2), dtype=np.uint8)
+        text[:, 0], text[:, -1] = ord("["), ord(" ")
+        cells = text[:, 1:-1].reshape(len(block), n, width + 2)
+        cells[:, :, :width] = block // powers % 10 + ord("0")
+        cells[:, :, :width - 1][block < powers[:-1]] = 0
+        cells[:, :, width:] = np.frombuffer(b", ", dtype=np.uint8)
+        cells[:, -1, width:] = np.frombuffer(b"],", dtype=np.uint8)
+        flat = text.reshape(-1)
+        out.append(flat[flat != 0].tobytes().decode("ascii"))
+    return "[" + "".join(out)[:-2] + "]"
 
 
 def check_args(args) -> None:
@@ -288,11 +333,7 @@ def cmd_code_syndrome(args):
 def cmd_code_codeword(args):
     _, C = load_code(args)
     cw = code_mod.codeword(C, args.x, cap=args.cap)
-    return True, {
-        "x": list(cw.x),
-        "terms": sorted(cw.terms),
-        "count": len(cw.terms),
-    }
+    return True, {"x": list(cw.x), "terms": cw.terms, "count": len(cw.terms)}
 
 
 def cmd_morth_check(args):

@@ -80,12 +80,15 @@ class ColorCode:
         return ring.independent_rows(self.encoding())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codeword:
-    """Support of a logical basis state: the coset x.G1 + span(G0)."""
+    """Support of a logical basis state: the coset x.G1 + span(G0).  terms
+    is a read-only 2-D array, one distinct term per row, the rows in
+    lexicographic order, in the narrowest unsigned dtype that holds d - 1
+    (Python ints, dtype=object, past 2^64 - 1)."""
 
     x: tuple
-    terms: frozenset
+    terms: np.ndarray
 
 
 def cell_rows(L, dim: int, d: int, signs=None) -> ring.ResidueMatrix:
@@ -177,7 +180,8 @@ def _nonzero(P: np.ndarray) -> list:
 
 
 def codeword(C: ColorCode, x, cap: int = DEFAULT_CAP) -> Codeword:
-    """Enumerate the support of |x_L>: all terms y.G0 + x.G1 mod d."""
+    """Enumerate the support of |x_L>: all terms y.G0 + x.G1 mod d, sorted;
+    a repeated term (two rows equal after sorting) is an AssertionError."""
     if isinstance(x, int):
         x = (x,)
     x = tuple(int(e) % C.d for e in x)
@@ -187,9 +191,12 @@ def codeword(C: ColorCode, x, cap: int = DEFAULT_CAP) -> Codeword:
     if size > cap:
         raise CapExceeded(f"codeword would enumerate {size} > cap {cap} terms")
     offset = ring.mat_vec_mul(C.G1, x)
-    terms = frozenset(ring.iter_span(C.G0, offset))
-    if len(terms) != size:
+    flat = itertools.chain.from_iterable(ring.iter_span(C.G0, offset))
+    terms = np.fromiter(flat, dtype=np.min_scalar_type(C.d - 1)).reshape(-1, C.n)
+    terms = terms[np.lexsort(terms.T[::-1])]
+    if (terms[1:] == terms[:-1]).all(axis=1).any():
         raise AssertionError("term enumeration lost injectivity")
+    terms.setflags(write=False)
     return Codeword(x=x, terms=terms)
 
 
@@ -274,7 +281,8 @@ def _sector(C: ColorCode, sector: str):
 def _lightest(block: np.ndarray, B: ring.ResidueMatrix, best: int) -> int:
     """min(best, weight of the lightest row of block outside rowspan(B));
     only rows lighter than best are checked."""
-    weights = np.count_nonzero(block, axis=1)
+    # a dtype that holds n + 1 compares with every best <= n + 1 exactly
+    weights = (block != 0).view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(block.shape[1] + 1))
     light = weights < best
     if light.any():
         H = ring.span_check(B)

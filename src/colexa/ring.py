@@ -94,19 +94,19 @@ class ResidueMatrix:
 
     def transpose(self) -> "ResidueMatrix":
         """M^T, which keeps M's Smith form transposed, if M keeps one:
-        U M V = S gives V^T M^T U^T = S^T.  (With no rows, V has no width.)"""
+        U M V = S gives V^T M^T U^T = S^T."""
         T = ResidueMatrix(self.modulus, self.array.T)
-        if "_snf" in self.__dict__ and self.nrows:
+        if "_snf" in self.__dict__:
             U, V, diag = self._snf
             T._snf = (np.array(V, dtype=object).reshape(len(V), len(V)).T, U.T.tolist(), diag)
         return T
 
     def _factor(self):
-        """(U, V, diag) of smith_normal_form(self.array.tolist()), computed on
-        first use, with U as a 2-D array of Python ints (dtype=object) and V
-        as the Smith form's lists."""
+        """(U, V, diag) of smith_normal_form(self.array), computed on first
+        use, with U as a 2-D array of Python ints (dtype=object) and V as the
+        Smith form's lists; V is ncols x ncols even with no rows."""
         if "_snf" not in self.__dict__:
-            U, _S, V, diag = smith_normal_form(self.array.tolist())
+            U, _S, V, diag = smith_normal_form(self.array)
             self._snf = (np.array(U, dtype=object).reshape(len(U), len(U)), V, diag)
         return self._snf
 
@@ -121,13 +121,16 @@ def mat_vec_mul(M: ResidueMatrix, v: Sequence[int]) -> tuple[int, ...]:
     return tuple((c @ M.array.astype(c.dtype, copy=False) % M.modulus)[0].tolist())
 
 
-def smith_normal_form(A: Sequence[Sequence[int]]):
+def smith_normal_form(A: np.ndarray | Sequence[Sequence[int]]):
     """Integer Smith normal form with transforms: returns (U, S, V, diag).
 
     U and V are unimodular integer matrices with U @ A @ V == S, where S is
-    diagonal with divisibility d1 | d2 | ... .  A, of any integer type, is
-    copied as Python ints, never changed, and all arithmetic is exact.  diag is the list of
-    diagonal entries of S (length min(nrows, ncols)).
+    diagonal with divisibility d1 | d2 | ... .  A, a 2-D integer array or a
+    sequence of rows, is copied as Python ints, never changed, and all
+    arithmetic is exact.  The column count is an array's shape[1], so an
+    array with no rows still gets an ncols x ncols V; rows of a sequence
+    give it.  diag is the list of diagonal entries of S (length
+    min(nrows, ncols)).
 
     Two steps skip work that cannot change the result.  The scan that makes
     d_t divide every remaining entry runs only when |d_t| > 1: every integer
@@ -136,9 +139,10 @@ def smith_normal_form(A: Sequence[Sequence[int]]):
     S and V that are nonzero in column t; column t itself does not change
     while row t is cleared, so that row list is built once per step.
     """
-    S = [list(map(operator.index, row)) for row in A]
+    array = isinstance(A, np.ndarray)
+    S = [list(map(operator.index, row)) for row in (A.tolist() if array else A)]
     m = len(S)
-    n = len(S[0]) if S else 0
+    n = A.shape[1] if array else len(S[0]) if S else 0
     U = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
 

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import unittest.mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -160,6 +161,44 @@ def test_codeword(capsys):
     code, obj = run(capsys, "code", "codeword", "--code", "tetra", "--d", "2",
                     "--x", "1")
     assert code == 0 and obj["count"] == 16
+
+
+# the largest entry drawn per dtype: the dtype's maximum, and 2^70 (22
+# digits) for Python ints
+ARRAY_TOPS = {np.uint8: 2**8 - 1, np.uint16: 2**16 - 1, np.uint32: 2**32 - 1,
+              np.uint64: 2**64 - 1, object: 2**70}
+
+
+@settings(max_examples=300, deadline=None)
+@given(dtype=st.sampled_from(sorted(ARRAY_TOPS, key=str)), m=st.integers(0, 12),
+       n=st.integers(0, 6), block=st.sampled_from([1, 2, 5, ring.BLOCK_ROWS]), data=st.data())
+@example(dtype=np.uint8, m=1, n=7, block=ring.BLOCK_ROWS, data=None)
+@example(dtype=object, m=9, n=1, block=2, data=None)
+def test_array_json_matches_json_dumps(dtype, m, n, block, data):
+    """array_json is json.dumps(A.tolist()) byte for byte, entries of every
+    digit count up to the dtype's largest, one row or column included, and
+    whether the rows fit one block or several."""
+    top = ARRAY_TOPS[dtype]
+    if data is None:
+        entries = [[(i * 7 + j * 13) ** 5 % (top + 1) for j in range(n)] for i in range(m)]
+    else:
+        hi = min(data.draw(st.sampled_from([0, 9, 10, 99, 1000, top])), top)
+        entries = [[data.draw(st.integers(0, hi)) for _ in range(n)] for _ in range(m)]
+    A = np.array(entries, dtype=dtype).reshape(m, n)
+    with unittest.mock.patch.object(ring, "BLOCK_ROWS", block):
+        assert cli.array_json(A) == json.dumps(A.tolist())
+
+
+def test_emit_writes_arrays_as_lists(capsys):
+    """emit: an array value prints as json.dumps of its lists, compact and
+    with --pretty, keys sorted either way."""
+    A = np.array([[3, 10], [0, 255]], dtype=np.uint8)
+    payload = {"z": [1, {"b": 2, "a": 1}], "a": A, "m": "t\u00e9"}
+    plain = {**payload, "a": A.tolist()}
+    for pretty in (False, True):
+        cli.emit(payload, pretty)
+        assert capsys.readouterr().out == json.dumps(
+            plain, indent=2 if pretty else None, sort_keys=True) + "\n"
 
 
 def test_lattice_round_trip(tmp_path, capsys):

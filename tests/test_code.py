@@ -91,19 +91,44 @@ def test_star_flip_breaks_commutation(tetra3):
     assert not code_mod.verify_code(C).ok
 
 
+def term_set(cw) -> set:
+    """A codeword's terms as a set of tuples (`tuple in ndarray` would be an
+    elementwise any)."""
+    return {tuple(t) for t in cw.terms.tolist()}
+
+
 def test_codeword_counts_and_disjointness(tetra3):
     _, C = tetra3
-    w0 = code_mod.codeword(C, 0)
-    w1 = code_mod.codeword(C, 1)
-    assert len(w0.terms) == len(w1.terms) == 3**4
-    assert not (w0.terms & w1.terms)
-    assert (0,) * 15 in w0.terms
+    w0 = term_set(code_mod.codeword(C, 0))
+    w1 = term_set(code_mod.codeword(C, 1))
+    assert len(w0) == len(w1) == 3**4
+    assert not (w0 & w1)
+    assert (0,) * 15 in w0
     # x=0 terms are exactly the row span of G0
-    assert w0.terms == frozenset(ring.iter_span(C.G0))
+    assert w0 == set(ring.iter_span(C.G0))
     # x=1 terms are all-ones plus span elements
-    for t in w1.terms:
+    for t in w1:
         shifted = tuple((e - 1) % 3 for e in t)
-        assert shifted in w0.terms
+        assert shifted in w0
+
+
+@pytest.mark.parametrize("d,dtype", [(2, np.uint8), (5, np.uint8), (256, np.uint8),
+                                     (257, np.uint16), (2**32 + 1, np.uint64),
+                                     (2**64, np.uint64), (2**64 + 1, object)])
+def test_codeword_terms_are_a_sorted_read_only_array(d, dtype):
+    """One row per distinct term, in lexicographic order, in the narrowest
+    dtype that holds d - 1: the coset's terms, in some order.  G0 keeps at
+    most d^2 <= 25 terms, d terms to d = 257, and none past 2^20, where the
+    one term is x.G1."""
+    rows = ((1, d - 1, 0, 1), (0, 2, 1, d - 2))
+    G0 = ring.ResidueMatrix(d, rows[:2 if d <= 5 else 1 if d <= 257 else 0])
+    G1 = ring.ResidueMatrix(d, ((1, d - 1, 0, 1),))
+    C = code_mod.ColorCode(d, 4, (1,) * 4, G0=G0, G1=G1, z_stab=G1)
+    cw = code_mod.codeword(C, 1)
+    rows = cw.terms.tolist()
+    assert cw.terms.dtype == dtype and not cw.terms.flags.writeable
+    assert len(rows) == ring.span_size(C.G0)
+    assert rows == [list(t) for t in sorted(set(ring.iter_span(C.G0, (1, d - 1, 0, 1))))]
 
 
 def test_codeword_cap(tetra3):
@@ -206,9 +231,18 @@ def test_code_matrices_take_n_columns():
     assert C.G0.array.shape == (0, 3)
     assert not code_mod.verify_code(C).ok
     assert (code_mod.distance(C, "x"), code_mod.distance(C, "z")) == (3, 1)
-    assert code_mod.codeword(C, 1).terms == {(1, 1, 1)}
+    assert term_set(code_mod.codeword(C, 1)) == {(1, 1, 1)}
     with pytest.raises(ValueError, match="z_stab has 2 columns, not n = 3"):
         code_mod.ColorCode(3, 3, (1, 1, 1), G0=G1, G1=G1, z_stab=ring.ResidueMatrix(3, ((1, 2),)))
+
+
+@pytest.mark.parametrize("n", [255, 256, 300])
+def test_distance_counts_weights_past_a_byte(n):
+    """With no X stabilizers the one logical coset of x = 1 is the all-ones
+    row: its weight n must not wrap in the dtype the rows are weighed in."""
+    ones = ring.ResidueMatrix(2, np.ones((1, n), dtype=np.int64))
+    C = code_mod.ColorCode(2, n, (1,) * n, G0=ring.ResidueMatrix(2, ()), G1=ones, z_stab=ones)
+    assert code_mod.distance(C, "x") == code_mod._enumerate_distance(C, "x") == n
 
 
 def test_from_colex_rejects_bad_mu_prime(tetra3):

@@ -177,19 +177,23 @@ def test_transversal_CX_tetra_d3():
 
 def loop_transversal_CX(C: code_mod.ColorCode, cap: int = DEFAULT_CAP) -> Report:
     """The pair loop verify_transversal_CX ran before it went blocked, kept
-    verbatim as an oracle: one Python tuple sum and one set lookup per pair."""
+    as an oracle: one Python tuple sum and one set lookup per pair.  Each
+    codeword's terms become a set of tuples here, whatever Codeword stores:
+    `tuple in ndarray` would be an elementwise any, true for almost every
+    sum."""
     if C.k != 1:
         raise ValueError("CX check supports k=1 codes only")
     span = ring.span_size(C.G0)
     total = (C.d * span) ** 2
     if total > cap:
         raise CapExceeded(f"CX check needs {total} > cap {cap} pair checks")
-    words = {x: code_mod.codeword(C, x, cap) for x in range(C.d)}
+    words = {x: {tuple(t) for t in code_mod.codeword(C, x, cap).terms.tolist()}
+             for x in range(C.d)}
     checked = 0
     for x1, x2 in itertools.product(range(C.d), repeat=2):
-        target = words[(x1 + x2) % C.d].terms
-        for t1 in words[x1].terms:
-            for t2 in words[x2].terms:
+        target = words[(x1 + x2) % C.d]
+        for t1 in words[x1]:
+            for t2 in words[x2]:
                 checked += 1
                 summed = tuple((a + b) % C.d for a, b in zip(t1, t2))
                 if summed not in target:
@@ -207,6 +211,29 @@ def test_blocked_CX_matches_pair_loop(family, d):
     rep = gatecalc.verify_transversal_CX(C)
     assert rep.ok and rep.checked == (d * ring.span_size(C.G0)) ** 2
     assert verdict(rep) == verdict(loop_transversal_CX(C))
+
+
+def test_pair_loop_fails_on_a_corrupted_term(monkeypatch):
+    """Negative control for the oracle: one term of |1_L> moved off its coset
+    by X on qudit 0 makes the pair loop report a failing pair."""
+    _, C = with_code(colex.hypercube_lattice(3), 3)
+    honest = code_mod.codeword
+
+    def corrupted(C, x, cap=DEFAULT_CAP):
+        cw = honest(C, x, cap)
+        if cw.x != (1,):
+            return cw
+        terms = cw.terms.copy()
+        terms[0, 0] = (terms[0, 0] + 1) % C.d
+        return code_mod.Codeword(cw.x, terms)
+
+    assert loop_transversal_CX(C).ok
+    monkeypatch.setattr(code_mod, "codeword", corrupted)
+    rep = loop_transversal_CX(C)
+    assert not rep.ok and rep.checked < (C.d * ring.span_size(C.G0)) ** 2
+    bad = corrupted(C, 1).terms[0].tolist()
+    w = rep.witness
+    assert bad in (w["t1"], w["t2"]) or (w["x1"] + w["x2"]) % C.d == 1
 
 
 def test_CX_charges_nothing_to_the_cap():

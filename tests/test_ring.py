@@ -207,19 +207,34 @@ def test_smith_normal_form_transforms(m, n, bound, scale, data):
 @given(N=st.sampled_from([4, 6, 12, 2**64 - 1]), m=st.integers(0, 4), n=st.integers(0, 4),
        data=st.data())
 def test_transpose_keeps_the_smith_form_transposed(N, m, n, data):
-    # a factored M gives M^T the Smith form V^T M^T U^T = S^T, exact over
-    # the integers; an unfactored M, or one with no rows, gives it none
+    # a factored M, with or without rows, gives M^T the Smith form
+    # V^T M^T U^T = S^T, exact over the integers; an unfactored M gives none
     M = ring.ResidueMatrix(N, draw_matrix(data, N, m, n).array.reshape(m, n))
     assert "_snf" not in M.transpose().__dict__
     M._factor()
     T = M.transpose()
-    assert ("_snf" in T.__dict__) == (m > 0)
+    assert "_snf" in T.__dict__
     U, V, diag = T._factor()
     A = T.array.tolist()
     assert matmul(matmul(U.tolist(), A), V) == [
         [diag[i] if i == j else 0 for j in range(m)] for i in range(n)]
     assert abs(bareiss_det(U.tolist())) == 1 and abs(bareiss_det(V)) == 1
     assert ring.span_size(T) == ring.span_size(ring.ResidueMatrix(N, A))
+
+
+@pytest.mark.parametrize("N", [6, 7, 2**64 + 13])
+def test_transpose_of_a_factored_matrix_with_no_rows(N):
+    """A 0 x n matrix factors with an n x n V, which its n x 0 transpose
+    takes as U: every row of Z_N^n is in the left kernel of a matrix with
+    no columns, and its rows span {0}."""
+    M = ring.ResidueMatrix(N, np.zeros((0, 3), dtype=np.int64))
+    U, V, diag = M._factor()
+    assert U.shape == (0, 0) and V == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] and diag == []
+    T = M.transpose()
+    assert T.array.shape == (3, 0) and T._snf[0].shape == (3, 3) and T._snf[1] == []
+    assert ring.kernel_mod(T).array.tolist() == V
+    assert ring.span_size(T) == 1 and ring.row_basis(T).array.shape == (0, 0)
+    assert ring.span_check(M).tolist() == V
 
 
 def test_smith_normal_form_takes_numpy_entries_exactly():

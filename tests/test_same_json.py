@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from colexa import cli, colex
+from colexa import cli, colex, ring
 from colexa import code as code_mod
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -232,3 +232,43 @@ def test_readme_and_failing_verdicts_print_the_recorded_stdout(tmp_path, monkeyp
             wrong.append((argv, got))
     assert wrong == []
     assert set(argvs) <= {argv for argv, _rc, _digest in VERDICT_CASES}
+
+
+# -- codewords beyond the pools: the formula cmd_code_codeword printed ------
+#
+# before its terms were one array: the sorted set of iter_span tuples,
+# through json.dumps.
+
+# d > 2^64 and no G0 rows: one term, written from Python ints (dtype=object)
+BIG_D = 2**64 + 13
+BIG_CODE = {"d": BIG_D, "n": 3, "stars": [1, -1, 1], "G0": [],
+            "G1": [[1, BIG_D - 1, 2**64]], "Zstab": [[1, 1, 1]]}
+
+
+def set_formula(C, x: int, pretty: bool) -> str:
+    terms = sorted(frozenset(ring.iter_span(C.G0, ring.mat_vec_mul(C.G1, (x,)))))
+    payload = {"x": [x % C.d], "terms": terms, "count": len(terms)}
+    return json.dumps(payload, indent=2 if pretty else None, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv,x", [
+    ("code codeword --code tetra --d 5 --x 3 --pretty", 3),
+    ("code codeword --code triangle --d 3 --distance 5 --x 2 --pretty", 2),
+    ("code codeword --code tetra --d 11 --x 7", 7),
+    ("code codeword --code triangle --d 4 --distance 5 --x 1", 1),
+    ("code codeword --code {big} --x 1", 1),
+    ("code codeword --code {big} --x 2 --pretty", 2),
+])
+def test_codeword_prints_the_set_formula(argv, x, tmp_path, monkeypatch):
+    """Pretty output, two-digit residues over more than one block of rows
+    (11^4 terms), a composite d, and the Python-int path."""
+    monkeypatch.delenv("COLEXA_CAP", raising=False)
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(BIG_CODE))
+    argv = shlex.split(argv.format(big=big))
+    args = cli.build_parser().parse_args(argv)
+    args.cap = code_mod.DEFAULT_CAP
+    _L, C = cli.load_code(args)
+    want = hashlib.sha256(set_formula(C, x, "--pretty" in argv).encode()).hexdigest()
+    # digests, not strings: pytest's diff of two long JSON texts takes minutes
+    assert stdout_and_code(argv) == (0, want)
