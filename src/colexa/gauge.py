@@ -13,10 +13,10 @@ d: phase exponents live mod d for odd primes and mod 4 for d=2, and every
 update is a closed-form exact integer product.  Destabilizer rows dual to
 the stabilizer rows, kept through every update, turn a run of determined
 measurements into one symplectic product, with no factorization and no
-solve, so a block of observables costs about one pass of products per
-random outcome.  Every other prime-d question (|0_L> bases, destabilizers,
-canonical form, lex-least correction) is one echelon form over F_d, so the
-tableau factors nothing.
+solve, and a random outcome is one rank-one update.  Every other prime-d
+question (|0_L> bases, destabilizers, canonical form) is one echelon form
+over F_d, so the tableau factors nothing; the lex-least gauge correction is
+one product with an echelon transform kept on the gauge code.
 """
 
 from __future__ import annotations
@@ -80,6 +80,11 @@ class GaugeCode:
     def gauge_group(self) -> ring.ResidueMatrix:
         """The gauge generators as (x | z) rows: X faces first, then Z faces."""
         return _css(self.face_x, self.face_z)
+
+    @cached_property
+    def correction_system(self) -> tuple:
+        """The _correction_system of A = face_x face_z^T, at prime d."""
+        return _correction_system(ring.mul_transpose(self.face_x, self.face_z), self.d)
 
     @cached_property
     def stabilizer_group(self) -> ring.ResidueMatrix:
@@ -204,10 +209,8 @@ class Tableau:
         if not ring.is_prime(d):
             raise ValueError("tableau simulation requires prime d")
         r, width = np.shape(xz)
-        self.d = d
-        self.D = 4 if d == 2 else d
+        self.d, self.D, self.n = d, 4 if d == 2 else d, width // 2
         self.scale = self.D // d
-        self.n = width // 2
         # holds every intermediate of _product and symplectic_phase exactly
         self._dtype = ring.exact_dtype(4 * (r + self.n + 1) * d * d)
         self.phase = np.array(phase, dtype=self._dtype) % self.D
@@ -241,7 +244,8 @@ class Tableau:
         """
         d, n = self.d, self.n
         M = (xz[:, n:] @ xz[:, :n].T) % d  # M[j, l] = z_j . x_l
-        cross = (((C @ np.triu(M, 1)) % d * C).sum(axis=1)
+        j = np.arange(len(M))
+        cross = (((C @ np.where(j[:, None] < j, M, 0)) % d * C).sum(axis=1)
                  + (C * (C - 1) // 2 % d * M.diagonal()).sum(axis=1))
         return (C @ phase - self.scale * cross) % self.D, (C @ xz) % d
 
@@ -305,9 +309,10 @@ class Tableau:
         outcomes = []
         while len(obs):
             coeffs = symplectic_phase(obs, self.xz, d)
-            hits = np.flatnonzero(coeffs.any(axis=1))
+            hits = coeffs.any(axis=1).nonzero()[0]
             k = int(hits[0]) if hits.size else len(obs)
-            outcomes += self._determined_outcomes(obs[:k])
+            if k:
+                outcomes += self._determined_outcomes(obs[:k])
             if k < len(obs):
                 outcomes.append(self._random_outcome(obs[k], coeffs[k], rng))
             obs = obs[k + 1:]
@@ -315,19 +320,23 @@ class Tableau:
 
     def _random_outcome(self, obs: np.ndarray, coeffs: np.ndarray, rng: random.Random) -> int:
         """Measure obs, which fails to commute with the rows where coeffs is
-        nonzero: the first of them is the pivot.  Each other row S_i becomes
-        S_i S_p^(-c_i/c_p), commuting with obs, in one product; row p is
-        replaced by obs with the drawn outcome.  The destabilizers stay dual:
-        D_i gains (e_i/c_p) S_p, D_p is -S_p/c_p."""
-        d = self.d
+        nonzero: the first of them is the pivot p.  Each row S_i becomes
+        S_i S_p^k_i, k_i = -c_i/c_p, commuting with obs, by a rank-one update
+        xz += k (x) S_p, phase += k phi_p - scale (k z.x_p + C(k, 2) z_p.x_p)
+        (as in _product); row p becomes obs with the drawn outcome.  The
+        destabilizers stay dual: D_i gains (e_i/c_p) S_p, D_p is -S_p/c_p."""
+        d, n = self.d, self.n
         e = symplectic_phase(self.destab, obs[None], d)[:, 0]
-        p = int(np.flatnonzero(coeffs)[0])
+        p = int(coeffs.nonzero()[0][0])
         inv = pow(int(coeffs[p]), -1, d)
-        self.destab = (self.destab + (e * inv % d)[:, None] * self.xz[p]) % d
-        self.destab[p] = -inv * self.xz[p] % d
-        C = np.hstack([np.eye(len(self.xz), dtype=self._dtype), (-coeffs * inv % d)[:, None]])
-        self.phase, self.xz = self._product(C, np.append(self.phase, self.phase[p]),
-                                            np.vstack([self.xz, self.xz[p]]))
+        S_p = self.xz[p]
+        self.destab = (self.destab + (e * inv % d)[:, None] * S_p) % d
+        self.destab[p] = -inv * S_p % d
+        k = -coeffs * inv % d
+        zx = self.xz[:, n:] @ S_p[:n] % d
+        cross = k * zx + k * (k - 1) // 2 % d * zx[p]
+        self.phase = (self.phase + k * self.phase[p] - self.scale * cross) % self.D
+        self.xz = (self.xz + k[:, None] * S_p) % d
         outcome = rng.randrange(d)
         self.phase[p], self.xz[p] = -outcome * self.scale % self.D, obs
         return outcome
@@ -336,12 +345,10 @@ class Tableau:
         """Outcomes of observables that commute with every row: one in the
         group is prod_j S_j^c_j with c_j = <D_j, obs>, so no solve.  The
         first row outside the group or with an unphysical phase raises."""
-        if not len(obs):
-            return []
         phase, xz = self._product(symplectic_phase(self.destab, obs, self.d).T,
                                   self.phase, self.xz)
         outside = (xz != obs).any(axis=1)
-        bad = np.flatnonzero(outside | (phase % self.scale != 0))
+        bad = (outside | (phase % self.scale != 0)).nonzero()[0]
         if bad.size and outside[bad[0]]:
             raise ValueError("observable commutes but is not in the group")
         if bad.size:
@@ -364,29 +371,34 @@ class Tableau:
 # Gauge fixing
 
 
-def _lex_least_solution(A: np.ndarray, p: int, target) -> tuple | None:
-    """Lexicographically least x with x @ A == target mod p, for a prime p.
-
-    One echelon form of [A^T with its columns reversed | target]: a pivot in
-    the target column means no solution.  Otherwise each pivot variable is
-    its row's target entry minus multiples of the free variables right of
-    it, the earlier x_i; so taking x_0, x_1, ... in turn, each is fixed by
-    the earlier ones or free and least at 0: every free variable is 0.
-    """
-    m = len(A)
+def _correction_system(A: np.ndarray, p: int) -> tuple:
+    """(T, pivots, len(A)) of the echelon form T A^T[:, ::-1] = R mod a prime p."""
     if not ring.is_prime(p):
         raise ValueError(f"lex-least solution needs a prime modulus, got {p}")
-    a = A.T[:, ::-1]
-    R, _T, pivots = ring.echelon_mod_p(np.hstack([a, np.array(target, dtype=a.dtype)[:, None]]), p)
-    if m in pivots:
+    _R, T, pivots = ring.echelon_mod_p(A.T[:, ::-1], p)
+    return ring.ResidueMatrix(p, T), pivots, len(A)
+
+
+def _lex_least_solution(system: tuple, target) -> tuple | None:
+    """Lexicographically least x with x @ A == target mod p, from the
+    _correction_system of A by one product t' = T target: the target column
+    of the echelon form of [A^T[:, ::-1] | target], eliminated last.  Past
+    the rank, a nonzero t' is a pivot there: no solution.  Otherwise each
+    pivot variable is its entry of t' minus multiples of the free variables
+    right of it, the earlier x_i; taking x_0, x_1, ... in turn, each is fixed
+    by the earlier ones or free and least at 0: every free variable is 0.
+    """
+    T, pivots, m = system
+    t = T.array @ (np.array(target, dtype=T.array.dtype) % T.modulus) % T.modulus
+    if t[len(pivots):].any():
         return None
-    fixed = dict(zip(pivots, R[:, m].tolist()))
+    fixed = dict(zip(pivots, t.tolist()))
     return tuple(fixed.get(m - 1 - i, 0) for i in range(m))
 
 
 def gauge_fix(T: Tableau, G: GaugeCode, rng: random.Random) -> dict:
     """Measure every Z face, apply the lex-least X-type gauge correction that
-    zeroes all face outcomes, and report the correction log.
+    zeroes all face outcomes, measure the post-checks as one block, and report.
 
     Mutates T in place; afterwards the tableau should contain the color-code
     stabilizer group with trivial syndrome.
@@ -395,22 +407,23 @@ def gauge_fix(T: Tableau, G: GaugeCode, rng: random.Random) -> dict:
     outcomes = T.measure(z_faces, rng)
 
     # want an X-type C with symplectic phase m_f against every Z face
-    lam = _lex_least_solution(ring.mul_transpose(G.face_x, G.face_z), G.d, outcomes)
+    lam = _lex_least_solution(G.correction_system, outcomes)
     if lam is None:
         raise ValueError("measured face outcomes admit no gauge correction")
     corr = ring.mat_vec_mul(G.face_x, lam)
     T.apply_pauli(corr + (0,) * G.n)
 
-    post = {
-        "face_outcomes_zero": not any(T.measure(z_faces, rng)),
-        "cell_x_outcomes_zero": not any(T.measure(G.stabilizer_group.array[:G.cell_x.nrows], rng)),
-        "logical_x_plus": T.measure([G.bare_logical_x()], rng) == [0],
-    }
+    f, c = len(z_faces), G.cell_x.nrows
+    post = T.measure(np.vstack([z_faces, G.stabilizer_group.array[:c], [G.bare_logical_x()]]), rng)
     return {
         "measured": outcomes,
         "correction": list(lam),
         "correction_support": [j for j, e in enumerate(corr) if e],
-        "post": post,
+        "post": {
+            "face_outcomes_zero": not any(post[:f]),
+            "cell_x_outcomes_zero": not any(post[f:f + c]),
+            "logical_x_plus": post[f + c:] == [0],
+        },
     }
 
 
@@ -432,8 +445,6 @@ def fix_demo(d: int, seed: int) -> dict:
     T = start.copy()
     log = gauge_fix(T, G, random.Random(seed))
     log["seed"] = seed
-    log["canonical_form"] = [
-        {"x": list(x), "z": list(z), "phase": phase}
-        for x, z, phase in T.canonical_form()
-    ]
+    log["canonical_form"] = [{"x": list(x), "z": list(z), "phase": phase}
+                             for x, z, phase in T.canonical_form()]
     return log

@@ -280,23 +280,27 @@ def echelon_mod_p(A: np.ndarray, p: int):
     its transform: (R, T, pivots), T invertible and T @ A == R mod p.  Row
     i < len(pivots) of R has its leading 1 in column pivots[i], the only
     nonzero entry there; the other rows are zero, so those rows of T span
-    the left kernel.  One elimination on [A | I], a pivot clearing its column
-    in one array update; entries stay below p^2 in size (int64 while 2p^2
-    fits, Python ints otherwise)."""
+    the left kernel.  One elimination on [A | I] until every row holds a
+    pivot, each pivot updating only the rows nonzero in its column, from that
+    column on; entries stay below p^2 (int64 while 2p^2 fits, else objects)."""
     m, n = A.shape
     dtype = exact_dtype(2 * p * p)
     M = np.hstack([np.asarray(A, dtype=dtype) % p, np.eye(m, dtype=dtype)])
     pivots: list[int] = []
     for col in range(n):
         r = len(pivots)
-        hits = np.flatnonzero(M[r:, col])
+        if r == m:
+            break
+        hits = M[r:, col].nonzero()[0]
         if not hits.size:
             continue
-        M[[r, r + hits[0]]] = M[[r + hits[0], r]]
-        M[r] = M[r] * pow(int(M[r, col]), -1, p) % p
-        c = M[:, col].copy()
-        c[r] = 0
-        M = (M - c[:, None] * M[r]) % p
+        if hits[0]:
+            M[[r, r + hits[0]]] = M[[r + hits[0], r]]
+        if M[r, col] != 1:
+            M[r, col:] = M[r, col:] * pow(int(M[r, col]), -1, p) % p
+        rows = M[:, col].nonzero()[0]
+        rows = rows[rows != r]
+        M[rows, col:] = (M[rows, col:] - M[rows, col, None] * M[r, col:]) % p
         pivots.append(col)
     return M[:, :n], M[:, n:], pivots
 

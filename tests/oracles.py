@@ -4,7 +4,10 @@ calculus), so agreement between the two is meaningful evidence.  The two
 exceptions read the library's stored Smith form: solve_left, a linear solve,
 which the word-level reference checks use for span membership, and
 recursive_span, which walks the row_basis generators one tuple at a time to
-give the order that span enumeration must keep.
+give the order that span enumeration must keep.  dense_echelon_mod_p is the
+library's echelon form before it skipped work, updating every row and column
+at each pivot; augmented_lex_least is the lex-least solve that eliminated
+[A^T | t] for each target, on that echelon form.
 """
 
 import itertools
@@ -266,3 +269,49 @@ def class_sums_consistent(face_outcomes: dict, classes, d: int):
     """(consistent, sums): whether all color classes agree on the cell value."""
     sums = [reconstruct_cell_outcome(face_outcomes, cls, d) for cls in classes]
     return len(set(sums)) == 1, sums
+
+
+def dense_echelon_mod_p(A: np.ndarray, p: int):
+    """Reduced row echelon form of an integer array over F_p, p prime, with
+    its transform: (R, T, pivots), T invertible and T @ A == R mod p.  Row
+    i < len(pivots) of R has its leading 1 in column pivots[i], the only
+    nonzero entry there; the other rows are zero, so those rows of T span
+    the left kernel.  One elimination on [A | I], a pivot clearing its column
+    in one array update; entries stay below p^2 in size (int64 while 2p^2
+    fits, Python ints otherwise)."""
+    m, n = A.shape
+    dtype = ring.exact_dtype(2 * p * p)
+    M = np.hstack([np.asarray(A, dtype=dtype) % p, np.eye(m, dtype=dtype)])
+    pivots: list[int] = []
+    for col in range(n):
+        r = len(pivots)
+        hits = np.flatnonzero(M[r:, col])
+        if not hits.size:
+            continue
+        M[[r, r + hits[0]]] = M[[r + hits[0], r]]
+        M[r] = M[r] * pow(int(M[r, col]), -1, p) % p
+        c = M[:, col].copy()
+        c[r] = 0
+        M = (M - c[:, None] * M[r]) % p
+        pivots.append(col)
+    return M[:, :n], M[:, n:], pivots
+
+
+def augmented_lex_least(A: np.ndarray, p: int, target) -> tuple | None:
+    """Lexicographically least x with x @ A == target mod p, for a prime p.
+
+    One echelon form of [A^T with its columns reversed | target]: a pivot in
+    the target column means no solution.  Otherwise each pivot variable is
+    its row's target entry minus multiples of the free variables right of
+    it, the earlier x_i; so taking x_0, x_1, ... in turn, each is fixed by
+    the earlier ones or free and least at 0: every free variable is 0.
+    """
+    m = len(A)
+    if not ring.is_prime(p):
+        raise ValueError(f"lex-least solution needs a prime modulus, got {p}")
+    a = A.T[:, ::-1]
+    R, _T, pivots = dense_echelon_mod_p(np.hstack([a, np.array(target, dtype=a.dtype)[:, None]]), p)
+    if m in pivots:
+        return None
+    fixed = dict(zip(pivots, R[:, m].tolist()))
+    return tuple(fixed.get(m - 1 - i, 0) for i in range(m))

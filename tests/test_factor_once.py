@@ -1,7 +1,9 @@
 """Work counts: every ResidueMatrix is factored at most once, so the gauge
 checks make a handful of Smith normal forms, not one per question, and at
 prime d none, one echelon form per half instead; gauge fixing at prime d
-makes none; a matrix asked only whether its rows are independent is not
+makes none, and each later demo at a d eliminates only its canonical form,
+since the gauge code keeps the correction system; a matrix asked only
+whether its rows are independent is not
 factored at all; each built-in lattice is built and audited once per
 process; and a lattice decides whether [G1; G0] is injective once per
 (mu', d), while a code read from JSON is decided on every load.  A test
@@ -73,6 +75,30 @@ def test_fix_demo_factor_count(snf_calls, monkeypatch, d):
     log = gauge.fix_demo(d, 1)
     assert all(log["post"].values())
     assert snf_calls == [] and calls == []
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 10**18 + 3])
+def test_later_fix_demos_eliminate_only_their_canonical_form(snf_calls, monkeypatch, d):
+    # the first demo at d builds the start state and eliminates the
+    # correction system, which its gauge code keeps; every later demo at d
+    # makes one echelon form (its canonical form) and measures two blocks:
+    # the Z faces, then the three post-checks
+    echelons, measures, kernels = [], [], []
+    original, measure = ring.echelon_mod_p, gauge.Tableau.measure
+    monkeypatch.setattr(ring, "echelon_mod_p",
+                        lambda A, p: echelons.append(A.shape) or original(A, p))
+    monkeypatch.setattr(gauge.Tableau, "measure",
+                        lambda T, rows, rng: measures.append(len(rows)) or measure(T, rows, rng))
+    monkeypatch.setattr(ring, "kernel_mod", lambda *a: kernels.append(a))
+    gauge._fix_demo_start.cache_clear()
+    gauge.fix_demo(d, 0)
+    assert len(echelons) == 5  # two |0_L> bases, destabilizers, correction, canonical form
+    for seed in range(1, 6):
+        echelons.clear(), measures.clear()
+        log = gauge.fix_demo(d, seed)
+        assert all(log["post"].values())
+        assert echelons == [(15, 30)] and measures == [18, 18 + 4 + 1]
+    assert snf_calls == [] and kernels == []
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

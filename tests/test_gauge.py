@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from colexa.reports import Report
 from builders import with_code
 from oracles import (
     PauliWord,
+    augmented_lex_least,
     class_sums_consistent,
     face_color_classes,
     logical_words,
@@ -436,7 +438,7 @@ def test_lex_least_matches_greedy(p, r, c, solvable, data):
         target = ring.mat_vec_mul(A, x)
     else:
         target = tuple(data.draw(st.integers(0, p - 1)) for _ in range(c))
-    got = gauge._lex_least_solution(np.array(rows), p, target)
+    got = gauge._lex_least_solution(gauge._correction_system(np.array(rows), p), target)
     expected = greedy_lex_least(A, target)
     assert got == expected
     if solvable:
@@ -450,12 +452,61 @@ def test_lex_least_on_gauge_system(tetra3):
     rng = random.Random(7)
     for _ in range(5):
         target = ring.mat_vec_mul(M, [rng.randrange(3) for _ in range(M.nrows)])
-        assert gauge._lex_least_solution(A, 3, target) == greedy_lex_least(M, target)
+        assert gauge._lex_least_solution(G.correction_system, target) == greedy_lex_least(M, target)
 
 
 def test_lex_least_rejects_composite_modulus():
     with pytest.raises(ValueError):
-        gauge._lex_least_solution(np.array([[1, 2]]), 4, (1, 2))
+        gauge._correction_system(np.array([[1, 2]]), 4)
+
+
+@st.composite
+def lex_systems(draw):
+    """(A, p, targets): an r x c system over F_p, 0 <= r, c <= 6, with
+    dependent rows or columns at times (rank-deficient A), and targets in
+    the span of its rows and uniform ones, which are often unsolvable."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 1009, 2**31 - 1, 10**18 + 3]))
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    A = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    if r >= 2 and draw(st.booleans()):  # a dependent row
+        k = draw(st.integers(0, p - 1))
+        A[-1] = [k * e % p for e in A[0]]
+    if c >= 2 and draw(st.booleans()):  # a dependent column
+        for row in A:
+            row[-1] = row[0]
+    M = ring.ResidueMatrix(p, np.array(A, dtype=object).reshape(r, c))
+    targets = [ring.mat_vec_mul(M, [draw(entry) for _ in range(r)]) for _ in range(3)]
+    targets += [tuple(draw(entry) for _ in range(c)) for _ in range(3)]
+    return M.array, p, targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lex_systems())
+def test_lex_least_from_the_kept_system_matches_the_augmented_elimination(case):
+    """One kept elimination of A^T[:, ::-1] answers every target as the
+    elimination of [A^T[:, ::-1] | target] did, None included."""
+    A, p, targets = case
+    system = gauge._correction_system(A, p)
+    for target in targets:
+        assert gauge._lex_least_solution(system, target) == augmented_lex_least(A, p, target)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_lex_least_on_the_tetra_system_matches_the_augmented_elimination(d):
+    # A = face_x face_z^T is 18 x 18 of rank below 18; uniform targets are
+    # mostly unsolvable and images of A always solvable
+    G = tetra(d)[2]
+    A = ring.mul_transpose(G.face_x, G.face_z)
+    M = ring.ResidueMatrix(d, A)
+    rng = random.Random(d)
+    answers = []
+    for _ in range(40):
+        image = ring.mat_vec_mul(M, [rng.randrange(d) for _ in range(M.nrows)])
+        for target in (image, tuple(rng.randrange(d) for _ in range(M.ncols))):
+            answers.append(gauge._lex_least_solution(G.correction_system, target))
+            assert answers[-1] == augmented_lex_least(A, d, target)
+    assert None in answers and answers[::2].count(None) == 0
 
 
 # --------------------------------------------------------------------------
@@ -960,6 +1011,61 @@ def test_block_measurement_equals_one_row_at_a_time(d, hadamard, partial, seed, 
         runs.append((measured(T, rows, rng, one_at_a_time), T.canonical_form(),
                      T.destab.tolist(), rng.getstate()))
     assert runs[0] == runs[1]
+
+
+def product_random_outcome(self, obs, coeffs, rng):
+    """Tableau._random_outcome as it was before the rank-one update, kept
+    verbatim as its oracle: every row updated by one _product with the
+    coefficient matrix [I | -c/c_p] over the rows and a copy of row p."""
+    d = self.d
+    e = symplectic_phase(self.destab, obs[None], d)[:, 0]
+    p = int(np.flatnonzero(coeffs)[0])
+    inv = pow(int(coeffs[p]), -1, d)
+    self.destab = (self.destab + (e * inv % d)[:, None] * self.xz[p]) % d
+    self.destab[p] = -inv * self.xz[p] % d
+    C = np.hstack([np.eye(len(self.xz), dtype=self._dtype), (-coeffs * inv % d)[:, None]])
+    self.phase, self.xz = self._product(C, np.append(self.phase, self.phase[p]),
+                                        np.vstack([self.xz, self.xz[p]]))
+    outcome = rng.randrange(d)
+    self.phase[p], self.xz[p] = -outcome * self.scale % self.D, obs
+    return outcome
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 5, 7, 10**18 + 3]),
+    hadamard=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["stabilizer", "logical", "random", "face"]), max_size=8),
+)
+def test_rank_one_update_matches_the_product_oracle(d, hadamard, seed, kinds):
+    """From |0_L>, with or without transversal H, a block of random rows and
+    then every gauge generator, some of which fail to commute with the
+    state; after every random outcome the outcome, rng state, phases, rows
+    and destabilizers (dtypes included) are those of the product update.
+    d = 10^18 + 3 runs on Python ints."""
+    L, C, G = tetra(d)
+    T = gauge.Tableau.zero_logical(C)
+    if hadamard:
+        T.apply_transversal_H(L.star_signs())
+    rows = draw_rows(d, C, G, kinds, random.Random(seed)) + list(G.gauge_group.rows)
+    rank_one, compared = gauge.Tableau._random_outcome, []
+
+    def both(self, obs, coeffs, rng):
+        O, oracle_rng = self.copy(), random.Random()
+        oracle_rng.setstate(rng.getstate())
+        want = product_random_outcome(O, obs, coeffs, oracle_rng)
+        got = rank_one(self, obs, coeffs, rng)
+        assert (got, rng.getstate()) == (want, oracle_rng.getstate())
+        for name in ("phase", "xz", "destab"):
+            mine, theirs = getattr(self, name), getattr(O, name)
+            assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist(), name
+        compared.append(got)
+        return got
+
+    with mock.patch.object(gauge.Tableau, "_random_outcome", both):
+        T.measure(rows, random.Random(seed))
+    assert compared
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])

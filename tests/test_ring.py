@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from colexa import colex, gauge, ring
 from builders import with_code
-from oracles import brute_kernel, brute_span, recursive_span, solve_left
+from oracles import brute_kernel, brute_span, dense_echelon_mod_p, recursive_span, solve_left
 
 
 def rmat(N, rows):
@@ -547,6 +547,45 @@ def test_echelon_mod_p(p, m, n, data):
     assert not any(e for row in R[r:] for e in row)
     assert r == sum(1 for e in ring.smith_normal_form(A)[3] if e % p)
     assert in_span(A, p, R, n) and in_span(R, p, A, n)
+
+
+ECHELON_PRIMES = [2, 3, 5, 7, 1009, 2**31 - 1, 2**61 - 1, 10**18 + 3]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(A, p): an m x n array over F_p, 0 <= m, n <= 8, with rows and
+    columns zeroed at random and, at times, a row that is a combination of
+    two others, so pivots are skipped, moved and run out."""
+    p = draw(st.sampled_from(ECHELON_PRIMES))
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    A = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=m)):
+        A[i] = [0] * n
+    for j in draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)):
+        for row in A:
+            row[j] = 0
+    if m >= 3 and draw(st.booleans()):
+        k = draw(st.integers(0, p - 1))
+        A[-1] = [(k * a + b) % p for a, b in zip(A[0], A[1])]
+    return np.array(A, dtype=object).reshape(m, n), p
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=sparse_matrices(), as_int64=st.booleans())
+def test_echelon_mod_p_matches_the_dense_elimination(case, as_int64):
+    """The elimination that skips no-op swaps, unit scalings, zero rows and
+    the columns left of each pivot, and stops once every row holds a pivot,
+    gives the (R, T, pivots) of the one that updates every entry, dtypes
+    included, from object and (where it fits) int64 input."""
+    A, p = case
+    if as_int64:  # every p here is below 2^63
+        A = A.astype(np.int64)
+    got, want = ring.echelon_mod_p(A, p), dense_echelon_mod_p(A, p)
+    assert got[2] == want[2]
+    for g, w in zip(got[:2], want[:2]):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tolist() == w.tolist()
 
 
 def full_scan_pivot(S, t):

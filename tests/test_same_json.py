@@ -1,8 +1,8 @@
 """Same JSON: every operation of the benchmark's workloads prints, in
 process, the stdout recorded in perfbench/digests.json and the verdict of
-perfbench/answers.py, and the README's commands and the failing verdicts
-below print their recorded stdout and exit codes.  perfbench/ is only
-read."""
+perfbench/answers.py, and the README's commands, the failing verdicts
+below and 320 seeded fix-demos print their recorded stdout and exit codes.
+perfbench/ is only read."""
 
 import contextlib
 import hashlib
@@ -272,3 +272,28 @@ def test_codeword_prints_the_set_formula(argv, x, tmp_path, monkeypatch):
     want = hashlib.sha256(set_formula(C, x, "--pretty" in argv).encode()).hexdigest()
     # digests, not strings: pytest's diff of two long JSON texts takes minutes
     assert stdout_and_code(argv) == (0, want)
+
+
+# -- gauge fixing over many seeds --------------------------------------------
+#
+# One sha256 over the stdout of 320 fix-demos, recorded before random
+# outcomes became rank-one updates and the correction system was kept on
+# the gauge code: every d from the binary field to the Python-int path,
+# seeds 0-39 each, in that order.
+
+FIX_DEMO_DS = (2, 3, 5, 7, 11, 13, 1009, 10**18 + 3)
+FIX_DEMO_DIGEST = "f15a149f5cca6744d1aafeff46eff4d317625afb6b9a720d226c5a99bcf7d416"
+
+
+def test_fix_demos_print_the_recorded_stdout():
+    digest = hashlib.sha256()
+    for d in FIX_DEMO_DS:
+        for seed in range(40):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["gauge", "fix-demo", "--d", str(d), "--seed", str(seed)]) == 0
+            digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == FIX_DEMO_DIGEST
+    # a composite d still has no tableau: exit 2, nothing on stdout
+    assert stdout_and_code(["gauge", "fix-demo", "--d", "4", "--seed", "0"]) == (
+        2, hashlib.sha256(b"").hexdigest())
