@@ -119,97 +119,64 @@ def charge(work: int, cap: int, what: str) -> None:
         raise code_mod.CapExceeded(f"{what}: {work} > cap {cap}")
 
 
+_COMMON = [("--pretty", dict(action="store_true")),
+           ("--cap", dict(type=int, help="enumeration cap (default $COLEXA_CAP or 10^7)"))]
+_LATTICE = [("--lattice", dict(default="tetra", help="tetra | triangle | path to lattice JSON")),
+            ("--distance", dict(type=int, default=3))]
+_CODE = [("--code", dict(default="tetra", help="tetra | triangle | path to code JSON")),
+         ("--d", dict(type=int, default=2)),
+         ("--distance", dict(type=int, default=3)),
+         ("--mu-prime", dict(type=int))]
+
+# group -> action -> that command's flags, in the order its usage lists them
+COMMANDS = {
+    "lattice": {"build": _LATTICE + _COMMON, "check": _LATTICE + _COMMON},
+    "code": {
+        "build": _CODE + _COMMON,
+        "check": _CODE + _COMMON,
+        "distance": _CODE + _COMMON + [
+            ("--sector", dict(choices=["x", "z", "both"], default="both"))],
+        "syndrome": _CODE + _COMMON + [
+            ("--error", dict(required=True,
+                             help="comma-separated Pauli terms, e.g. Z@1111 or X^2@7"))],
+        "codeword": _CODE + _COMMON + [("--x", dict(type=int, default=0))],
+    },
+    "morth": {"check": _CODE + _COMMON + [
+        ("--m", dict(type=int, required=True)),
+        ("--mode", dict(choices=["strong", "weak"], default="strong"))]},
+    "gate": {
+        "level": [("--d", dict(type=int, required=True)),
+                  ("--gate", dict(required=True)),
+                  ("--l-cap", dict(type=int, default=10))] + _COMMON,
+        "verify": _CODE + _COMMON + [
+            ("--gate", dict(required=True, help="T | T36 | S | R:a0,a1,... | CX"))],
+    },
+    "gauge": {
+        "check": _CODE + _COMMON,
+        "fix-demo": [("--d", dict(type=int, default=3)),
+                     ("--seed", dict(type=int, default=0))] + _COMMON,
+    },
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared afterwards.
+    """The parser of COMMANDS, built on first use and shared afterwards.
 
     Parsing leaves it unchanged: every call gets a fresh Namespace, and each
-    subcommand names its handler, which main looks up when it runs, so a
-    handler replaced after the parser was built is the one called.
+    command names its handler, cmd_<group>_<action> with '-' read as '_',
+    which main looks up when it runs, so a handler replaced after the parser
+    was built is the one called.
     """
     parser = argparse.ArgumentParser(prog="colexa")
-    sub = parser.add_subparsers(dest="group")
-
-    def common(p):
-        p.add_argument("--pretty", action="store_true")
-        p.add_argument("--cap", type=int, help="enumeration cap (default $COLEXA_CAP or 10^7)")
-
-    def lattice_flags(p):
-        p.add_argument("--lattice", default="tetra",
-                       help="tetra | triangle | path to lattice JSON")
-        p.add_argument("--distance", type=int, default=3)
-
-    def code_flags(p):
-        p.add_argument("--code", default="tetra",
-                       help="tetra | triangle | path to code JSON")
-        p.add_argument("--d", type=int, default=2)
-        p.add_argument("--distance", type=int, default=3)
-        p.add_argument("--mu-prime", type=int, default=None, dest="mu_prime")
-
-    lat = sub.add_parser("lattice")
-    latsub = lat.add_subparsers(dest="action")
-    p = latsub.add_parser("build")
-    lattice_flags(p); common(p)
-    p.set_defaults(handler="cmd_lattice_build")
-    p = latsub.add_parser("check")
-    lattice_flags(p); common(p)
-    p.set_defaults(handler="cmd_lattice_check")
-
-    cod = sub.add_parser("code")
-    codsub = cod.add_subparsers(dest="action")
-    p = codsub.add_parser("build")
-    code_flags(p); common(p)
-    p.set_defaults(handler="cmd_code_build")
-    p = codsub.add_parser("check")
-    code_flags(p); common(p)
-    p.set_defaults(handler="cmd_code_check")
-    p = codsub.add_parser("distance")
-    code_flags(p); common(p)
-    p.add_argument("--sector", choices=["x", "z", "both"], default="both")
-    p.set_defaults(handler="cmd_code_distance")
-    p = codsub.add_parser("syndrome")
-    code_flags(p); common(p)
-    p.add_argument("--error", required=True,
-                   help="comma-separated Pauli terms, e.g. Z@1111 or X^2@7")
-    p.set_defaults(handler="cmd_code_syndrome")
-    p = codsub.add_parser("codeword")
-    code_flags(p); common(p)
-    p.add_argument("--x", type=int, default=0)
-    p.set_defaults(handler="cmd_code_codeword")
-
-    mor = sub.add_parser("morth")
-    morsub = mor.add_subparsers(dest="action")
-    p = morsub.add_parser("check")
-    code_flags(p); common(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--mode", choices=["strong", "weak"], default="strong")
-    p.set_defaults(handler="cmd_morth_check")
-
-    gat = sub.add_parser("gate")
-    gatsub = gat.add_subparsers(dest="action")
-    p = gatsub.add_parser("level")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--gate", required=True)
-    p.add_argument("--l-cap", type=int, default=10, dest="l_cap")
-    common(p)
-    p.set_defaults(handler="cmd_gate_level")
-    p = gatsub.add_parser("verify")
-    code_flags(p); common(p)
-    p.add_argument("--gate", required=True,
-                   help="T | T36 | S | R:a0,a1,... | CX")
-    p.set_defaults(handler="cmd_gate_verify")
-
-    gau = sub.add_parser("gauge")
-    gausub = gau.add_subparsers(dest="action")
-    p = gausub.add_parser("check")
-    code_flags(p); common(p)
-    p.set_defaults(handler="cmd_gauge_check")
-    p = gausub.add_parser("fix-demo")
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(handler="cmd_gauge_fix_demo")
-
+    groups = parser.add_subparsers(dest="group")
+    for group, actions in COMMANDS.items():
+        commands = groups.add_parser(group).add_subparsers(dest="action")
+        for action, flags in actions.items():
+            p = commands.add_parser(action)
+            for flag, kwargs in flags:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(handler=f"cmd_{group}_{action}".replace("-", "_"))
     return parser
 
 

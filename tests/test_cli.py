@@ -1,5 +1,6 @@
 """cli: subcommand behavior, exit codes, round trips, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -149,6 +150,16 @@ def test_x_distance_of_a_logical_in_span_g0_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "colexa: a logical label x != 0 has x.G1 in span(G0)\n"
+
+
+def test_z_distance_with_an_empty_commutant_is_a_usage_error(tmp_path, capsys):
+    # G0 = I: no nonzero Z commutes with both X stabilizers
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"d": 2, "n": 2, "stars": [1, -1], "G0": [[1, 0], [0, 1]],
+                                "G1": [[1, 1]], "Zstab": []}))
+    argv = ["code", "distance", "--code", str(path), "--sector", "z"]
+    assert assert_one_line_usage_error(capsys, argv) == \
+        "colexa: commutant contains no logical; k = 0?"
 
 
 def test_code_distance(capsys):
@@ -318,12 +329,15 @@ def test_usage_errors(capsys):
 
 
 def assert_one_line_usage_error(capsys, argv):
+    """Run argv, assert exit 2 with empty stdout and one line on stderr, and
+    return that line."""
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("colexa: "), captured.err
+    return lines[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -582,6 +596,106 @@ def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch):
     assert {code for code, _out in fresh.values()} == {0, 1, 2}
     # the four cap calls, in order: the codeword has 3^4 = 81 terms
     assert [fresh[i][0] for i in range(len(calls) - 4, len(calls))] == [2, 0, 0, 2]
+
+
+# Every parser's argparse actions in order, recorded from the hand-written
+# parser that COMMANDS replaced, as (option_strings, dest, default, type name,
+# required, choices, help, nargs, const); keyed by the command words, with
+# the handler each parser sets.  Actions, not --help text: argparse formats
+# help differently across Python versions.
+HELP = (("-h", "--help"), "help", "==SUPPRESS==", None, False, None,
+        "show this help message and exit", 0, None)
+PRETTY_CAP = [(("--pretty",), "pretty", False, None, False, None, None, 0, True),
+              (("--cap",), "cap", None, "int", False, None,
+               "enumeration cap (default $COLEXA_CAP or 10^7)", None, None)]
+LATTICE_FLAGS = [
+    HELP,
+    (("--lattice",), "lattice", "tetra", None, False, None,
+     "tetra | triangle | path to lattice JSON", None, None),
+    (("--distance",), "distance", 3, "int", False, None, None, None, None),
+] + PRETTY_CAP
+CODE_FLAGS = [
+    HELP,
+    (("--code",), "code", "tetra", None, False, None,
+     "tetra | triangle | path to code JSON", None, None),
+    (("--d",), "d", 2, "int", False, None, None, None, None),
+    (("--distance",), "distance", 3, "int", False, None, None, None, None),
+    (("--mu-prime",), "mu_prime", None, "int", False, None, None, None, None),
+] + PRETTY_CAP
+
+
+def subcommands(dest, choices):
+    return (None, [HELP, ((), dest, None, None, False, choices, None, "A...", None)])
+
+
+PARSER_ACTIONS = {
+    "": subcommands("group", ("lattice", "code", "morth", "gate", "gauge")),
+    "lattice": subcommands("action", ("build", "check")),
+    "lattice build": ("cmd_lattice_build", LATTICE_FLAGS),
+    "lattice check": ("cmd_lattice_check", LATTICE_FLAGS),
+    "code": subcommands("action", ("build", "check", "distance", "syndrome", "codeword")),
+    "code build": ("cmd_code_build", CODE_FLAGS),
+    "code check": ("cmd_code_check", CODE_FLAGS),
+    "code distance": ("cmd_code_distance", CODE_FLAGS + [
+        (("--sector",), "sector", "both", None, False, ("x", "z", "both"), None, None, None)]),
+    "code syndrome": ("cmd_code_syndrome", CODE_FLAGS + [
+        (("--error",), "error", None, None, True, None,
+         "comma-separated Pauli terms, e.g. Z@1111 or X^2@7", None, None)]),
+    "code codeword": ("cmd_code_codeword", CODE_FLAGS + [
+        (("--x",), "x", 0, "int", False, None, None, None, None)]),
+    "morth": subcommands("action", ("check",)),
+    "morth check": ("cmd_morth_check", CODE_FLAGS + [
+        (("--m",), "m", None, "int", True, None, None, None, None),
+        (("--mode",), "mode", "strong", None, False, ("strong", "weak"), None, None, None)]),
+    "gate": subcommands("action", ("level", "verify")),
+    "gate level": ("cmd_gate_level", [
+        HELP,
+        (("--d",), "d", None, "int", True, None, None, None, None),
+        (("--gate",), "gate", None, None, True, None, None, None, None),
+        (("--l-cap",), "l_cap", 10, "int", False, None, None, None, None),
+    ] + PRETTY_CAP),
+    "gate verify": ("cmd_gate_verify", CODE_FLAGS + [
+        (("--gate",), "gate", None, None, True, None, "T | T36 | S | R:a0,a1,... | CX",
+         None, None)]),
+    "gauge": subcommands("action", ("check", "fix-demo")),
+    "gauge check": ("cmd_gauge_check", CODE_FLAGS),
+    "gauge fix-demo": ("cmd_gauge_fix_demo", [
+        HELP,
+        (("--d",), "d", 3, "int", False, None, None, None, None),
+        (("--seed",), "seed", 0, "int", False, None, None, None, None),
+    ] + PRETTY_CAP),
+}
+
+
+def parser_actions(parser, words=()):
+    """{command words: (handler, actions)} of parser and every parser below
+    it, in the order argparse holds them."""
+    def record(a):
+        return (tuple(a.option_strings), a.dest, a.default,
+                None if a.type is None else a.type.__name__, a.required,
+                None if a.choices is None else tuple(a.choices), a.help, a.nargs, a.const)
+
+    out = {" ".join(words): (parser.get_default("handler"), [record(a) for a in parser._actions])}
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            for name, sub in a.choices.items():
+                out.update(parser_actions(sub, words + (name,)))
+    return out
+
+
+def test_parser_actions_are_pinned():
+    actions = parser_actions(cli.build_parser.__wrapped__())
+    assert list(actions) == list(PARSER_ACTIONS)
+    for words, pinned in PARSER_ACTIONS.items():
+        assert actions[words] == pinned, words
+
+
+def test_every_command_has_a_handler_and_every_handler_a_command():
+    named = {f"cmd_{group}_{action}".replace("-", "_")
+             for group, actions in cli.COMMANDS.items() for action in actions}
+    assert all(callable(getattr(cli, name, None)) for name in named)
+    assert named == {name for name, f in vars(cli).items()
+                     if name.startswith("cmd_") and callable(f)}
 
 
 def cli_env():

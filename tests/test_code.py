@@ -2,13 +2,14 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from colexa import code as code_mod
-from colexa import colex, ring
+from colexa import colex, gatecalc, gauge, morth, ring
 from colexa.reports import Report
 from builders import with_code
 from oracles import (PauliWord, cell_incidence_rows, logical_words, min_logical_weight_x,
@@ -524,3 +525,56 @@ def test_product_matches_itertools(lo, hi, w):
 def test_product_at_huge_range_is_counted():
     d = 2**64
     assert list(itertools.islice(code_mod._product(1, d, 2), 3)) == [(1, 1), (1, 2), (1, 3)]
+
+
+def tiny_code(d=2, G1=((1, 1, 1),)):
+    """A 3-qudit code with logical X rows G1 and no stabilizers."""
+    R = lambda rows: ring.ResidueMatrix(d, rows)
+    return code_mod.ColorCode(d, 3, (1, 1, 1), R([]), R(G1), R([]))
+
+
+def signed(signs):
+    return morth.StarSignedMatrix(ring.ResidueMatrix(3, [[1, 2]]), signs)
+
+
+# input checks that no command reaches: each call and the message it raises
+LIBRARY_CHECKS = [
+    pytest.param(lambda: code_mod.codeword(tiny_code(), (1, 0)),
+                 "logical label must have length 1", id="codeword-label"),
+    pytest.param(lambda: code_mod.distance(tiny_code(), "y"),
+                 "sector must be 'x' or 'z'", id="distance-sector"),
+    pytest.param(lambda: ring.ResidueMatrix(3, [[1, 2], [1]]), "ragged rows", id="ragged-rows"),
+    pytest.param(lambda: ring.mul_transpose(ring.ResidueMatrix(3, [[1, 2]]),
+                                            ring.ResidueMatrix(3, [[1, 2, 0]])),
+                 "column counts differ", id="mul-transpose"),
+    pytest.param(lambda: gatecalc.PhaseGate(3, 4, (0, 1, 2)),
+                 "N must be a positive multiple of d", id="phase-gate-N"),
+    pytest.param(lambda: gatecalc.PhaseGate(3, 9, (0, 1)),
+                 "phase table must have length d", id="phase-gate-table"),
+    pytest.param(lambda: gatecalc.hierarchy_level(gatecalc.build_T(3), 0),
+                 "l_cap must be >= 1", id="hierarchy-l-cap"),
+    pytest.param(lambda: gatecalc.verify_transversal_phase(tiny_code(3), gatecalc.build_T(5)),
+                 "gate and code dimensions differ", id="transversal-d"),
+    pytest.param(lambda: gatecalc.verify_transversal_phase(
+                     tiny_code(3, ((1, 0, 0), (0, 1, 0))), gatecalc.build_T(3)),
+                 "transversal phase check supports k=1 codes only", id="transversal-k"),
+    pytest.param(lambda: signed((1,)), "signs length must equal column count",
+                 id="signs-length"),
+    pytest.param(lambda: signed((1, 2)), "signs must be +-1", id="signs-values"),
+    pytest.param(lambda: morth.is_m_star_orthogonal(signed((1, -1)), {0}, 2, "medium"),
+                 "mode must be 'strong' or 'weak'", id="morth-mode"),
+    pytest.param(lambda: gauge._hadamard(np.zeros((1, 4), dtype=np.int64), (1,)),
+                 "star sign length mismatch", id="hadamard-signs"),
+    pytest.param(lambda: gauge.Tableau.zero_logical(tiny_code()),
+                 "tableau rank 1 != n 3", id="zero-logical-rank"),
+    pytest.param(lambda: colex.lattice_to_json(colex.Lattice(
+                     1, False, ("a", "b"), {"a": True, "b": False},
+                     (colex.Cell(1, frozenset("ab")),))),
+                 "JSON export requires integer vertex ids", id="lattice-to-json-ids"),
+]
+
+
+@pytest.mark.parametrize("call, message", LIBRARY_CHECKS)
+def test_library_input_checks_raise_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

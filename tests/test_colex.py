@@ -151,6 +151,28 @@ def test_punctured_flag_on_a_closed_lattice_has_no_star_orientation(tmp_path, ca
                             "|starred| = |unstarred| - 1\n")
 
 
+def three_paths():
+    """A punctured mu = 1 lattice of three paths a-b-c, (1, 2, 3), (4, 5, 6)
+    and (7, 8, 9), each with cells {a, b} of color 0 and {b, c} of color 1,
+    and no star flags."""
+    return {"mu": 1, "punctured": True,
+            "vertices": [{"id": v, "star": None} for v in range(1, 10)],
+            "cells": [{"dim": 1, "color": color, "vertices": [a + color, a + color + 1]}
+                      for a in (1, 4, 7) for color in (0, 1)]}
+
+
+def test_third_of_three_paths_is_flipped(tmp_path, capsys):
+    # each path's 2-coloring stars only b (diff -1); the lexicographically
+    # first orientation with diff sum -1 keeps two paths and flips the third
+    L = colex.star_bipartition(colex.lattice_from_json(three_paths()))
+    assert sorted(v for v, s in L.star.items() if s) == [2, 5, 7, 9]
+    path = tmp_path / "paths.json"
+    path.write_text(json.dumps(three_paths()))
+    assert cli.main(["lattice", "check", "--lattice", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["ok"] and (rep["starred"], rep["unstarred"]) == (4, 5)
+
+
 def test_triangle3_counts(tri3):
     L, _ = tri3
     assert len(L.vertex_ids) == 7

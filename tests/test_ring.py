@@ -54,6 +54,18 @@ def test_matrix_keeps_its_shape_and_a_dtype_that_holds_N(N, shape):
     assert ring.kernel_mod(M).ncols == shape[0]
 
 
+@pytest.mark.parametrize("N", [3, 2**70])
+def test_equal_matrices_hash_equal(N):
+    # one matrix from unreduced rows, from an int64 array and from an object
+    # array: equal, so equal hashes, and one set element
+    built = [ring.ResidueMatrix(N, [[N + 1, 2 * N - 1], [0, -1]]),
+             ring.ResidueMatrix(N, np.array([[1, -1], [0, -1]], dtype=np.int64)),
+             ring.ResidueMatrix(N, np.array([[1, N - 1], [N, N - 1]], dtype=object))]
+    assert built[0] == built[1] == built[2]
+    assert len({hash(M) for M in built}) == 1 and len(set(built)) == 1
+    assert ring.ResidueMatrix(N, [[1, 0], [0, -1]]) not in set(built)
+
+
 def test_kernel_unit_mod5():
     assert ring.kernel_mod(rmat(5, [[1]])).nrows == 0
 
