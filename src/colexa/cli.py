@@ -337,13 +337,13 @@ def cmd_gate_verify(args):
 
 
 def cmd_gauge_check(args):
-    L, C = load_code(args)
+    L, _ = load_code(args)
     if L is None:
         raise ValueError("gauge check needs a builder lattice (tetra)")
     G = gauge.build_gauge_code(L, args.d)
     center_rep = gauge.center_equals_stabilizer(G)
     h_rep = gauge.verify_H_logical(G)
-    neg = gauge.verify_H_stabilizer_code(C)
+    neg = gauge.verify_H_stabilizer_code(G.color_code)
     ok = center_rep.ok and h_rep.ok and not neg.ok
     return ok, {
         "gauge_generators": G.gauge_group.nrows,

@@ -49,6 +49,11 @@ class Lattice:
     def __post_init__(self):
         object.__setattr__(self, "star", MappingProxyType(dict(self.star)))
 
+    def __hash__(self) -> int:
+        """Over the fields the generated __eq__ compares, the star map as its items."""
+        return hash((self.mu, self.punctured, self.vertex_ids, frozenset(self.star.items()),
+                     self.cells))
+
     def cells_of_dim(self, k: int) -> list:
         return [c for c in self.cells if c.dim == k]
 
@@ -185,34 +190,21 @@ def star_bipartition(L: Lattice) -> Lattice:
             )
         flips = [False] * len(comps)  # closed: report via check_cell_balance
 
-    star = {}
-    for comp, flip in zip(comps, flips):
-        for v in comp:
-            star[v] = color[v] != flip
-    return L.with_star(star)
+    return L.with_star({v: color[v] != flip for comp, flip in zip(comps, flips) for v in comp})
 
 
 def _orientation_flips(diffs, target):
     """Lexicographically first flip pattern with sum(+-diffs) == target."""
     # reachable[i] = set of partial sums achievable using components i..end
-    n = len(diffs)
-    reachable = [set() for _ in range(n + 1)]
-    reachable[n].add(0)
-    for i in range(n - 1, -1, -1):
-        for s in reachable[i + 1]:
-            reachable[i].add(s + diffs[i])
-            reachable[i].add(s - diffs[i])
+    reachable = [{0}]
+    for diff in reversed(diffs):
+        reachable.insert(0, {s + e for s in reachable[0] for e in (diff, -diff)})
     if target not in reachable[0]:
         return None
-    flips = []
-    remaining = target
-    for i in range(n):
-        if remaining - diffs[i] in reachable[i + 1]:
-            flips.append(False)
-            remaining -= diffs[i]
-        else:
-            flips.append(True)
-            remaining += diffs[i]
+    flips = []  # each component unflipped unless the rest cannot then reach target
+    for diff, rest in zip(diffs, reachable[1:]):
+        flips.append(target - diff not in rest)
+        target += diff if flips[-1] else -diff
     return flips
 
 
@@ -228,11 +220,8 @@ def check_cell_balance(L: Lattice) -> Report:
         return rep
     rep.add("star-flags-present", True)
 
-    bad = []
-    for c in L.cells:
-        ns = sum(1 for v in c.vertices if L.star[v])
-        if 2 * ns != len(c.vertices):
-            bad.append({"dim": c.dim, "vertices": sorted(c.vertices)})
+    bad = [{"dim": c.dim, "vertices": sorted(c.vertices)} for c in L.cells
+           if 2 * sum(1 for v in c.vertices if L.star[v]) != len(c.vertices)]
     rep.add(
         "cell-balance",
         not bad,

@@ -16,7 +16,8 @@ measurements into one symplectic product, with no factorization and no
 solve, and a random outcome is one rank-one update.  Every other prime-d
 question (|0_L> bases, destabilizers, canonical form) is one echelon form
 over F_d, so the tableau factors nothing; the lex-least gauge correction is
-one product with an echelon transform kept on the gauge code.
+one product with an echelon transform kept on the gauge code, which its
+lattice keeps per d; the center and the reports are recomputed on each check.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
 from . import ring
-from .code import ColorCode, cell_rows, from_colex, symplectic_phase
+from .code import ColorCode, cell_rows, symplectic_phase
 from .colex import Lattice, hypercube_lattice
 from .reports import Report
 
@@ -91,6 +92,20 @@ class GaugeCode:
         """The stabilizer generators as (x | z) rows: X cells, then Z cells."""
         return _css(self.cell_x, self.cell_z)
 
+    @cached_property
+    def color_code(self) -> ColorCode:
+        """The mu' = mu color code on this code's own cell_x and face_z."""
+        ones = ring.ResidueMatrix(self.d, np.ones((1, self.n), dtype=np.int64))
+        return ColorCode(self.d, self.n, self.star_signs, self.cell_x, ones, self.face_z)
+
+    @cached_property
+    def fix_demo_start(self) -> "Tableau":
+        """The |0_L> tableau after transversal H, which no seed changes:
+        built on first use and never mutated; prime d only."""
+        T = Tableau.zero_logical(self.color_code)
+        T.apply_transversal_H(self.star_signs)
+        return T
+
     def bare_logical_x(self) -> tuple:
         """Xbar as (x | z) exponents: X on every qudit."""
         return (1,) * self.n + (0,) * self.n
@@ -101,9 +116,13 @@ class GaugeCode:
 
 
 def build_gauge_code(L: Lattice, d: int) -> GaugeCode:
-    """Face gauge generators plus cell stabilizers from a star-flagged colex."""
+    """Face gauge generators plus cell stabilizers from a star-flagged colex,
+    built on first use and kept on L per d, like its incidence."""
     if L.mu < 3:
         raise ValueError("gauge color codes need mu >= 3")
+    kept = L.__dict__.setdefault("_gauge", {})
+    if d in kept:
+        return kept[d]
     sigma = L.star_signs()
     G = GaugeCode(
         d=d,
@@ -116,6 +135,7 @@ def build_gauge_code(L: Lattice, d: int) -> GaugeCode:
     )
     if symplectic_phase(G.stabilizer_group.array, G.gauge_group.array, d).any():
         raise AssertionError("stabilizer fails to commute with gauge group")
+    kept[d] = G
     return G
 
 
@@ -427,22 +447,10 @@ def gauge_fix(T: Tableau, G: GaugeCode, rng: random.Random) -> dict:
     }
 
 
-@cache
-def _fix_demo_start(d: int) -> tuple:
-    """The tetra gauge code at d and the |0_L> tableau after transversal H,
-    which no seed changes: built once per d and never mutated."""
-    L = hypercube_lattice(3)
-    C = from_colex(L, 3, d)
-    G = build_gauge_code(L, d)
-    T = Tableau.zero_logical(C)
-    T.apply_transversal_H(L.star_signs())
-    return G, T
-
-
 def fix_demo(d: int, seed: int) -> dict:
     """The full §-style demo: |0_L>, transversal H, gauge fix, report."""
-    G, start = _fix_demo_start(d)
-    T = start.copy()
+    G = build_gauge_code(hypercube_lattice(3), d)
+    T = G.fix_demo_start.copy()
     log = gauge_fix(T, G, random.Random(seed))
     log["seed"] = seed
     log["canonical_form"] = [{"x": list(x), "z": list(z), "phase": phase}

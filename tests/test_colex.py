@@ -220,6 +220,20 @@ def test_lattice_keeps_a_private_copy_of_its_star_map():
     assert L.with_star(star).star == star and dict(L.star) == {0: True, 1: False}
 
 
+@pytest.mark.parametrize("builder, arg", [(colex.hypercube_lattice, 3),
+                                           (colex.triangle_lattice, 7)])
+def test_equal_lattices_hash_equal_and_serve_as_dict_keys(builder, arg):
+    L = builder(arg)
+    same = [L.with_star(L.star), colex.lattice_from_json(colex.lattice_to_json(L))]
+    v = L.vertex_ids[0]
+    flipped = L.with_star({**L.star, v: not L.star[v]})
+    keys = {L: "built", flipped: "flipped"}
+    for M in same:
+        assert M is not L and M == L and hash(M) == hash(L)
+        assert keys[M] == "built"
+    assert flipped != L and keys[flipped] == "flipped" and len(keys) == 2
+
+
 def test_triangle5_counts():
     L, _ = with_code(colex.triangle_lattice(5), 2)
     assert len(L.vertex_ids) == 19

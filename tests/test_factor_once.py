@@ -6,9 +6,11 @@ since the gauge code keeps the correction system; a matrix asked only
 whether its rows are independent is not
 factored at all; each built-in lattice is built and audited once per
 process; and a lattice decides whether [G1; G0] is injective once per
-(mu', d), while a code read from JSON is decided on every load.  A test
-that counts the first build of a code clears the lattice caches first, so
-its count does not hang on which tests ran before it.  A code distance
+(mu', d), while a code read from JSON is decided on every load.  A lattice
+keeps its gauge code per d, so a later gauge check at d eliminates only
+the center's two matrices.  A test that counts the first build of a code
+clears the lattice caches or the lattice's kept gauge codes first, so its
+count does not hang on which tests ran before it.  A code distance
 eliminates G0^T once for both sectors."""
 
 import json
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from colexa import cli, code, colex, gauge, ring
-from builders import with_code
+from builders import forget_gauge_codes, with_code
 from oracles import solve_left, stabilizer_words
 
 
@@ -68,10 +70,11 @@ def decisions(monkeypatch):
 def test_fix_demo_factor_count(snf_calls, monkeypatch, d):
     # every prime-d question of the tableau and the correction is one
     # echelon form over F_d: no Smith form (so no solve over Z_N), no kernel;
-    # the start state is built afresh, so zero_logical is counted too
+    # the gauge code and its start state are built afresh, so zero_logical
+    # is counted too
     calls = []
     monkeypatch.setattr(ring, "kernel_mod", lambda *a: calls.append("kernel_mod"))
-    gauge._fix_demo_start.cache_clear()
+    forget_gauge_codes(colex.hypercube_lattice(3))
     log = gauge.fix_demo(d, 1)
     assert all(log["post"].values())
     assert snf_calls == [] and calls == []
@@ -79,8 +82,9 @@ def test_fix_demo_factor_count(snf_calls, monkeypatch, d):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 10**18 + 3])
 def test_later_fix_demos_eliminate_only_their_canonical_form(snf_calls, monkeypatch, d):
-    # the first demo at d builds the start state and eliminates the
-    # correction system, which its gauge code keeps; every later demo at d
+    # the first demo at d builds the gauge code, which the lattice keeps,
+    # and its start state and correction system, which the gauge code
+    # keeps; every later demo at d
     # makes one echelon form (its canonical form) and measures two blocks:
     # the Z faces, then the three post-checks
     echelons, measures, kernels = [], [], []
@@ -90,7 +94,7 @@ def test_later_fix_demos_eliminate_only_their_canonical_form(snf_calls, monkeypa
     monkeypatch.setattr(gauge.Tableau, "measure",
                         lambda T, rows, rng: measures.append(len(rows)) or measure(T, rows, rng))
     monkeypatch.setattr(ring, "kernel_mod", lambda *a: kernels.append(a))
-    gauge._fix_demo_start.cache_clear()
+    forget_gauge_codes(colex.hypercube_lattice(3))
     gauge.fix_demo(d, 0)
     assert len(echelons) == 5  # two |0_L> bases, destabilizers, correction, canonical form
     for seed in range(1, 6):
@@ -124,6 +128,7 @@ def test_gauge_check_factor_count(snf_calls, monkeypatch, d):
     monkeypatch.setattr(ring, "echelon_mod_p",
                         lambda A, p: echelons.append(A.shape) or original(A, p))
     L, _ = with_code(colex.hypercube_lattice(3), d)
+    forget_gauge_codes(L)
     G = gauge.build_gauge_code(L, d)
     snf_calls.clear()
     assert gauge.center_equals_stabilizer(G).ok and gauge.verify_H_logical(G).ok
@@ -134,6 +139,40 @@ def test_gauge_check_factor_count(snf_calls, monkeypatch, d):
                                           + [(G.n, cells)] * 2)
     else:
         assert echelons == [] and len(snf_calls) <= 6
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_a_second_gauge_check_eliminates_only_the_center(snf_calls, monkeypatch, capsys, d):
+    # the first command builds the gauge code and eliminates its four halves'
+    # span checks; the negative control's mu' = mu color code is the gauge
+    # code's own X cells and Z faces, so it reads two of them.  The lattice
+    # keeps the gauge code, so a second command eliminates only the center's
+    # A and A^T: two echelon forms at prime d, at most two Smith forms else
+    echelons = []
+    original = ring.echelon_mod_p
+    monkeypatch.setattr(ring, "echelon_mod_p",
+                        lambda A, p: echelons.append(A.shape) or original(A, p))
+    L = colex.hypercube_lattice(3)
+    forget_gauge_codes(L)
+    argv = ["gauge", "check", "--code", "tetra", "--d", str(d)]
+    assert cli.main(argv) == 0
+    G = gauge.build_gauge_code(L, d)
+    C = G.color_code
+    assert C.G0 is G.cell_x and C.z_stab is G.face_z
+    first = capsys.readouterr().out
+    if d in (2, 3):
+        assert len(echelons) == 6 and snf_calls == []
+    else:
+        assert echelons == [] and len(snf_calls) <= 6
+    echelons.clear(), snf_calls.clear()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+    faces = G.face_x.nrows
+    if d in (2, 3):
+        assert echelons == [(faces, faces)] * 2 and snf_calls == []
+    else:
+        smith = [(len(A), len(A[0])) for A in snf_calls]
+        assert echelons == [] and 1 <= len(smith) <= 2 and set(smith) == {(faces, faces)}
 
 
 @pytest.mark.parametrize("d", [3, 6])
@@ -312,7 +351,7 @@ def test_each_lattice_is_built_and_audited_once(monkeypatch, capsys):
     build = gauge.build_gauge_code
     monkeypatch.setattr(gauge, "build_gauge_code",
                         lambda L, d: gauge_lattices.append(L) or build(L, d))
+    forget_gauge_codes(tetra)
     assert cli.main(["gauge", "check", "--code", "tetra"]) == 0
-    gauge._fix_demo_start.cache_clear()
     gauge.fix_demo(3, 0)
     assert len(gauge_lattices) == 2 and all(L is tetra for L in gauge_lattices)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from colexa import colex, gauge, ring
 from colexa.code import symplectic_phase, syndrome
 from colexa.reports import Report
-from builders import with_code
+from builders import forget_gauge_codes, with_code
 from oracles import (
     PauliWord,
     augmented_lex_least,
@@ -1111,13 +1111,14 @@ def test_tableau_refuses_a_row_without_2n_entries(tetra3, length):
 
 
 def test_fix_demo_start_is_never_mutated():
-    # the demos share one start state per d: run in sequence, each gives what
-    # it gives from a start built afresh
+    # the demos share one start state per d, kept on the lattice's gauge
+    # code: run in sequence, each gives what it gives from a gauge code and
+    # a start built afresh
     runs = [(d, seed) for d in (2, 3, 5, 7) for seed in range(5)]
     shared = [gauge.fix_demo(d, seed) for d, seed in runs]
     fresh = []
     for d, seed in runs:
-        gauge._fix_demo_start.cache_clear()
+        forget_gauge_codes(colex.hypercube_lattice(3))
         fresh.append(gauge.fix_demo(d, seed))
     assert shared == fresh
     for _ in range(2):  # an error is not cached

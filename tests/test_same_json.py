@@ -1,8 +1,8 @@
 """Same JSON: every operation of the benchmark's workloads prints, in
 process, the stdout recorded in perfbench/digests.json and the verdict of
 perfbench/answers.py, and the README's commands, the failing verdicts
-below and 320 seeded fix-demos print their recorded stdout and exit codes.
-perfbench/ is only read."""
+below, 320 seeded fix-demos and gauge checks repeated on a kept gauge code
+print their recorded stdout and exit codes.  perfbench/ is only read."""
 
 import contextlib
 import hashlib
@@ -16,6 +16,7 @@ import pytest
 
 from colexa import cli, colex, ring
 from colexa import code as code_mod
+from builders import forget_gauge_codes
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -297,3 +298,30 @@ def test_fix_demos_print_the_recorded_stdout():
     # a composite d still has no tableau: exit 2, nothing on stdout
     assert stdout_and_code(["gauge", "fix-demo", "--d", "4", "--seed", "0"]) == (
         2, hashlib.sha256(b"").hexdigest())
+
+
+# -- kept gauge codes never reach stdout -------------------------------------
+#
+# The tetra lattice keeps its gauge code per d, with the span checks, the
+# correction system and the fix-demo start that the code keeps in turn.
+# From a lattice that keeps none, gauge checks at each d, three times over
+# and each followed by a fix-demo at the same d, print the recorded stdout
+# and exit codes every time.
+
+
+def test_kept_gauge_codes_never_reach_stdout():
+    digests = json.loads((PERFBENCH / "digests.json").read_text())["digests"]
+    empty = hashlib.sha256(b"").hexdigest()
+    tetra = colex.hypercube_lattice(3)
+    forget_gauge_codes(tetra)
+    for repeat in range(3):
+        for d in (2, 3, 4, 6):
+            check = f"gauge check --code tetra --d {d}"
+            assert stdout_and_code(check.split()) == (0, digests[check])
+            demo = f"gauge fix-demo --d {d} --seed {repeat}"
+            want = (0, digests[demo]) if d in (2, 3) else (2, empty)
+            assert stdout_and_code(demo.split()) == want
+    assert sorted(tetra.__dict__["_gauge"]) == [2, 3, 4, 6]
+    # a lattice from with_star is equal to tetra but keeps no gauge code
+    flagged = tetra.with_star(tetra.star)
+    assert flagged == tetra and "_gauge" not in flagged.__dict__
