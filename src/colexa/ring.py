@@ -18,13 +18,13 @@ result (no divisibility scan at unit pivots, column operations only on the
 rows they change), so its U, S and V are those of the plain elimination.
 Each `ResidueMatrix` is Smith-factored at most once: the Smith form is
 computed on first use and kept on the matrix (and, transposed, on its
-transpose), and its row basis, span orders and span enumeration are
-answered from it.  Span membership, at every N, is
-one product with a check matrix kept on the matrix (span_check): over Z_N a
-row span is exactly the annihilator of its right kernel.  Span enumeration
-adds only two residues at a time, so its blocks use the narrowest unsigned
-dtype that holds 2(N-1) and are reduced mod N with no division; for
-N > 2^63, where 2(N-1) passes 2^64 - 1, they are Python integers reduced by %.
+transpose), and its row basis and span orders are answered from it.  Span
+membership, at every N, is one product with a check matrix kept on the
+matrix (span_check): over Z_N a row span is exactly the annihilator of its
+right kernel.  Span enumeration keeps one inner block per matrix (at most
+BLOCK_ROWS x ncols entries, built when first asked, with BLOCK_ROWS as it is
+then), and every coset is a shift of it; blocks use the narrowest unsigned
+dtype holding 2(N-1), reduced with no division, or Python ints past 2^63.
 """
 
 from __future__ import annotations
@@ -398,34 +398,44 @@ def span_blocks(M: ResidueMatrix, offset=None) -> Iterator[np.ndarray]:
 
     Rows come in iter_span order: y_1 g_1 + ... + y_r g_r over the
     row_basis generators, 0 <= y_i < span_orders(M)[i], first generator
-    outermost.  The trailing generators span one inner block, built once;
-    each yielded block is that inner block shifted by one combination of the
-    leading generators, taken by an odometer.  Only two residues are ever
-    added, so blocks have dtype np.min_scalar_type(2(N-1)): uint8 for
-    N <= 128, then uint16, uint32 or uint64, and Python ints (object) for
-    N > 2^63.  An unsigned sum s <= 2N - 2 is reduced with no division as
-    min(s, s - N): s - N wraps above s exactly when s < N.  Object blocks
+    outermost.  The trailing generators span one inner block, of at most
+    BLOCK_ROWS x ncols entries, built on first use (BLOCK_ROWS is read then)
+    and kept on M, read-only, with the generators, orders and split; each
+    yielded block is a fresh array, that block shifted by the offset and by
+    one combination of the leading generators, taken by an odometer.  An
+    offset has ncols entries (else ValueError at the first block) unless M
+    has no rows: M then spans {0} at the offset's width.  Only two residues
+    are ever added, so blocks have dtype np.min_scalar_type(2(N-1)): uint8
+    for N <= 128, then uint16, uint32 or uint64, and Python ints (object)
+    for N > 2^63.  An unsigned sum s <= 2N - 2 is reduced with no division
+    as min(s, s - N): s - N wraps above s exactly when s < N.  Object blocks
     are reduced by % N.
     """
     N = M.modulus
     n = M.ncols if offset is None else len(offset)
-    dtype = np.min_scalar_type(2 * (N - 1))
-    top = None if dtype == object else dtype.type(N)
-    gens = row_basis(M).array.astype(dtype)
-    orders = span_orders(M)
-    split, size = len(orders), 1
-    while split and size * orders[split - 1] <= BLOCK_ROWS:
-        split -= 1
-        size *= orders[split]
-    inner = np.zeros((1, n), dtype=dtype)
-    for g, o in zip(gens[split:], orders[split:]):
-        multiples = np.zeros((o, n), dtype=dtype)
-        for c in range(1, o):
-            multiples[c] = (multiples[c - 1] + g) % N
-        inner = ((inner[:, None, :] + multiples[None, :, :]) % N).reshape(-1, n)
-    shift = np.zeros(n, dtype=dtype)
+    if M.nrows and n != M.ncols:
+        raise ValueError(f"offset has {n} entries, not ncols = {M.ncols}")
+    if not M.nrows or "_span" not in M.__dict__:
+        dtype = np.min_scalar_type(2 * (N - 1))
+        gens = row_basis(M).array.astype(dtype)
+        orders = span_orders(M)
+        split, size = len(orders), 1
+        while split and size * orders[split - 1] <= BLOCK_ROWS:
+            split -= 1
+            size *= orders[split]
+        inner = np.zeros((1, n), dtype=dtype)
+        for g, o in zip(gens[split:], orders[split:]):
+            multiples = np.zeros((o, n), dtype=dtype)
+            for c in range(1, o):
+                multiples[c] = (multiples[c - 1] + g) % N
+            inner = ((inner[:, None, :] + multiples[None, :, :]) % N).reshape(-1, n)
+        gens.setflags(write=False), inner.setflags(write=False)
+        M._span = gens, orders, split, inner
+    gens, orders, split, inner = M._span
+    top = None if inner.dtype == object else inner.dtype.type(N)
+    shift = np.zeros(n, dtype=inner.dtype)
     if offset is not None:
-        shift += np.array([int(e) % N for e in offset], dtype=dtype)
+        shift += np.array([int(e) % N for e in offset], dtype=inner.dtype)
     counts = [0] * split
     while True:
         s = inner + shift

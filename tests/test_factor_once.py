@@ -11,9 +11,13 @@ keeps its gauge code per d, so a later gauge check at d eliminates only
 the center's two matrices.  A test that counts the first build of a code
 clears the lattice caches or the lattice's kept gauge codes first, so its
 count does not hang on which tests ran before it.  A code distance
-eliminates G0^T once for both sectors."""
+eliminates G0^T once for both sectors.  Each enumerated matrix is reduced
+to its row basis once per command: the cosets of a transversal check or of
+an X distance are shifts of one inner block kept on G0."""
 
+import hashlib
 import json
+import pathlib
 import random
 
 import numpy as np
@@ -199,6 +203,40 @@ def test_distance_eliminates_G0_transpose_once(snf_calls, monkeypatch, capsys, d
         assert echelons == [(15, 4), (15, 18), (15, 11)]
     else:
         assert smith == [(5, 15), (4, 15), (11, 15), (15, 18)] and echelons == []
+
+
+DIGESTS = json.loads((pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+                      / "digests.json").read_text())["digests"]
+
+
+@pytest.mark.parametrize("argv,enumerated,stdout", [
+    # d cosets x.G1 + span(G0) of one G0
+    ("gate verify --code tetra --d 7 --gate T", 1, None),
+    ("gate verify --code tetra --d 7 --gate S", 1, None),
+    ("gate verify --code tetra --d 6 --gate T36", 1, None),
+    # d^k - 1 = 2 X cosets of G0
+    ("code distance --code tetra --d 3 --sector x", 1, '{"x": 7}\n'),
+    ("code distance --code triangle --d 3 --distance 5 --sector x", 1, '{"x": 5}\n'),
+    # the X cosets of G0 and the Z sector's commutant, streamed whole
+    ("code distance --code tetra --d 3 --sector both", 2, None),
+    ("code distance --code triangle --d 3 --distance 5 --sector both", 2, None),
+    # one coset, as before
+    ("code codeword --code triangle --d 3 --distance 5 --x 1", 1, None),
+])
+def test_each_enumerated_matrix_is_reduced_once(monkeypatch, capsys, argv, enumerated, stdout):
+    # span_blocks keeps the inner block on the matrix, so every later coset
+    # of it only adds its shift: one row_basis per enumerated matrix, not
+    # one per coset (a transversal check at d = 7 made seven)
+    calls = []
+    original = ring.row_basis
+    monkeypatch.setattr(ring, "row_basis", lambda M: calls.append(M) or original(M))
+    assert cli.main(argv.split()) == 0
+    out = capsys.readouterr().out
+    if stdout is None:
+        assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[argv]
+    else:
+        assert out == stdout
+    assert len(calls) == len({id(M) for M in calls}) == enumerated
 
 
 def test_repeated_questions_factor_once(snf_calls):

@@ -394,19 +394,23 @@ def test_composite_span_size_multiplies_over_blocks(N, data):
 @given(N=COMPOSITE, m=st.integers(1, 4), n=st.integers(1, 4),
        block=st.sampled_from([1, 3, 8, ring.BLOCK_ROWS]), data=st.data())
 def test_span_blocks_in_iter_span_order(N, m, n, block, data):
+    # one matrix at several offsets: every enumeration after the first
+    # shifts the inner block the first one kept
     M = draw_matrix(data, N, m, n)
-    offset = tuple(data.draw(st.integers(0, N - 1)) for _ in range(n))
+    offsets = [tuple(data.draw(st.integers(-N, 2 * N)) for _ in range(n)) for _ in range(3)]
     reference = recursive_span(M)
     default, ring.BLOCK_ROWS = ring.BLOCK_ROWS, block
     try:
         blocks = list(ring.span_blocks(M))
-        shifted = [r for b in ring.span_blocks(M, offset) for r in map(tuple, b.tolist())]
+        shifted = [[r for b in ring.span_blocks(M, o) for r in map(tuple, b.tolist())]
+                   for o in offsets]
         elements = list(ring.iter_span(M))
     finally:
         ring.BLOCK_ROWS = default
     assert all(b.dtype == np.min_scalar_type(2 * (N - 1)) and 1 <= len(b) <= block for b in blocks)
     assert [r for b in blocks for r in map(tuple, b.tolist())] == elements == reference
-    assert shifted == [tuple((a + b) % N for a, b in zip(offset, r)) for r in reference]
+    assert shifted == [[tuple((a + b) % N for a, b in zip(o, r)) for r in reference]
+                       for o in offsets]
     assert set(elements) == brute_span([list(r) for r in M.rows], N)
 
 
@@ -418,15 +422,16 @@ def test_span_blocks_in_iter_span_order(N, m, n, block, data):
 def test_span_blocks_reduce_exactly_at_each_dtype_edge(N, dtype):
     # the narrowest unsigned dtype that holds 2(N-1); two generators of order
     # p, the least prime factor of N, with entries up to N - N/p, and offset
-    # N - 1, so most unreduced sums pass N and must wrap back below it
+    # N - 1, so most unreduced sums pass N and must wrap back below it; the
+    # later offsets shift the block the first enumeration kept
     p = next(q for q in range(2, N + 1) if N % q == 0)
     a = N // p
     M = rmat(N, [[a, N - a, N - a], [0, a, N - a]])
-    offset = (N - 1,) * 3
-    blocks = list(ring.span_blocks(M, offset))
-    assert all(b.dtype == dtype for b in blocks)
-    assert [r for b in blocks for r in map(tuple, b.tolist())] == [
-        tuple((o + t) % N for o, t in zip(offset, r)) for r in recursive_span(M)]
+    for offset in [(N - 1,) * 3, None, (0, N - 1, 1), (N // 2, N + 3, -1), (N - 1,) * 3]:
+        blocks = list(ring.span_blocks(M, offset))
+        assert all(b.dtype == dtype for b in blocks)
+        assert [r for b in blocks for r in map(tuple, b.tolist())] == [
+            tuple((o + t) % N for o, t in zip(offset or (0,) * 3, r)) for r in recursive_span(M)]
 
 
 def test_span_blocks_python_ints_past_int64():
@@ -438,6 +443,78 @@ def test_span_blocks_python_ints_past_int64():
     assert all(b.dtype == object for b in blocks)
     assert [r for b in blocks for r in b.tolist()] == [[N - 1, 0], [N - 2, 5], [N - 3, 10]]
     assert list(itertools.islice(ring.iter_span(M), 2)) == [(0, 0), (N - 1, 5)]
+
+
+def blocks_at(M, offset):
+    """The blocks of offset + rowspan(M), as (dtype, rows) pairs."""
+    return [(b.dtype, b.tolist()) for b in ring.span_blocks(M, offset)]
+
+
+@pytest.mark.parametrize("N", [6, 2**64])
+@pytest.mark.parametrize("block", [1, ring.BLOCK_ROWS])
+def test_writing_into_a_block_leaves_later_blocks_alone(N, block):
+    # every yielded block is a fresh, writable array: scribbling over each
+    # one changes neither the blocks after it nor a later enumeration.  The
+    # rows have orders 2 and 6 at N = 6, and 4 and 2 at N = 2^64 (Python ints)
+    M = rmat(N, [[3, 0, 3], [2, 5, 0]] if N == 6 else [[2**62, 3 * 2**62, 0], [0, 2**63, 2**63]])
+    offset = (1, N - 1, 2)
+    default, ring.BLOCK_ROWS = ring.BLOCK_ROWS, block
+    try:
+        expected = blocks_at(rmat(N, M.rows), offset)
+        for b in ring.span_blocks(M, offset):
+            assert b.flags.writeable and not np.shares_memory(b, M._span[3])
+            b[...] = 1
+        assert blocks_at(M, offset) == expected
+        assert blocks_at(M, None) == blocks_at(rmat(N, M.rows), None)
+    finally:
+        ring.BLOCK_ROWS = default
+    assert len(expected) == (1 if block > 1 else ring.span_size(M))
+
+
+def test_the_kept_block_is_read_only():
+    M = rmat(12, [[3, 4, 0], [0, 6, 2], [1, 1, 1]])
+    list(ring.span_blocks(M, (5, 5, 5)))
+    gens, orders, split, inner = M._span
+    assert not inner.flags.writeable and not gens.flags.writeable
+    with pytest.raises(ValueError):
+        inner[0, 0] = 1
+    assert (len(inner), len(gens), split) == (ring.span_size(M), len(orders), 0)
+
+
+@pytest.mark.parametrize("block", [1, 5, ring.BLOCK_ROWS])
+def test_a_partly_consumed_enumeration_keeps_a_whole_block(block):
+    # code.distance may stop after the first block of a coset; the block it
+    # leaves kept is complete, and later enumerations of M are exact
+    M = rmat(12, [[3, 4, 0, 1], [0, 6, 2, 2], [2, 0, 0, 4]])
+    default, ring.BLOCK_ROWS = ring.BLOCK_ROWS, block
+    try:
+        first = list(itertools.islice(ring.span_blocks(M, (1, 2, 3, 4)), 1))
+        fresh = rmat(12, M.rows)
+        list(ring.span_blocks(fresh))
+        assert all(np.array_equal(a, b) for a, b in zip(M._span, fresh._span))
+        assert M._span[1:3] == fresh._span[1:3]
+        later = [blocks_at(M, o) for o in (None, (1, 2, 3, 4), (11, 0, 5, 7))]
+        assert later == [blocks_at(rmat(12, M.rows), o) for o in (None, (1, 2, 3, 4), (11, 0, 5, 7))]
+    finally:
+        ring.BLOCK_ROWS = default
+    assert first[0].tolist() == later[1][0][1]
+    shifted = [r for _, rows in later[2] for r in map(tuple, rows)]
+    assert shifted == [tuple((o + t) % 12 for o, t in zip((11, 0, 5, 7), r)) for r in recursive_span(M)]
+
+
+@pytest.mark.parametrize("offset", [(1, 2), (1, 2, 3, 4), ()])
+def test_an_offset_of_another_width_is_one_line_error(offset):
+    M = rmat(6, [[1, 2, 3], [0, 3, 3]])
+    with pytest.raises(ValueError, match=f"^offset has {len(offset)} entries, not ncols = 3$"):
+        next(ring.span_blocks(M, offset))
+    with pytest.raises(ValueError, match="not ncols = 3"):
+        list(ring.iter_span(M, offset))
+    # a matrix with no rows spans {0} at the offset's width, whatever its
+    # ncols, and keeps no width from an earlier enumeration
+    Z = ring.ResidueMatrix(6, np.zeros((0, 3), dtype=np.int64))
+    assert list(ring.iter_span(Z, (7, 8, 9))) == [(1, 2, 3)]
+    assert list(ring.iter_span(Z, offset)) == [tuple(e % 6 for e in offset)]
+    assert list(ring.iter_span(Z)) == [(0, 0, 0)]
 
 
 @settings(max_examples=60, deadline=None)
