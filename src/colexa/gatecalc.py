@@ -5,17 +5,22 @@ diag(exp(2*pi*i*p(j)/N)).  Conjugation by X shifts the table index, so the
 commutator with X is again diagonal with table p(j+1)-p(j); iterating this
 cyclic finite difference classifies the Clifford-hierarchy level exactly for
 this gate class, with no complex numbers anywhere.  Transversal phase-gate
-identities reduce to integer congruences over codeword terms; transversal CX
+identities reduce to integer congruences over codeword terms.  At prime d
+with N = d a passing identity is decided from the weak m*-orthogonality of
+[G1; G0] at the degrees of the table's polynomial, enumerating no term, when
+that is cheaper; otherwise, and on every failure, the terms are enumerated,
+so the witness is the lexicographically first failing term.  Transversal CX
 holds on every CSS code by linearity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import ring
+from . import morth, ring
 # codeword is unused here but stays importable as gatecalc.codeword, which
 # perfbench's tracer test patches as a name shared across modules
 from .code import CapExceeded, ColorCode, DEFAULT_CAP, codeword  # noqa: F401
@@ -121,21 +126,85 @@ def verify_transversal_phase(C: ColorCode, g: PhaseGate, cap: int = DEFAULT_CAP)
 
     For every term t = y.G0 + x.G1 of every logical basis state, the total
     transversal phase must equal p(x) mod N.  First failing (x, y) in
-    lexicographic order is the witness.
+    lexicographic order is the witness.  The d |span(G0)| terms are charged
+    to the cap first, and a pass reports them all as checked.
+
+    At prime d with N = d, p is a polynomial sum a_m j^m of degree below d,
+    and the phase of the term c.[G1; G0] is the reduced polynomial
+    sum_m a_m sum_{|alpha| = m} (m!/alpha!) w_alpha c^alpha in c, with
+    w_alpha the signed weight of the row multiset alpha and m!/alpha! a unit
+    mod d.  So the gate is transversal exactly when [G1; G0] is weakly
+    m*-orthogonal at every m >= 1 with a_m != 0, and sum(sigma) = 1 mod d if
+    a_0 != 0 (_weights_hold).  A failure, and every other case, enumerates
+    the terms (_enumerate_phase), so each report is the enumeration's.
     """
+    span, notes = _phase_inputs(C, g, cap)
+    if _weights_hold(C, g, span, cap):
+        return Report("transversal-phase", True, C.d * span, detail=notes)
+    return _enumerate_phase(C, g, cap)
+
+
+def _phase_inputs(C: ColorCode, g: PhaseGate, cap: int) -> tuple:
+    """(|span(G0)|, notes) once the inputs are checked and the d |span(G0)|
+    terms are charged to the cap."""
     if g.d != C.d:
         raise ValueError("gate and code dimensions differ")
     if C.k != 1:
         raise ValueError("transversal phase check supports k=1 codes only")
     notes = ""
-    g1 = C.G1.array[0]
-    if (g1 != 1).any():
+    if (C.G1.array[0] != 1).any():
         notes = ("G1 row is not all-ones; logical phase target p(x) assumes the "
                  "all-ones logical row, so per-x diagnostics below may not match "
                  "any intended gate")
     span = ring.span_size(C.G0)
     if span * C.d > cap:
         raise CapExceeded(f"transversal check needs {span * C.d} > cap {cap} evaluations")
+    return span, notes
+
+
+def _coefficients(g: PhaseGate) -> list:
+    """a_0..a_{d-1} over F_d (d prime, N = d) with p(j) = sum a_m j^m.
+
+    By Lagrange, p(x) = sum_j p(j) (1 - (x - j)^(d-1)), and over F_d
+    (x - j)^(d-1) = sum_m x^m j^(d-1-m), since C(d-1, m) = (-1)^m.  So
+    a_0 = p(0) and a_m = -sum_j p(j) j^(d-1-m) for m >= 1 (0^0 = 1): d - 1
+    products over all j at once, each entry below d^2 before reduction."""
+    d = g.d
+    dtype = ring.exact_dtype(d * d)
+    j, term = np.arange(d, dtype=dtype), np.array(g.p, dtype=dtype)
+    a = [g.p[0]] + [0] * (d - 1)
+    for m in range(d - 1, 0, -1):
+        a[m] = -int(term.sum()) % d
+        term = term * j % d
+    return a
+
+
+def _weights_hold(C: ColorCode, g: PhaseGate, span: int, cap: int) -> bool:
+    """Whether the m*-weights decide a pass (see verify_transversal_phase).
+    They are asked only at prime d = N with +-1 signs, and only when the
+    interpolation's d^2 steps and the C(R+m-1, m) m multiset rows over the
+    degrees m (R rows in [G1; G0]) each cost at most the d |span(G0)| terms."""
+    d = C.d
+    budget = d * span
+    if (g.N != d or d * d > budget or not d < ring.PRIME_BOUND or not ring.is_prime(d)
+            or any(s not in (1, -1) for s in C.star_signs)):
+        return False
+    a = _coefficients(g)
+    R = C.encoding().nrows
+    degrees = [m for m in range(1, d) if a[m]]
+    if sum(math.comb(R + m - 1, m) * m for m in degrees) > budget:
+        return False
+    if a[0] and sum(C.star_signs) % d != 1:
+        return False
+    M, g1 = morth.code_matrix(C)
+    return all(morth.is_m_star_orthogonal(M, g1, m, "weak", cap).ok for m in degrees)
+
+
+def _enumerate_phase(C: ColorCode, g: PhaseGate, cap: int = DEFAULT_CAP) -> Report:
+    """verify_transversal_phase by enumeration: the terms of each x in
+    lexicographic order, in span_blocks blocks through the phase table."""
+    span, notes = _phase_inputs(C, g, cap)
+    g1 = C.G1.array[0]
     orders = ring.span_orders(C.G0)
     dtype = ring.exact_dtype(C.n * g.N)
     table = np.array(g.p, dtype=dtype)

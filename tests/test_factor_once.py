@@ -13,7 +13,8 @@ clears the lattice caches or the lattice's kept gauge codes first, so its
 count does not hang on which tests ran before it.  A code distance
 eliminates G0^T once for both sectors.  Each enumerated matrix is reduced
 to its row basis once per command: the cosets of a transversal check or of
-an X distance are shifts of one inner block kept on G0."""
+an X distance are shifts of one inner block kept on G0, and a passing
+transversal check at prime d with N = d enumerates nothing."""
 
 import hashlib
 import json
@@ -26,6 +27,7 @@ import pytest
 from colexa import cli, code, colex, gauge, ring
 from builders import forget_gauge_codes, with_code
 from oracles import solve_left, stabilizer_words
+from test_same_json import VERDICT_CASES
 
 
 @pytest.fixture
@@ -209,11 +211,19 @@ DIGESTS = json.loads((pathlib.Path(__file__).resolve().parent.parent / "perfbenc
                       / "digests.json").read_text())["digests"]
 
 
+VERDICTS = {argv: (rc, digest) for argv, rc, digest in VERDICT_CASES}
+
+
 @pytest.mark.parametrize("argv,enumerated,stdout", [
-    # d cosets x.G1 + span(G0) of one G0
-    ("gate verify --code tetra --d 7 --gate T", 1, None),
-    ("gate verify --code tetra --d 7 --gate S", 1, None),
+    # a passing prime-d check with N = d is decided by m*-weights, so
+    # nothing is enumerated
+    ("gate verify --code tetra --d 7 --gate T", 0, None),
+    ("gate verify --code tetra --d 7 --gate S", 0, None),
+    # d cosets x.G1 + span(G0) of one G0: at N = 3d, and on failing
+    # checks, whose witness is the enumeration's
     ("gate verify --code tetra --d 6 --gate T36", 1, None),
+    ("gate verify --code triangle --d 5 --gate T", 1, None),
+    ("gate verify --code tetra --d 5 --gate R:0,0,0,0,1", 1, None),
     # d^k - 1 = 2 X cosets of G0
     ("code distance --code tetra --d 3 --sector x", 1, '{"x": 7}\n'),
     ("code distance --code triangle --d 3 --distance 5 --sector x", 1, '{"x": 5}\n'),
@@ -226,16 +236,21 @@ DIGESTS = json.loads((pathlib.Path(__file__).resolve().parent.parent / "perfbenc
 def test_each_enumerated_matrix_is_reduced_once(monkeypatch, capsys, argv, enumerated, stdout):
     # span_blocks keeps the inner block on the matrix, so every later coset
     # of it only adds its shift: one row_basis per enumerated matrix, not
-    # one per coset (a transversal check at d = 7 made seven)
+    # one per coset (a transversal check at d = 7 made seven).  A stdout of
+    # None is the recorded one: a failing verdict's exit code and digest in
+    # test_same_json, else perfbench's digest with exit 0
     calls = []
     original = ring.row_basis
     monkeypatch.setattr(ring, "row_basis", lambda M: calls.append(M) or original(M))
-    assert cli.main(argv.split()) == 0
+    rc = cli.main(argv.split())
     out = capsys.readouterr().out
-    if stdout is None:
-        assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[argv]
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    if argv in VERDICTS:
+        assert (rc, digest) == VERDICTS[argv]
+    elif stdout is None:
+        assert (rc, digest) == (0, DIGESTS[argv])
     else:
-        assert out == stdout
+        assert (rc, out) == (0, stdout)
     assert len(calls) == len({id(M) for M in calls}) == enumerated
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colexa import code as code_mod, colex, gatecalc, ring
+from colexa import cli, code as code_mod, colex, gatecalc, ring
 from colexa.code import CapExceeded, DEFAULT_CAP
 from colexa.reports import Report
 from builders import with_code
@@ -371,3 +372,119 @@ def test_transversal_at_the_block_dtype_edges_matches_term_loop(d, dtype, gate):
     assert (rep.checked, rep.witness) == loop_transversal_phase(C, g)
     assert rep.ok == (gate == "R:0,1")
     assert rep.ok or (rep.witness["x"], rep.witness["y"]) == ((0, [1]) if gate == "S" else (1, [1]))
+
+
+# -- the m*-weight path against the enumeration --------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 7]), n=st.integers(1, 6), data=st.data())
+def test_weight_path_matches_enumeration_on_random_codes(d, n, data):
+    """Random k = 1 codes with a G1 row that is not all-ones (so notes are
+    set), G0 rows with a dependent one and a random table with N = d: the
+    report, notes and witness included, is the enumeration's.  Half the
+    codes with n > 1 have rows of signed weight 1 (G1) and 0 (G0) mod d, so
+    that linear tables pass and higher degrees reach the m*-weights."""
+    signs = tuple(data.draw(st.sampled_from([1, -1])) for _ in range(n))
+    orthogonal = n > 1 and data.draw(st.booleans())
+
+    def row(weight):
+        r = [data.draw(st.integers(0, d - 1)) for _ in range(n)]
+        if orthogonal:  # the last entry sets the row's signed weight mod d
+            r[-1] = (weight - sum(s * e for s, e in zip(signs, r[:-1]))) * signs[-1] % d
+        return r
+
+    g1 = row(1)
+    if all(e == 1 for e in g1):  # add e_0 - s_0 s_1 e_1, of weight 0
+        g1[0] = 2 % d
+        if n > 1:
+            g1[1] = (1 - signs[0] * signs[1]) % d
+    G0 = [row(0) for _ in range(data.draw(st.integers(1, 3)))]
+    c = data.draw(st.integers(0, d - 1))
+    G0.append([(c * a + b) % d for a, b in zip(G0[0], G0[-1])])
+    C = code_mod.ColorCode(d, n, signs, G0=ring.ResidueMatrix(d, G0),
+                           G1=ring.ResidueMatrix(d, (g1,)), z_stab=ring.ResidueMatrix(d, ()))
+    if data.draw(st.booleans()):
+        g = gatecalc.PhaseGate(d, d, tuple(data.draw(st.integers(0, d - 1)) for _ in range(d)))
+    else:  # low degrees, which pass more often
+        g = gatecalc.build_R(d, data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=3)))
+    rep = gatecalc.verify_transversal_phase(C, g)
+    assert rep.detail and rep == gatecalc._enumerate_phase(C, g)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("family", ["tetra", "triangle"])
+def test_weight_path_matches_enumeration_on_every_table(family, d):
+    _, C = with_code(colex.hypercube_lattice(3) if family == "tetra"
+                     else colex.triangle_lattice(3), d)
+    for table in itertools.product(range(d), repeat=d):
+        g = gatecalc.PhaseGate(d, d, table)
+        assert gatecalc.verify_transversal_phase(C, g) == gatecalc._enumerate_phase(C, g), table
+
+
+def test_a_flipped_star_sign_fails_T_on_both_paths():
+    # negative control: sum(sigma) moves off 1 mod 7, so the weight of
+    # three copies of the all-ones G1 row is no longer 1
+    _, C = with_code(colex.hypercube_lattice(3), 7)
+    g = gatecalc.build_T(7)
+    assert gatecalc.verify_transversal_phase(C, g).ok
+    signs = list(C.star_signs)
+    signs[4] *= -1
+    C = dataclasses.replace(C, star_signs=tuple(signs))
+    rep = gatecalc.verify_transversal_phase(C, g)
+    assert not rep.ok and rep == gatecalc._enumerate_phase(C, g)
+    w = rep.witness
+    assert phase_of(C, g, w["term"]) == w["phase"] != w["expected"] == g.p[w["x"]]
+
+
+def evaluate(coeffs, d) -> tuple:
+    return tuple(sum(a * j**m for m, a in enumerate(coeffs)) % d for j in range(d))
+
+
+def test_coefficients_give_back_every_table():
+    for d in (2, 3):
+        for table in itertools.product(range(d), repeat=d):
+            assert evaluate(gatecalc._coefficients(gatecalc.PhaseGate(d, d, table)), d) == table
+    rng = random.Random(5)
+    for d in (5, 7, 11, 13):
+        for _ in range(20):
+            table = tuple(rng.randrange(d) for _ in range(d))
+            assert evaluate(gatecalc._coefficients(gatecalc.PhaseGate(d, d, table)), d) == table
+        # below degree d the polynomial is unique, so an R gate's own
+        # coefficients come back
+        coeffs = [rng.randrange(d) for _ in range(d)]
+        assert gatecalc._coefficients(gatecalc.build_R(d, coeffs)) == coeffs
+
+
+@pytest.fixture
+def span_blocks_calls(monkeypatch):
+    calls = []
+    original = ring.span_blocks
+    monkeypatch.setattr(ring, "span_blocks",
+                        lambda M, offset=None: calls.append(M) or original(M, offset))
+    return calls
+
+
+@pytest.mark.parametrize("copies,enumerated", [(0, True), (1, False), (10, True)])
+def test_the_cheaper_path_decides(span_blocks_calls, copies, enumerated):
+    # p(j) = j^6 at d = 7 passes on each code: G1 and G0 have disjoint
+    # supports, and the G0 qudits weigh 1 - 2^6 = -63 = 0 mod 7 (weakly,
+    # not strongly, orthogonal).  With one G0 row [G1; G0] weighs C(7, 6) = 7
+    # multisets of 6 rows, 42 <= 49 = d |span(G0)| terms; ten equal rows
+    # weigh C(16, 6) = 8008; with no row the interpolation's d^2 = 49 steps
+    # exceed the d = 7 terms.  Only the weights leave span_blocks uncalled
+    d, g = 7, gatecalc.build_R(7, [0, 0, 0, 0, 0, 0, 1])
+    C = code_mod.ColorCode(d, 3, (1, 1, -1), G0=ring.ResidueMatrix(d, ((0, 1, 2),) * copies),
+                           G1=ring.ResidueMatrix(d, ((1, 0, 0),)),
+                           z_stab=ring.ResidueMatrix(d, ()))
+    R = 1 + copies
+    assert (math.comb(R + 5, 6) * 6 > d * ring.span_size(C.G0)) == (copies == 10)
+    rep = gatecalc.verify_transversal_phase(C, g)
+    assert bool(span_blocks_calls) == enumerated
+    assert rep.ok and rep == gatecalc._enumerate_phase(C, g)
+
+
+def test_a_passing_prime_check_enumerates_nothing(span_blocks_calls, capsys):
+    assert cli.main("gate verify --code tetra --d 7 --gate T".split()) == 0
+    assert span_blocks_calls == []
+    assert json.loads(capsys.readouterr().out)["checked"] == 16807
