@@ -139,7 +139,7 @@ def verify_transversal_phase(C: ColorCode, g: PhaseGate, cap: int = DEFAULT_CAP)
     the terms (_enumerate_phase), so each report is the enumeration's.
     """
     span, notes = _phase_inputs(C, g, cap)
-    if _weights_hold(C, g, span, cap):
+    if _weights_hold(C, g, span):
         return Report("transversal-phase", True, C.d * span, detail=notes)
     return _enumerate_phase(C, g, cap)
 
@@ -179,11 +179,13 @@ def _coefficients(g: PhaseGate) -> list:
     return a
 
 
-def _weights_hold(C: ColorCode, g: PhaseGate, span: int, cap: int) -> bool:
+def _weights_hold(C: ColorCode, g: PhaseGate, span: int) -> bool:
     """Whether the m*-weights decide a pass (see verify_transversal_phase).
     They are asked only at prime d = N with +-1 signs, and only when the
     interpolation's d^2 steps and the C(R+m-1, m) m multiset rows over the
-    degrees m (R rows in [G1; G0]) each cost at most the d |span(G0)| terms."""
+    degrees m (R rows in [G1; G0]) each cost at most the d |span(G0)| terms,
+    which are charged to the cap; one morth.offenders call weighs every
+    degree and stops at the first offending block."""
     d = C.d
     budget = d * span
     if (g.N != d or d * d > budget or not d < ring.PRIME_BOUND or not ring.is_prime(d)
@@ -197,7 +199,7 @@ def _weights_hold(C: ColorCode, g: PhaseGate, span: int, cap: int) -> bool:
     if a[0] and sum(C.star_signs) % d != 1:
         return False
     M, g1 = morth.code_matrix(C)
-    return all(morth.is_m_star_orthogonal(M, g1, m, "weak", cap).ok for m in degrees)
+    return not any(morth.offenders(M, g1, degrees, "weak"))
 
 
 def _enumerate_phase(C: ColorCode, g: PhaseGate, cap: int = DEFAULT_CAP) -> Report:

@@ -202,3 +202,65 @@ def test_weights_past_int64_at_large_m(m):
     assert not rep.ok and rep.checked == 1 and rep.witness == [((0,) * m, 2 ** (m + 1))]
     with pytest.raises(CapExceeded):
         morth.is_m_star_orthogonal(M, {0}, m, cap=m - 1)
+
+
+def offending(M, g1_rows, degrees, mode) -> list:
+    """Every (multiset, weight) one morth.offenders call yields, sorted."""
+    return sorted((tuple(rows), w) for found, weights in morth.offenders(M, g1_rows, degrees, mode)
+                  for rows, w in zip(found.tolist(), weights.tolist()))
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+@settings(max_examples=40, deadline=None)
+@given(
+    # at 2^31 - 1 the weights of m = 1 are int64 and those of m >= 3 are
+    # Python ints: n (d-1)^3 >= 2^63
+    d=st.sampled_from([2, 3, 4, 6, 7, 2**31 - 1]),
+    r=st.integers(1, 7),
+    n=st.integers(1, 6),
+    m=st.integers(1, 5),
+    mode=st.sampled_from(["strong", "weak"]),
+    data=st.data(),
+)
+def test_product_recurrence_matches_multiset_loop(block_rows, d, r, n, m, mode, data):
+    # random matrices, about half their entries 0, in blocks of 1, 3 and 7
+    # rows, so that the levels of the recurrence are split across blocks
+    entry = st.one_of(st.just(0), st.integers(0, d - 1))
+    rows = tuple(tuple(data.draw(entry) for _ in range(n)) for _ in range(r))
+    signs = tuple(data.draw(st.sampled_from([1, -1])) for _ in range(n))
+    g1 = data.draw(st.sets(st.integers(0, r - 1)))
+    degrees = sorted(data.draw(st.sets(st.integers(1, m), min_size=1)))
+    M = morth.StarSignedMatrix(ring.ResidueMatrix(d, rows), signs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ring, "BLOCK_ROWS", block_rows)
+        rep = morth.is_m_star_orthogonal(M, g1, m, mode)
+        found = offending(M, g1, degrees, mode)
+    assert verdict(rep) == loop_m_star(M, g1, m, mode)
+    assert rep.checked == math.comb(r + m - 1, m)
+    # one call weighs every degree, as gatecalc reads it
+    assert found == sorted(w for k in degrees for w in loop_m_star(M, g1, k, mode)[1])
+
+
+@pytest.fixture(scope="module")
+def triangle9_strong():
+    """Triangle L = 9 at d = 3 and its m = 4 strong loop verdict, whose 5456
+    (m-1)-multisets take two blocks of ring.BLOCK_ROWS rows."""
+    _, C = with_code(colex.triangle_lattice(9), 3)
+    M, g1 = morth.code_matrix(C)
+    assert math.comb(M.G.nrows + 2, 3) == 5456 > ring.BLOCK_ROWS
+    return M, g1, loop_m_star(M, g1, 4, "strong")
+
+
+def test_triangle9_strong_matches_multiset_loop(triangle9_strong):
+    M, g1, loop = triangle9_strong
+    assert verdict(morth.is_m_star_orthogonal(M, g1, 4, "strong")) == loop
+    assert len(loop[1]) == 148
+
+
+def test_triangle9_weak_matches_multiset_loop(triangle9_strong):
+    # a weak offender is a strong one whose weight is off mod d too, so the
+    # weak loop verdict is the strong one filtered (one loop, not two)
+    M, g1, (_, strong) = triangle9_strong
+    weak = [(rows, w) for rows, w in strong
+            if (w - (len(set(rows)) == 1 and rows[0] in g1)) % 3]
+    assert verdict(morth.is_m_star_orthogonal(M, g1, 4, "weak")) == (not weak, weak)

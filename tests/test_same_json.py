@@ -63,7 +63,9 @@ def test_pool_prints_the_recorded_stdout(monkeypatch, workload, size):
 # to 10^18 + 3 and past the Miller-Rabin bound, and gauge fixing at primes
 # from 2 to 10^18 + 3 and at a composite d.  Each case is (argv, exit code, sha256
 # of stdout); "{name}" in argv is the path of the JSON input named in
-# json_inputs.
+# json_inputs.  The triangle m* checks at d = 3, which the enumerate pool
+# prints too, stand here as well: at L = 9 and m = 4 their multisets take
+# more than one block.
 
 
 def json_inputs() -> dict:
@@ -158,6 +160,16 @@ VERDICT_CASES = [
      "f3af46bce713be099d321b0b88987530d421b99dfe173d45a2db60e4d7e921fa"),
     ('morth check --code tetra --d 5 --m 3 --mode weak', 0,
      "b376a4eb9e52bc84e9c9985840499f493721257874a2b22b2d0a466746a1a134"),
+    ('morth check --code triangle --d 3 --distance 7 --m 4 --mode strong', 1,
+     "a461bcb577505a5552e316b28ab399253992729f352944c96dbe270001f0d202"),
+    ('morth check --code triangle --d 3 --distance 7 --m 4 --mode weak', 1,
+     "5d8bc1ae394a84dd29cd881c17650a6b06d2dcf4e39ecd08fa5f4334c197059b"),
+    ('morth check --code triangle --d 3 --distance 9 --m 4 --mode strong', 1,
+     "71702b14e4ca98adee9e17c50ece648b352accd358f94ecad692c5e603155f7f"),
+    ('morth check --code triangle --d 3 --distance 9 --m 4 --mode weak', 1,
+     "2341e4cb974ea975c6b912f765be31f1b8c5327bd561f32909e0d90607e80fb9"),
+    ('morth check --code triangle --d 3 --distance 9 --m 3 --mode weak', 1,
+     "f0c5a2e584328156c0b6b5cd9082b57411c1773d68687c9eadf7c91b3943e0bc"),
     ('gauge check --code tetra --d 2', 0,
      "b7381cc74636a2236a6c4745992a80bfdb93f9685f28f714a3846fb4918313d4"),
     ('gauge check --code tetra --d 9', 0,
