@@ -59,7 +59,7 @@ def is_m_star_orthogonal(M: StarSignedMatrix, g1_rows, m: int, mode: str = "stro
     found = list(offenders(M, g1_rows, (m,), mode))
     if found:
         rows, weights = found[0]
-        if len(found) > 1:  # each block is in order, but blocks interleave
+        if len(found) > 1:  # each batch is in order, but batches interleave
             rows, weights = map(np.concatenate, zip(*found))
             order = np.lexsort(rows.T[::-1])
             rows, weights = rows[order], weights[order]
@@ -69,8 +69,9 @@ def is_m_star_orthogonal(M: StarSignedMatrix, g1_rows, m: int, mode: str = "stro
 
 def offenders(M: StarSignedMatrix, g1_rows, degrees, mode: str) -> Iterator[tuple]:
     """(multisets, weights) of the row multisets of each degree m in degrees
-    that break the order-m condition (see is_m_star_orthogonal), block by
-    block; nothing is charged to the cap.
+    that break the order-m condition (see is_m_star_orthogonal), at most
+    ring.BLOCK_ROWS at a time, each batch in lexicographic order though
+    batches interleave; nothing is charged to the cap.
 
     The m-multiset (i, q) with i <= first(q) weighs sum_j sigma_j G_ij Q_qj,
     where Q_q is the circle product of the (m-1)-multiset q, so each block Q
@@ -84,7 +85,7 @@ def offenders(M: StarSignedMatrix, g1_rows, degrees, mode: str) -> Iterator[tupl
     dtype = ring.exact_dtype(n * (d - 1) ** min(max(degrees, default=1), 63))
     G = M.G.array.astype(dtype)
     signed = G * np.array(M.signs, dtype=dtype)
-    heads = np.arange(r)[:, None]
+    heads, limit = np.arange(r)[:, None], ring.BLOCK_ROWS
     g1 = frozenset(g1_rows)
     in_g1 = np.array([[i in g1] for i in range(r)], dtype=bool).reshape(r, 1)
     for m in degrees:
@@ -95,11 +96,12 @@ def offenders(M: StarSignedMatrix, g1_rows, degrees, mode: str) -> Iterator[tupl
             W = signed[:top] @ Q.T
             keep = heads[:top] <= first
             # (i, q) is m copies of row i when q holds m - 1 copies of it
-            expect = (in_g1[:top] & (counts[:, :top].T == m - 1)).astype(dtype)
+            expect = in_g1[:top] & (counts[:, :top].T == m - 1)
             bad = keep & ((W - expect) % d != 0 if mode == "weak" else W != expect)
-            i, q = bad.nonzero()
-            if i.size:
-                # each tail read off its row counts, in order
+            rows, cols = bad.nonzero()
+            # each tail read off its r row counts, in order
+            for lo in range(0, len(rows), limit):
+                i, q = rows[lo:lo + limit], cols[lo:lo + limit]
                 tails = np.arange(len(q) * r).repeat(counts.take(q, 0).ravel()) % r
                 yield np.concatenate((i[:, None], tails.reshape(len(q), m - 1)), 1), W[i, q]
 
@@ -118,11 +120,10 @@ def _product_blocks(G: np.ndarray, k: int) -> Iterator[tuple]:
     single rows that become tasks of their own, with i moved into the prefix.
     """
     r, n = G.shape
-    unit = np.eye(r, dtype=np.min_scalar_type(k))
     if k == 0:  # the empty multiset, first after every row
-        yield np.full(1, r), np.zeros((1, r), dtype=unit.dtype), np.ones((1, n), dtype=G.dtype)
+        yield np.full(1, r), np.zeros((1, r), dtype=np.uint8), np.ones((1, n), dtype=G.dtype)
         return
-    limit = ring.BLOCK_ROWS
+    unit, limit = np.eye(r, dtype=np.min_scalar_type(k)), ring.BLOCK_ROWS
 
     def size(k, a, b):  # k-multisets whose first row is in [a, b)
         return math.comb(r - a + k - 1, k) - math.comb(r - b + k - 1, k)
