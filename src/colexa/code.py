@@ -5,12 +5,15 @@ commutation questions reduce to one integer bilinear form, symplectic_phase.
 X generators sit on mu'-cells, Z generators on (mu-mu'+2)-cells with
 the star signs folded into the exponents (starred vertices hold d-1 instead
 of a separate conjugation channel).  A shared lattice keeps its cell incidence
-per dimension and the [G1; G0] verdict per (mu', d): only the first code per
-(lattice, mu', d) per process pays for that verdict's elimination.
+per dimension and its code per (mu', d), or the rejection of that (mu', d):
+only the first code per (lattice, mu', d) per process is built and decided,
+and every later command reads that code's matrices with their kept Smith
+forms, row bases, span blocks and span checks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -66,18 +69,31 @@ class ColorCode:
         return self.G1.nrows
 
     def encoding(self) -> ring.ResidueMatrix:
-        """[G1; G0], the map (x, y) -> x.G1 + y.G0; one instance per code, so
-        every question about it reads one factorization."""
-        M = self.__dict__.get("_encoding")
-        if M is None:
-            M = ring.ResidueMatrix(self.d, np.concatenate([self.G1.array, self.G0.array]))
-            object.__setattr__(self, "_encoding", M)
-        return M
+        """[G1; G0], the map (x, y) -> x.G1 + y.G0, built on first use; one
+        instance per code, so every question about it reads one
+        factorization."""
+        if "_encoding" not in self.__dict__:
+            object.__setattr__(self, "_encoding", self._stacked())
+        return self._encoding
 
     def injective(self) -> bool:
         """Whether [G1; G0] has trivial left kernel over Z_d: elimination mod
-        d, decided once per code and factoring nothing."""
-        return ring.independent_rows(self.encoding())
+        d, factoring nothing, decided once per code and kept as a bool; a
+        [G1; G0] built for it alone is not kept."""
+        if "_injective" not in self.__dict__:
+            object.__setattr__(self, "_injective", ring.independent_rows(self._stacked()))
+        return self._injective
+
+    def _stacked(self) -> ring.ResidueMatrix:
+        """The kept [G1; G0] if a question built it, else a new one."""
+        return self.__dict__.get("_encoding") or ring.ResidueMatrix(
+            self.d, np.concatenate([self.G1.array, self.G0.array]))
+
+    @functools.cached_property
+    def commutant(self) -> ring.ResidueMatrix:
+        """The right kernel of G0 as rows, which G0's span check holds as
+        columns: the Z words that commute with every X stabilizer."""
+        return ring.ResidueMatrix(self.d, ring.span_check(self.G0).T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,35 +125,30 @@ def cell_rows(L, dim: int, d: int, signs=None) -> ring.ResidueMatrix:
 
 
 def from_colex(L, mu_prime: int, d: int) -> ColorCode:
-    """Build the color code of a validated, star-flagged lattice.
+    """The color code of a validated, star-flagged lattice, built on first
+    use and kept on L per (mu', d), like its incidence.
 
     X generators are indicators of mu'-cells; Z generators are sigma-signed
     indicators of (mu - mu' + 2)-cells; the logicals are the (signed)
     all-ones rows.  Redundant Z rows are retained as given; redundant X rows
     make [G1; G0] non-injective, which raises ValueError.  That check is
     ring.independent_rows on [G1; G0], exact at every d, prime or not, run
-    once per (L, mu', d): L keeps the verdict for later codes' encoding().
+    once per (L, mu', d): L keeps a rejection as None, so a repeat raises
+    the same error with no elimination.
     """
     if not 2 <= mu_prime <= L.mu:
         raise ValueError("mu_prime must satisfy 2 <= mu_prime <= mu")
-    sigma = L.star_signs()
-    n = len(L.vertex_ids)
-    code = ColorCode(
-        d=d,
-        n=n,
-        star_signs=sigma,
-        G0=cell_rows(L, mu_prime, d),
-        G1=ring.ResidueMatrix(d, np.ones((1, n), dtype=np.int64)),
-        z_stab=cell_rows(L, L.mu - mu_prime + 2, d, sigma),
-    )
-    M, verdicts = code.encoding(), L.__dict__.setdefault("_injective", {})
-    if (mu_prime, d) not in verdicts:
-        verdicts[mu_prime, d] = ring.independent_rows(M)
-    M._independent = verdicts[mu_prime, d]
-    if not M._independent:
+    kept = L.__dict__.setdefault("_codes", {})
+    if (mu_prime, d) not in kept:
+        sigma, n = L.star_signs(), len(L.vertex_ids)
+        code = ColorCode(d=d, n=n, star_signs=sigma, G0=cell_rows(L, mu_prime, d),
+                         G1=ring.ResidueMatrix(d, np.ones((1, n), dtype=np.int64)),
+                         z_stab=cell_rows(L, L.mu - mu_prime + 2, d, sigma))
+        kept[mu_prime, d] = code if code.injective() else None
+    if kept[mu_prime, d] is None:
         raise ValueError(f"mu_prime={mu_prime}: [G1; G0] has a nontrivial left kernel "
                          "(dependent generators or no encoded qudit)")
-    return code
+    return kept[mu_prime, d]
 
 
 def verify_code(C: ColorCode) -> Report:
@@ -271,7 +282,7 @@ def _sector(C: ColorCode, sector: str):
                   for block in ring.span_blocks(C.G0, ring.mat_vec_mul(C.G1, x)))
         return A, C.G0, ring.span_size(C.G0) * (C.d ** C.k - 1), blocks
     if sector.lower() == "z":
-        A = ring.ResidueMatrix(C.d, ring.span_check(C.G0).T)
+        A = C.commutant
         if not A.nrows:
             raise ValueError("commutant contains no logical; k = 0?")
         return A, C.z_stab, ring.span_size(A), ring.span_blocks(A)
@@ -364,14 +375,10 @@ def _product(lo: int, hi: int, w: int):
 
 
 def code_to_json(C: ColorCode) -> dict:
-    return {
-        "d": C.d,
-        "n": C.n,
-        "stars": list(C.star_signs),
-        "G0": C.G0.array.tolist(),
-        "G1": C.G1.array.tolist(),
-        "Zstab": C.z_stab.array.tolist(),
-    }
+    """The code as JSON values, G0, G1 and Zstab as the matrices' read-only
+    arrays, which cli.emit writes as nested lists."""
+    return {"d": C.d, "n": C.n, "stars": list(C.star_signs),
+            "G0": C.G0.array, "G1": C.G1.array, "Zstab": C.z_stab.array}
 
 
 _CODE_SHAPE = {"d": int, "n": int, "stars": [int], "G0": [[int]], "G1": [[int]], "Zstab": [[int]]}

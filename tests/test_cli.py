@@ -20,7 +20,7 @@ import numpy as np
 from colexa import cli, colex, gatecalc, ring
 from colexa import code as code_mod
 from colexa.cli import main
-from builders import with_code
+from builders import code_json, with_code
 from oracles import PauliWord, stabilizer_words, word_phase
 
 
@@ -100,7 +100,7 @@ def test_json_code_labels_are_decimal_ids(tmp_path, capsys):
     # qudits 0..14: 10 is qudit 10, and 1110 is no longer read as binary 14
     L, C = with_code(colex.hypercube_lattice(3), 3)
     path = tmp_path / "code.json"
-    path.write_text(json.dumps(code_mod.code_to_json(C)))
+    path.write_text(json.dumps(code_json(C)))
     argv = ["code", "syndrome", "--code", str(path), "--error"]
     code, obj = run(capsys, *argv, "Z@10")
     assert code == 0
@@ -501,7 +501,7 @@ def test_morth_check_respects_cap(capsys):
 def test_morth_check_charges_m_for_one_row(tmp_path, capsys):
     # with "G0": [] the code matrix is the one G1 row: C(m, m) = 1 multiset,
     # still m = 10^6 row indices long, charged before any of it is built
-    obj = code_mod.code_to_json(with_code(colex.hypercube_lattice(3), 3)[1])
+    obj = code_json(with_code(colex.hypercube_lattice(3), 3)[1])
     obj["G0"] = []
     path = tmp_path / "code.json"
     path.write_text(json.dumps(obj))
@@ -515,7 +515,7 @@ def test_z_distance_without_x_stabilizers(tmp_path, capsys):
     _, C = with_code(colex.hypercube_lattice(3), 2)
     H = ring.span_check(C.z_stab)
     assert ((np.eye(C.n, dtype=H.dtype) @ H) % C.d).any(axis=1).all()
-    obj = code_mod.code_to_json(C)
+    obj = code_json(C)
     obj["G0"] = []
     path = tmp_path / "code.json"
     path.write_text(json.dumps(obj))
@@ -794,7 +794,7 @@ def mutated(draw, obj):
 
 
 FUZZ_LATTICE = colex.lattice_to_json(colex.hypercube_lattice(3))
-FUZZ_CODE = code_mod.code_to_json(with_code(colex.hypercube_lattice(3), 3)[1])
+FUZZ_CODE = code_json(with_code(colex.hypercube_lattice(3), 3)[1])
 FUZZ_COMMANDS = [
     ["lattice", "check", "--lattice"],
     ["code", "check", "--code"],

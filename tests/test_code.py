@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from colexa import code as code_mod
 from colexa import colex, gatecalc, gauge, morth, ring
 from colexa.reports import Report
-from builders import with_code
+from builders import code_json, with_code
 from oracles import (PauliWord, cell_incidence_rows, logical_words, min_logical_weight_x,
                      min_logical_weight_z, stabilizer_words, word_phase)
 
@@ -214,7 +214,7 @@ def test_distance_cap(tetra3):
 
 def test_code_json_round_trip(tetra3):
     _, C = tetra3
-    back = code_mod.code_from_json(code_mod.code_to_json(C))
+    back = code_mod.code_from_json(code_json(C))
     assert back.d == C.d and back.n == C.n
     assert back.G0.rows == C.G0.rows
     assert back.G1.rows == C.G1.rows

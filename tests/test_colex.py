@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from colexa import cli, code, colex, gatecalc, morth, ring
 from colexa.colex import Cell, Lattice, _self_verify
-from builders import with_code
+from builders import code_json, with_code
 
 
 @pytest.fixture(scope="module")
@@ -441,7 +441,7 @@ def assert_canonical(M):
 def test_triangle_code_matches_pair_scan_builder(d, distance):
     L, C = with_code(colex.triangle_lattice(distance), d)
     seed = code.from_colex(seed_triangle_lattice(distance), mu_prime=2, d=d)
-    assert code.code_to_json(C) == code.code_to_json(seed)
+    assert code_json(C) == code_json(seed)
     assert colex.lattice_to_json(L) == colex.lattice_to_json(colex.triangle_lattice(distance))
     for M in (C.G0, C.G1, C.z_stab, C.encoding(), C.G0.transpose(), C.z_stab.transpose()):
         assert_canonical(M)

@@ -5,12 +5,14 @@ makes none, and each later demo at a d eliminates only its canonical form,
 since the gauge code keeps the correction system; a matrix asked only
 whether its rows are independent is not
 factored at all; each built-in lattice is built and audited once per
-process; and a lattice decides whether [G1; G0] is injective once per
-(mu', d), while a code read from JSON is decided on every load.  A lattice
-keeps its gauge code per d, so a later gauge check at d eliminates only
-the center's two matrices.  A test that counts the first build of a code
-clears the lattice caches or the lattice's kept gauge codes first, so its
-count does not hang on which tests ran before it.  A code distance
+process; and a lattice keeps its color code per (mu', d), built and
+decided once (a rejection too), so a repeated command builds, decides and
+factors nothing, and no [G1; G0] is kept unless a span question asked for
+it, while a code read from JSON is decided on every load.  A lattice keeps
+its gauge code per d, so a later gauge check at d eliminates only the
+center's two matrices.  A test that counts the first build of a code
+clears the lattice caches or the codes and gauge codes the lattice keeps
+first, so its count does not hang on which tests ran before it.  A code distance
 eliminates G0^T once for both sectors.  Each enumerated matrix is reduced
 to its row basis once per command: the cosets of a transversal check or of
 an X distance are shifts of one inner block kept on G0, and a passing
@@ -25,7 +27,7 @@ import numpy as np
 import pytest
 
 from colexa import cli, code, colex, gauge, ring
-from builders import forget_gauge_codes, with_code
+from builders import code_json, forget_codes, forget_gauge_codes, with_code
 from oracles import solve_left, stabilizer_words
 from test_same_json import VERDICT_CASES
 
@@ -197,6 +199,7 @@ def test_distance_eliminates_G0_transpose_once(snf_calls, monkeypatch, capsys, d
     monkeypatch.setattr(ring, "echelon_mod_p",
                         lambda A, p: echelons.append(A.shape) or original(A, p))
     argv = ["code", "distance", "--code", "tetra", "--d", str(d), "--sector", "both"]
+    forget_codes(colex.hypercube_lattice(3))
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out) == {"x": 7, "z": 3}
     smith = [(len(A), len(A[0])) for A in snf_calls]
@@ -205,6 +208,12 @@ def test_distance_eliminates_G0_transpose_once(snf_calls, monkeypatch, capsys, d
         assert echelons == [(15, 4), (15, 18), (15, 11)]
     else:
         assert smith == [(5, 15), (4, 15), (11, 15), (15, 18)] and echelons == []
+
+
+def builtin_lattice(argv):
+    """The shared built-in lattice that a code command's argv names."""
+    args = cli.build_parser().parse_args(argv)
+    return cli.builtin_lattice(args.code, args.distance, code.DEFAULT_CAP)
 
 
 DIGESTS = json.loads((pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -242,6 +251,7 @@ def test_each_enumerated_matrix_is_reduced_once(monkeypatch, capsys, argv, enume
     calls = []
     original = ring.row_basis
     monkeypatch.setattr(ring, "row_basis", lambda M: calls.append(M) or original(M))
+    forget_codes(builtin_lattice(argv.split()))
     rc = cli.main(argv.split())
     out = capsys.readouterr().out
     digest = hashlib.sha256(out.encode()).hexdigest()
@@ -270,8 +280,8 @@ def test_repeated_questions_factor_once(snf_calls):
 
 def test_code_check_decides_independence_once(snf_calls, eliminations, capsys):
     # from_colex checks injectivity and verify_code reports it: both read the
-    # one verdict kept on the code's [G1; G0], and nothing is factored; the
-    # lattice keeps that verdict, so checking the code again eliminates nothing
+    # one verdict the code keeps, and nothing is factored; the lattice keeps
+    # the code, so checking it again eliminates nothing
     colex.triangle_lattice.cache_clear()
     argv = ["code", "check", "--code", "triangle", "--distance", "13"]
     assert cli.main(argv) == 0
@@ -301,12 +311,55 @@ def test_syndrome_factors_nothing(snf_calls, capsys):
     assert snf_calls == []
 
 
+@pytest.mark.parametrize("argv", [
+    "gate verify --code tetra --d 7 --gate T",
+    "code codeword --code tetra --d 5",
+    "code distance --code tetra --d 3 --sector both",
+    "code syndrome --code triangle --d 2 --distance 11 --error X@3,Z@40",
+    "code syndrome --code triangle --d 6 --distance 11 --error X^2@3,Z@40",
+])
+def test_a_second_command_builds_and_factors_nothing(snf_calls, monkeypatch, capsys, argv):
+    # the lattice keeps the code, and the code's matrices keep their Smith
+    # forms, row bases, span blocks and span checks, so a repeated command
+    # builds no code, decides no injectivity and factors nothing
+    calls = []
+    for name in ("row_basis", "independent_rows", "echelon_mod_p"):
+        original = getattr(ring, name)
+        monkeypatch.setattr(ring, name, lambda *a, name=name, original=original:
+                            calls.append(name) or original(*a))
+    builds, build = [], code.ColorCode
+    monkeypatch.setattr(code, "ColorCode", lambda **k: builds.append(k) or build(**k))
+    L = builtin_lattice(argv.split())
+    forget_codes(L)
+    assert cli.main(argv.split()) == 0
+    first = capsys.readouterr().out
+    assert len(builds) == 1 and "independent_rows" in calls
+    snf_calls.clear(), calls.clear()
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out == first
+    assert snf_calls == [] and calls == [] and len(builds) == 1
+
+
+def test_a_kept_code_holds_no_encoding(capsys):
+    # a code check and a syndrome ask no span question of [G1; G0], so the
+    # kept code holds its three matrices and its verdict, not [G1; G0]
+    L = colex.triangle_lattice(25)
+    forget_codes(L)
+    for argv in ("code check --code triangle --d 6 --distance 25",
+                 "code syndrome --code triangle --d 6 --distance 25 --error X@3,Z@400"):
+        assert cli.main(argv.split()) == 0
+    C = L.__dict__["_codes"][2, 6]
+    assert C.injective() is True and "_encoding" not in C.__dict__
+    capsys.readouterr()
+
+
 def test_tetra_at_another_mu_prime_builds_one_code(snf_calls, eliminations, decisions,
                                                   capsys):
     # only the mu' = 2 code is built, so only its injectivity check runs; its
     # 19 rows outnumber the 15 qudits, which decides it without elimination;
-    # the lattice keeps the False verdict, and a repeat fails the same way
-    colex.hypercube_lattice.cache_clear()
+    # the lattice keeps the rejection, and a repeat fails the same way
+    L = colex.hypercube_lattice(3)
+    forget_codes(L)
     argv = ["code", "check", "--code", "tetra", "--mu-prime", "2"]
     message = ("colexa: mu_prime=2: [G1; G0] has a nontrivial left kernel "
                "(dependent generators or no encoded qudit)\n")
@@ -315,13 +368,15 @@ def test_tetra_at_another_mu_prime_builds_one_code(snf_calls, eliminations, deci
         assert decisions == [(19, 2)]
         assert snf_calls == [] and eliminations == []
         assert capsys.readouterr() == ("", message)
+    assert L.__dict__["_codes"] == {(2, 2): None}
 
 
 def test_each_lattice_mu_prime_and_d_is_decided_once(decisions):
     # every (mu', d) on a lattice is decided on its first code, accepted or
-    # not, and every later code reads the kept verdict, in any order
-    colex.hypercube_lattice.cache_clear()
+    # not, and every later call returns the kept code or raises for the kept
+    # rejection, in any order
     L = colex.hypercube_lattice(4)
+    forget_codes(L)
     keys = [(mu_prime, d) for mu_prime in (2, 3, 4) for d in (2, 3, 6)]
     for mu_prime, d in keys + keys[::-1] + keys:
         try:
@@ -332,6 +387,10 @@ def test_each_lattice_mu_prime_and_d_is_decided_once(decisions):
     # the logical row and the C(5, mu') (2^(5 - mu') - 1) mu'-cells
     encoding_rows = {2: 1 + 10 * 7, 3: 1 + 10 * 3, 4: 1 + 5}
     assert decisions == [(encoding_rows[mu_prime], d) for mu_prime, d in keys]
+    kept = L.__dict__["_codes"]
+    assert sorted(kept) == sorted(keys)
+    assert all((kept[key] is None) == (key[0] < 4) for key in keys)
+    assert all(code.from_colex(L, 4, d) is kept[4, d] for d in (2, 3, 6))
 
 
 def test_a_new_lattice_or_a_json_code_keeps_nothing(decisions, eliminations, tmp_path,
@@ -339,19 +398,20 @@ def test_a_new_lattice_or_a_json_code_keeps_nothing(decisions, eliminations, tmp
     # with_star and lattice_from_json give lattices that start with nothing
     # kept, and a code read from JSON is decided on every load
     L = colex.hypercube_lattice(3)
-    code.from_colex(L, 3, 5)
-    kept = {"_incidence", "_injective", "_star_signs"}
-    assert kept <= L.__dict__.keys()
+    forget_codes(L)
+    C = code.from_colex(L, 3, 5)
+    kept = {"_incidence", "_codes", "_star_signs"}
+    assert kept <= L.__dict__.keys() and L.__dict__["_codes"] == {(3, 5): C}
     fresh = [L.with_star(L.star), colex.lattice_from_json(colex.lattice_to_json(L))]
     for M in fresh:
         assert M == L and not kept & M.__dict__.keys()
     decisions.clear()
     for M in fresh:
-        code.from_colex(M, 3, 5)
+        assert code.from_colex(M, 3, 5) is not C
     assert decisions == [(5, 5), (5, 5)]
 
     path = tmp_path / "code.json"
-    path.write_text(json.dumps(code.code_to_json(code.from_colex(L, 3, 5))))
+    path.write_text(json.dumps(code_json(code.from_colex(L, 3, 5))))
     eliminations.clear()
     for _ in range(2):
         assert cli.main(["code", "check", "--code", str(path)]) == 0

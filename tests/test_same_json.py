@@ -1,8 +1,9 @@
 """Same JSON: every operation of the benchmark's workloads prints, in
 process, the stdout recorded in perfbench/digests.json and the verdict of
 perfbench/answers.py, and the README's commands, the failing verdicts
-below, 320 seeded fix-demos and gauge checks repeated on a kept gauge code
-print their recorded stdout and exit codes.  perfbench/ is only read."""
+below, 320 seeded fix-demos, gauge checks repeated on a kept gauge code and
+the pools' code commands repeated on kept color codes print their recorded
+stdout and exit codes.  perfbench/ is only read."""
 
 import contextlib
 import hashlib
@@ -16,7 +17,7 @@ import pytest
 
 from colexa import cli, colex, ring
 from colexa import code as code_mod
-from builders import forget_gauge_codes
+from builders import code_json, forget_codes, forget_gauge_codes
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -29,9 +30,15 @@ from test_cli import readme_commands  # noqa: E402
 def wrong_ops(workload: str, size: int) -> list:
     """(key, exit code, reason) of every operation of the workload's pool
     whose stdout digest or verdict differs from the recorded one."""
-    digests = json.loads((PERFBENCH / "digests.json").read_text())["digests"]
     ops = workloads.pool(workload)
     assert len(ops) == size
+    return wrong_of(ops)
+
+
+def wrong_of(ops: list) -> list:
+    """(key, exit code, reason) of every operation, in order, whose stdout
+    digest or verdict differs from the recorded one."""
+    digests = json.loads((PERFBENCH / "digests.json").read_text())["digests"]
     wrong = []
     for op in ops:
         out, err = io.StringIO(), io.StringIO()
@@ -77,9 +84,9 @@ def json_inputs() -> dict:
     odd_edge["cells"].append({"dim": 1, "color": None, "vertices": [1, 2]})
     unbalanced = json.loads(json.dumps(tetra))
     unbalanced["vertices"][0]["star"] = not unbalanced["vertices"][0]["star"]
-    bad_g0 = code_mod.code_to_json(code_mod.from_colex(colex.hypercube_lattice(3), 3, 3))
+    bad_g0 = code_json(code_mod.from_colex(colex.hypercube_lattice(3), 3, 3))
     bad_g0["G0"][0][0] = 2
-    g1_twos = code_mod.code_to_json(code_mod.from_colex(colex.hypercube_lattice(3), 3, 5))
+    g1_twos = code_json(code_mod.from_colex(colex.hypercube_lattice(3), 3, 5))
     g1_twos["G1"] = [[2] * g1_twos["n"]]
     return {"extra_cell": extra_cell, "odd_edge": odd_edge, "unbalanced": unbalanced,
             "bad_g0": bad_g0, "g1_twos": g1_twos}
@@ -337,3 +344,27 @@ def test_kept_gauge_codes_never_reach_stdout():
     # a lattice from with_star is equal to tetra but keeps no gauge code
     flagged = tetra.with_star(tetra.star)
     assert flagged == tetra and "_gauge" not in flagged.__dict__
+
+
+# -- kept color codes never reach stdout -------------------------------------
+#
+# Each built-in lattice keeps its color code per (mu', d), with the Smith
+# forms, row bases, span blocks and span checks its matrices keep in turn.
+# From lattices that keep none, every operation of the enumerate and factor
+# pools runs twice in one process, in reversed order the second time, and
+# prints its recorded stdout and verdict every time.
+
+
+def test_kept_codes_never_reach_stdout(monkeypatch):
+    monkeypatch.delenv("COLEXA_CAP", raising=False)
+    ops = workloads.pool("enumerate") + workloads.pool("factor")
+    lattices = set()
+    for op in ops:
+        args = cli.build_parser().parse_args(list(op.argv))
+        name = getattr(args, "code", None) or args.lattice
+        lattices.add(cli.builtin_lattice(name, args.distance, code_mod.DEFAULT_CAP))
+    for L in lattices:
+        forget_codes(L)
+    assert wrong_of(ops + ops[::-1]) == []
+    tetra = colex.hypercube_lattice(3)
+    assert sorted(tetra.__dict__["_codes"]) == [(3, d) for d in range(2, 8)]
