@@ -10,14 +10,20 @@ ring answers each kernel and span check, by an echelon form over F_d at
 prime d and a Smith form otherwise, so the checks work for every d.
 State-level gauge fixing is simulated with a stabilizer tableau over prime
 d: phase exponents live mod d for odd primes and mod 4 for d=2, and every
-update is a closed-form exact integer product.  Destabilizer rows dual to
-the stabilizer rows, kept through every update, turn a run of determined
-measurements into one symplectic product, with no factorization and no
-solve, and a random outcome is one rank-one update.  Every other prime-d
-question (|0_L> bases, destabilizers, canonical form) is one echelon form
-over F_d, so the tableau factors nothing; the lex-least gauge correction is
-one product with an echelon transform kept on the gauge code, which its
-lattice keeps per d; the center and the reports are recomputed on each check.
+update is a closed-form exact integer product.  The rows, the destabilizers,
+which outcomes are random and every pivot depend on the operations alone;
+only the phases depend on the draws, and linearly, so each phase is an
+affine form over the draws made so far and a random outcome is a new draw,
+not a number (a reference run and its Pauli frame, as in Gidney's Stim).
+Destabilizer rows dual to the stabilizer rows, kept through every update,
+turn a run of determined measurements into one symplectic product, with no
+factorization and no solve, and a random outcome is one rank-one update.
+Every other prime-d question (|0_L> bases, destabilizers, canonical form) is
+one echelon form over F_d, so the tableau factors nothing; the lex-least
+gauge correction is one product with an echelon transform kept on the gauge
+code, which its lattice keeps per d.  The gauge code also keeps the fix
+demo's forms, so a seed only draws and evaluates; the center and the
+reports are recomputed on each check.
 """
 
 from __future__ import annotations
@@ -99,12 +105,22 @@ class GaugeCode:
         return ColorCode(self.d, self.n, self.star_signs, self.cell_x, ones, self.face_z)
 
     @cached_property
-    def fix_demo_start(self) -> "Tableau":
-        """The |0_L> tableau after transversal H, which no seed changes:
-        built on first use and never mutated; prime d only."""
+    def fix_demo_forms(self) -> tuple:
+        """(forms, moduli, rows) of the fix demo, from one tableau run on
+        first use; prime d only.  From |0_L> and transversal H, gauge_fix
+        and the canonical form run once; forms stacks the affine forms of
+        everything fix_demo prints (face outcomes, correction, support,
+        post outcomes, canonical phases) over the run's draws, each with its
+        modulus, and rows holds the canonical (x, z) rows, which no draw
+        changes."""
         T = Tableau.zero_logical(self.color_code)
         T.apply_transversal_H(self.star_signs)
-        return T
+        parts = list(gauge_fix(T, self).values())
+        canonical, dtype = T.canonical_form(), T._dtype
+        parts.append(np.array([phase for _, _, phase in canonical], dtype=dtype))
+        moduli = [self.d] * sum(map(len, parts[:-1])) + [T.D] * len(canonical)
+        return (_stack(parts, T.draws + 1, dtype), np.array(moduli, dtype=dtype),
+                [(x, z) for x, z, _ in canonical])
 
     def bare_logical_x(self) -> tuple:
         """Xbar as (x | z) exponents: X on every qudit."""
@@ -214,15 +230,19 @@ class Tableau:
 
     Phase convention: X Z = omega Z X, so Z^a X^b = omega^{-ab} X^b Z^a.
     Row i is omega-tilde^phase_i X^x Z^z, phase mod D (D = d odd, 4 for
-    d = 2).  The rows S are a phase vector and an array xz of (x | z)
-    exponents, and every Pauli the tableau takes is one such row; the
-    destabilizer rows destab (D, no phases) satisfy <D_i, S_j> = delta_ij,
-    built once from one echelon form and kept dual by every update (after
-    Aaronson & Gottesman, and Hostens, Dehaene & De Moor for prime d).
-    Measurement follows the generalized Gottesman update: a generator that
+    d = 2).  The rows S are an array xz of (x | z) exponents and, since an
+    outcome is not fixed until it is drawn, a phase array of affine forms
+    over the draws: row i is [c_0, c_1, ..., c_k], the phase
+    c_0 + c_1 x_1 + ... + c_k x_k for the k draws x_j made so far (see
+    evaluate).  Every Pauli the tableau takes is one row; the destabilizer
+    rows destab (D, no phases) satisfy <D_i, S_j> = delta_ij, built once
+    from one echelon form and kept dual by every update (after Aaronson &
+    Gottesman, and Hostens, Dehaene & De Moor for prime d).  Measurement
+    follows the generalized Gottesman update: a generator that
     omega-noncommutes with the observable becomes the pivot; otherwise the
     observable is prod_j S_j^c_j with c = <D, obs>, and the outcome is that
-    product's phase.
+    product's phase.  Every update is linear in the phases, so xz, destab
+    and every pivot stay what a tableau drawing numbers would hold.
     """
 
     def __init__(self, d: int, xz, phase):
@@ -233,11 +253,17 @@ class Tableau:
         self.scale = self.D // d
         # holds every intermediate of _product and symplectic_phase exactly
         self._dtype = ring.exact_dtype(4 * (r + self.n + 1) * d * d)
-        self.phase = np.array(phase, dtype=self._dtype) % self.D
+        phase = np.array(phase, dtype=self._dtype)  # numbers, or forms
+        self.phase = (phase if phase.ndim == 2 else phase.reshape(r, 1)) % self.D
         self.xz = np.array(xz, dtype=self._dtype) % d
         if symplectic_phase(self.xz, self.xz, d).any():
             raise ValueError("tableau rows must pairwise commute")
         self.destab = self._dual()
+
+    @property
+    def draws(self) -> int:
+        """The number of random outcomes so far, each one draw."""
+        return self.phase.shape[1] - 1
 
     def _dual(self) -> np.ndarray:
         """Destabilizer rows D with <D_i, S_j> = delta_ij, that is D W^T = I
@@ -254,12 +280,13 @@ class Tableau:
 
     # -- group arithmetic on rows ------------------------------------------
     def _product(self, C: np.ndarray, phase: np.ndarray, xz: np.ndarray):
-        """(phases, exponents) of prod_j F_j^C[i, j] for every row i of C, the
-        factors F_j = (phase[j], xz[j]) taken in order, C in [0, d).
+        """(phase forms, exponents) of prod_j F_j^C[i, j] for every row i of
+        C, the factors F_j = (phase[j], xz[j]) taken in order, C in [0, d).
 
         Z^a X^b = omega^{-ab} X^b Z^a gives the closed form: the phase is
         sum_j c_j phi_j - scale (sum_{j<l} c_j c_l z_j.x_l
-        + sum_j C(c_j, 2) z_j.x_j) mod D.  As scale * d = D, the z.x
+        + sum_j C(c_j, 2) z_j.x_j) mod D, the sum taken form column by form
+        column and the z.x term constant.  As scale * d = D, the z.x
         products count only mod d.
         """
         d, n = self.d, self.n
@@ -267,7 +294,9 @@ class Tableau:
         j = np.arange(len(M))
         cross = (((C @ np.where(j[:, None] < j, M, 0)) % d * C).sum(axis=1)
                  + (C * (C - 1) // 2 % d * M.diagonal()).sum(axis=1))
-        return (C @ phase - self.scale * cross) % self.D, (C @ xz) % d
+        forms = C @ phase
+        forms[:, 0] -= self.scale * cross
+        return forms % self.D, (C @ xz) % d
 
     def copy(self) -> "Tableau":
         """An independent tableau in the same state."""
@@ -298,29 +327,36 @@ class Tableau:
                 raise ValueError(f"observable row has {len(row)} entries, not 2n = {2 * self.n}")
         return np.array(rows, dtype=self._dtype).reshape(len(rows), 2 * self.n) % self.d
 
-    def apply_pauli(self, row) -> None:
-        """Conjugate the state by the Pauli error with (x | z) exponents row
-        (rows pick up phases only)."""
-        e = self._rows([row])
-        self.phase = (self.phase + self.scale * symplectic_phase(e, self.xz, self.d)[0]) % self.D
+    def apply_pauli(self, rows) -> None:
+        """Conjugate the state by the Pauli error with (x | z) exponents
+        rows: one row, or an affine form over the draws given as one row per
+        form column, the constant first; each form column costs one
+        symplectic product, and rows pick up phases only."""
+        e = self._rows(np.atleast_2d(rows))
+        w = len(e)
+        self.phase[:, :w] = (self.phase[:, :w]
+                             + self.scale * symplectic_phase(e, self.xz, self.d).T) % self.D
 
     def apply_transversal_H(self, star_signs) -> None:
         """Conjugate by the transversal Hadamard; each row's phase gains
         sum(x * z) in the tableau's own phase unit."""
         xz, dphi = _hadamard(self.xz, star_signs)
-        self.phase = (self.phase + self.scale * dphi) % self.D
+        self.phase[:, 0] = (self.phase[:, 0] + self.scale * dphi) % self.D
         self.xz = xz % self.d
         self.destab = _hadamard(self.destab, star_signs)[0] % self.d
 
-    def measure(self, rows, rng: random.Random) -> list:
+    def measure(self, rows) -> np.ndarray:
         """Measure the generalized Pauli observables with (x | z) exponent
-        rows, in order; returns each k with eigenvalue omega^k.
+        rows, in order; returns, one row each, the affine form over the
+        draws of the k with eigenvalue omega^k, as wide as the draws made by
+        the end of the block (mod d; see evaluate).
 
         One product finds the first row that fails to commute with the
         tableau.  The rows before it are determined and leave the state
         unchanged, so their outcomes come from one more product; that row is
-        measured at random, and the rest are tested against the new rows.
-        Outcomes, rng draws and final state are those of one row at a time.
+        measured at random, as one new draw, and the rest are tested against
+        the new rows.  Outcomes, draws and final state are those of one row
+        at a time.
         """
         d, n = self.d, self.n
         obs = self._rows(rows)
@@ -332,19 +368,21 @@ class Tableau:
             hits = coeffs.any(axis=1).nonzero()[0]
             k = int(hits[0]) if hits.size else len(obs)
             if k:
-                outcomes += self._determined_outcomes(obs[:k])
+                outcomes.append(self._determined_outcomes(obs[:k]))
             if k < len(obs):
-                outcomes.append(self._random_outcome(obs[k], coeffs[k], rng))
+                self._random_outcome(obs[k], coeffs[k])
+                outcomes.append(np.eye(1, self.draws + 1, self.draws, dtype=self._dtype))
             obs = obs[k + 1:]
-        return outcomes
+        return _stack(outcomes, self.draws + 1, self._dtype)
 
-    def _random_outcome(self, obs: np.ndarray, coeffs: np.ndarray, rng: random.Random) -> int:
+    def _random_outcome(self, obs: np.ndarray, coeffs: np.ndarray) -> None:
         """Measure obs, which fails to commute with the rows where coeffs is
         nonzero: the first of them is the pivot p.  Each row S_i becomes
         S_i S_p^k_i, k_i = -c_i/c_p, commuting with obs, by a rank-one update
         xz += k (x) S_p, phase += k phi_p - scale (k z.x_p + C(k, 2) z_p.x_p)
-        (as in _product); row p becomes obs with the drawn outcome.  The
-        destabilizers stay dual: D_i gains (e_i/c_p) S_p, D_p is -S_p/c_p."""
+        (as in _product); row p becomes obs with phase -scale x, x a new
+        draw: one more form column.  The destabilizers stay dual: D_i gains
+        (e_i/c_p) S_p, D_p is -S_p/c_p."""
         d, n = self.d, self.n
         e = symplectic_phase(self.destab, obs[None], d)[:, 0]
         p = int(coeffs.nonzero()[0][0])
@@ -354,37 +392,62 @@ class Tableau:
         self.destab[p] = -inv * S_p % d
         k = -coeffs * inv % d
         zx = self.xz[:, n:] @ S_p[:n] % d
-        cross = k * zx + k * (k - 1) // 2 % d * zx[p]
-        self.phase = (self.phase + k * self.phase[p] - self.scale * cross) % self.D
+        phase = self.phase + k[:, None] * self.phase[p]
+        phase[:, 0] -= self.scale * (k * zx + k * (k - 1) // 2 % d * zx[p])
+        self.phase = np.hstack([phase % self.D, np.zeros((len(phase), 1), dtype=self._dtype)])
+        self.phase[p] = 0
+        self.phase[p, -1] = -self.scale % self.D
         self.xz = (self.xz + k[:, None] * S_p) % d
-        outcome = rng.randrange(d)
-        self.phase[p], self.xz[p] = -outcome * self.scale % self.D, obs
-        return outcome
+        self.xz[p] = obs
 
-    def _determined_outcomes(self, obs: np.ndarray) -> list:
-        """Outcomes of observables that commute with every row: one in the
-        group is prod_j S_j^c_j with c_j = <D_j, obs>, so no solve.  The
+    def _determined_outcomes(self, obs: np.ndarray) -> np.ndarray:
+        """Outcome forms of observables that commute with every row: one in
+        the group is prod_j S_j^c_j with c_j = <D_j, obs>, so no solve.  The
         first row outside the group or with an unphysical phase raises."""
         phase, xz = self._product(symplectic_phase(self.destab, obs, self.d).T,
                                   self.phase, self.xz)
         outside = (xz != obs).any(axis=1)
-        bad = (outside | (phase % self.scale != 0)).nonzero()[0]
+        bad = (outside | (phase % self.scale != 0).any(axis=1)).nonzero()[0]
         if bad.size and outside[bad[0]]:
             raise ValueError("observable commutes but is not in the group")
         if bad.size:
             raise ValueError("inconsistent tableau phase (state not physical)")
-        return (-(phase // self.scale) % self.d).tolist()
+        return -(phase // self.scale) % self.d
 
     def canonical_form(self) -> tuple:
         """Unique reduced-echelon presentation of the stabilizer group,
-        phases included; equal groups give equal forms.  Row i of the echelon
-        T xz = R is prod_j S_j^T_ij, all phased in one product: with Hermitian
-        rows the group holds no scalar but I, so exponents fix the phase."""
+        phase forms included; equal groups give equal forms.  Row i of the
+        echelon T xz = R is prod_j S_j^T_ij, all phased in one product: with
+        Hermitian rows the group holds no scalar but I, so exponents fix the
+        phase."""
         _R, T, pivots = ring.echelon_mod_p(self.xz, self.d)
         phase, xz = self._product(T[:len(pivots)].astype(self._dtype), self.phase, self.xz)
         n = self.n
-        return tuple((tuple(v[:n]), tuple(v[n:]), p)
+        return tuple((tuple(v[:n]), tuple(v[n:]), tuple(p))
                      for p, v in zip(phase.tolist(), xz.tolist()))
+
+
+def _stack(forms: list, width: int, dtype) -> np.ndarray:
+    """Affine forms of at most width columns, stacked as one array of that
+    width: a form made before the later draws is 0 on them."""
+    out = np.zeros((sum(map(len, forms)), width), dtype=dtype)
+    i = 0
+    for F in forms:
+        out[i:i + len(F), :F.shape[1]] = F
+        i += len(F)
+    return out
+
+
+def evaluate(forms, draws, modulus) -> np.ndarray:
+    """The affine forms at the draws x_1, x_2, ...: row [c_0, ..., c_w] is
+    c_0 + c_1 x_1 + ... + c_w x_w mod modulus (one int, or one per row), by
+    one exact product; a form narrower than the draws is 0 on the later
+    ones."""
+    forms = np.asarray(forms)
+    w = forms.shape[-1]
+    dtype = ring.exact_dtype(w * int(np.max(modulus)) ** 2)
+    x = np.array([1, *draws[:w - 1]], dtype=dtype)
+    return forms.astype(dtype) @ x % np.asarray(modulus, dtype=dtype)
 
 
 # --------------------------------------------------------------------------
@@ -407,52 +470,68 @@ def _lex_least_solution(system: tuple, target) -> tuple | None:
     pivot variable is its entry of t' minus multiples of the free variables
     right of it, the earlier x_i; taking x_0, x_1, ... in turn, each is fixed
     by the earlier ones or free and least at 0: every free variable is 0.
+    The map is linear, so a target of affine forms, one row per entry, gives
+    x as forms, and None unless a solution exists at every draw.
     """
     T, pivots, m = system
     t = T.array @ (np.array(target, dtype=T.array.dtype) % T.modulus) % T.modulus
     if t[len(pivots):].any():
         return None
-    fixed = dict(zip(pivots, t.tolist()))
-    return tuple(fixed.get(m - 1 - i, 0) for i in range(m))
+    x = np.zeros((m,) + t.shape[1:], dtype=t.dtype)
+    x[[m - 1 - i for i in pivots]] = t[:len(pivots)]
+    return tuple(x.tolist())
 
 
-def gauge_fix(T: Tableau, G: GaugeCode, rng: random.Random) -> dict:
+def gauge_fix(T: Tableau, G: GaugeCode) -> dict:
     """Measure every Z face, apply the lex-least X-type gauge correction that
-    zeroes all face outcomes, measure the post-checks as one block, and report.
+    zeroes all face outcomes, and measure the post-checks as one block.
 
     Mutates T in place; afterwards the tableau should contain the color-code
-    stabilizer group with trivial syndrome.
+    stabilizer group with trivial syndrome.  Returns, as affine forms over
+    T's draws (mod d, one row each), the face outcomes ("measured"), the
+    correction lam ("correction"), its support exponents lam face_x
+    ("support") and the post outcomes ("post": faces, X cells, Xbar).
     """
     z_faces = G.gauge_group.array[G.face_x.nrows:]
-    outcomes = T.measure(z_faces, rng)
+    outcomes = T.measure(z_faces)
 
     # want an X-type C with symplectic phase m_f against every Z face
     lam = _lex_least_solution(G.correction_system, outcomes)
     if lam is None:
         raise ValueError("measured face outcomes admit no gauge correction")
-    corr = ring.mat_vec_mul(G.face_x, lam)
-    T.apply_pauli(corr + (0,) * G.n)
+    lam = ring.ResidueMatrix(G.d, lam)
+    corr = ring.mul_transpose(lam.transpose(), G.face_x.transpose())  # X^corr, per form column
+    T.apply_pauli(np.hstack([corr, np.zeros_like(corr)]))
 
-    f, c = len(z_faces), G.cell_x.nrows
-    post = T.measure(np.vstack([z_faces, G.stabilizer_group.array[:c], [G.bare_logical_x()]]), rng)
+    c = G.cell_x.nrows
+    post = T.measure(np.vstack([z_faces, G.stabilizer_group.array[:c], [G.bare_logical_x()]]))
+    return {"measured": outcomes, "correction": lam.array, "support": corr.T, "post": post}
+
+
+def fix_demo(d: int, seed: int) -> dict:
+    """The full demo: |0_L>, transversal H, gauge fix, report.
+
+    The tableau ran once per gauge code, on affine forms over its draws
+    (GaugeCode.fix_demo_forms); the seed makes those draws, rng.randrange(d)
+    in the order the run met them, and one product evaluates every form.
+    """
+    G = build_gauge_code(hypercube_lattice(3), d)
+    forms, moduli, rows = G.fix_demo_forms
+    rng = random.Random(seed)
+    values = evaluate(forms, [rng.randrange(d) for _ in range(forms.shape[1] - 1)], moduli)
+    f, c = G.face_z.nrows, G.cell_x.nrows
+    outcomes, lam, corr, post, phases = (
+        v.tolist() for v in np.split(values, np.cumsum([f, G.face_x.nrows, G.n, f + c + 1])))
     return {
         "measured": outcomes,
-        "correction": list(lam),
+        "correction": lam,
         "correction_support": [j for j, e in enumerate(corr) if e],
         "post": {
             "face_outcomes_zero": not any(post[:f]),
             "cell_x_outcomes_zero": not any(post[f:f + c]),
             "logical_x_plus": post[f + c:] == [0],
         },
+        "seed": seed,
+        "canonical_form": [{"x": list(x), "z": list(z), "phase": phase}
+                           for (x, z), phase in zip(rows, phases)],
     }
-
-
-def fix_demo(d: int, seed: int) -> dict:
-    """The full §-style demo: |0_L>, transversal H, gauge fix, report."""
-    G = build_gauge_code(hypercube_lattice(3), d)
-    T = G.fix_demo_start.copy()
-    log = gauge_fix(T, G, random.Random(seed))
-    log["seed"] = seed
-    log["canonical_form"] = [{"x": list(x), "z": list(z), "phase": phase}
-                             for x, z, phase in T.canonical_form()]
-    return log

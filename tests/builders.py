@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 
+from colexa import gauge
 from colexa.code import code_to_json, from_colex
 
 
@@ -29,3 +30,47 @@ def forget_codes(L):
     code.from_colex on L builds and decides afresh and a count of its work
     does not hang on test order."""
     L.__dict__.pop("_codes", None)
+
+
+class Drawn:
+    """A gauge.Tableau read at its draws, as a tableau that drew a number at
+    each random outcome would read: measure takes the block's new draws from
+    its rng, rng.randrange(d) in the order the tableau met them (a block
+    that raises takes those it met), and every phase, outcome and canonical
+    form is a number.  Every other attribute is the tableau's."""
+
+    def __init__(self, T, draws=()):
+        self.T, self.draws = T, list(draws)
+
+    def __getattr__(self, name):
+        return getattr(self.T, name)
+
+    def draw(self, rng) -> None:
+        """Draw a value for every draw the tableau made since the last."""
+        self.draws += [rng.randrange(self.T.d) for _ in range(self.T.draws - len(self.draws))]
+
+    @property
+    def phase(self):
+        return gauge.evaluate(self.T.phase, self.draws, self.T.D)
+
+    def measure(self, rows, rng) -> list:
+        try:
+            forms = self.T.measure(rows)
+        finally:
+            self.draw(rng)
+        return gauge.evaluate(forms, self.draws, self.T.d).tolist()
+
+    def canonical_form(self) -> tuple:
+        return tuple((x, z, int(gauge.evaluate(phase, self.draws, self.T.D)))
+                     for x, z, phase in self.T.canonical_form())
+
+    def copy(self) -> "Drawn":
+        return Drawn(self.T.copy(), self.draws)
+
+
+def drawn_fix(T: Drawn, G, rng) -> dict:
+    """gauge.gauge_fix on a Drawn tableau, its new draws taken from rng:
+    every form of the log read at T's draws, as lists of numbers."""
+    forms = gauge.gauge_fix(T.T, G)
+    T.draw(rng)
+    return {key: gauge.evaluate(F, T.draws, G.d).tolist() for key, F in forms.items()}

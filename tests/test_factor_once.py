@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from colexa import cli, code, colex, gauge, ring
-from builders import code_json, forget_codes, forget_gauge_codes, with_code
+from builders import Drawn, code_json, forget_codes, forget_gauge_codes, with_code
 from oracles import solve_left, stabilizer_words
 from test_same_json import VERDICT_CASES
 
@@ -78,8 +78,8 @@ def decisions(monkeypatch):
 def test_fix_demo_factor_count(snf_calls, monkeypatch, d):
     # every prime-d question of the tableau and the correction is one
     # echelon form over F_d: no Smith form (so no solve over Z_N), no kernel;
-    # the gauge code and its start state are built afresh, so zero_logical
-    # is counted too
+    # the gauge code and its fix-demo forms are built afresh, so
+    # zero_logical is counted too
     calls = []
     monkeypatch.setattr(ring, "kernel_mod", lambda *a: calls.append("kernel_mod"))
     forget_gauge_codes(colex.hypercube_lattice(3))
@@ -91,25 +91,27 @@ def test_fix_demo_factor_count(snf_calls, monkeypatch, d):
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 10**18 + 3])
 def test_later_fix_demos_eliminate_only_their_canonical_form(snf_calls, monkeypatch, d):
     # the first demo at d builds the gauge code, which the lattice keeps,
-    # and its start state and correction system, which the gauge code
-    # keeps; every later demo at d
-    # makes one echelon form (its canonical form) and measures two blocks:
-    # the Z faces, then the three post-checks
+    # and runs the tableau once, on forms over its draws: two echelon forms
+    # for |0_L>, one each for the destabilizers, the correction system and
+    # the canonical form, and two measured blocks, the Z faces and then the
+    # three post-checks; the gauge code keeps the forms, so every later demo
+    # at d only draws and evaluates: no echelon form and no measurement
     echelons, measures, kernels = [], [], []
     original, measure = ring.echelon_mod_p, gauge.Tableau.measure
     monkeypatch.setattr(ring, "echelon_mod_p",
                         lambda A, p: echelons.append(A.shape) or original(A, p))
     monkeypatch.setattr(gauge.Tableau, "measure",
-                        lambda T, rows, rng: measures.append(len(rows)) or measure(T, rows, rng))
+                        lambda T, rows: measures.append(len(rows)) or measure(T, rows))
     monkeypatch.setattr(ring, "kernel_mod", lambda *a: kernels.append(a))
     forget_gauge_codes(colex.hypercube_lattice(3))
     gauge.fix_demo(d, 0)
     assert len(echelons) == 5  # two |0_L> bases, destabilizers, correction, canonical form
+    assert measures == [18, 18 + 4 + 1]
     for seed in range(1, 6):
         echelons.clear(), measures.clear()
         log = gauge.fix_demo(d, seed)
         assert all(log["post"].values())
-        assert echelons == [(15, 30)] and measures == [18, 18 + 4 + 1]
+        assert echelons == [] and measures == []
     assert snf_calls == [] and kernels == []
 
 
@@ -118,7 +120,7 @@ def test_determined_measurements_factor_nothing(snf_calls, d):
     # each block of determined outcomes is one product with the destabilizer
     # rows; the library has no linear solve, and nothing is factored
     C = with_code(colex.hypercube_lattice(3), d)[1]
-    T = gauge.Tableau.zero_logical(C)
+    T = Drawn(gauge.Tableau.zero_logical(C))
     snf_calls.clear()
     rng = random.Random(0)
     assert all(T.measure([w.x_exp + w.z_exp], rng) == [0] for w in stabilizer_words(C))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from colexa import colex, gauge, ring
 from colexa.code import symplectic_phase, syndrome
 from colexa.reports import Report
-from builders import forget_gauge_codes, with_code
+from builders import Drawn, drawn_fix, forget_gauge_codes, with_code
 from oracles import (
     PauliWord,
     augmented_lex_least,
@@ -305,7 +305,7 @@ def test_reconstruction_consistency_random_errors(tetra3):
             tuple(rng.randrange(3) for _ in range(15)),
             tuple(rng.randrange(3) for _ in range(15)),
         )
-        T = gauge.Tableau.zero_logical(C)
+        T = Drawn(gauge.Tableau.zero_logical(C))
         T.apply_pauli(E.row)
         outs = dict(enumerate(T.measure([x_word(3, xr).row for xr in G.face_x.rows], rng)))
         syn = syndrome(C, E.row)
@@ -344,7 +344,7 @@ def test_tableau_rejects_noncommuting_rows(d):
 
 def test_tableau_measure_stabilizer_deterministic(tetra3):
     _, C, _ = tetra3
-    T = gauge.Tableau.zero_logical(C)
+    T = Drawn(gauge.Tableau.zero_logical(C))
     rng = random.Random(5)
     for g in stabilizer_words(C):
         # codeword(0) state: every stabilizer and Zbar give outcome 0
@@ -354,7 +354,7 @@ def test_tableau_measure_stabilizer_deterministic(tetra3):
 
 def test_tableau_measurement_repeatable(tetra3):
     _, C, _ = tetra3
-    T = gauge.Tableau.zero_logical(C)
+    T = Drawn(gauge.Tableau.zero_logical(C))
     rng = random.Random(5)
     xbar = logical_words(C)[0].row
     first = T.measure([xbar], rng)  # random outcome, collapses the state
@@ -363,10 +363,10 @@ def test_tableau_measurement_repeatable(tetra3):
 
 def test_gauge_fix_identity_on_fixed_state(tetra3):
     _, C, G = tetra3
-    T = gauge.Tableau.zero_logical(C)
+    T = Drawn(gauge.Tableau.zero_logical(C))
     # Z faces are already stabilizers of |0_L>, so nothing to correct... but
     # fixing maps the state consistently: measured outcomes and correction 0
-    log = gauge.gauge_fix(T, G, random.Random(0))
+    log = drawn_fix(T, G, random.Random(0))
     assert log["measured"] == [0] * 18
     assert log["correction"] == [0] * 18
 
@@ -375,19 +375,19 @@ def test_gauge_fix_demo_deterministic_across_seeds(tetra3):
     L, C, G = tetra3
     forms = set()
     for seed in range(20):
-        T = gauge.Tableau.zero_logical(C)
+        T = Drawn(gauge.Tableau.zero_logical(C))
         T.apply_transversal_H(L.star_signs())
-        log = gauge.gauge_fix(T, G, random.Random(seed))
-        assert all(log["post"].values()), (seed, log)
+        log = drawn_fix(T, G, random.Random(seed))
+        assert not any(log["post"]), (seed, log)
         forms.add(T.canonical_form())
     assert len(forms) == 1
 
 
 def test_gauge_fix_final_state_is_color_code_plus(tetra3):
     L, C, G = tetra3
-    T = gauge.Tableau.zero_logical(C)
+    T = Drawn(gauge.Tableau.zero_logical(C))
     T.apply_transversal_H(L.star_signs())
-    gauge.gauge_fix(T, G, random.Random(1))
+    drawn_fix(T, G, random.Random(1))
     rng = random.Random(2)
     for g in stabilizer_words(C):
         assert T.measure([g.row], rng) == [0]
@@ -848,9 +848,9 @@ def random_word(d, rng, n=15):
     return PauliWord(d, x, tuple(z))
 
 
-def as_tableau(d, rows) -> gauge.Tableau:
-    """The gauge.Tableau of OracleRows."""
-    return gauge.Tableau(d, [r.x + r.z for r in rows], [r.phase for r in rows])
+def as_tableau(d, rows) -> Drawn:
+    """The gauge.Tableau of OracleRows, read at its draws."""
+    return Drawn(gauge.Tableau(d, [r.x + r.z for r in rows], [r.phase for r in rows]))
 
 
 def rows_of(T) -> list:
@@ -888,7 +888,7 @@ def test_tableau_matches_word_oracle(d, seed, steps, h_at):
     L, C, G = tetra(d)
     O = OracleTableau.zero_logical(C)
     T = as_tableau(d, O.rows)
-    assert gauge.Tableau.zero_logical(C).canonical_form() == O.canonical_form()
+    assert Drawn(gauge.Tableau.zero_logical(C)).canonical_form() == O.canonical_form()
     rng = random.Random(seed)
     steps.insert(h_at, "H")
     for step in steps:
@@ -999,11 +999,11 @@ def test_block_measurement_equals_one_row_at_a_time(d, hadamard, partial, seed, 
     rows one at a time.  Dropping Zbar's row leaves logicals and faces that
     commute with every row but lie outside the group; both ways raise."""
     L, C, G = tetra(d)
-    start = gauge.Tableau.zero_logical(C)
+    start = Drawn(gauge.Tableau.zero_logical(C))
     if hadamard:
         start.apply_transversal_H(L.star_signs())
     if partial:
-        start = gauge.Tableau(d, start.xz[:-1], start.phase[:-1])
+        start = Drawn(gauge.Tableau(d, start.xz[:-1], start.phase[:-1]))
     rows = draw_rows(d, C, G, kinds, random.Random(seed))
     runs = []
     for one_at_a_time in (False, True):
@@ -1013,10 +1013,11 @@ def test_block_measurement_equals_one_row_at_a_time(d, hadamard, partial, seed, 
     assert runs[0] == runs[1]
 
 
-def product_random_outcome(self, obs, coeffs, rng):
+def product_random_outcome(self, obs, coeffs):
     """Tableau._random_outcome as it was before the rank-one update, kept
-    verbatim as its oracle: every row updated by one _product with the
-    coefficient matrix [I | -c/c_p] over the rows and a copy of row p."""
+    as its oracle: every row updated by one _product with the coefficient
+    matrix [I | -c/c_p] over the rows and a copy of row p; row p then takes
+    obs with phase -scale x, x the new draw's form column."""
     d = self.d
     e = symplectic_phase(self.destab, obs[None], d)[:, 0]
     p = int(np.flatnonzero(coeffs)[0])
@@ -1024,11 +1025,11 @@ def product_random_outcome(self, obs, coeffs, rng):
     self.destab = (self.destab + (e * inv % d)[:, None] * self.xz[p]) % d
     self.destab[p] = -inv * self.xz[p] % d
     C = np.hstack([np.eye(len(self.xz), dtype=self._dtype), (-coeffs * inv % d)[:, None]])
-    self.phase, self.xz = self._product(C, np.append(self.phase, self.phase[p]),
-                                        np.vstack([self.xz, self.xz[p]]))
-    outcome = rng.randrange(d)
-    self.phase[p], self.xz[p] = -outcome * self.scale % self.D, obs
-    return outcome
+    phase, self.xz = self._product(C, np.vstack([self.phase, self.phase[p]]),
+                                   np.vstack([self.xz, self.xz[p]]))
+    draw = np.zeros((len(phase), 1), dtype=self._dtype)
+    phase[p], draw[p] = 0, -self.scale % self.D
+    self.phase, self.xz[p] = np.hstack([phase, draw]), obs
 
 
 @settings(max_examples=60, deadline=None)
@@ -1041,8 +1042,8 @@ def product_random_outcome(self, obs, coeffs, rng):
 def test_rank_one_update_matches_the_product_oracle(d, hadamard, seed, kinds):
     """From |0_L>, with or without transversal H, a block of random rows and
     then every gauge generator, some of which fail to commute with the
-    state; after every random outcome the outcome, rng state, phases, rows
-    and destabilizers (dtypes included) are those of the product update.
+    state; after every random outcome the phase forms, rows and
+    destabilizers (dtypes included) are those of the product update.
     d = 10^18 + 3 runs on Python ints."""
     L, C, G = tetra(d)
     T = gauge.Tableau.zero_logical(C)
@@ -1051,21 +1052,18 @@ def test_rank_one_update_matches_the_product_oracle(d, hadamard, seed, kinds):
     rows = draw_rows(d, C, G, kinds, random.Random(seed)) + list(G.gauge_group.rows)
     rank_one, compared = gauge.Tableau._random_outcome, []
 
-    def both(self, obs, coeffs, rng):
-        O, oracle_rng = self.copy(), random.Random()
-        oracle_rng.setstate(rng.getstate())
-        want = product_random_outcome(O, obs, coeffs, oracle_rng)
-        got = rank_one(self, obs, coeffs, rng)
-        assert (got, rng.getstate()) == (want, oracle_rng.getstate())
+    def both(self, obs, coeffs):
+        O = self.copy()
+        product_random_outcome(O, obs, coeffs)
+        rank_one(self, obs, coeffs)
         for name in ("phase", "xz", "destab"):
             mine, theirs = getattr(self, name), getattr(O, name)
             assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist(), name
-        compared.append(got)
-        return got
+        compared.append(self.draws)
 
     with mock.patch.object(gauge.Tableau, "_random_outcome", both):
-        T.measure(rows, random.Random(seed))
-    assert compared
+        T.measure(rows)
+    assert compared == list(range(1, T.draws + 1))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -1074,7 +1072,7 @@ def test_block_raises_at_a_commuting_row_outside_the_group(d):
     # stabilizer before it is measured, the random word after it never is
     L, C, G = tetra(d)
     full = gauge.Tableau.zero_logical(C)
-    T = gauge.Tableau(d, full.xz[:-1], full.phase[:-1])
+    T = Drawn(gauge.Tableau(d, full.xz[:-1], full.phase[:-1]))
     zbar = logical_words(C)[1].row
     rows = [stabilizer_words(C)[0].row, zbar, random_word(d, random.Random(d)).row]
     before = T.canonical_form()
@@ -1087,7 +1085,7 @@ def test_block_raises_at_a_commuting_row_outside_the_group(d):
 def test_block_raises_the_error_of_its_first_bad_row():
     # at d = 2 the row Z0 with phase exponent 1 is i Z0, not Hermitian: its
     # measurement finds the state unphysical; Z1 is outside the group
-    T = gauge.Tableau(2, [(0, 0, 1, 0)], [1])
+    T = Drawn(gauge.Tableau(2, [(0, 0, 1, 0)], [1]))
     z0, z1 = (0, 0, 1, 0), (0, 0, 0, 1)
     for rows, error in [([z0, z1], "inconsistent tableau phase (state not physical)"),
                         ([z1, z0], "observable commutes but is not in the group")]:
@@ -1100,7 +1098,7 @@ def test_tableau_refuses_a_row_without_2n_entries(tetra3, length):
     # tetra has n = 15: a row must have 30 entries; nothing is measured or
     # applied, even when the bad row follows a good one
     _, C, _ = tetra3
-    T, rng = gauge.Tableau.zero_logical(C), random.Random(0)
+    T, rng = Drawn(gauge.Tableau.zero_logical(C)), random.Random(0)
     before = T.canonical_form()
     message = f"observable row has {length} entries, not 2n = 30"
     with pytest.raises(ValueError, match=message):
@@ -1111,9 +1109,9 @@ def test_tableau_refuses_a_row_without_2n_entries(tetra3, length):
 
 
 def test_fix_demo_start_is_never_mutated():
-    # the demos share one start state per d, kept on the lattice's gauge
+    # the demos share one set of forms per d, kept on the lattice's gauge
     # code: run in sequence, each gives what it gives from a gauge code and
-    # a start built afresh
+    # forms built afresh
     runs = [(d, seed) for d in (2, 3, 5, 7) for seed in range(5)]
     shared = [gauge.fix_demo(d, seed) for d, seed in runs]
     fresh = []
@@ -1124,6 +1122,71 @@ def test_fix_demo_start_is_never_mutated():
     for _ in range(2):  # an error is not cached
         with pytest.raises(ValueError, match="tableau simulation requires prime d"):
             gauge.fix_demo(4, 0)
+
+
+def drawn_demo(G, seed) -> dict:
+    """fix_demo read from a tableau that takes each draw from the seed's rng
+    as it meets the random outcome, block by block (Drawn), with no kept
+    form: the demo as it was before its forms were kept."""
+    T = Drawn(gauge.Tableau.zero_logical(G.color_code))
+    T.apply_transversal_H(G.star_signs)
+    log = drawn_fix(T, G, random.Random(seed))
+    return demo_log(G, seed, log["measured"], log["correction"], log["support"], log["post"],
+                    T.canonical_form())
+
+
+def oracle_demo(G, seed) -> dict:
+    """fix_demo on the word-by-word OracleTableau, which draws a number at
+    each random outcome, with the greedy lex-least correction."""
+    d, n = G.d, G.n
+    O = OracleTableau.zero_logical(G.color_code)
+    O.apply_transversal_H(G.star_signs)
+    rng = random.Random(seed)
+    faces = [z_word(d, f) for f in G.face_z.rows]
+    measured = [O.measure(w, rng) for w in faces]
+    A = ring.ResidueMatrix(d, ring.mul_transpose(G.face_x, G.face_z))
+    lam = greedy_lex_least(A, measured)
+    support = ring.mat_vec_mul(G.face_x, lam)
+    O.apply_pauli(PauliWord(d, support, (0,) * n))
+    post = faces + [x_word(d, c) for c in G.cell_x.rows] + [x_word(d, (1,) * n)]
+    return demo_log(G, seed, measured, list(lam), support, [O.measure(w, rng) for w in post],
+                    O.canonical_form())
+
+
+def demo_log(G, seed, measured, lam, support, post, canonical) -> dict:
+    """The dict fix_demo returns, from the numbers of one run."""
+    f, c = G.face_z.nrows, G.cell_x.nrows
+    return {
+        "measured": measured,
+        "correction": lam,
+        "correction_support": [j for j, e in enumerate(support) if e],
+        "post": {
+            "face_outcomes_zero": not any(post[:f]),
+            "cell_x_outcomes_zero": not any(post[f:f + c]),
+            "logical_x_plus": post[f + c:] == [0],
+        },
+        "seed": seed,
+        "canonical_form": [{"x": list(x), "z": list(z), "phase": p} for x, z, p in canonical],
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 3000000019, 2**61 - 1, 10**18 + 3])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.one_of(st.integers(-2**70, 2**70), st.integers(2**64, 2**130)))
+def test_a_fresh_fix_demo_reads_the_kept_forms(d, seed):
+    """From a fresh gauge code, one fix_demo returns the dict of a run that
+    draws as it goes, and a later one, from the kept forms, the same.  The
+    canonical phases are mod 4 at d = 2; d <= 11 runs on int64 and is also
+    read from the word-by-word oracle, larger d on Python ints."""
+    tetra = colex.hypercube_lattice(3)
+    forget_gauge_codes(tetra)
+    fresh = gauge.fix_demo(d, seed)
+    G = gauge.build_gauge_code(tetra, d)
+    assert G.fix_demo_forms[0].shape[1] == 1 + 6  # kept, over six draws
+    assert fresh == drawn_demo(G, seed)
+    assert gauge.fix_demo(d, seed) == fresh
+    if d <= 11:
+        assert fresh == oracle_demo(G, seed)
 
 
 def corrupted(d, data):
@@ -1253,7 +1316,7 @@ def test_class_sums_are_the_x_cell_syndrome_beyond_3d(mu, d):
     for _ in range(5):
         E = PauliWord(d, tuple(rng.randrange(d) for _ in range(C.n)),
                       tuple(rng.randrange(d) for _ in range(C.n)))
-        T = gauge.Tableau.zero_logical(C)
+        T = Drawn(gauge.Tableau.zero_logical(C))
         T.apply_pauli(E.row)
         outs = dict(enumerate(T.measure(G.gauge_group.rows[:G.face_x.nrows], rng)))
         syn = syndrome(C, E.row)
@@ -1275,7 +1338,7 @@ def test_center_and_H_beyond_3d(mu, d):
 @pytest.mark.parametrize("mu,d", BEYOND_3D)
 def test_gauge_fix_beyond_3d(mu, d):
     L, C, G = hypercube(mu, d)
-    T = gauge.Tableau.zero_logical(C)
+    T = Drawn(gauge.Tableau.zero_logical(C))
     T.apply_transversal_H(L.star_signs())
-    log = gauge.gauge_fix(T, G, random.Random(mu + d))
-    assert all(log["post"].values()), log["post"]
+    log = drawn_fix(T, G, random.Random(mu + d))
+    assert not any(log["post"]), log["post"]

@@ -322,7 +322,7 @@ def test_fix_demos_print_the_recorded_stdout():
 # -- kept gauge codes never reach stdout -------------------------------------
 #
 # The tetra lattice keeps its gauge code per d, with the span checks, the
-# correction system and the fix-demo start that the code keeps in turn.
+# correction system and the fix-demo forms that the code keeps in turn.
 # From a lattice that keeps none, gauge checks at each d, three times over
 # and each followed by a fix-demo at the same d, print the recorded stdout
 # and exit codes every time.
@@ -368,3 +368,23 @@ def test_kept_codes_never_reach_stdout(monkeypatch):
     assert wrong_of(ops + ops[::-1]) == []
     tetra = colex.hypercube_lattice(3)
     assert sorted(tetra.__dict__["_codes"]) == [(3, d) for d in range(2, 8)]
+
+
+# -- kept fix-demo forms never reach stdout ----------------------------------
+#
+# The tetra lattice keeps its gauge code per d, and each gauge code the
+# forms of its fix demo.  From a lattice that keeps none, every operation of
+# the gauge pool runs twice in one process, in reversed order the second
+# time, and prints its recorded stdout and verdict every time; a fix demo
+# builds the forms at its d once, and a gauge check builds none.
+
+
+def test_kept_fix_demo_forms_never_reach_stdout(monkeypatch):
+    monkeypatch.delenv("COLEXA_CAP", raising=False)
+    ops = workloads.pool("gauge")
+    tetra = colex.hypercube_lattice(3)
+    forget_gauge_codes(tetra)
+    assert wrong_of(ops + ops[::-1]) == []
+    kept = tetra.__dict__["_gauge"]
+    assert sorted(kept) == [2, 3, 4, 5, 6, 7]
+    assert sorted(d for d, G in kept.items() if "fix_demo_forms" in G.__dict__) == [2, 3, 5, 7]
