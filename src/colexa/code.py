@@ -8,7 +8,10 @@ of a separate conjugation channel).  A shared lattice keeps its cell incidence
 per dimension and its code per (mu', d), or the rejection of that (mu', d):
 only the first code per (lattice, mu', d) per process is built and decided,
 and every later command reads that code's matrices with their kept Smith
-forms, row bases, span blocks and span checks.
+forms, row bases, span blocks and span checks.  Exact distances come from
+one of three methods, the one estimated to touch the fewest matrix entries:
+coset enumeration, a weight-ordered support search, or at prime d an
+information-set search, whose information sets a sector's matrix keeps too.
 """
 
 from __future__ import annotations
@@ -228,39 +231,41 @@ def syndrome(C: ColorCode, e) -> tuple:
 def distance(C: ColorCode, sector: str, cap: int = DEFAULT_CAP) -> int:
     """Exact minimum logical-operator weight in one Pauli sector.
 
-    Two exact methods: enumerating the sector's coset space in blocks, or a
-    weight-ordered support search.  The first enumeration block gives an
-    upper bound u on the distance; enumeration goes on when the coset space
-    fits the cap and is no larger than the search's bound, the number of
-    vectors of weight below u.  Otherwise the support search runs, charged
-    against the cap as it goes, so CapExceeded means both methods exceed it.
+    Three exact methods: enumerating the sector's coset space in blocks, a
+    weight-ordered support search, and, at prime d below ring.PRIME_BOUND,
+    an information-set search.  An upper bound u on the distance comes from
+    the rows of A, at prime d from those of its first information set, and,
+    when the coset space fits the cap, from its first block.  Each method's
+    work is estimated from u in matrix entries touched: the rest of the
+    space times n to enumerate, vectors * w * (n - rank A) to search every
+    weight w below u, codewords * w * n for the information sets' bound to
+    reach u.  The methods run in that order of work, each charged against
+    the cap, until one finishes, so CapExceeded means every one exceeded it.
     """
     A, B, space, blocks = _sector(C, sector)
-    best = C.n + 1
+    n, d, k = C.n, C.d, len(ring.span_orders(A))
+    prime = d < ring.PRIME_BOUND and ring.is_prime(d)
+    best = _lightest(A.array, B, n + 1)
+    for gamma, _pivots in _information_sets(A, 1) if prime else ():
+        best = _lightest(gamma, B, best)
+    methods = []
     if space <= cap:
         blocks = iter(blocks)
-        best = _lightest(next(blocks), B, best)
-        if space <= _search_bound(C.n, C.d, best):
-            return _found(_lightest_of(blocks, B, best), C.n)
-    try:
-        return _weight_search(C, A, B, cap, best)
-    except CapExceeded:
-        raise CapExceeded(f"{sector.upper()}-sector coset space {space} and "
-                          f"support search both exceed cap {cap}") from None
-
-
-def _enumerate_distance(C: ColorCode, sector: str, cap: int = DEFAULT_CAP) -> int:
-    """The distance by enumerating the whole coset space."""
-    _A, B, space, blocks = _sector(C, sector)
-    if space > cap:
-        raise CapExceeded(f"{sector.upper()}-sector coset space {space} > cap {cap}")
-    return _found(_lightest_of(blocks, B, C.n + 1), C.n)
-
-
-def _search_distance(C: ColorCode, sector: str, cap: int = DEFAULT_CAP) -> int:
-    """The distance by the weight-ordered support search alone."""
-    A, B, _space, _blocks = _sector(C, sector)
-    return _weight_search(C, A, B, cap, C.n + 1)
+        first = next(blocks)
+        best = _lightest(first, B, best)
+        methods.append(((space - len(first)) * n, lambda: _found(_lightest_of(blocks, B, best), n)))
+    methods.append((_search_work(n, d, k, best), lambda: _weight_search(C, A, B, cap, best)))
+    if prime:
+        methods.append((_information_work(n, d, k, best),
+                        lambda: _information_search(_information_sets(A), B, cap, best)))
+    for _work, method in sorted(methods, key=lambda m: m[0]):
+        try:
+            return method()
+        except CapExceeded:
+            pass
+    names = [f"coset space {space}", "support search"] + ["information-set search"] * prime
+    raise CapExceeded(f"{sector.upper()}-sector {', '.join(names[:-1])} and {names[-1]} "
+                      f"{'all' if prime else 'both'} exceed cap {cap}")
 
 
 def _sector(C: ColorCode, sector: str):
@@ -313,10 +318,10 @@ def _found(best: int, n: int) -> int:
     return best
 
 
-def _search_bound(n: int, d: int, u: int) -> int:
-    """Vectors of weight 1..u-1 over Z_d: what the support search examines
-    before it may conclude that the distance is u."""
-    return sum(math.comb(n, w) * (d - 1) ** w for w in range(1, min(u, n + 1)))
+def _search_work(n: int, d: int, k: int, u: int) -> int:
+    """Entries the support search touches before it may conclude that the
+    distance is u: w (n - k) per vector of weight w = 1..u-1 over Z_d."""
+    return sum(math.comb(n, w) * (d - 1) ** w * w for w in range(1, min(u, n + 1))) * (n - k)
 
 
 def _weight_search(C: ColorCode, A, B, cap: int, below: int) -> int:
@@ -346,14 +351,117 @@ def _weight_search(C: ColorCode, A, B, cap: int, below: int) -> int:
     return _found(below, C.n)
 
 
-def _weight_batches(n: int, d: int, w: int):
+def _information_sets(A: ring.ResidueMatrix, count: int | None = None) -> list:
+    """The first count (default all) disjoint information sets of rowspan(A)
+    over F_p, p = A.modulus prime, as (Gamma, pivots) pairs, r = len(pivots),
+    each eliminated when first asked for and kept on A, in order.
+
+    Each Gamma is a reduced echelon form of k independent rows spanning
+    rowspan(A), eliminated with the columns no earlier set used first: its
+    r pivots there are the set, unit columns each 1 in one of the first r
+    rows, and past row r Gamma is zero on every such column.  A codeword
+    m.Gamma then has at least wt(m) - (k - r) nonzero entries on the set.
+    The first set has r = k; the sets end when the unused columns have rank
+    0.  Within each part the sparsest columns come first, which keeps the
+    elimination sparse: a column with one nonzero entry costs no update.
+    """
+    if "_sets" not in A.__dict__:
+        A._sets, A._more_sets = [], _eliminate_sets(A.array, A.modulus)
+    A._sets.extend(itertools.islice(A._more_sets, None if count is None else
+                                    max(0, count - len(A._sets))))
+    return A._sets
+
+
+def _eliminate_sets(gamma: np.ndarray, p: int):
+    """Yield the information sets of _information_sets one at a time."""
+    unused = np.ones(gamma.shape[1], dtype=bool)
+    while unused.any():
+        order = np.lexsort(((gamma != 0).sum(axis=0), ~unused))
+        R, _T, pivots = ring.echelon_mod_p(gamma[:, order], p)
+        fresh = order[[j for j in pivots if unused[order[j]]]]
+        if not fresh.size:
+            return
+        gamma = np.empty_like(R[:len(pivots)])
+        gamma[:, order] = R[:len(pivots)]
+        gamma.setflags(write=False)
+        unused[fresh] = False
+        yield gamma, fresh
+
+
+def _schedule(k: int, ranks: list):
+    """(bound, j, t) in the order the information-set search takes them:
+    weigh the codewords of t rows of set j; before that step, every codeword
+    not yet weighed has weight at least bound.  Level w = 1, 2, ... brings
+    every set whose bound term w + 1 - (k - r) is positive up to w rows; the
+    search ends once the first set, of rank k, has weighed all k rows."""
+    done = [0] * len(ranks)
+    for w in range(1, k + 1):
+        for j, r in enumerate(ranks):
+            while done[j] < w and w + r >= k:
+                yield sum(max(0, e + 1 - k + s) for e, s in zip(done, ranks)), j, done[j] + 1
+                done[j] += 1
+            if done[0] == k:
+                return
+
+
+def _information_work(n: int, p: int, k: int, u: int) -> int:
+    """Entries the information-set search touches on k rows over F_p before
+    its bound reaches u: t n per codeword of t rows, as if every set had
+    min(k, unused columns) fresh pivots, which no set exceeds."""
+    work, ranks = 0, [min(k, n - j) for j in range(0, n, k or n)]
+    for bound, _j, t in _schedule(k, ranks):
+        if bound >= u:
+            break
+        work += math.comb(k, t) * (p - 1) ** (t - 1) * t * n
+    return work
+
+
+def _information_search(sets: list, B: ring.ResidueMatrix, cap: int, best: int) -> int:
+    """min(best, weight of the lightest vector of the sets' row space outside
+    rowspan(B)), by the Brouwer-Zimmermann information-set search (Zimmermann
+    1996; Grassl 2006) over F_p.
+
+    Each step weighs the codewords m.Gamma of one set with wt(m) = t, one
+    per projective class (the first nonzero coefficient of m is 1: scaling
+    by a unit keeps the weight and whether a vector lies in span(B)), and
+    stops once the schedule's bound on every codeword not yet weighed
+    reaches best.  A codeword is built off the set's pivots, where its
+    weight is that of m on the first r rows, and whole only when lighter
+    than best, for _lightest to screen.  Each step's C(k, t) (p-1)^(t-1)
+    codewords are charged to the cap before it runs: the search never stops
+    inside a step.  Sums are exact in exact_dtype(t (p-1)^2).
+    """
+    p, n = B.modulus, B.ncols
+    k, spent = len(sets[0][0]) if sets else 0, 0
+    for bound, j, t in _schedule(k, [len(fresh) for _g, fresh in sets]):
+        if bound >= best:
+            break
+        spent += math.comb(k, t) * (p - 1) ** (t - 1)
+        if spent > cap:
+            raise CapExceeded(f"information-set search needs more than cap {cap} codewords")
+        gamma, fresh = sets[j]
+        dtype = ring.exact_dtype(t * (p - 1) ** 2)
+        gamma = gamma.astype(dtype, copy=False)
+        off = np.delete(gamma, fresh, axis=1)
+        for S, P in _weight_batches(k, p, t, projective=True):
+            P = P.astype(dtype)
+            weights = (((P @ off[S]) % p) != 0).sum(axis=2) + (S < len(fresh)).sum(axis=1)[:, None]
+            i, c = np.nonzero(weights < best)
+            if i.size:
+                best = _lightest((P[c, None, :] @ gamma[S[i]])[:, 0] % p, B, best)
+    return _found(best, n)
+
+
+def _weight_batches(n: int, d: int, w: int, projective: bool = False):
     """(S, P) batches covering every vector of weight w over Z_d once: the
     vector with pattern P[j] on support S[i], for at most ring.BLOCK_ROWS
-    pairs (i, j) per batch; supports in lexicographic order."""
-    per = (d - 1) ** w
+    pairs (i, j) per batch; supports in lexicographic order.  projective
+    keeps only the patterns whose first entry is 1, one per class of unit
+    multiples over a field."""
+    per = (d - 1) ** (w - 1) * (1 if projective else d - 1)
     supports = itertools.combinations(range(n), w)
     if per <= ring.BLOCK_ROWS:
-        P = np.array(list(itertools.product(range(1, d), repeat=w)), dtype=np.int64)
+        P = np.array(list(_patterns(d, w, projective)), dtype=np.int64)
         while True:
             chunk = itertools.islice(supports, ring.BLOCK_ROWS // per)
             S = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.intp)
@@ -362,9 +470,15 @@ def _weight_batches(n: int, d: int, w: int):
             yield S.reshape(-1, w), P.reshape(per, w)
     dtype = ring.exact_dtype(d - 1)
     for support in supports:
-        patterns = _product(1, d, w)
+        patterns = _patterns(d, w, projective)
         while chunk := list(itertools.islice(patterns, ring.BLOCK_ROWS)):
             yield np.array([support], dtype=np.intp), np.array(chunk, dtype=dtype)
+
+
+def _patterns(d: int, w: int, projective: bool):
+    """Every w-tuple over 1..d-1 in lexicographic order, or with projective
+    those whose first entry is 1."""
+    return ((1,) + rest for rest in _product(1, d, w - 1)) if projective else _product(1, d, w)
 
 
 def _product(lo: int, hi: int, w: int):

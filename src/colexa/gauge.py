@@ -158,10 +158,13 @@ def build_gauge_code(L: Lattice, d: int) -> GaugeCode:
 def _center(G: GaugeCode) -> ring.ResidueMatrix:
     """Generators of the gauge group's center modulo phases, as (x | z) rows.
     The gauge Gram matrix is [[0, A], [-A^T, 0]] with A = face_x face_z^T, so
-    they are u face_x for u in leftker(A), then v face_z for v in leftker(A^T)."""
+    they are u face_x for u in leftker(A), then v face_z for v in leftker(A^T).
+    A is factored first, so at composite d A^T keeps its Smith form,
+    transposed, and one Smith form serves both halves."""
     A = ring.ResidueMatrix(G.d, ring.mul_transpose(G.face_x, G.face_z))
-    x, z = (ring.ResidueMatrix(G.d, ring.mul_transpose(ring.kernel_mod(B), M.transpose()))
-            for B, M in ((A, G.face_x), (A.transpose(), G.face_z)))
+    x = ring.ResidueMatrix(G.d, ring.mul_transpose(ring.kernel_mod(A), G.face_x.transpose()))
+    z = ring.ResidueMatrix(G.d, ring.mul_transpose(ring.kernel_mod(A.transpose()),
+                                                   G.face_z.transpose()))
     return _css(x, z)
 
 

@@ -1,11 +1,12 @@
-"""Built-in lattices with their codes, built as the command line builds them."""
+"""Built-in lattices with their codes, built as the command line builds them,
+and each distance method on its own."""
 
 import json
 
 import numpy as np
 
-from colexa import gauge
-from colexa.code import code_to_json, from_colex
+from colexa import code, gauge
+from colexa.code import DEFAULT_CAP, CapExceeded, code_to_json, from_colex
 
 
 def with_code(L, d):
@@ -74,3 +75,27 @@ def drawn_fix(T: Drawn, G, rng) -> dict:
     forms = gauge.gauge_fix(T.T, G)
     T.draw(rng)
     return {key: gauge.evaluate(F, T.draws, G.d).tolist() for key, F in forms.items()}
+
+
+# Each distance method alone, on the sector code._sector gives, as
+# code.distance would run it with no upper bound from a first block.
+
+
+def enumerate_distance(C, sector, cap=DEFAULT_CAP):
+    """The distance by enumerating the whole coset space."""
+    _A, B, space, blocks = code._sector(C, sector)
+    if space > cap:
+        raise CapExceeded(f"{sector.upper()}-sector coset space {space} > cap {cap}")
+    return code._found(code._lightest_of(blocks, B, C.n + 1), C.n)
+
+
+def search_distance(C, sector, cap=DEFAULT_CAP):
+    """The distance by the weight-ordered support search alone."""
+    A, B, _space, _blocks = code._sector(C, sector)
+    return code._weight_search(C, A, B, cap, C.n + 1)
+
+
+def information_distance(C, sector, cap=DEFAULT_CAP):
+    """The distance by the information-set search alone, at prime d."""
+    A, B, _space, _blocks = code._sector(C, sector)
+    return code._information_search(code._information_sets(A), B, cap, C.n + 1)

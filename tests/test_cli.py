@@ -168,6 +168,16 @@ def test_code_distance(capsys):
     assert code == 0 and obj == {"x": 3, "z": 3}
 
 
+@pytest.mark.parametrize("d,L", [(2, 9), (3, 9), (3, 7)])
+def test_triangle_distance_past_the_coset_cap(capsys, d, L):
+    # both coset spaces exceed the default cap (2^30 and 2^31 at L = 9, d = 2;
+    # 2 * 3^18 and 3^19 at L = 7, d = 3), and the support search exceeded it
+    # too, so these exited 2 until the information-set search decided them
+    code, obj = run(capsys, "code", "distance", "--code", "triangle", "--d", str(d),
+                    "--distance", str(L), "--sector", "both")
+    assert code == 0 and obj == {"x": L, "z": L}
+
+
 def test_codeword(capsys):
     code, obj = run(capsys, "code", "codeword", "--code", "tetra", "--d", "2",
                     "--x", "1")
@@ -455,6 +465,18 @@ def test_distance_at_huge_d_exits_2(capsys, d):
     # the labels and weight patterns over Z_d are counted, never held in memory
     assert_one_line_usage_error(
         capsys, ["code", "distance", "--code", "tetra", "--d", str(d), "--cap", "10000"])
+
+
+def test_distance_at_the_prime_bound_exits_2_on_the_cap(capsys):
+    # 3317044064679887385961981 is the least strong pseudoprime to the 13
+    # Miller-Rabin bases: no primality verdict is proven there, so the
+    # information-set search is not tried and the two other methods exceed
+    # the cap, as before; the primality test's own error never shows
+    line = assert_one_line_usage_error(
+        capsys, ["code", "distance", "--code", "tetra", "--d", "3317044064679887385961981",
+                 "--cap", "10000"])
+    assert line.startswith("colexa: X-sector coset space ")
+    assert line.endswith(" and support search both exceed cap 10000")
 
 
 def test_fix_demo_at_huge_d_exits_2(capsys):

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from colexa import code as code_mod
 from colexa import colex, gatecalc, gauge, morth, ring
 from colexa.reports import Report
-from builders import code_json, with_code
+from builders import (code_json, enumerate_distance, information_distance, search_distance,
+                      with_code)
 from oracles import (PauliWord, cell_incidence_rows, logical_words, min_logical_weight_x,
                      min_logical_weight_z, stabilizer_words, word_phase)
 
@@ -243,7 +244,7 @@ def test_distance_counts_weights_past_a_byte(n):
     row: its weight n must not wrap in the dtype the rows are weighed in."""
     ones = ring.ResidueMatrix(2, np.ones((1, n), dtype=np.int64))
     C = code_mod.ColorCode(2, n, (1,) * n, G0=ring.ResidueMatrix(2, ()), G1=ones, z_stab=ones)
-    assert code_mod.distance(C, "x") == code_mod._enumerate_distance(C, "x") == n
+    assert code_mod.distance(C, "x") == enumerate_distance(C, "x") == n
 
 
 def test_from_colex_rejects_bad_mu_prime(tetra3):
@@ -395,6 +396,13 @@ DISTANCE_CASES = [("tetra", d, None) for d in (2, 3, 4, 6)] + [
 ]
 
 
+def distance_methods(d):
+    """The methods a test runs alone at d: the information-set search only
+    at prime d."""
+    methods = [enumerate_distance, search_distance]
+    return methods + [information_distance] if ring.is_prime(d) else methods
+
+
 @pytest.mark.parametrize("family,d,L", DISTANCE_CASES)
 def test_both_distance_methods_match_oracle(family, d, L):
     _, C = with_code(colex.hypercube_lattice(3) if family == "tetra" else colex.triangle_lattice(L), d)
@@ -407,38 +415,54 @@ def test_both_distance_methods_match_oracle(family, d, L):
     if (family, d) == ("tetra", 6):
         # each method decides one sector within the default cap: the X search
         # needs about 9 * 10^7 vectors, the commutant has 6^11 elements
-        assert code_mod._enumerate_distance(C, "x") == dx
-        assert code_mod._search_distance(C, "z") == dz
+        assert enumerate_distance(C, "x") == dx
+        assert search_distance(C, "z") == dz
         with pytest.raises(code_mod.CapExceeded):
-            code_mod._search_distance(C, "x")
+            search_distance(C, "x")
         with pytest.raises(code_mod.CapExceeded):
-            code_mod._enumerate_distance(C, "z")
+            enumerate_distance(C, "z")
         return
-    for method in (code_mod._enumerate_distance, code_mod._search_distance):
+    for method in distance_methods(d):
         assert (method(C, "x"), method(C, "z")) == (dx, dz)
 
 
 @pytest.mark.parametrize("d", [5, 7])
 def test_tetra_z_distance_within_default_cap(d):
     # the commutant has d^11 elements, beyond the cap; the support search
-    # needs at most 15 (d-1) + 105 (d-1)^2 + 455 (d-1)^3 vectors
+    # needs at most 15 (d-1) + 105 (d-1)^2 + 455 (d-1)^3 vectors, the
+    # information-set search 11 + 55 (d-1) codewords
     _, C = with_code(colex.hypercube_lattice(3), d)
-    assert code_mod.distance(C, "z") == 3
+    assert code_mod.distance(C, "z") == information_distance(C, "z") == 3
 
 
 def test_distance_cap_exceeded_only_when_both_methods_exceed(tetra3):
     _, C = tetra3
-    # the Z commutant has 3^11 = 177147 elements; the support search tests
-    # 15*2 + 105*4 vectors of weight 1 and 2, and its 452nd, (1, 1, 2) on
-    # qudits 0, 1, 2, is the first Z logical
-    with pytest.raises(code_mod.CapExceeded, match="both exceed"):
-        code_mod.distance(C, "z", cap=451)
-    assert code_mod.distance(C, "z", cap=452) == 3
+    # the Z commutant has 3^11 = 177147 elements, and a commutant row of
+    # weight 3 is a logical, so u = 3.  At d = 3 the information-set search
+    # is cheapest: it weighs 11 rows of the first set and C(11, 2) = 55
+    # pairs of them, two projective classes each, 121 codewords, and its
+    # bound then reaches 3; the support search would test 15*2 + 105*4 = 450
+    # vectors of weight 1 and 2
+    with pytest.raises(code_mod.CapExceeded, match="search and information-set search all exceed"):
+        code_mod.distance(C, "z", cap=120)
+    assert code_mod.distance(C, "z", cap=121) == 3
+    assert information_distance(C, "z", cap=121) == 3
     with pytest.raises(code_mod.CapExceeded):
-        code_mod._search_distance(C, "z", cap=451)
+        information_distance(C, "z", cap=120)
+    # alone, with no upper bound, the support search's 452nd vector, (1, 1, 2)
+    # on qudits 0, 1, 2, is the first Z logical
     with pytest.raises(code_mod.CapExceeded):
-        code_mod._enumerate_distance(C, "z", cap=177146)
-    assert code_mod._enumerate_distance(C, "z", cap=177147) == 3
+        search_distance(C, "z", cap=451)
+    assert search_distance(C, "z", cap=452) == 3
+    with pytest.raises(code_mod.CapExceeded):
+        enumerate_distance(C, "z", cap=177146)
+    assert enumerate_distance(C, "z", cap=177147) == 3
+    # at composite d = 4 the support search runs: 15*3 + 105*9 = 990
+    # vectors of weight 1 and 2, below u = 3; the commutant has 4^11
+    _, C4 = with_code(colex.hypercube_lattice(3), 4)
+    with pytest.raises(code_mod.CapExceeded, match="coset space 4194304 and support search both exceed"):
+        code_mod.distance(C4, "z", cap=989)
+    assert code_mod.distance(C4, "z", cap=990) == 3
 
 
 @settings(max_examples=30, deadline=None)
@@ -466,8 +490,134 @@ def test_distance_methods_agree_at_the_block_dtype_edges(d, n, data):
             return str(exc)
 
     for sector in ("x", "z"):
-        assert (outcome(code_mod._enumerate_distance, sector)
-                == outcome(code_mod._search_distance, sector))
+        assert (outcome(enumerate_distance, sector)
+                == outcome(search_distance, sector))
+
+
+def oracle_ready_code(d, n, G0):
+    """A k = 1 code from JSON on which the distance oracles apply: G1 and the
+    logical Z (stars +1) are all-ones, the X stabilizers G0 sum to 0 in
+    every row, and the Z stabilizers are the right kernel of [G1; G0], so a
+    vector is a logical as the oracles detect it (by the bare logicals)
+    exactly when it lies in the sector's A outside rowspan(B)."""
+    assert all(sum(r) % d == 0 for r in G0)
+    encoding = ring.ResidueMatrix(d, [[1] * n] + G0)
+    Z = [list(r) for r in ring.kernel_mod(encoding.transpose()).rows]
+    return code_mod.code_from_json({"d": d, "n": n, "stars": [1] * n, "G0": G0,
+                                    "G1": [[1] * n], "Zstab": Z})
+
+
+def oracle_distances(C):
+    return (min_logical_weight_x(C.n, C.d, C.z_stab.array, C.star_signs),
+            min_logical_weight_z(C.n, C.d, C.G0.array, C.star_signs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_every_distance_method_matches_oracle_on_random_codes(d, data):
+    # n is not a multiple of d, so G1, of sum n, is not in span(G0)
+    n = data.draw(st.sampled_from([n for n in range(3, 7) if n % d]))
+
+    def row():
+        r = data.draw(st.lists(st.integers(0, d - 1), min_size=n - 1, max_size=n - 1))
+        return r + [-sum(r) % d]
+
+    G0 = [row() for _ in range(data.draw(st.integers(0, n - 2)))]
+    if G0 and data.draw(st.booleans()):
+        G0.append(G0[data.draw(st.integers(0, len(G0) - 1))])
+    C = oracle_ready_code(d, n, G0)
+    want = oracle_distances(C)
+    for method in [code_mod.distance] + distance_methods(d):
+        assert (method(C, "x"), method(C, "z")) == want, method.__name__
+
+
+@pytest.mark.parametrize("d,G0,want", [
+    (7, [[4, 4, 0, 6, 4, 3], [4, 3, 3, 5, 1, 5]], (3, 2)),
+    (7, [[1, 6, 3, 5, 2, 4], [5, 2, 0, 4, 1, 2], [4, 3, 6, 4, 5, 6]], (2, 2)),
+    (5, [[2, 1, 2, 2, 4, 0, 4], [2, 2, 2, 1, 0, 1, 2], [2, 3, 1, 0, 0, 4, 0],
+         [4, 3, 0, 1, 4, 2, 1]], (1, 4)),
+])
+def test_information_search_weighs_every_projective_class(d, G0, want):
+    # in each code a lightest logical is m.Gamma with a coefficient of m
+    # other than 1: a search that weighed only all-ones patterns misses it
+    C = oracle_ready_code(d, len(G0[0]), G0)
+    assert oracle_distances(C) == want
+    assert (information_distance(C, "x"), information_distance(C, "z")) == want
+    assert (code_mod.distance(C, "x"), code_mod.distance(C, "z")) == want
+
+
+def test_distance_with_a_repeated_g0_row():
+    # [G1; G0] has 4 rows of rank 3: the information sets eliminate it to 3
+    G0 = [[1, 2, 0, 0, 0, 0, 0], [0, 0, 1, 1, 1, 0, 0], [1, 2, 0, 0, 0, 0, 0]]
+    C = oracle_ready_code(3, 7, G0)
+    A = code_mod._sector(C, "x")[0]
+    assert A.nrows == 4 and {len(g) for g, _ in code_mod._information_sets(A)} == {3}
+    want = oracle_distances(C)
+    assert want == (3, 1)
+    for method in [code_mod.distance] + distance_methods(3):
+        assert (method(C, "x"), method(C, "z")) == want, method.__name__
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("L,sector,ranks", [(5, "x", [10, 9]), (5, "z", [10, 9]),
+                                            (3, "x", [4, 3])])
+def test_information_sets_with_a_rank_deficient_second_set(d, L, sector, ranks):
+    """Each set's Gamma spans A's rows, is 1 on its own pivots in its first r
+    rows and 0 on them elsewhere, and is 0 past row r on every column no
+    earlier set used; the sets are disjoint.  The second set has r = k - 1,
+    so it is weighed from level 1, where its bound term is w, not w + 1, and
+    the search still finds the oracle's distance L."""
+    _, C = with_code(colex.triangle_lattice(L), d)
+    A = code_mod._sector(C, sector)[0]
+    sets = code_mod._information_sets(A)
+    assert [len(fresh) for _, fresh in sets] == ranks
+    k, used = ranks[0], np.zeros(C.n, dtype=bool)
+    for gamma, fresh in sets:
+        r = len(fresh)
+        assert gamma.shape == (k, C.n) and not used[fresh].any()
+        assert (gamma[:r, fresh] == np.eye(r, dtype=gamma.dtype)).all()
+        assert not gamma[r:, fresh].any() and not gamma[r:, ~used].any()
+        assert ring.span_size(ring.ResidueMatrix(d, np.vstack([A.array, gamma]))) == d ** k
+        used[fresh] = True
+    steps = list(code_mod._schedule(k, ranks))
+    assert [(j, t) for _bound, j, t in steps[:2]] == [(0, 1), (1, 1)]
+    want = (min_logical_weight_x(C.n, d, C.z_stab.rows, C.star_signs) if sector == "x"
+            else min_logical_weight_z(C.n, d, C.G0.rows, C.star_signs))
+    assert information_distance(C, sector) == want == L
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("mu", [4, 5])
+def test_hypercube_distances_by_information_sets(mu, d):
+    # X: 2^mu - 1, as the whole coset space enumerates it; Z: 3, past the
+    # cap for enumeration (d^26 or d^57 commutant vectors), so as the
+    # support search finds it
+    _, C = with_code(colex.hypercube_lattice(mu), d)
+    assert information_distance(C, "x") == enumerate_distance(C, "x") == 2**mu - 1
+    assert information_distance(C, "z") == search_distance(C, "z") == 3
+    assert (code_mod.distance(C, "x"), code_mod.distance(C, "z")) == (2**mu - 1, 3)
+
+
+def test_information_search_at_a_prime_past_int64_sums():
+    # d = 3000000019: 2 (d-1)^2 >= 2^63, so codewords of two rows are summed
+    # in Python ints.  G0 = (1, d-1, 0): the X logicals are a (1, 1, 1) +
+    # b (1, -1, 0) with a != 0, lightest (0, 2a, a) of weight 2, and the Z
+    # logicals are v with v_1 = v_2 outside span(1, 1, -2), lightest
+    # (0, 0, 1).  Both are decided at level 1 of the first information set,
+    # two codewords, where the coset space has about 9 * 10^18 vectors and
+    # the support search 3 (d-1) of weight 1
+    d = 3000000019
+    assert ring.exact_dtype(2 * (d - 1) ** 2) is object
+    C = oracle_ready_code(d, 3, [[1, d - 1, 0]])
+    assert ring.span_size(ring.ResidueMatrix(d, C.z_stab.rows + ((1, 1, d - 2),))) == d
+    assert code_mod.distance(C, "x", cap=2) == information_distance(C, "x", cap=2) == 2
+    assert code_mod.distance(C, "z", cap=0) == 1
+    with pytest.raises(code_mod.CapExceeded, match="information-set search all exceed cap 1"):
+        code_mod.distance(C, "x", cap=1)
+    # a level-2 step weighs C(2, 2) (d - 1) codewords, charged before it runs
+    _, tetra = with_code(colex.hypercube_lattice(3), d)
+    with pytest.raises(code_mod.CapExceeded, match="information-set search needs more"):
+        information_distance(tetra, "x", cap=10**7)
 
 
 def word_loop_syndrome(C, E):

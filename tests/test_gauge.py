@@ -562,18 +562,21 @@ def oracle_center_equals_stabilizer(G):
     phase block and minus its transpose.  Its generators come in the
     library's order: X-type combinations over the left kernel of the block,
     then Z-type ones over the left kernel of its transpose (both from the
-    library's kernel).  Equality is checked as mutual span membership of
-    exponent vectors plus stabilizer membership in the gauge group.
+    library's kernel, the block factored first, so that at composite d its
+    transpose reads the block's Smith form, transposed, as the library's
+    does).  Equality is checked as mutual span membership of exponent
+    vectors plus stabilizer membership in the gauge group.
     """
     rep = Report()
     gens = gauge_gens(G)
     xs, zs = gens[:G.face_x.nrows], gens[G.face_x.nrows:]
-    block = _phase_matrix(xs, zs, G.d)
+    block = ring.ResidueMatrix(G.d, _phase_matrix(xs, zs, G.d))
+    kernels = [ring.kernel_mod(block)]
+    kernels.append(ring.kernel_mod(block.transpose()))
     center = ring.ResidueMatrix(
         G.d,
         tuple(ring.mat_vec_mul(_symplectic_rows(words, G.d), v)
-              for words, B in ((xs, block), (zs, block.T))
-              for v in ring.kernel_mod(ring.ResidueMatrix(G.d, B)).rows)
+              for words, K in zip((xs, zs), kernels) for v in K.rows)
         or ((0,) * (2 * G.n),),
     )
     gen_mat = _symplectic_rows(gens, G.d)
