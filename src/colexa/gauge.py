@@ -8,27 +8,24 @@ and Z halves: the center comes from the left kernels of A = face_x face_z^T
 and A^T, and span membership is one product with each half's span check.
 ring answers each kernel and span check, by an echelon form over F_d at
 prime d and a Smith form otherwise, so the checks work for every d.
-State-level gauge fixing is simulated with a stabilizer tableau over prime
-d: phase exponents live mod d for odd primes and mod 4 for d=2, and every
-update is a closed-form exact integer product.  The rows, the destabilizers,
-which outcomes are random and every pivot depend on the operations alone;
-only the phases depend on the draws, and linearly, so each phase is an
-affine form over the draws made so far and a random outcome is a new draw,
-not a number (a reference run and its Pauli frame, as in Gidney's Stim).
-Destabilizer rows dual to the stabilizer rows, kept through every update,
-turn a run of determined measurements into one symplectic product, with no
-factorization and no solve, and a random outcome is one rank-one update.
-Every other prime-d question (|0_L> bases, destabilizers, canonical form) is
-one echelon form over F_d, so the tableau factors nothing; the lex-least
-gauge correction is one product with an echelon transform kept on the gauge
-code, which its lattice keeps per d.  The gauge code also keeps the fix
-demo's forms, so a seed only draws and evaluates; the center and the
-reports are recomputed on each check.
+State-level gauge fixing runs on CSS states over prime d: every state and
+observable of the demo is X-type or Z-type, so the state is an X half and a
+Z half, each a reduced echelon form over F_d with the eigenvalue exponent of
+every row.  Same-type products carry no phase, so the rows and which
+outcomes are random depend on the operations alone; the exponents depend on
+the draws, and linearly, so each is an affine form over the draws made so
+far and a random outcome is a new draw, not a number (a reference run and
+its Pauli frame, as in Gidney's Stim).  A determined outcome is read off the
+reduced half with no solve, a random one is one elimination step in each
+half, and the |0_L> bases are one echelon form per half, so the state
+factors nothing else; the lex-least gauge correction is one product with an
+echelon transform kept on the gauge code, which its lattice keeps per d.
+The gauge code also keeps the fix demo's forms, so a seed only draws and
+evaluates; the center and the reports are recomputed on each check.
 """
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,17 +38,15 @@ from .colex import Lattice, hypercube_lattice
 from .reports import Report
 
 
-def _hadamard(xz: np.ndarray, star_signs):
+def _hadamard(xz: np.ndarray, star_signs) -> np.ndarray:
     """The star-conjugate transversal Hadamard on rows of (x | z) exponents:
     x' = -sigma z and z' = sigma x, so unstarred qudits map (x, z) -> (-z, x)
-    and starred ones (x, z) -> (z, -x).  Returns the unreduced exponents and
-    each row's omega-power sum(x * z), which makes the map a homomorphism
-    modulo global phase."""
+    and starred ones (x, z) -> (z, -x); the exponents are left unreduced."""
     n = xz.shape[1] // 2
     if len(star_signs) != n:
         raise ValueError("star sign length mismatch")
     x, z, s = xz[:, :n], xz[:, n:], np.array(star_signs)
-    return np.hstack([-s * z, s * x]), (x * z).sum(axis=1)
+    return np.hstack([-s * z, s * x])
 
 
 def _css(X: ring.ResidueMatrix, Z: ring.ResidueMatrix) -> ring.ResidueMatrix:
@@ -106,21 +101,19 @@ class GaugeCode:
 
     @cached_property
     def fix_demo_forms(self) -> tuple:
-        """(forms, moduli, rows) of the fix demo, from one tableau run on
-        first use; prime d only.  From |0_L> and transversal H, gauge_fix
-        and the canonical form run once; forms stacks the affine forms of
+        """(forms, rows) of the fix demo, from one tableau run on first use;
+        prime d only.  From |0_L> and transversal H, gauge_fix and the
+        canonical form run once; forms stacks the affine forms, mod d, of
         everything fix_demo prints (face outcomes, correction, support,
-        post outcomes, canonical phases) over the run's draws, each with its
-        modulus, and rows holds the canonical (x, z) rows, which no draw
+        post outcomes, canonical phases: each row's sign omega^-k) over the
+        run's draws, and rows holds the canonical (x, z) rows, which no draw
         changes."""
         T = Tableau.zero_logical(self.color_code)
         T.apply_transversal_H(self.star_signs)
         parts = list(gauge_fix(T, self).values())
-        canonical, dtype = T.canonical_form(), T._dtype
-        parts.append(np.array([phase for _, _, phase in canonical], dtype=dtype))
-        moduli = [self.d] * sum(map(len, parts[:-1])) + [T.D] * len(canonical)
-        return (_stack(parts, T.draws + 1, dtype), np.array(moduli, dtype=dtype),
-                [(x, z) for x, z, _ in canonical])
+        canonical = T.canonical_form()
+        parts.append(-np.array([k for _, _, k in canonical], dtype=T._dtype) % self.d)
+        return _stack(parts, T.draws + 1, T._dtype), [(x, z) for x, z, _ in canonical]
 
     def bare_logical_x(self) -> tuple:
         """Xbar as (x | z) exponents: X on every qudit."""
@@ -194,7 +187,7 @@ def _preserved(rep: Report, name: str, X: ring.ResidueMatrix, Z: ring.ResidueMat
                star_signs) -> None:
     """Add the check that transversal H maps every row of the CSS group of X
     and Z into it; the witness is the first three rows it maps outside."""
-    bad = _outside(X, Z, _hadamard(_css(X, Z).array, star_signs)[0] % X.modulus)
+    bad = _outside(X, Z, _hadamard(_css(X, Z).array, star_signs) % X.modulus)
     rep.add(name, not bad, witness=bad[:3] or None)
 
 
@@ -206,7 +199,7 @@ def verify_H_logical(G: GaugeCode) -> Report:
     _preserved(rep, "stabilizer-group-preserved", G.cell_x, G.cell_z, G.star_signs)
 
     bars = ring.ResidueMatrix(G.d, (G.bare_logical_x(), G.bare_logical_z())).array
-    hx, hz = _hadamard(bars, G.star_signs)[0]
+    hx, hz = _hadamard(bars, G.star_signs)
     bad = _outside(G.face_x, G.face_z, np.array([hx - bars[1], hz + bars[0]]) % G.d)
     rep.add("logical-X-to-Z", 0 not in bad, "H(Xbar) = Zbar modulo gauge")
     rep.add("logical-Z-to-X-inverse", 1 not in bad, "H(Zbar) = Xbar^{-1} modulo gauge")
@@ -225,91 +218,43 @@ def verify_H_stabilizer_code(C: ColorCode) -> Report:
 
 
 # --------------------------------------------------------------------------
-# Stabilizer tableau over prime d
+# CSS stabilizer states over prime d
 
 
 class Tableau:
-    """Full-rank stabilizer tableau for n qudits of prime dimension d.
+    """CSS stabilizer state of n qudits of prime dimension d (Gottesman
+    1998; Hostens, Dehaene & De Moor 2005): an X half and a Z half, rows[0]
+    and rows[1], each a reduced echelon form over F_d kept square (row j is
+    the row with its pivot in column j, or 0), with one affine form per row
+    over the draws made so far (forms[t]; see evaluate): the exponent k of
+    the row's eigenvalue omega^k.  Same-type products carry no phase, so
+    every update is linear in the forms, and a random outcome is a new draw,
+    not a number.  The generators xz are X-type or Z-type (x | z) rows, with
+    their k (0 by default)."""
 
-    Phase convention: X Z = omega Z X, so Z^a X^b = omega^{-ab} X^b Z^a.
-    Row i is omega-tilde^phase_i X^x Z^z, phase mod D (D = d odd, 4 for
-    d = 2).  The rows S are an array xz of (x | z) exponents and, since an
-    outcome is not fixed until it is drawn, a phase array of affine forms
-    over the draws: row i is [c_0, c_1, ..., c_k], the phase
-    c_0 + c_1 x_1 + ... + c_k x_k for the k draws x_j made so far (see
-    evaluate).  Every Pauli the tableau takes is one row; the destabilizer
-    rows destab (D, no phases) satisfy <D_i, S_j> = delta_ij, built once
-    from one echelon form and kept dual by every update (after Aaronson &
-    Gottesman, and Hostens, Dehaene & De Moor for prime d).  Measurement
-    follows the generalized Gottesman update: a generator that
-    omega-noncommutes with the observable becomes the pivot; otherwise the
-    observable is prod_j S_j^c_j with c = <D, obs>, and the outcome is that
-    product's phase.  Every update is linear in the phases, so xz, destab
-    and every pivot stay what a tableau drawing numbers would hold.
-    """
-
-    def __init__(self, d: int, xz, phase):
+    def __init__(self, d: int, xz, values=None):
         if not ring.is_prime(d):
             raise ValueError("tableau simulation requires prime d")
-        r, width = np.shape(xz)
-        self.d, self.D, self.n = d, 4 if d == 2 else d, width // 2
-        self.scale = self.D // d
-        # holds every intermediate of _product and symplectic_phase exactly
-        self._dtype = ring.exact_dtype(4 * (r + self.n + 1) * d * d)
-        phase = np.array(phase, dtype=self._dtype)  # numbers, or forms
-        self.phase = (phase if phase.ndim == 2 else phase.reshape(r, 1)) % self.D
-        self.xz = np.array(xz, dtype=self._dtype) % d
-        if symplectic_phase(self.xz, self.xz, d).any():
+        n = np.shape(xz)[1] // 2
+        # holds every product of a row or an observable with a half exactly
+        self.d, self.n, self._dtype = d, n, ring.exact_dtype(2 * (n + 1) * d * d)
+        kinds, V = self._css(xz)
+        if (V[kinds == 0] @ V[kinds == 1].T % d).any():
             raise ValueError("tableau rows must pairwise commute")
-        self.destab = self._dual()
+        self.rows = [np.zeros((n, n), dtype=self._dtype) for _ in range(2)]
+        self.forms = [np.zeros((n, 1), dtype=self._dtype) for _ in range(2)]
+        for t, v, k in zip(kinds, V, [0] * len(V) if values is None else values):
+            if not self._join(t, v, np.array([int(k) % d], dtype=self._dtype)):
+                raise ValueError("tableau rows are not independent")
 
     @property
     def draws(self) -> int:
         """The number of random outcomes so far, each one draw."""
-        return self.phase.shape[1] - 1
-
-    def _dual(self) -> np.ndarray:
-        """Destabilizer rows D with <D_i, S_j> = delta_ij, that is D W^T = I
-        for W = [z_S | -x_S].  One echelon T W = R has R = I on its pivot
-        columns, so D = T^T there and 0 elsewhere; fewer pivots than rows
-        means dependent rows."""
-        n, r = self.n, len(self.xz)
-        _R, T, pivots = ring.echelon_mod_p(np.hstack([self.xz[:, n:], -self.xz[:, :n]]), self.d)
-        if len(pivots) < r:
-            raise ValueError("tableau rows are not independent")
-        D = np.zeros((r, 2 * n), dtype=self._dtype)
-        D[:, pivots] = T.T
-        return D
-
-    # -- group arithmetic on rows ------------------------------------------
-    def _product(self, C: np.ndarray, phase: np.ndarray, xz: np.ndarray):
-        """(phase forms, exponents) of prod_j F_j^C[i, j] for every row i of
-        C, the factors F_j = (phase[j], xz[j]) taken in order, C in [0, d).
-
-        Z^a X^b = omega^{-ab} X^b Z^a gives the closed form: the phase is
-        sum_j c_j phi_j - scale (sum_{j<l} c_j c_l z_j.x_l
-        + sum_j C(c_j, 2) z_j.x_j) mod D, the sum taken form column by form
-        column and the z.x term constant.  As scale * d = D, the z.x
-        products count only mod d.
-        """
-        d, n = self.d, self.n
-        M = (xz[:, n:] @ xz[:, :n].T) % d  # M[j, l] = z_j . x_l
-        j = np.arange(len(M))
-        cross = (((C @ np.where(j[:, None] < j, M, 0)) % d * C).sum(axis=1)
-                 + (C * (C - 1) // 2 % d * M.diagonal()).sum(axis=1))
-        forms = C @ phase
-        forms[:, 0] -= self.scale * cross
-        return forms % self.D, (C @ xz) % d
-
-    def copy(self) -> "Tableau":
-        """An independent tableau in the same state."""
-        T = copy.copy(self)
-        T.phase, T.xz, T.destab = self.phase.copy(), self.xz.copy(), self.destab.copy()
-        return T
+        return self.forms[0].shape[1] - 1
 
     @classmethod
     def zero_logical(cls, C: ColorCode) -> "Tableau":
-        """The |0_L> tableau: bases of the X cells and of the Z stabilizers
+        """The |0_L> state: bases of the X cells and of the Z stabilizers
         (the nonzero rows of their echelon forms over F_d), then Zbar."""
         if not ring.is_prime(C.d):
             raise ValueError("tableau simulation requires prime d")
@@ -317,12 +262,11 @@ class Tableau:
         X, Z = (ring.echelon_mod_p(M.array, C.d)[0].tolist() for M in (C.G0, C.z_stab))
         xz = [r + zero for r in X if any(r)] + [zero + r for r in Z if any(r)]
         xz.append(zero + list(C.z_logical))
-        T = cls(C.d, xz, [0] * len(xz))
         if len(xz) != C.n:
             raise ValueError(f"tableau rank {len(xz)} != n {C.n}")
-        return T
+        return cls(C.d, xz)
 
-    # -- state updates -----------------------------------------------------
+    # -- the halves ----------------------------------------------------------
     def _rows(self, rows) -> np.ndarray:
         """The (x | z) rows as an array mod d; a row without 2n entries raises."""
         for row in rows:
@@ -330,104 +274,100 @@ class Tableau:
                 raise ValueError(f"observable row has {len(row)} entries, not 2n = {2 * self.n}")
         return np.array(rows, dtype=self._dtype).reshape(len(rows), 2 * self.n) % self.d
 
+    def _css(self, rows) -> tuple:
+        """(each row's half, 0 for X-type and 1 for Z-type, and its x or z
+        part); a row with both parts nonzero raises."""
+        xz = self._rows(rows)
+        x, z = xz[:, :self.n], xz[:, self.n:]
+        if ((x != 0).any(axis=1) & (z != 0).any(axis=1)).any():
+            raise ValueError("a CSS state takes X-type or Z-type rows, not both")
+        return (z != 0).any(axis=1).astype(int), x + z
+
+    def _join(self, t: int, v: np.ndarray, form: np.ndarray) -> bool:
+        """Reduce v, with its form, by half t and add it there; False, and
+        nothing added, when v is in the half's span."""
+        d, R, F = self.d, self.rows[t], self.forms[t]
+        c = v * R.diagonal()  # v at the pivots
+        v, form = (v - c @ R) % d, (form - c @ F) % d
+        if not v.any():
+            return False
+        j = int(v.nonzero()[0][0])
+        inv = pow(int(v[j]), -1, d)
+        v, form, k = v * inv % d, form * inv % d, R[:, j, None]
+        self.rows[t], self.forms[t] = (R - k * v) % d, (F - k * form) % d
+        self.rows[t][j], self.forms[t][j] = v, form
+        return True
+
+    def _value(self, t: int, v: np.ndarray) -> np.ndarray:
+        """The form of the member v of half t: no solve, as the half is
+        reduced; v outside its span raises."""
+        R = self.rows[t]
+        c = v * R.diagonal()
+        if ((c @ R - v) % self.d).any():
+            raise ValueError("observable commutes but is not in the group")
+        return c @ self.forms[t] % self.d
+
+    def _random(self, t: int, v: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Measure v, of half t, which fails to commute with the other half's
+        rows where c is nonzero: the last of them, p, leaves, and each row i
+        takes row_i - (c_i/c_p) row_p; p has the largest pivot, so the half
+        stays reduced.  v joins half t with a new draw, its returned form."""
+        d, o = self.d, 1 - t
+        p = int(c.nonzero()[0][-1])
+        k = (c * pow(int(c[p]), -1, d) % d)[:, None]  # k_p = 1 clears row p
+        R, F = self.rows[o], self.forms[o]
+        self.rows[o], self.forms[o] = (R - k * R[p]) % d, (F - k * F[p]) % d
+        self.forms = [np.hstack([F, np.zeros((self.n, 1), dtype=self._dtype)])
+                      for F in self.forms]
+        draw = np.eye(1, self.draws + 1, self.draws, dtype=self._dtype)[0]
+        self._join(t, v, draw)
+        return draw
+
+    # -- state updates -------------------------------------------------------
     def apply_pauli(self, rows) -> None:
         """Conjugate the state by the Pauli error with (x | z) exponents
         rows: one row, or an affine form over the draws given as one row per
-        form column, the constant first; each form column costs one
-        symplectic product, and rows pick up phases only."""
-        e = self._rows(np.atleast_2d(rows))
+        form column, the constant first.  X^a Z^b adds x.b to the k of an X
+        row x and -a.z to that of a Z row z."""
+        e, n = self._rows(np.atleast_2d(rows)), self.n
         w = len(e)
-        self.phase[:, :w] = (self.phase[:, :w]
-                             + self.scale * symplectic_phase(e, self.xz, self.d).T) % self.D
+        for t, sign in ((0, 1), (1, -1)):
+            F = self.forms[t]
+            F[:, :w] = (F[:, :w] + sign * self.rows[t] @ e[:, (1 - t) * n:(2 - t) * n].T) % self.d
 
     def apply_transversal_H(self, star_signs) -> None:
-        """Conjugate by the transversal Hadamard; each row's phase gains
-        sum(x * z) in the tableau's own phase unit."""
-        xz, dphi = _hadamard(self.xz, star_signs)
-        self.phase[:, 0] = (self.phase[:, 0] + self.scale * dphi) % self.D
-        self.xz = xz % self.d
-        self.destab = _hadamard(self.destab, star_signs)[0] % self.d
+        """Conjugate by the transversal Hadamard (see _hadamard): the halves
+        swap, X rows x becoming Z rows sigma x and Z rows z X rows -sigma z,
+        with their forms; each pivot entry, now +-1, is rescaled to 1."""
+        if len(star_signs) != self.n:
+            raise ValueError("star sign length mismatch")
+        s, d = np.array(star_signs), self.d
+        self.rows, self.forms = [-s * self.rows[1], s * self.rows[0]], self.forms[::-1]
+        for t in (0, 1):
+            lead = self.rows[t].diagonal()[:, None]  # its own inverse
+            self.rows[t], self.forms[t] = self.rows[t] * lead % d, self.forms[t] * lead % d
 
     def measure(self, rows) -> np.ndarray:
-        """Measure the generalized Pauli observables with (x | z) exponent
-        rows, in order; returns, one row each, the affine form over the
-        draws of the k with eigenvalue omega^k, as wide as the draws made by
-        the end of the block (mod d; see evaluate).
-
-        One product finds the first row that fails to commute with the
-        tableau.  The rows before it are determined and leave the state
-        unchanged, so their outcomes come from one more product; that row is
-        measured at random, as one new draw, and the rest are tested against
-        the new rows.  Outcomes, draws and final state are those of one row
-        at a time.
-        """
-        d, n = self.d, self.n
-        obs = self._rows(rows)
-        if d == 2 and ((obs[:, :n] * obs[:, n:]).sum(axis=1) % 2).any():
-            raise ValueError("at d = 2 only Hermitian observables (even x.z) are measured")
+        """Measure the X-type or Z-type observables with (x | z) exponent
+        rows, in order; returns, one row each, the form of the k with
+        eigenvalue omega^k, as wide as the draws made by the end of the block.
+        A row with both parts nonzero raises before anything is measured."""
         outcomes = []
-        while len(obs):
-            coeffs = symplectic_phase(obs, self.xz, d)
-            hits = coeffs.any(axis=1).nonzero()[0]
-            k = int(hits[0]) if hits.size else len(obs)
-            if k:
-                outcomes.append(self._determined_outcomes(obs[:k]))
-            if k < len(obs):
-                self._random_outcome(obs[k], coeffs[k])
-                outcomes.append(np.eye(1, self.draws + 1, self.draws, dtype=self._dtype))
-            obs = obs[k + 1:]
-        return _stack(outcomes, self.draws + 1, self._dtype)
-
-    def _random_outcome(self, obs: np.ndarray, coeffs: np.ndarray) -> None:
-        """Measure obs, which fails to commute with the rows where coeffs is
-        nonzero: the first of them is the pivot p.  Each row S_i becomes
-        S_i S_p^k_i, k_i = -c_i/c_p, commuting with obs, by a rank-one update
-        xz += k (x) S_p, phase += k phi_p - scale (k z.x_p + C(k, 2) z_p.x_p)
-        (as in _product); row p becomes obs with phase -scale x, x a new
-        draw: one more form column.  The destabilizers stay dual: D_i gains
-        (e_i/c_p) S_p, D_p is -S_p/c_p."""
-        d, n = self.d, self.n
-        e = symplectic_phase(self.destab, obs[None], d)[:, 0]
-        p = int(coeffs.nonzero()[0][0])
-        inv = pow(int(coeffs[p]), -1, d)
-        S_p = self.xz[p]
-        self.destab = (self.destab + (e * inv % d)[:, None] * S_p) % d
-        self.destab[p] = -inv * S_p % d
-        k = -coeffs * inv % d
-        zx = self.xz[:, n:] @ S_p[:n] % d
-        phase = self.phase + k[:, None] * self.phase[p]
-        phase[:, 0] -= self.scale * (k * zx + k * (k - 1) // 2 % d * zx[p])
-        self.phase = np.hstack([phase % self.D, np.zeros((len(phase), 1), dtype=self._dtype)])
-        self.phase[p] = 0
-        self.phase[p, -1] = -self.scale % self.D
-        self.xz = (self.xz + k[:, None] * S_p) % d
-        self.xz[p] = obs
-
-    def _determined_outcomes(self, obs: np.ndarray) -> np.ndarray:
-        """Outcome forms of observables that commute with every row: one in
-        the group is prod_j S_j^c_j with c_j = <D_j, obs>, so no solve.  The
-        first row outside the group or with an unphysical phase raises."""
-        phase, xz = self._product(symplectic_phase(self.destab, obs, self.d).T,
-                                  self.phase, self.xz)
-        outside = (xz != obs).any(axis=1)
-        bad = (outside | (phase % self.scale != 0).any(axis=1)).nonzero()[0]
-        if bad.size and outside[bad[0]]:
-            raise ValueError("observable commutes but is not in the group")
-        if bad.size:
-            raise ValueError("inconsistent tableau phase (state not physical)")
-        return -(phase // self.scale) % self.d
+        for t, v in zip(*self._css(rows)):
+            c = self.rows[1 - t] @ v % self.d
+            outcomes.append(self._random(t, v, c) if c.any() else self._value(t, v))
+        return _stack([F[None] for F in outcomes], self.draws + 1, self._dtype)
 
     def canonical_form(self) -> tuple:
-        """Unique reduced-echelon presentation of the stabilizer group,
-        phase forms included; equal groups give equal forms.  Row i of the
-        echelon T xz = R is prod_j S_j^T_ij, all phased in one product: with
-        Hermitian rows the group holds no scalar but I, so exponents fix the
-        phase."""
-        _R, T, pivots = ring.echelon_mod_p(self.xz, self.d)
-        phase, xz = self._product(T[:len(pivots)].astype(self._dtype), self.phase, self.xz)
-        n = self.n
-        return tuple((tuple(v[:n]), tuple(v[n:]), tuple(p))
-                     for p, v in zip(phase.tolist(), xz.tolist()))
+        """The halves as kept, X rows first, with the forms of their k: the
+        reduced echelon form of the whole group, so equal states give equal
+        forms."""
+        zero, out = (0,) * self.n, []
+        for t, (R, F) in enumerate(zip(self.rows, self.forms)):
+            pivots = R.diagonal() != 0
+            for r, f in zip(R[pivots].tolist(), F[pivots].tolist()):
+                out.append((tuple(r), zero, tuple(f)) if t == 0 else (zero, tuple(r), tuple(f)))
+        return tuple(out)
 
 
 def _stack(forms: list, width: int, dtype) -> np.ndarray:
@@ -441,16 +381,15 @@ def _stack(forms: list, width: int, dtype) -> np.ndarray:
     return out
 
 
-def evaluate(forms, draws, modulus) -> np.ndarray:
+def evaluate(forms, draws, modulus: int) -> np.ndarray:
     """The affine forms at the draws x_1, x_2, ...: row [c_0, ..., c_w] is
-    c_0 + c_1 x_1 + ... + c_w x_w mod modulus (one int, or one per row), by
-    one exact product; a form narrower than the draws is 0 on the later
-    ones."""
+    c_0 + c_1 x_1 + ... + c_w x_w mod modulus, by one exact product; a form
+    narrower than the draws is 0 on the later ones."""
     forms = np.asarray(forms)
     w = forms.shape[-1]
-    dtype = ring.exact_dtype(w * int(np.max(modulus)) ** 2)
+    dtype = ring.exact_dtype(w * modulus ** 2)
     x = np.array([1, *draws[:w - 1]], dtype=dtype)
-    return forms.astype(dtype) @ x % np.asarray(modulus, dtype=dtype)
+    return forms.astype(dtype) @ x % modulus
 
 
 # --------------------------------------------------------------------------
@@ -519,9 +458,9 @@ def fix_demo(d: int, seed: int) -> dict:
     in the order the run met them, and one product evaluates every form.
     """
     G = build_gauge_code(hypercube_lattice(3), d)
-    forms, moduli, rows = G.fix_demo_forms
+    forms, rows = G.fix_demo_forms
     rng = random.Random(seed)
-    values = evaluate(forms, [rng.randrange(d) for _ in range(forms.shape[1] - 1)], moduli)
+    values = evaluate(forms, [rng.randrange(d) for _ in range(forms.shape[1] - 1)], d)
     f, c = G.face_z.nrows, G.cell_x.nrows
     outcomes, lam, corr, post, phases = (
         v.tolist() for v in np.split(values, np.cumsum([f, G.face_x.nrows, G.n, f + c + 1])))
@@ -535,6 +474,7 @@ def fix_demo(d: int, seed: int) -> dict:
             "logical_x_plus": post[f + c:] == [0],
         },
         "seed": seed,
-        "canonical_form": [{"x": list(x), "z": list(z), "phase": phase}
+        # each row's sign as a power of omega, or of i = omega^(1/2) at d = 2
+        "canonical_form": [{"x": list(x), "z": list(z), "phase": phase * (2 if d == 2 else 1)}
                            for (x, z), phase in zip(rows, phases)],
     }

@@ -1,6 +1,7 @@
 """Built-in lattices with their codes, built as the command line builds them,
 and each distance method on its own."""
 
+import copy
 import json
 
 import numpy as np
@@ -34,11 +35,11 @@ def forget_codes(L):
 
 
 class Drawn:
-    """A gauge.Tableau read at its draws, as a tableau that drew a number at
+    """A gauge.Tableau read at its draws, as a state that drew a number at
     each random outcome would read: measure takes the block's new draws from
-    its rng, rng.randrange(d) in the order the tableau met them (a block
-    that raises takes those it met), and every phase, outcome and canonical
-    form is a number.  Every other attribute is the tableau's."""
+    its rng, rng.randrange(d) in the order the state met them (a block that
+    raises takes those it met), and every outcome and canonical form is a
+    number.  Every other attribute is the state's."""
 
     def __init__(self, T, draws=()):
         self.T, self.draws = T, list(draws)
@@ -47,12 +48,8 @@ class Drawn:
         return getattr(self.T, name)
 
     def draw(self, rng) -> None:
-        """Draw a value for every draw the tableau made since the last."""
+        """Draw a value for every draw the state made since the last."""
         self.draws += [rng.randrange(self.T.d) for _ in range(self.T.draws - len(self.draws))]
-
-    @property
-    def phase(self):
-        return gauge.evaluate(self.T.phase, self.draws, self.T.D)
 
     def measure(self, rows, rng) -> list:
         try:
@@ -62,11 +59,14 @@ class Drawn:
         return gauge.evaluate(forms, self.draws, self.T.d).tolist()
 
     def canonical_form(self) -> tuple:
-        return tuple((x, z, int(gauge.evaluate(phase, self.draws, self.T.D)))
-                     for x, z, phase in self.T.canonical_form())
+        """The canonical rows, each with its sign omega^-k as the word-level
+        oracle keeps it: -k mod d, or 2k mod 4 (a power of i) at d = 2."""
+        d = self.T.d
+        return tuple((x, z, int(-gauge.evaluate(k, self.draws, d) % d) * (2 if d == 2 else 1))
+                     for x, z, k in self.T.canonical_form())
 
     def copy(self) -> "Drawn":
-        return Drawn(self.T.copy(), self.draws)
+        return Drawn(copy.deepcopy(self.T), self.draws)
 
 
 def drawn_fix(T: Drawn, G, rng) -> dict:

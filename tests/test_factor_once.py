@@ -91,11 +91,12 @@ def test_fix_demo_factor_count(snf_calls, monkeypatch, d):
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 10**18 + 3])
 def test_later_fix_demos_eliminate_only_their_canonical_form(snf_calls, monkeypatch, d):
     # the first demo at d builds the gauge code, which the lattice keeps,
-    # and runs the tableau once, on forms over its draws: two echelon forms
-    # for |0_L>, one each for the destabilizers, the correction system and
-    # the canonical form, and two measured blocks, the Z faces and then the
-    # three post-checks; the gauge code keeps the forms, so every later demo
-    # at d only draws and evaluates: no echelon form and no measurement
+    # and runs the CSS state once, on forms over its draws: two echelon
+    # forms for the |0_L> halves and one for the correction system (the
+    # canonical form is the halves as kept), and two measured blocks, the Z
+    # faces and then the three post-checks; the gauge code keeps the forms,
+    # so every later demo at d only draws and evaluates: no echelon form and
+    # no measurement
     echelons, measures, kernels = [], [], []
     original, measure = ring.echelon_mod_p, gauge.Tableau.measure
     monkeypatch.setattr(ring, "echelon_mod_p",
@@ -105,7 +106,7 @@ def test_later_fix_demos_eliminate_only_their_canonical_form(snf_calls, monkeypa
     monkeypatch.setattr(ring, "kernel_mod", lambda *a: kernels.append(a))
     forget_gauge_codes(colex.hypercube_lattice(3))
     gauge.fix_demo(d, 0)
-    assert len(echelons) == 5  # two |0_L> bases, destabilizers, correction, canonical form
+    assert len(echelons) == 3  # two |0_L> halves, the correction system
     assert measures == [18, 18 + 4 + 1]
     for seed in range(1, 6):
         echelons.clear(), measures.clear()
@@ -117,8 +118,8 @@ def test_later_fix_demos_eliminate_only_their_canonical_form(snf_calls, monkeypa
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_determined_measurements_factor_nothing(snf_calls, d):
-    # each block of determined outcomes is one product with the destabilizer
-    # rows; the library has no linear solve, and nothing is factored
+    # a determined outcome is read off its reduced half by one product; the
+    # library has no linear solve, and nothing is factored
     C = with_code(colex.hypercube_lattice(3), d)[1]
     T = Drawn(gauge.Tableau.zero_logical(C))
     snf_calls.clear()

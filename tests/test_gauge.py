@@ -338,8 +338,8 @@ def test_tableau_rejects_noncommuting_rows(d):
     xx, zz, x0 = (1, 1, 0, 0), (0, 0, 1, d - 1), (1, 0, 0, 0)
     with pytest.raises(ValueError, match="pairwise commute"):
         gauge.Tableau(d, [xx, zz, x0], [0, 0, 0])
-    assert len(gauge.Tableau(d, [xx, zz], [0, 0]).xz) == 2
-    assert gauge.Tableau(d, np.zeros((0, 4), dtype=int), []).xz.shape == (0, 4)
+    assert len(gauge.Tableau(d, [xx, zz], [0, 0]).canonical_form()) == 2
+    assert gauge.Tableau(d, np.zeros((0, 4), dtype=int), []).canonical_form() == ()
 
 
 def test_tableau_measure_stabilizer_deterministic(tetra3):
@@ -851,16 +851,17 @@ def random_word(d, rng, n=15):
     return PauliWord(d, x, tuple(z))
 
 
+def css_word(d, rng, n=15):
+    """A uniform X-type or Z-type word, as a CSS state measures."""
+    exps = tuple(rng.randrange(d) for _ in range(n))
+    return x_word(d, exps) if rng.randrange(2) else z_word(d, exps)
+
+
 def as_tableau(d, rows) -> Drawn:
-    """The gauge.Tableau of OracleRows, read at its draws."""
-    return Drawn(gauge.Tableau(d, [r.x + r.z for r in rows], [r.phase for r in rows]))
-
-
-def rows_of(T) -> list:
-    """(phase, (x | z) exponents) of every row of a tableau of either kind."""
-    if isinstance(T, OracleTableau):
-        return [(r.phase, r.x + r.z) for r in T.rows]
-    return list(zip(T.phase.tolist(), map(tuple, T.xz.tolist())))
+    """The gauge.Tableau of X-type and Z-type OracleRows, read at its draws:
+    the row omega-tilde^phase P holds P's eigenvalue omega^k, k = -phase/scale."""
+    scale = 2 if d == 2 else 1
+    return Drawn(gauge.Tableau(d, [r.x + r.z for r in rows], [-(r.phase // scale) for r in rows]))
 
 
 def measure_one(T):
@@ -883,31 +884,33 @@ def outcome_or_error(measure, P, seed):
     h_at=st.integers(0, 12),
 )
 def test_tableau_matches_word_oracle(d, seed, steps, h_at):
-    """From |0_L>: random Paulis, one transversal H and measurements of
-    random (Hermitian) words, of products of two current rows (determined)
-    and of gauge faces; outcomes, rows and canonical forms agree after every
-    step.  Both tableaus start from the oracle's rows; zero_logical's own
-    basis differs but gives the same canonical form."""
+    """From |0_L>: random Pauli errors (x and z mixed), one transversal H and
+    measurements of random X-type or Z-type words, of products of powers of
+    two current rows of one type (determined) and of gauge faces; outcomes
+    and canonical forms agree with the word-level oracle after every step."""
     L, C, G = tetra(d)
     O = OracleTableau.zero_logical(C)
-    T = as_tableau(d, O.rows)
-    assert Drawn(gauge.Tableau.zero_logical(C)).canonical_form() == O.canonical_form()
+    T = Drawn(gauge.Tableau.zero_logical(C))
+    assert T.canonical_form() == O.canonical_form()
     rng = random.Random(seed)
     steps.insert(h_at, "H")
     for step in steps:
-        word = random_word(d, rng)
+        word = css_word(d, rng)
         if step == "H":
             T.apply_transversal_H(L.star_signs())
             O.apply_transversal_H(L.star_signs())
         elif step == "pauli":
-            T.apply_pauli(word.row)
-            O.apply_pauli(word)
+            error = random_word(d, rng)
+            T.apply_pauli(error.row)
+            O.apply_pauli(error)
         else:
             if step == "rows":
-                a, b = rng.sample(O.rows, 2)
+                half = "z" if rng.randrange(2) else "x"
+                rows = [r for r in O.rows if any(getattr(r, half))] or O.rows
+                a, b = rng.choice(rows), rng.choice(rows)
                 k, m = rng.randrange(d), rng.randrange(d)
-                word = PauliWord(d, tuple(k * u + m * v for u, v in zip(a.x, b.x)),
-                                 tuple(k * u + m * v for u, v in zip(a.z, b.z)))
+                word = PauliWord(d, tuple((k * u + m * v) % d for u, v in zip(a.x, b.x)),
+                                 tuple((k * u + m * v) % d for u, v in zip(a.z, b.z)))
             elif step == "face":
                 rows = G.face_x.rows if rng.randrange(2) else G.face_z.rows
                 face = rng.choice(rows)
@@ -915,9 +918,7 @@ def test_tableau_matches_word_oracle(d, seed, steps, h_at):
             s = rng.randrange(2**32)
             assert (outcome_or_error(measure_one(T), word.row, s)
                     == outcome_or_error(O.measure, word, s))
-        assert rows_of(T) == rows_of(O)
         assert T.canonical_form() == O.canonical_form()
-        assert np.array_equal(symplectic_phase(T.destab, T.xz, d), np.eye(C.n, dtype=int))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -934,26 +935,33 @@ def test_tableau_outside_word_matches_oracle(d):
         assert got == outcome_or_error(O.measure, PauliWord(d, word[:3], word[3:]), d)
         if expected:
             assert got == expected
-        assert rows_of(T) == rows_of(O)
-        assert np.array_equal(symplectic_phase(T.destab, T.xz, d), np.eye(2, dtype=int))
+        assert T.canonical_form() == O.canonical_form()
 
 
-@pytest.mark.parametrize("tableau", [gauge.Tableau, OracleTableau])
+@pytest.mark.parametrize("tableau", [OracleTableau])
 def test_tableau_refuses_a_non_hermitian_observable_at_d_2(tableau):
     # X Z has x.z = 1: it squares to -I, with eigenvalues +-i, not +-1;
-    # (X Z) (x) (X Z) has x.z = 2 and is measured
-    z0 = OracleRow(0, (0, 0), (1, 0))
-    if tableau is OracleTableau:
-        T = OracleTableau(2, [z0])
-        measure = lambda xz, rng: T.measure(as_word(2, xz), rng)
-    else:
-        T = as_tableau(2, [z0])
-        measure = measure_one(T)
+    # (X Z) (x) (X Z) has x.z = 2 and is measured.  gauge.Tableau measures
+    # no row with both parts nonzero (the test below)
+    T = tableau(2, [OracleRow(0, (0, 0), (1, 0))])
+    measure = lambda xz, rng: T.measure(as_word(2, xz), rng)
     with pytest.raises(ValueError, match="only Hermitian observables"):
         measure((1, 0, 1, 0), random.Random(0))
-    assert rows_of(T) == [(0, (0, 0, 1, 0))]
+    assert [(r.phase, r.x + r.z) for r in T.rows] == [(0, (0, 0, 1, 0))]
     assert measure((1, 1, 1, 1), random.Random(0)) in (0, 1)
-    assert [xz for _, xz in rows_of(T)] == [(1, 1, 1, 1)]
+    assert [r.x + r.z for r in T.rows] == [(1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tableau_refuses_a_row_with_both_x_and_z_parts(d):
+    # a CSS state measures X-type or Z-type rows; X0 Z1 is refused with one
+    # ValueError, before the Z0 ahead of it in its block is measured
+    T = Drawn(gauge.Tableau(d, [(0, 0, 1, 0), (0, 0, 0, 1)], [1, 0]))
+    before = T.canonical_form()
+    for rows in ([(1, 0, 0, 1)], [(0, 0, 1, 0), (1, 0, 0, 1)], [(1, 0, 1, 0)]):
+        with pytest.raises(ValueError, match="^a CSS state takes X-type or Z-type rows, not both$"):
+            T.measure(rows, random.Random(0))
+        assert T.canonical_form() == before and T.draws == []
 
 
 def test_tableau_rejects_dependent_rows():
@@ -962,18 +970,26 @@ def test_tableau_rejects_dependent_rows():
 
 
 def draw_rows(d, C, G, kinds, rng) -> list:
-    """One Hermitian (x | z) row per kind: a power of a stabilizer
-    generator, of Xbar or of Zbar, a uniform word (which commutes with
-    almost nothing) or a gauge generator."""
+    """One (x | z) row per kind: a power of a stabilizer generator, of Xbar
+    or of Zbar, a uniform X-type or Z-type word (which commutes with almost
+    nothing) or a gauge generator."""
     stabs, bars = [w.row for w in stabilizer_words(C)], [w.row for w in logical_words(C)]
     pick = {"stabilizer": lambda: rng.choice(stabs), "logical": lambda: rng.choice(bars),
-            "random": lambda: random_word(d, rng).row,
+            "random": lambda: css_word(d, rng).row,
             "face": lambda: rng.choice(G.gauge_group.rows)}
     rows = []
     for kind in kinds:
         k = rng.randrange(1, d)
         rows.append(tuple(k * e % d for e in pick[kind]()))
     return rows
+
+
+def without_zbar(C) -> gauge.Tableau:
+    """|0_L> without Zbar: the X cells and the Z stabilizers, of rank n - 1,
+    so Zbar and Xbar commute with every row but lie outside the group."""
+    zero = (0,) * C.n
+    return gauge.Tableau(C.d, [r + zero for r in ring.row_basis(C.G0).rows]
+                         + [zero + r for r in ring.row_basis(C.z_stab).rows])
 
 
 def measured(T, rows, rng, one_at_a_time):
@@ -998,75 +1014,19 @@ def measured(T, rows, rng, one_at_a_time):
 )
 def test_block_measurement_equals_one_row_at_a_time(d, hadamard, partial, seed, kinds):
     """From |0_L>, with or without transversal H, a block of random rows
-    gives the outcomes, rng state, rows and destabilizers of measuring its
-    rows one at a time.  Dropping Zbar's row leaves logicals and faces that
-    commute with every row but lie outside the group; both ways raise."""
+    gives the outcomes, rng state and canonical form of measuring its rows
+    one at a time.  Without Zbar's row, logicals and faces commute with
+    every row but lie outside the group; both ways raise."""
     L, C, G = tetra(d)
-    start = Drawn(gauge.Tableau.zero_logical(C))
+    start = Drawn(without_zbar(C) if partial else gauge.Tableau.zero_logical(C))
     if hadamard:
         start.apply_transversal_H(L.star_signs())
-    if partial:
-        start = Drawn(gauge.Tableau(d, start.xz[:-1], start.phase[:-1]))
     rows = draw_rows(d, C, G, kinds, random.Random(seed))
     runs = []
     for one_at_a_time in (False, True):
         T, rng = start.copy(), random.Random(seed)
-        runs.append((measured(T, rows, rng, one_at_a_time), T.canonical_form(),
-                     T.destab.tolist(), rng.getstate()))
+        runs.append((measured(T, rows, rng, one_at_a_time), T.canonical_form(), rng.getstate()))
     assert runs[0] == runs[1]
-
-
-def product_random_outcome(self, obs, coeffs):
-    """Tableau._random_outcome as it was before the rank-one update, kept
-    as its oracle: every row updated by one _product with the coefficient
-    matrix [I | -c/c_p] over the rows and a copy of row p; row p then takes
-    obs with phase -scale x, x the new draw's form column."""
-    d = self.d
-    e = symplectic_phase(self.destab, obs[None], d)[:, 0]
-    p = int(np.flatnonzero(coeffs)[0])
-    inv = pow(int(coeffs[p]), -1, d)
-    self.destab = (self.destab + (e * inv % d)[:, None] * self.xz[p]) % d
-    self.destab[p] = -inv * self.xz[p] % d
-    C = np.hstack([np.eye(len(self.xz), dtype=self._dtype), (-coeffs * inv % d)[:, None]])
-    phase, self.xz = self._product(C, np.vstack([self.phase, self.phase[p]]),
-                                   np.vstack([self.xz, self.xz[p]]))
-    draw = np.zeros((len(phase), 1), dtype=self._dtype)
-    phase[p], draw[p] = 0, -self.scale % self.D
-    self.phase, self.xz[p] = np.hstack([phase, draw]), obs
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    d=st.sampled_from([2, 3, 5, 7, 10**18 + 3]),
-    hadamard=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-    kinds=st.lists(st.sampled_from(["stabilizer", "logical", "random", "face"]), max_size=8),
-)
-def test_rank_one_update_matches_the_product_oracle(d, hadamard, seed, kinds):
-    """From |0_L>, with or without transversal H, a block of random rows and
-    then every gauge generator, some of which fail to commute with the
-    state; after every random outcome the phase forms, rows and
-    destabilizers (dtypes included) are those of the product update.
-    d = 10^18 + 3 runs on Python ints."""
-    L, C, G = tetra(d)
-    T = gauge.Tableau.zero_logical(C)
-    if hadamard:
-        T.apply_transversal_H(L.star_signs())
-    rows = draw_rows(d, C, G, kinds, random.Random(seed)) + list(G.gauge_group.rows)
-    rank_one, compared = gauge.Tableau._random_outcome, []
-
-    def both(self, obs, coeffs):
-        O = self.copy()
-        product_random_outcome(O, obs, coeffs)
-        rank_one(self, obs, coeffs)
-        for name in ("phase", "xz", "destab"):
-            mine, theirs = getattr(self, name), getattr(O, name)
-            assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist(), name
-        compared.append(self.draws)
-
-    with mock.patch.object(gauge.Tableau, "_random_outcome", both):
-        T.measure(rows)
-    assert compared == list(range(1, T.draws + 1))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -1074,10 +1034,9 @@ def test_block_raises_at_a_commuting_row_outside_the_group(d):
     # without Zbar's row, Zbar commutes with every row but is outside; the
     # stabilizer before it is measured, the random word after it never is
     L, C, G = tetra(d)
-    full = gauge.Tableau.zero_logical(C)
-    T = Drawn(gauge.Tableau(d, full.xz[:-1], full.phase[:-1]))
+    T = Drawn(without_zbar(C))
     zbar = logical_words(C)[1].row
-    rows = [stabilizer_words(C)[0].row, zbar, random_word(d, random.Random(d)).row]
+    rows = [stabilizer_words(C)[0].row, zbar, css_word(d, random.Random(d)).row]
     before = T.canonical_form()
     for one_at_a_time in (False, True):
         rng = random.Random(0)
@@ -1086,14 +1045,19 @@ def test_block_raises_at_a_commuting_row_outside_the_group(d):
 
 
 def test_block_raises_the_error_of_its_first_bad_row():
-    # at d = 2 the row Z0 with phase exponent 1 is i Z0, not Hermitian: its
-    # measurement finds the state unphysical; Z1 is outside the group
-    T = Drawn(gauge.Tableau(2, [(0, 0, 1, 0)], [1]))
-    z0, z1 = (0, 0, 1, 0), (0, 0, 0, 1)
-    for rows, error in [([z0, z1], "inconsistent tableau phase (state not physical)"),
-                        ([z1, z0], "observable commutes but is not in the group")]:
+    # from Z0 on two qudits, X0 is random and replaces Z0; Z1 then commutes
+    # with X0 but is outside, so the block raises there, after X0's draw,
+    # and X1 after it is never measured
+    x0, z1, x1 = (1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0)
+    for d in (2, 3):
+        runs = []
         for one_at_a_time in (False, True):
-            assert measured(T, rows, random.Random(0), one_at_a_time) == error
+            T, rng = Drawn(gauge.Tableau(d, [(0, 0, 1, 0)], [1])), random.Random(0)
+            error = measured(T, [x0, z1, x1], rng, one_at_a_time)
+            assert error == "observable commutes but is not in the group"
+            runs.append((T.canonical_form(), T.draws, rng.getstate()))
+        assert runs[0] == runs[1]
+        assert [(x, z) for x, z, _ in runs[0][0]] == [((1, 0), (0, 0))] and len(runs[0][1]) == 1
 
 
 @pytest.mark.parametrize("length", [28, 31, 32])
@@ -1192,6 +1156,22 @@ def test_a_fresh_fix_demo_reads_the_kept_forms(d, seed):
         assert fresh == oracle_demo(G, seed)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_fix_demo_without_the_correction_fails_its_face_check(d):
+    # negative control: with apply_pauli a no-op the correction is never
+    # applied, and some seed leaves a nonzero face outcome; the gauge code
+    # and its forms are built afresh on both sides, so neither leaks
+    tetra = colex.hypercube_lattice(3)
+    forget_gauge_codes(tetra)
+    try:
+        with mock.patch.object(gauge.Tableau, "apply_pauli", lambda T, rows: None):
+            skipped = [gauge.fix_demo(d, seed)["post"] for seed in range(40)]
+    finally:
+        forget_gauge_codes(tetra)
+    assert any(not post["face_outcomes_zero"] for post in skipped)
+    assert all(all(gauge.fix_demo(d, seed)["post"].values()) for seed in range(40))
+
+
 def corrupted(d, data):
     """(C, G) of the tetra code at d with rows dropped or changed and star
     signs flipped; C takes G's star signs, X cells and Z faces."""
@@ -1271,15 +1251,15 @@ def test_span_check_holds_a_product_over_every_row():
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_transversal_H_action_matches_oracle(d):
-    # the exponent map behind verify_H_logical and Tableau.apply_transversal_H
+    # the exponent map behind verify_H_logical (no phase: it maps groups)
     sg = tetra(d)[0].star_signs()
     rng = random.Random(d)
     for _ in range(20):
         W = PauliWord(d, tuple(rng.randrange(d) for _ in range(15)),
                       tuple(rng.randrange(d) for _ in range(15)), rng.randrange(d))
-        xz, dphi = gauge._hadamard(np.array([W.x_exp + W.z_exp], dtype=object), sg)
-        mapped = PauliWord(d, tuple(xz[0, :15]), tuple(xz[0, 15:]), W.phase_exp + dphi[0])
-        assert mapped == oracle_transversal_H_action(W, sg)
+        xz = gauge._hadamard(np.array([W.x_exp + W.z_exp], dtype=object), sg)
+        oracle = oracle_transversal_H_action(W, sg)
+        assert PauliWord(d, tuple(xz[0, :15]), tuple(xz[0, 15:]), oracle.phase_exp) == oracle
 
 
 # --------------------------------------------------------------------------

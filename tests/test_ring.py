@@ -796,5 +796,5 @@ def test_snf_matches_seed_oracle_on_code_matrices(family, d):
         A = with_code(colex.triangle_lattice(13), d)[1].encoding().rows
     else:
         _, C = with_code(colex.hypercube_lattice(3), d)
-        A = gauge.Tableau.zero_logical(C).xz.tolist()
+        A = [list(x + z) for x, z, _ in gauge.Tableau.zero_logical(C).canonical_form()]
     assert ring.smith_normal_form(A) == seed_snf(A)
