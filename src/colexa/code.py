@@ -1,7 +1,9 @@
 """Qudit color codes: stabilizers, logicals, codewords, syndromes, distance.
 
 Everything is symplectic: a Pauli is a row of (x | z) exponents mod d, and
-commutation questions reduce to one integer bilinear form, symplectic_phase.
+commutation is one integer bilinear form, symplectic_phase.  Between CSS
+generators only an X half and a Z half can fail to commute, so verify_code
+and syndrome ask ring.mul_transpose for products of the two.
 X generators sit on mu'-cells, Z generators on (mu-mu'+2)-cells with
 the star signs folded into the exponents (starred vertices hold d-1 instead
 of a separate conjugation channel).  A shared lattice keeps its cell incidence

@@ -5,7 +5,9 @@ reproduce the cell stabilizers.  Every group is a matrix of (x | z) exponent
 rows mod d, and commutation is one symplectic product of two such matrices.
 Both groups are CSS, so every other group-level question is asked of the X
 and Z halves: the center comes from the left kernels of A = face_x face_z^T
-and A^T, and span membership is one product with each half's span check.
+and A^T, span membership is one product with each half's span check, and
+transversal H, which sends each half into the other, preserves a group when
+each half's image lies in the other half's span.
 ring answers each kernel and span check, by an echelon form over F_d at
 prime d and a Smith form otherwise, so the checks work for every d.
 State-level gauge fixing runs on CSS states over prime d: every state and
@@ -56,14 +58,18 @@ def _css(X: ring.ResidueMatrix, Z: ring.ResidueMatrix) -> ring.ResidueMatrix:
                                                    [np.zeros_like(z), z]]))
 
 
+def _off_span(M: ring.ResidueMatrix, rows: np.ndarray) -> np.ndarray:
+    """Which canonical rows lie outside rowspan(M): one product with its span
+    check."""
+    H = ring.span_check(M)
+    return (rows.astype(H.dtype) @ H % M.modulus).any(axis=1)
+
+
 def _outside(X: ring.ResidueMatrix, Z: ring.ResidueMatrix, rows: np.ndarray) -> list:
     """Indices of the canonical (x | z) rows outside rowspan(X) + rowspan(Z):
     those with x outside rowspan(X) or z outside rowspan(Z)."""
-    n, out = X.ncols, np.zeros(len(rows), dtype=bool)
-    for M, half in ((X, rows[:, :n]), (Z, rows[:, n:])):
-        H = ring.span_check(M)
-        out |= (half.astype(H.dtype) @ H % M.modulus).any(axis=1)
-    return np.flatnonzero(out).tolist()
+    n = X.ncols
+    return np.flatnonzero(_off_span(X, rows[:, :n]) | _off_span(Z, rows[:, n:])).tolist()
 
 
 @dataclass(frozen=True)
@@ -186,8 +192,15 @@ def center_equals_stabilizer(G: GaugeCode) -> Report:
 def _preserved(rep: Report, name: str, X: ring.ResidueMatrix, Z: ring.ResidueMatrix,
                star_signs) -> None:
     """Add the check that transversal H maps every row of the CSS group of X
-    and Z into it; the witness is the first three rows it maps outside."""
-    bad = _outside(X, Z, _hadamard(_css(X, Z).array, star_signs) % X.modulus)
+    and Z into it; the witness is the first three rows it maps outside, X
+    rows first, then Z rows numbered from X.nrows.  H sends an X row x to
+    the Z row sigma x and a Z row z to the X row -sigma z (see _hadamard),
+    so one half's image is checked against the other half's span."""
+    s, N = np.array(star_signs), X.modulus
+    if len(s) != X.ncols:
+        raise ValueError("star sign length mismatch")
+    bad = np.flatnonzero(np.concatenate([_off_span(Z, s * X.array % N),
+                                         _off_span(X, -s * Z.array % N)])).tolist()
     rep.add(name, not bad, witness=bad[:3] or None)
 
 

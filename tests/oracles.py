@@ -19,6 +19,7 @@ from functools import reduce
 import numpy as np
 
 from colexa import ring
+from colexa.reports import Report
 
 
 @dataclass(frozen=True)
@@ -175,6 +176,35 @@ def stabilizer_words(C) -> list:
 def logical_words(C) -> tuple:
     """(Xbar, Zbar) of a k = 1 code as PauliWords."""
     return x_word(C.d, C.G1.rows[0]), z_word(C.d, C.z_logical)
+
+
+def pairwise_verify_code(C):
+    """Reference commutation audit: word_phase over every word pair,
+    the loop verify_code ran before it became matrix products."""
+    rep = Report()
+    stabs = stabilizer_words(C)
+    bad = []
+    for i, j in itertools.combinations(range(len(stabs)), 2):
+        c = word_phase(stabs[i], stabs[j])
+        if c != 0:
+            bad.append({"pair": [i, j], "phase": c})
+    rep.add("stabilizers-commute", not bad, witness=bad[:3] or None)
+    logicals = list(logical_words(C))
+    bad = []
+    for li, lw in enumerate(logicals):
+        for si, sw in enumerate(stabs):
+            c = word_phase(lw, sw)
+            if c != 0:
+                bad.append({"logical": li, "stabilizer": si, "phase": c})
+    rep.add("logicals-commute-with-stabilizers", not bad, witness=bad[:3] or None)
+    c = word_phase(*logical_words(C))
+    rep.add("logical-pair-omega-commutes", c == 1, f"phase {c}, expected 1")
+    rep.add(
+        "injective-encoding",
+        ring.kernel_mod(ring.ResidueMatrix(C.d, C.G1.rows + C.G0.rows)).nrows == 0,
+        "[G1; G0] has trivial left kernel",
+    )
+    return rep.to_dict()
 
 
 def unitary_hierarchy_level(p_table, d, N, l_cap=10):

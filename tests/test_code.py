@@ -10,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from colexa import code as code_mod
 from colexa import colex, gatecalc, gauge, morth, ring
-from colexa.reports import Report
 from builders import (code_json, enumerate_distance, information_distance, search_distance,
                       with_code)
 from oracles import (PauliWord, cell_incidence_rows, logical_words, min_logical_weight_x,
-                     min_logical_weight_z, stabilizer_words, word_phase)
+                     min_logical_weight_z, pairwise_verify_code, stabilizer_words, word_phase)
 
 
 @pytest.fixture(scope="module")
@@ -308,35 +307,6 @@ def test_kept_rows_and_verdicts_match_the_oracle(name, d):
             except ValueError:
                 kept = False
             assert kept == fresh
-
-
-def pairwise_verify_code(C):
-    """Reference commutation audit: word_phase over every word pair,
-    the loop verify_code ran before it became matrix products."""
-    rep = Report()
-    stabs = stabilizer_words(C)
-    bad = []
-    for i, j in itertools.combinations(range(len(stabs)), 2):
-        c = word_phase(stabs[i], stabs[j])
-        if c != 0:
-            bad.append({"pair": [i, j], "phase": c})
-    rep.add("stabilizers-commute", not bad, witness=bad[:3] or None)
-    logicals = list(logical_words(C))
-    bad = []
-    for li, lw in enumerate(logicals):
-        for si, sw in enumerate(stabs):
-            c = word_phase(lw, sw)
-            if c != 0:
-                bad.append({"logical": li, "stabilizer": si, "phase": c})
-    rep.add("logicals-commute-with-stabilizers", not bad, witness=bad[:3] or None)
-    c = word_phase(*logical_words(C))
-    rep.add("logical-pair-omega-commutes", c == 1, f"phase {c}, expected 1")
-    rep.add(
-        "injective-encoding",
-        ring.kernel_mod(ring.ResidueMatrix(C.d, C.G1.rows + C.G0.rows)).nrows == 0,
-        "[G1; G0] has trivial left kernel",
-    )
-    return rep.to_dict()
 
 
 def flip(M, i, j, by=1):

@@ -1,5 +1,6 @@
 """ring: exact Z_N linear algebra, checked against exhaustive oracles."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colexa import colex, gauge, ring
+from colexa import code, colex, gauge, ring
 from builders import with_code
-from oracles import brute_kernel, brute_span, dense_echelon_mod_p, recursive_span, solve_left
+from oracles import (brute_kernel, brute_span, dense_echelon_mod_p, pairwise_verify_code,
+                     recursive_span, solve_left)
 
 
 def rmat(N, rows):
@@ -798,3 +800,83 @@ def test_snf_matches_seed_oracle_on_code_matrices(family, d):
         _, C = with_code(colex.hypercube_lattice(3), d)
         A = [list(x + z) for x, z, _ in gauge.Tableau.zero_logical(C).canonical_form()]
     assert ring.smith_normal_form(A) == seed_snf(A)
+
+
+# --------------------------------------------------------------------------
+# mul_transpose: the dense product and the pair product
+
+PRODUCT_MODULI = st.sampled_from([*range(2, 13), 2**31 - 1, 3000000019, 2**64 + 13])
+
+
+def python_product(A, B):
+    """A @ B^T mod N on Python ints, entry by entry."""
+    return [[sum(a * b for a, b in zip(r, c)) % A.modulus for c in B.rows] for r in A.rows]
+
+
+def draw_residue_matrix(data, N, m, n, kind):
+    """An m x n matrix over Z_N: every entry nonzero ("full", N - 1 often, the
+    largest product), about a quarter of them nonzero ("sparse") or none."""
+    nonzero = st.integers(1, N - 1) | st.just(N - 1)
+    entry = {"full": nonzero, "sparse": st.sampled_from([0, 0, 0]) | nonzero,
+             "zero": st.just(0)}[kind]
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    return ring.ResidueMatrix(N, np.array(rows, dtype=object).reshape(m, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(N=PRODUCT_MODULI, ra=st.integers(0, 5), rb=st.integers(0, 5), n=st.integers(0, 6),
+       kinds=st.tuples(*[st.sampled_from(["full", "sparse", "zero"])] * 2),
+       chunk=st.sampled_from([1, 3, None]), data=st.data())
+def test_pair_and_dense_products_match_python(N, ra, rb, n, kinds, chunk, data):
+    # N = 2^31 - 1 keeps int64 at n = 2, where two largest products sum to
+    # just below 2^63; N = 3000000019 keeps it only at n <= 1
+    A = draw_residue_matrix(data, N, ra, n, kinds[0])
+    B = draw_residue_matrix(data, N, rb, n, kinds[1])
+    want = python_product(A, B)
+    dense = ring._dense_product(A, B)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk:
+            mp.setattr(ring, "_PAIR_CHUNK", chunk)
+        pairs = ring._pair_product(A, B)
+    product = ring.mul_transpose(A, B)
+    for P in (dense, pairs, product):
+        assert P.shape == (ra, rb) and P.dtype == A.array.dtype
+        assert P.tolist() == want
+
+
+def test_mul_transpose_counts_work_to_choose(monkeypatch):
+    # triangle L = 13: G0 Zstab^T has 63 * 63 * 127 dense multiply-adds and
+    # 954 nonzero pairs; a syndrome and a fully dense product stay dense
+    _, C = with_code(colex.triangle_lattice(13), 6)
+    chosen = []
+
+    def spy(name):
+        method = getattr(ring, name)
+
+        def counted(*args):
+            chosen.append(name)
+            return method(*args)
+        return counted
+
+    for name in ("_dense_product", "_pair_product"):
+        monkeypatch.setattr(ring, name, spy(name))
+    error = ring.ResidueMatrix(6, ((1,) + (0,) * (C.n - 1),))
+    full = ring.ResidueMatrix(6, np.ones((63, C.n), dtype=np.int64))
+    for A, B in ((C.G0, C.z_stab), (C.G0, error), (full, full)):
+        ring.mul_transpose(A, B)
+    assert chosen == ["_pair_product", "_dense_product", "_dense_product"]
+
+
+@pytest.mark.parametrize("d", [2, 6])
+def test_verify_code_by_pairs_matches_pairwise_on_triangle_13(d):
+    _, C = with_code(colex.triangle_lattice(13), d)
+    assert code.verify_code(C).to_dict() == pairwise_verify_code(C)
+    # negative control: one entry of Z row 5 raised where X row 0 acts
+    q = int(np.flatnonzero(C.G0.array[0])[0])
+    z = C.z_stab.array.copy()
+    z[5, q] += 1
+    bad = dataclasses.replace(C, z_stab=ring.ResidueMatrix(d, z))
+    rep = code.verify_code(bad).to_dict()
+    assert rep == pairwise_verify_code(bad)
+    witness = rep["checks"][0]["witness"]
+    assert not rep["ok"] and {"pair": [0, C.G0.nrows + 5], "phase": int(C.G0.array[0, q])} in witness
