@@ -26,11 +26,19 @@ USAGE = 2
 def main(argv=None) -> int:
     """Run one command; main may be called any number of times in a process.
 
-    Each handler returns (ok, payload); the payload is printed, and ok gives
-    the exit code, 0 or 1.  A failed write to stdout (a closed pipe, a full
-    disk) exits 2 with one line on stderr."""
+    An argv whose first two words name a command is parsed once, by that
+    command's own parser in build_parser's tree; the tree parses every other
+    argv, and one that leaves unrecognized arguments, so its usage and errors
+    are the tree's.  Each handler returns (ok, payload); the payload is
+    printed, and ok gives the exit code, 0 or 1.  A failed write to stdout (a
+    closed pipe, a full disk) exits 2 with one line on stderr."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, rest = None, None
+    if len(argv) >= 2 and argv[1] in COMMANDS.get(argv[0], ()):
+        args, rest = _command_parser(parser, argv[:2]).parse_known_args(argv[2:])
+    if args is None or rest:
+        args = parser.parse_args(argv)
     if not hasattr(args, "handler"):
         parser.print_usage(sys.stderr)
         return USAGE
@@ -180,6 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_parser(parser: argparse.ArgumentParser, words) -> argparse.ArgumentParser:
+    """The parser that parser's tree reaches through words, e.g. ('code',
+    'syndrome'): at each level, the choice called by the next word."""
+    for word in words:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[word]
+    return parser
+
+
 # -- input resolution ------------------------------------------------------
 
 
@@ -219,10 +236,14 @@ def read_json_object(path: str) -> dict:
     return obj
 
 
-def parse_error(spec: str, C, L) -> tuple:
+def parse_error(spec: str, C, L) -> np.ndarray:
     """Parse 'Z@1111,X^2@7' style error specs into one (x | z) exponent row
-    mod d."""
-    xz = [0] * (2 * C.n)
+    mod d: a numpy row whose dtype holds d - 1, Python ints past int64.
+    Powers of terms on one site add."""
+    ids = range(C.n) if L is None else L.vertex_ids
+    index = dict(zip(ids, range(C.n)))
+    width = L.mu + 1 if L is not None and ids == tuple(range(1, 2 ** (L.mu + 1))) else 0
+    powers = {}
     for term in spec.split(","):
         term = term.strip()
         if "@" not in term:
@@ -233,28 +254,31 @@ def parse_error(spec: str, C, L) -> tuple:
             power = int(pw) if caret else 1
         except ValueError:
             raise ValueError(f"error term {term!r}: the power {pw!r} is not an integer") from None
-        site = resolve_site(vert, C, L)
+        site = resolve_site(vert, index, width)
         if op.upper() not in ("X", "Z"):
             raise ValueError(f"unknown Pauli {op!r}")
-        xz[site + (C.n if op.upper() == "Z" else 0)] += power
-    return tuple(e % C.d for e in xz)
+        site += C.n if op.upper() == "Z" else 0
+        powers[site] = powers.get(site, 0) + power
+    row = np.zeros(2 * C.n, dtype=ring.exact_dtype(C.d - 1))
+    for site, power in powers.items():
+        row[site] = power % C.d
+    return row
 
 
-def resolve_site(vert: str, C, L) -> int:
-    """Vertex label to qudit index.  On a hypercube lattice, whose vertices
-    are the nonzero (mu+1)-bit strings, a label of exactly mu+1 binary digits
-    names the vertex with those bits; every other label is a decimal id."""
-    ids = list(L.vertex_ids) if L is not None else list(range(C.n))
-    bits = L is not None and L.vertex_ids == tuple(range(1, 2 ** (L.mu + 1)))
-    if bits and len(vert) == L.mu + 1 and set(vert) <= {"0", "1"}:
+def resolve_site(vert: str, index: dict, width: int) -> int:
+    """Vertex label to qudit index, by index: vertex id -> qudit.  width is
+    mu+1 on a hypercube lattice, whose vertices are the nonzero (mu+1)-bit
+    strings, and a label of exactly width binary digits names the vertex with
+    those bits; every other label is a decimal id."""
+    if width and len(vert) == width and set(vert) <= {"0", "1"}:
         label = int(vert, 2)
     elif vert.isascii() and vert.isdigit():
         label = int(vert)
     else:
         label = None
-    if label not in ids:
+    if label not in index:
         raise ValueError(f"unknown vertex label {vert!r}")
-    return ids.index(label)
+    return index[label]
 
 
 # -- handlers: each returns (ok, JSON payload) --------------------------------

@@ -222,11 +222,15 @@ def syndrome(C: ColorCode, e) -> tuple:
 
     Order: X generators in G0 row order, then Z generators.  Two exact Z_d
     products: X row i gives G0_i . z_e and Z row j gives -(Zstab_j . x_e).
+    e is a numpy row, whose halves are taken as 1 x n arrays, or a sequence
+    of integers, read first as one ResidueMatrix row.
     """
     if len(e) != 2 * C.n:
         raise ValueError(f"error row has {len(e)} entries, not 2n = {2 * C.n}")
-    x_part = ring.mul_transpose(C.G0, ring.ResidueMatrix(C.d, (e[C.n:],)))
-    z_part = -ring.mul_transpose(C.z_stab, ring.ResidueMatrix(C.d, (e[:C.n],))) % C.d
+    if not isinstance(e, np.ndarray):
+        e = ring.ResidueMatrix(C.d, (e,)).array[0]
+    x_part = ring.mul_transpose(C.G0, ring.ResidueMatrix(C.d, e[None, C.n:]))
+    z_part = -ring.mul_transpose(C.z_stab, ring.ResidueMatrix(C.d, e[None, :C.n])) % C.d
     return tuple(x_part[:, 0].tolist() + z_part[:, 0].tolist())
 
 

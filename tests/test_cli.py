@@ -620,6 +620,113 @@ def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch):
     assert [fresh[i][0] for i in range(len(calls) - 4, len(calls))] == [2, 0, 0, 2]
 
 
+SYNDROME = ["code", "syndrome", "--code", "tetra", "--d", "3"]
+PARITY_ARGV = readme_commands() + [
+    SYNDROME + ["--error", "Z@1111", "--bogus"],   # unknown flag after a valid command
+    SYNDROME + ["--error", "Z@1111", "extra"],     # stray positional
+    SYNDROME,                                       # missing --error
+    ["code", "build", "--d", "x"],
+    ["code", "distance", "--sector", "q"],
+    ["code"],
+    ["code", "nope"],
+    [],
+    ["-h"],
+    ["code", "-h"],
+    ["code", "syndrome", "-h"],
+    ["code", "--pretty", "build"],                 # an option before the action
+    ["code", "build", "--code", "triangle", "--dist", "5"],  # an abbreviation
+    ["code", "build", "--"],
+    ["bogus"],
+    ["gauge", "fix-demo", "--seed", "1", "--seed", "2", "--pretty"],
+    ["gate", "level", "--d", "1", "--gate", "T"],  # parsed, then refused by check_args
+]
+
+
+def traced_main(monkeypatch, capsys, argv):
+    """(exit code, stdout, stderr, the Namespace check_args received) of
+    main(argv); an argparse exit is its SystemExit code."""
+    seen = []
+    check = cli.check_args
+    monkeypatch.setattr(cli, "check_args", lambda args: (seen.append(dict(vars(args))),
+                                                        check(args))[1])
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    monkeypatch.setattr(cli, "check_args", check)
+    return code, out, err, (seen[0] if seen else None)
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=shlex.join)
+def test_command_parse_matches_the_tree_parse(monkeypatch, capsys, argv):
+    """A command parsed by its own parser gives the exit code, stdout and
+    stderr of the three-level tree parse followed by the same handler, and on
+    valid argv the same Namespace but for the tree's group and action."""
+    got = traced_main(monkeypatch, capsys, argv)
+    # with no command in COMMANDS, main parses every argv with the tree
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    monkeypatch.setattr(cli, "COMMANDS", {})
+    want = traced_main(monkeypatch, capsys, argv)
+    assert got[:3] == want[:3]
+    if want[3] is None:
+        assert got[3] is None
+    else:
+        assert {k: v for k, v in want[3].items() if k not in ("group", "action")} == got[3]
+        assert (want[3]["group"], want[3]["action"]) == tuple(argv[:2])
+
+
+def test_unrecognized_arguments_get_the_tree_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(SYNDROME + ["--error", "Z@1111", "--bogus"])
+    err = capsys.readouterr().err.splitlines()
+    assert exc.value.code == 2
+    assert err == ["usage: colexa [-h] {lattice,code,morth,gate,gauge} ...",
+                   "colexa: error: unrecognized arguments: --bogus"]
+
+
+def python_int_syndrome(C, x, z):
+    """G0 . z and -(Zstab . x) mod d, in Python ints from the rows' lists."""
+    def dot(row, v):
+        return sum(a * b for a, b in zip(row, v))
+    return ([dot(row, z) % C.d for row in C.G0.array.tolist()]
+            + [-dot(row, x) % C.d for row in C.z_stab.array.tolist()])
+
+
+@pytest.mark.parametrize("d", [6, 12, 10**18 + 3, 2**63 - 1, 2**64 + 13])
+def test_syndrome_of_an_array_error_row_is_exact(capsys, d):
+    """code syndrome, whose --error parses to one numpy row, against Python
+    ints; vertex 7 is named three times and 15 twice, and their powers add
+    past d - 1.  The row is int64 up to d = 2^63 - 1, where two residues
+    overflow int64, and Python ints at 2^64 + 13."""
+    L, C = with_code(colex.hypercube_lattice(3), d)
+    spec = f"X^{d - 1}@0111,X^{d - 2}@7,Z^-1@1111,Z^{d + 4}@15,X@3,Z^{2 * d - 1}@0111"
+    row = cli.parse_error(spec, C, L)
+    assert row.dtype == ring.exact_dtype(d - 1)
+    x, z = [0] * C.n, [0] * C.n
+    seven, three, fifteen = (L.vertex_ids.index(v) for v in (7, 3, 15))
+    x[seven], z[seven] = (d - 1) + (d - 2), 2 * d - 1
+    x[three] = 1
+    z[fifteen] = -1 + d + 4
+    assert row.tolist() == [e % d for e in x + z]
+    code, obj = run(capsys, "code", "syndrome", "--code", "tetra", "--d", str(d), "--error", spec)
+    assert code == 0 and obj["syndrome"] == python_int_syndrome(C, x, z)
+    assert obj["syndrome"] == oracle_syndrome(
+        C, L, [("X", -3, 7), ("Z", 2 * d - 1, 7), ("X", 1, 3), ("Z", 3, 15)])
+    # a tuple of Python ints gives the same syndrome as the array row
+    assert code_mod.syndrome(C, tuple(x + z)) == tuple(obj["syndrome"])
+
+
+def test_error_naming_every_site_of_triangle_25():
+    L, C = with_code(colex.triangle_lattice(25), 2)
+    spec = ",".join(f"X@{v}" for v in L.vertex_ids) + ",Z@0,Z@468"
+    row = cli.parse_error(spec, C, L)
+    assert C.n == 469 and row.tolist() == [1] * C.n + [1] + [0] * (C.n - 2) + [1]
+    with pytest.raises(ValueError, match="unknown vertex label '469'"):
+        cli.parse_error(spec + ",Z@469", C, L)
+
+
 # Every parser's argparse actions in order, recorded from the hand-written
 # parser that COMMANDS replaced, as (option_strings, dest, default, type name,
 # required, choices, help, nargs, const); keyed by the command words, with
